@@ -27,12 +27,12 @@ from .errors import (
 )
 from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import (
+    Geodesic,
     GrassmannPoint,
     TangentVector,
-    _geodesic_from_factors,
-    _transport_many,
     exp_map,
     geodesic_point,
+    inner,
     la_standardize,
     log_map,
     procrustes_rotation,
@@ -266,19 +266,16 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
             raise CutLocusError(
                 f"station {k} is at the cut locus of the model mean",
                 max_angle=err.max_angle, station_index=k) from err
-        moved = _transport_many(model.mean, direction, [v] + basis_mats, 1.0)
-        end = _geodesic_from_factors(model.mean, direction, 1.0)
-        proj = end.rep @ (end.rep.T @ np.array(moved))
-        moved = [m - p for m, p in zip(moved, proj)]
-        tau_v, tau_basis = moved[0], moved[1:]
-        coords = np.array([float(np.sum(tau_v * tb)) for tb in tau_basis])
+        tau_v, *tau_basis = Geodesic(model.mean, direction).transport(
+            [v] + basis_mats, 1.0)
+        coords = np.array([inner(tau_v, tb) for tb in tau_basis])
         drift = np.max(np.abs(coords - t))
         if drift > consistency_tol:
             raise ConsistencyError(
                 f"transported coordinates at station {k} drifted by {drift:.3e} "
                 f"(tolerance {consistency_tol:.1e})")
-        gauge = end.rep.T @ rep.rep
-        delta = TangentVector(tau_v @ gauge, rep)
+        gauge = tau_v.base.rep.T @ rep.rep
+        delta = TangentVector(tau_v.mat @ gauge, rep)
         moved_rep = exp_map(rep, delta)
         section = LandmarkMatrix(
             moved_rep.rep @ station.affine.linear + station.affine.translation)

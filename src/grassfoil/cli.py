@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from .blade import (
     interpolate_section,
     perturb_blade,
 )
-from .errors import FileFormatError, GrassfoilError, ParameterError
+from .errors import (FileFormatError, FileParseError, GrassfoilError,
+                     ParameterError)
 from .geometry import (
     CstParams,
     LandmarkMatrix,
@@ -34,13 +36,13 @@ from .geometry import (
     gen_dataset_detailed,
     validate_shape,
 )
-from .grassmann import (LaDecomposition, la_reconstruct,
-                        la_standardize, log_map, mean_affine)
+from .grassmann import la_standardize, log_map, mean_affine
 from .pga import (
     corner_sweep,
     domain_contains,
     karcher_mean,
     pga_fit,
+    reconstruct_with,
     synthesize,
 )
 
@@ -78,14 +80,9 @@ def _manifest(out: Path, args: argparse.Namespace, extra: dict | None = None) ->
 
 def _load_shapes(source) -> list[tuple[str, "LandmarkMatrix"]]:
     src = Path(source)
-    if src.is_dir():
-        files = sorted(src.glob("*.dat"))
-        if not files:
-            raise FileFormatError(f"no .dat coordinate files under {src}")
-    elif src.is_file():
-        files = [src]
-    else:
-        raise FileFormatError(f"no such file or directory: {src}")
+    files = sorted(src.glob("*.dat")) if src.is_dir() else [src]
+    if not files:
+        raise FileFormatError(f"no .dat coordinate files under {src}")
     return [gio.read_coordinates(f) for f in files]
 
 
@@ -101,7 +98,7 @@ def _parse_coord_vector(text: str, r: int) -> np.ndarray:
 
 
 def _read_csv_columns(path, wanted: list[str]) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
+    lines = gio.read_text(path).splitlines()
     if not lines:
         raise FileFormatError(f"{path} is empty")
     header = lines[0].split(",")
@@ -110,9 +107,13 @@ def _read_csv_columns(path, wanted: list[str]) -> np.ndarray:
     except ValueError as err:
         raise FileFormatError(f"{path} lacks column: {err}") from None
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
-        rows.append([float(fields[i]) for i in idx])
+        try:
+            rows.append([float(fields[i]) for i in idx])
+        except (IndexError, ValueError):
+            raise FileParseError(f"{path} line {lineno}: expected numbers "
+                                 f"in {', '.join(wanted)}", line=lineno) from None
     if not rows:
         raise FileFormatError(f"{path} has a header but no data rows")
     return np.array(rows)
@@ -185,7 +186,7 @@ def cmd_mean(args) -> None:
                           "karcher-mean-representative")
     gio.write_affine(out / "mean_affine.json", affine)
     gio.write_coordinates(out / "mean_shape.dat",
-                          la_reconstruct(LaDecomposition(mean, affine)),
+                          reconstruct_with(mean, affine),
                           "karcher-mean-shape")
     residual = _mean_residual(mean, points)
     _manifest(out, args, {"residual": residual, "shapes": len(points),
@@ -234,13 +235,9 @@ def cmd_synth(args) -> None:
     results = {"in_domain": inside, "coords": t.tolist()}
     if args.affine is not None:
         affine = gio.read_affine(args.affine)
-        shape = la_reconstruct(LaDecomposition(point, affine))
+        shape = reconstruct_with(point, affine)
         gio.write_coordinates(out / "shape.dat", shape, "synthesized-shape")
-        diag = validate_shape(shape)
-        results["valid"] = bool(diag.rank_ok and diag.simple)
-        results["rank_ok"] = bool(diag.rank_ok)
-        results["simple"] = bool(diag.simple)
-        results["ordering_ok"] = bool(diag.ordering_ok)
+        results.update(_validity(shape))
     _manifest(out, args, results)
     print(f"synthesized at t={t.tolist()}, in_domain={inside}")
 
@@ -253,75 +250,56 @@ def _sweep_corners(rng: np.random.Generator, lo: np.ndarray,
     return corner, opposite
 
 
-# A sweep shape counts as valid when it is full rank and non-self-
-# intersecting. Orientation is reported separately: the shared reference
-# affine mirrors shapes whose own affine factor had opposite handedness.
+# A shape counts as valid when it is full rank and non-self-intersecting.
+# Orientation is reported separately: the shared reference affine mirrors
+# shapes whose own affine factor had opposite handedness.
 _VALIDITY_COLUMNS = ["valid", "rank_ok", "simple", "ordering_ok"]
 
 
-def _validity_flags(shape) -> list[int]:
+def _validity(shape) -> dict[str, bool]:
     diag = validate_shape(shape)
-    return [int(diag.rank_ok and diag.simple), int(diag.rank_ok),
-            int(diag.simple), int(diag.ordering_ok)]
+    flags = (diag.rank_ok and diag.simple, diag.rank_ok, diag.simple,
+             diag.ordering_ok)
+    return {name: bool(f) for name, f in zip(_VALIDITY_COLUMNS, flags)}
 
 
 def cmd_sweep(args) -> None:
-    if args.space == "pga" and (args.model is None or args.affine is None):
-        raise ParameterError("--space pga needs --model and --affine")
-    if args.space == "cst" and args.coefficients is None:
-        raise ParameterError("--space cst needs --coefficients")
-    summaries = []
     if args.space == "pga":
+        if args.model is None or args.affine is None:
+            raise ParameterError("--space pga needs --model and --affine")
         model = gio.read_model(args.model)
         affine = gio.read_affine(args.affine)
-        out = _out_dir(args.out)
         lo, hi = model.domain.bounds_min, model.domain.bounds_max
-        for k in range(args.count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([args.seed, k]))
-            a, b = _sweep_corners(rng, lo, hi)
-            points = corner_sweep(model, a, b, args.steps,
-                                  reference_affine=affine)
-            shapes = [la_reconstruct(LaDecomposition(p, affine))
-                      for p in points]
-            fracs = np.linspace(0.0, 1.0, args.steps)
-            rows = []
-            for i, shape in enumerate(shapes):
-                ti = (1 - fracs[i]) * a + fracs[i] * b
-                rows.append([i, *ti, *_validity_flags(shape)])
-            gio.write_table(out / f"sweep-{k}.csv",
-                            ["step", *[f"t{j}" for j in range(model.r)],
-                             *_VALIDITY_COLUMNS], rows)
-            (out / f"sweep-{k}.svg").write_text(
-                svg.render_strip([s.points for s in shapes]))
-            summaries.append({
-                "sweep": k,
-                "valid": int(sum(r[-4] for r in rows)),
-                "steps": args.steps})
+        columns = [f"t{j}" for j in range(model.r)]
+
+        def shapes_between(a, b):
+            return [reconstruct_with(p, affine)
+                    for p in corner_sweep(model, a, b, args.steps)]
     else:
+        if args.coefficients is None:
+            raise ParameterError("--space cst needs --coefficients")
         coeffs = _read_csv_columns(args.coefficients, _COEFF_COLUMNS)
         lo, hi = coeffs.min(axis=0), coeffs.max(axis=0)
-        out = _out_dir(args.out)
-        for k in range(args.count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([args.seed, k]))
-            a, b = _sweep_corners(rng, lo, hi)
-            shapes = cst_sweep(CstParams.from_vector(a),
-                               CstParams.from_vector(b), args.steps, args.n)
-            fracs = np.linspace(0.0, 1.0, args.steps)
-            rows = []
-            for i, shape in enumerate(shapes):
-                ci = (1 - fracs[i]) * a + fracs[i] * b
-                rows.append([i, *ci, *_validity_flags(shape)])
-            gio.write_table(out / f"sweep-{k}.csv",
-                            ["step", *_COEFF_COLUMNS, *_VALIDITY_COLUMNS],
-                            rows)
-            (out / f"sweep-{k}.svg").write_text(
-                svg.render_strip([s.points for s in shapes]))
-            summaries.append({
-                "sweep": k,
-                "valid": int(sum(r[-4] for r in rows)),
-                "steps": args.steps})
+        columns = _COEFF_COLUMNS
+
+        def shapes_between(a, b):
+            return cst_sweep(CstParams.from_vector(a),
+                             CstParams.from_vector(b), args.steps, args.n)
+    out = _out_dir(args.out)
+    fracs = np.linspace(0.0, 1.0, args.steps)
+    summaries = []
+    for k in range(args.count):
+        rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
+        a, b = _sweep_corners(rng, lo, hi)
+        shapes = shapes_between(a, b)
+        rows = [[i, *((1 - f) * a + f * b), *map(int, _validity(s).values())]
+                for i, (f, s) in enumerate(zip(fracs, shapes))]
+        gio.write_table(out / f"sweep-{k}.csv",
+                        ["step", *columns, *_VALIDITY_COLUMNS], rows)
+        (out / f"sweep-{k}.svg").write_text(
+            svg.render_strip([s.points for s in shapes]))
+        summaries.append({"sweep": k, "valid": sum(r[-4] for r in rows),
+                          "steps": args.steps})
     _manifest(out, args, {"sweeps": summaries})
     total = sum(s["valid"] for s in summaries)
     print(f"{args.count} sweeps x {args.steps} steps, "
@@ -377,7 +355,11 @@ def cmd_render(args) -> None:
     elif args.kind == "scatter":
         if args.table is None:
             raise ParameterError("--kind scatter needs --table")
-        i, j = (int(v) for v in args.axes.split(","))
+        try:
+            i, j = (int(v) for v in args.axes.split(","))
+        except ValueError:
+            raise ParameterError(
+                f"--axes needs two integers, got {args.axes!r}") from None
         data = _read_csv_columns(args.table, [f"t{i}", f"t{j}"])
         text = svg.render_scatter(data)
     else:
@@ -489,6 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes "--coords -0.1,0.2" for two options; glue the vector on.
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--coords" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--coords={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

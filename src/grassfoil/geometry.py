@@ -40,7 +40,8 @@ COEFFS_PER_SURFACE = BERNSTEIN_DEGREE + 1
 #: Default landmark count: 201 points per surface sharing the leading edge.
 DEFAULT_LANDMARK_COUNT = 401
 
-_RANK_RATIO_TOL = 1e-10
+#: Smallest singular-value ratio of centered landmarks that counts as full rank.
+RANK_RATIO_TOL = 1e-10
 _DET_TOL = 1e-12
 
 
@@ -353,7 +354,7 @@ def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
     ratio = float(sv[1] / sv[0]) if sv[0] > 0.0 else 0.0
     return ShapeDiagnostics(
         rank_ratio=ratio,
-        rank_ok=ratio > _RANK_RATIO_TOL,
+        rank_ok=ratio > RANK_RATIO_TOL,
         simple=not _has_proper_crossing(pts),
         single_le_extremum=_single_le_extremum(pts[:, 0]),
         positive_orientation=_signed_area(pts) > 0.0,

@@ -26,13 +26,12 @@ from .errors import (
     DimensionError,
     TangencyError,
 )
-from .geometry import AffineMap, LandmarkMatrix, affine_apply
+from .geometry import RANK_RATIO_TOL, AffineMap, LandmarkMatrix, affine_apply
 
 _ORTHO_TOL = 1e-12
 _HORIZONTAL_TOL = 1e-10
 _EXP_HORIZONTAL_TOL = 1e-8
 _CUT_LOCUS_MARGIN = 1e-8
-_RANK_RATIO_TOL = 1e-10
 
 
 def orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def la_standardize(shape: LandmarkMatrix) -> LaDecomposition:
     b = shape.points.mean(axis=0)
     centered = shape.points - b
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s[0] <= 0.0 or s[1] / s[0] <= _RANK_RATIO_TOL:
+    if s[0] <= 0.0 or s[1] / s[0] <= RANK_RATIO_TOL:
         raise DegenerateShapeError(
             "centered landmarks are numerically collinear; no stable "
             "full-rank factorization exists")
@@ -227,25 +226,52 @@ def log_map(p: GrassmannPoint, q: GrassmannPoint) -> TangentVector:
     return TangentVector(delta, p)
 
 
-def exp_map(p: GrassmannPoint, delta: TangentVector) -> GrassmannPoint:
-    """Geodesic endpoint reached from ``p`` along ``delta``.
+class Geodesic:
+    """Geodesic leaving ``p`` with initial velocity ``direction``, factored once.
 
-    ``Delta = U S V'`` gives ``P V cos(S) V' + U sin(S) V'``; the result is
-    re-orthonormalized so drift cannot accumulate over chained calls. An
-    exactly-zero tangent returns ``p`` itself.
+    With the thin SVD ``direction = U S V'``, the point at ``t`` is
+    ``P V cos(tS) V' + U sin(tS) V'`` and transport to it is
+    ``w -> (-P V sin(tS) U' + U cos(tS) U' + (I - U U')) w``, an isometry.
+    Points are re-orthonormalized so drift cannot accumulate over chained
+    calls; an exactly-zero direction stays at ``p``.
     """
-    if delta.mat.shape != p.rep.shape:
-        raise DimensionError(
-            f"tangent shape {delta.mat.shape} does not match base "
-            f"{p.rep.shape}")
-    if np.max(np.abs(p.rep.T @ delta.mat)) > _EXP_HORIZONTAL_TOL:
-        raise TangencyError("tangent vector is not horizontal at this base")
-    if not np.any(delta.mat):
-        return p
-    u, s, vt = np.linalg.svd(delta.mat, full_matrices=False)
-    v = vt.T
-    y = p.rep @ (v * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
-    return GrassmannPoint(orthonormalize(y))
+
+    def __init__(self, p: GrassmannPoint, direction: TangentVector):
+        if direction.mat.shape != p.rep.shape:
+            raise DimensionError(
+                f"tangent shape {direction.mat.shape} does not match base "
+                f"{p.rep.shape}")
+        if np.max(np.abs(p.rep.T @ direction.mat)) > _EXP_HORIZONTAL_TOL:
+            raise TangencyError("tangent vector is not horizontal at this base")
+        self.p = p
+        self._factors = (np.linalg.svd(direction.mat, full_matrices=False)
+                         if np.any(direction.mat) else None)
+
+    def point(self, t: float) -> GrassmannPoint:
+        """The geodesic's point at parameter ``t``."""
+        if self._factors is None:
+            return self.p
+        u, s, vt = self._factors
+        y = self.p.rep @ (vt.T * np.cos(t * s)) @ vt + (u * np.sin(t * s)) @ vt
+        return GrassmannPoint(orthonormalize(y))
+
+    def transport(self, mats: Sequence[np.ndarray],
+                  t: float) -> list[TangentVector]:
+        """Transport each matrix to ``point(t)``, projected horizontal there."""
+        mats = np.array(mats, dtype=float)
+        if self._factors is not None:
+            u, s, vt = self._factors
+            rotate = u * np.cos(t * s) - self.p.rep @ (vt.T * np.sin(t * s))
+            um = u.T @ mats
+            mats = mats - u @ um + rotate @ um
+        end = self.point(t)
+        mats -= end.rep @ (end.rep.T @ mats)
+        return [TangentVector(m, end) for m in mats]
+
+
+def exp_map(p: GrassmannPoint, delta: TangentVector) -> GrassmannPoint:
+    """Geodesic endpoint reached from ``p`` along ``delta``."""
+    return Geodesic(p, delta).point(1.0)
 
 
 def geodesic_point(p: GrassmannPoint, q: GrassmannPoint, t: float) -> GrassmannPoint:
@@ -258,54 +284,13 @@ def parallel_transport(p: GrassmannPoint, direction: TangentVector,
                        w: TangentVector, t: float) -> TangentVector:
     """Transport ``w`` along the geodesic leaving ``p`` with velocity ``direction``.
 
-    Closed form: with ``direction = U S V'``,
-    ``w -> (-P V sin(tS) U' + U cos(tS) U' + (I - U U')) w``,
-    an isometry that keeps the result horizontal at the geodesic point
-    reached at ``t``. Transporting ``direction`` itself yields the
-    geodesic's own velocity there.
+    The result is horizontal at the geodesic point reached at ``t``;
+    transporting ``direction`` itself yields the geodesic's own velocity
+    there.
     """
     if t == 0.0:
         return w
-    mats = _transport_many(p, direction, [w.mat], t)
-    end = _geodesic_from_factors(p, direction, t)
-    mat = mats[0]
-    mat -= end.rep @ (end.rep.T @ mat)
-    return TangentVector(mat, end)
-
-
-def _transport_factors(direction: TangentVector):
-    u, s, vt = np.linalg.svd(direction.mat, full_matrices=False)
-    return u, s, vt.T
-
-
-def _geodesic_from_factors(p: GrassmannPoint, direction: TangentVector,
-                           t: float) -> GrassmannPoint:
-    if not np.any(direction.mat):
-        return p
-    u, s, v = _transport_factors(direction)
-    ts = t * s
-    y = p.rep @ (v * np.cos(ts)) @ v.T + (u * np.sin(ts)) @ v.T
-    return GrassmannPoint(orthonormalize(y))
-
-
-def _transport_many(p: GrassmannPoint, direction: TangentVector,
-                    mats: Sequence[np.ndarray], t: float) -> list[np.ndarray]:
-    """Apply the transport operator for one (direction, t) to several vectors."""
-    if direction.mat.shape != p.rep.shape:
-        raise DimensionError("direction does not match the base point")
-    if np.max(np.abs(p.rep.T @ direction.mat)) > _EXP_HORIZONTAL_TOL:
-        raise TangencyError("transport direction is not horizontal at the base")
-    if not np.any(direction.mat):
-        return [np.array(m) for m in mats]
-    u, s, v = _transport_factors(direction)
-    ts = t * s
-    pv_sin = p.rep @ (v * np.sin(ts))
-    u_cos = u * np.cos(ts)
-    out = []
-    for m in mats:
-        um = u.T @ m
-        out.append(m - u @ um + (u_cos - pv_sin) @ um)
-    return out
+    return Geodesic(p, direction).transport([w.mat], t)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +35,9 @@ _TOKEN = re.compile(r"\S+")
 
 def _write_text(path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".",
-                               prefix=path.name + ".", suffix=".tmp")
+    # Mode 0o666 less the umask, as open(path, "w") would create it.
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -48,6 +48,17 @@ def _write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def read_text(path) -> str:
+    """Whole text file; unreadable or undecodable files name the path."""
+    try:
+        return Path(path).read_text()
+    except OSError as err:
+        raise FileFormatError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise FileFormatError(
+            f"cannot decode {path}: {err.reason} at byte {err.start}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +76,7 @@ def write_coordinates(path, shape: LandmarkMatrix, name: str = "section") -> Non
 
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise FileParseError("empty coordinate file", line=1)
     name = lines[0]
@@ -106,7 +116,7 @@ def write_json(path, payload) -> None:
 
 def read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise FileParseError(f"invalid JSON: {err.msg}", line=err.lineno,
                              column=err.colno) from None
@@ -119,6 +129,14 @@ def _get(mapping, key: str, path: str = ""):
     if key not in mapping:
         raise SchemaError(f"missing key {full!r}")
     return mapping[key]
+
+
+def _get_int(mapping, key: str, least: int) -> int:
+    value = _get(mapping, key)
+    if not (isinstance(value, int) and value >= least):
+        raise SchemaError(
+            f"key {key!r} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _as_array(value, shape, key: str) -> np.ndarray:
@@ -168,12 +186,8 @@ def write_model(path, model: PgaModel) -> None:
 def read_model(path) -> PgaModel:
     data = read_json(path)
     _check_version(data, "model")
-    n = _get(data, "n")
-    r = _get(data, "r")
-    if not (isinstance(n, int) and n >= 3):
-        raise SchemaError(f"key 'n' must be an integer >= 3, got {n!r}")
-    if not (isinstance(r, int) and r >= 1):
-        raise SchemaError(f"key 'r' must be a positive integer, got {r!r}")
+    n = _get_int(data, "n", 3)
+    r = _get_int(data, "r", 1)
     order = _get(data, "flatten_order")
     if order != FLATTEN_ORDER:
         raise SchemaError(
@@ -257,7 +271,7 @@ def read_blade(path) -> BladeDefinition:
     """
     data = read_json(path)
     _check_version(data, "blade")
-    n = _get(data, "n")
+    n = _get_int(data, "n", 3)
     stations_raw = _get(data, "stations")
     if not isinstance(stations_raw, list) or len(stations_raw) < 2:
         raise SchemaError("key 'stations' must list at least 2 stations")
@@ -342,7 +356,7 @@ def write_wireframe(path, grid: np.ndarray) -> None:
 
 
 def read_wireframe(path) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].split(",") != _WIREFRAME_HEADER:
         raise FileParseError(
             "wireframe header must be " + ",".join(_WIREFRAME_HEADER), line=1)

@@ -54,14 +54,41 @@ def test_gen_dataset_outputs(workdir):
     assert len(table) == 10
 
 
-def test_gen_dataset_rerun_byte_identical(workdir, tmp_path):
-    assert main(["gen-dataset", "--out", str(tmp_path / "again"),
-                 "--baselines", "3", "--per-baseline", "2",
-                 "--n", str(N), "--seed", "7"]) == 0
-    first = sorted((workdir / "data" / "shapes").glob("*.dat"))
-    second = sorted((tmp_path / "again" / "shapes").glob("*.dat"))
-    for a, b in zip(first, second):
-        assert a.read_bytes() == b.read_bytes()
+RERUNS = {
+    "gen-dataset": ["gen-dataset", "--baselines", "3", "--per-baseline", "2",
+                    "--n", str(N), "--seed", "7"],
+    "sweep-pga": ["sweep", "--space", "pga", "--model", "{fit}/model.json",
+                  "--affine", "{fit}/mean_affine.json", "--count", "2",
+                  "--steps", "5", "--seed", "3"],
+    "sweep-cst": ["sweep", "--space", "cst", "--coefficients",
+                  "{data}/coefficients.csv", "--count", "2", "--steps", "5",
+                  "--n", str(N), "--seed", "3"],
+    "synth": ["synth", "--model", "{fit}/model.json", "--coords",
+              "0.001,-0.002,0.0005", "--affine", "{fit}/mean_affine.json"],
+    "blade-interp": ["blade-interp", "--blade", "{blade}", "--eta", "0.3",
+                     "--spans", "4", "--samples-per-section", "11"],
+    "blade-perturb": ["blade-perturb", "--blade", "{blade}", "--model",
+                      "{fit}/model.json", "--coords", "0.002,-0.001,0.0"],
+}
+
+
+def snapshot(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_rerun_byte_identical(workdir, tmp_path, monkeypatch):
+    paths = {"fit": workdir / "fit", "data": workdir / "data",
+             "blade": workdir / "blade.json"}
+    for command, argv in RERUNS.items():
+        argv = [a.format(**paths) for a in argv] + ["--out", command]
+        runs = []
+        for where in ("first", "second"):
+            (tmp_path / where).mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / where)  # same relative --out in both
+            assert main(argv) == 0
+            runs.append(snapshot(tmp_path / where / command))
+        assert len(runs[0]) > 1 and runs[0] == runs[1], command
 
 
 def test_standardize_writes_affine_table(workdir, tmp_path):
@@ -130,6 +157,17 @@ def test_synth_and_domain_flag(workdir, tmp_path):
     assert main(["synth", "--model", str(workdir / "fit" / "model.json"),
                  "--coords", "99.0,0.0,0.0", "--out", str(far)]) == 0
     assert read_manifest(far)["results"]["in_domain"] is False
+
+
+@pytest.mark.parametrize("command", ["synth", "blade-perturb"])
+def test_coords_may_start_with_a_minus(workdir, tmp_path, command):
+    out = tmp_path / "neg"
+    argv = {"synth": ["synth"],
+            "blade-perturb": ["blade-perturb", "--blade",
+                              str(workdir / "blade.json")]}[command]
+    assert main(argv + ["--model", str(workdir / "fit" / "model.json"),
+                        "--coords", "-0.001,0.001,0", "--out", str(out)]) == 0
+    assert read_manifest(out)["config"]["coords"] == "-0.001,0.001,0"
 
 
 def test_sweep_pga_space(workdir, tmp_path):
@@ -259,3 +297,34 @@ def test_missing_input_exits_1(tmp_path):
 def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
+
+
+BAD_INPUTS = {
+    "missing-model": (["synth", "--model", "{tmp}/missing.json",
+                       "--coords", "0,0,0"], "missing.json"),
+    "non-utf8-dat": (["mean", "--shapes", "{tmp}/latin1.dat"], "latin1.dat"),
+    "axes-not-integers": (["render", "--kind", "scatter", "--table",
+                           "{fit}/normal_coords.csv", "--axes", "x,y"],
+                          "'x,y'"),
+    "csv-cell-not-a-number": (["render", "--kind", "scatter", "--table",
+                               "{tmp}/coords.csv"], "line 2"),
+    "coefficient-not-a-number": (["sweep", "--space", "cst",
+                                  "--coefficients", "{tmp}/coeffs.csv"],
+                                 "line 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
+    (tmp_path / "latin1.dat").write_bytes(b"caf\xe9\n0 0\n1 0\n0 1\n")
+    (tmp_path / "coords.csv").write_text("index,t0,t1\n0,0.5,zero\n")
+    header, first = (
+        workdir / "data" / "coefficients.csv").read_text().splitlines()[:2]
+    first = first.replace(",0.", ",x", 1)  # one u0..l8 cell loses its number
+    (tmp_path / "coeffs.csv").write_text("\n".join([header, first]) + "\n")
+    argv, named = BAD_INPUTS[case]
+    argv = [a.format(tmp=tmp_path, fit=workdir / "fit") for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err

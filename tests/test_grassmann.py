@@ -9,8 +9,8 @@ from grassfoil.errors import (CutLocusError, DegenerateShapeError,
                               TangencyError)
 from grassfoil.geometry import AffineMap, LandmarkMatrix, cst_evaluate
 from grassfoil.geometry import default_baselines
-from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
-                                 exp_map, geodesic_point, inner,
+from grassfoil.grassmann import (Geodesic, GrassmannPoint, TangentVector,
+                                 distance, exp_map, geodesic_point, inner,
                                  la_reconstruct, la_standardize, log_map,
                                  mean_affine, orthonormalize,
                                  parallel_transport, principal_angles,
@@ -333,6 +333,64 @@ def test_transported_velocity_matches_finite_difference():
     behind = exp_map(p, TangentVector((t - h) * v.mat, p))
     fd = (ahead.rep - behind.rep) / (2.0 * h)
     assert np.max(np.abs(fd - moved.mat)) < 1e-6
+
+
+def oracle_point(p, direction, t):
+    """Geodesic point by the closed form, ``P V cos(tS) V' + U sin(tS) V'``."""
+    u, s, vt = np.linalg.svd(direction.mat, full_matrices=False)
+    v = vt.T
+    y = p.rep @ (v * np.cos(t * s)) @ v.T + (u * np.sin(t * s)) @ v.T
+    return GrassmannPoint(orthonormalize(y))
+
+
+def oracle_transport(p, direction, w, t):
+    """Closed-form transport, then projection horizontal at the endpoint."""
+    u, s, vt = np.linalg.svd(direction.mat, full_matrices=False)
+    v = vt.T
+    pv_sin = p.rep @ (v * np.sin(t * s))
+    u_cos = u * np.cos(t * s)
+    um = u.T @ w.mat
+    mat = w.mat - u @ um + (u_cos - pv_sin) @ um
+    end = oracle_point(p, direction, t)
+    mat -= end.rep @ (end.rep.T @ mat)
+    return mat
+
+
+def test_geodesic_kernel_matches_closed_forms_bitwise(airfoil_points):
+    rng = np.random.default_rng(18)
+    cases = []
+    for _ in range(20):
+        p = random_point(rng, 30)
+        cases.append((p, random_horizontal(rng, p, rng.uniform(0.1, 1.2)),
+                      random_horizontal(rng, p, rng.uniform(0.2, 2.0))))
+    p = airfoil_points[0]
+    for q in airfoil_points[1:]:
+        cases.append((p, log_map(p, q), random_horizontal(rng, p, 0.01)))
+    for p, v, w in cases:
+        assert np.array_equal(exp_map(p, v).rep, oracle_point(p, v, 1.0).rep)
+        for t in (1.0, 0.6):
+            assert np.array_equal(Geodesic(p, v).point(t).rep,
+                                  oracle_point(p, v, t).rep)
+            assert np.array_equal(parallel_transport(p, v, w, t).mat,
+                                  oracle_transport(p, v, w, t))
+
+
+def test_geodesic_transports_many_at_once():
+    rng = np.random.default_rng(19)
+    p = random_point(rng, 30)
+    v = random_horizontal(rng, p, scale=0.7)
+    ws = [random_horizontal(rng, p) for _ in range(3)]
+    moved = Geodesic(p, v).transport([w.mat for w in ws], 0.6)
+    for w, m in zip(ws, moved):
+        assert np.array_equal(m.mat, parallel_transport(p, v, w, 0.6).mat)
+        assert np.array_equal(m.base.rep, oracle_point(p, v, 0.6).rep)
+
+
+def test_geodesic_rejects_non_horizontal_direction():
+    rng = np.random.default_rng(20)
+    p, q = random_point(rng, 30), random_point(rng, 30)
+    with pytest.raises(TangencyError):
+        Geodesic(p, random_horizontal(rng, q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for coordinate, model, blade, and wireframe serialization."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from grassfoil.geometry import (AffineMap, affine_apply, affine_subgroup,
                                 cst_evaluate, default_baselines, perturb_cst)
 from grassfoil.grassmann import la_standardize
 from grassfoil.io import (read_affine, read_blade, read_coordinates,
-                          read_model, read_wireframe, write_affine,
-                          write_blade, write_coordinates, write_model,
-                          write_table, write_wireframe)
+                          read_json, read_model, read_wireframe, write_affine,
+                          write_blade, write_coordinates, write_json,
+                          write_model, write_table, write_wireframe)
 from grassfoil.pga import karcher_mean, pga_fit
 
 
@@ -231,6 +232,16 @@ def test_blade_mixed_station_detail_rejected(tmp_path, small_blade):
         read_blade(path)
 
 
+def test_blade_landmark_count_must_be_an_integer(tmp_path, small_blade):
+    path = tmp_path / "blade.json"
+    write_blade(path, small_blade)
+    data = json.loads(path.read_text())
+    data["n"] = str(data["n"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match="'n' must be an integer"):
+        read_blade(path)
+
+
 def test_blade_non_increasing_eta_rejected(tmp_path, small_blade):
     path = tmp_path / "blade.json"
     write_blade(path, small_blade)
@@ -271,3 +282,36 @@ def test_wireframe_missing_record_detected(tmp_path, small_blade):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FileParseError):
         read_wireframe(path)
+
+
+# ---------------------------------------------------------------------------
+# reader and writer boundaries
+
+
+@pytest.mark.parametrize("reader", [read_coordinates, read_json,
+                                    read_model, read_wireframe])
+def test_missing_file_names_the_path(tmp_path, reader):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(FileFormatError, match="missing.txt"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader", [read_coordinates, read_json,
+                                    read_wireframe])
+def test_undecodable_file_names_the_path(tmp_path, reader):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"caf\xe9 \xff\xfe\n")
+    with pytest.raises(FileFormatError, match="latin1.txt"):
+        reader(path)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_json(tmp_path / "a.json", {"k": 1})
+        write_table(tmp_path / "t.csv", ["i"], [[0]])
+    finally:
+        os.umask(old)
+    for name in ("a.json", "t.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "t.csv"]
