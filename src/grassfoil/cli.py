@@ -9,7 +9,6 @@ configuration, so any artifact can be regenerated byte-identically.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from .geometry import (
     gen_dataset_detailed,
     validate_shape,
 )
-from .grassmann import la_standardize, log_map, mean_affine
+from .grassmann import la_standardize, mean_affine
 from .pga import (
     corner_sweep,
     domain_contains,
@@ -49,20 +48,13 @@ from .pga import (
 _COEFF_COLUMNS = [f"u{i}" for i in range(9)] + [f"l{i}" for i in range(9)]
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParameterError(
-            f"environment override {name} is not a number: {raw!r}") from None
-
-
 def _out_dir(path) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise FileFormatError(
+            f"cannot create output directory {out}: {err.strerror}") from None
     return out
 
 
@@ -112,8 +104,8 @@ def _read_csv_columns(path, wanted: list[str]) -> np.ndarray:
         try:
             rows.append([float(fields[i]) for i in idx])
         except (IndexError, ValueError):
-            raise FileParseError(f"{path} line {lineno}: expected numbers "
-                                 f"in {', '.join(wanted)}", line=lineno) from None
+            raise FileParseError(f"expected numbers in {', '.join(wanted)}",
+                                 path=path, line=lineno) from None
     if not rows:
         raise FileFormatError(f"{path} has a header but no data rows")
     return np.array(rows)
@@ -123,9 +115,15 @@ def _standardized(named_shapes):
     return [(name, la_standardize(shape)) for name, shape in named_shapes]
 
 
-def _mean_residual(mean, points) -> float:
-    logs = np.array([log_map(mean, p).mat for p in points])
-    return float(np.linalg.norm(logs.mean(axis=0)))
+def _fit_mean(args):
+    """Shared prologue of mean and pga-fit: load, standardize, average."""
+    named = _load_shapes(args.shapes)
+    out = _out_dir(args.out)
+    decomps = _standardized(named)
+    points = [d.point for _, d in decomps]
+    result = karcher_mean(points, tol=args.tol, max_iter=args.max_iter)
+    affine = mean_affine([d.affine for _, d in decomps])
+    return named, out, points, result, affine
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +173,25 @@ def cmd_standardize(args) -> None:
 
 
 def cmd_mean(args) -> None:
-    tol = _env_float("GRASSFOIL_KARCHER_TOL", args.tol)
-    named = _load_shapes(args.shapes)
-    out = _out_dir(args.out)
-    decomps = _standardized(named)
-    points = [d.point for _, d in decomps]
-    mean = karcher_mean(points, tol=tol, max_iter=args.max_iter)
-    affine = mean_affine([d.affine for _, d in decomps])
+    _, out, points, result, affine = _fit_mean(args)
+    mean = result.point
     gio.write_coordinates(out / "mean_rep.dat", LandmarkMatrix(mean.rep),
                           "karcher-mean-representative")
     gio.write_affine(out / "mean_affine.json", affine)
     gio.write_coordinates(out / "mean_shape.dat",
                           reconstruct_with(mean, affine),
                           "karcher-mean-shape")
-    residual = _mean_residual(mean, points)
-    _manifest(out, args, {"residual": residual, "shapes": len(points),
-                          "tolerance": tol})
-    print(f"mean of {len(points)} shapes, gradient residual {residual:.3e}")
+    _manifest(out, args, {"residual": result.residual, "shapes": len(points),
+                          "tolerance": args.tol})
+    print(f"mean of {len(points)} shapes, "
+          f"gradient residual {result.residual:.3e}")
 
 
 def cmd_pga_fit(args) -> None:
-    tol = _env_float("GRASSFOIL_KARCHER_TOL", args.tol)
-    named = _load_shapes(args.shapes)
-    out = _out_dir(args.out)
-    decomps = _standardized(named)
-    points = [d.point for _, d in decomps]
-    mean = karcher_mean(points, tol=tol, max_iter=args.max_iter)
-    model = pga_fit(points, mean, args.r, method=args.method)
+    named, out, points, result, affine = _fit_mean(args)
+    model = pga_fit(points, result.point, args.r, method=args.method)
     gio.write_model(out / "model.json", model)
-    gio.write_affine(out / "mean_affine.json",
-                     mean_affine([d.affine for _, d in decomps]))
+    gio.write_affine(out / "mean_affine.json", affine)
     coord_rows = [[i, name.split()[0], *model.training_coords[i]]
                   for i, (name, _) in enumerate(named)]
     gio.write_table(out / "normal_coords.csv",
@@ -216,9 +203,9 @@ def cmd_pga_fit(args) -> None:
     gio.write_table(out / "eigenvalues.csv",
                     ["component", "eigenvalue", "ratio_to_previous"], ev_rows)
     _manifest(out, args, {
-        "residual": _mean_residual(mean, points),
+        "residual": result.residual,
         "eigenvalues": ev.tolist(), "shapes": len(points),
-        "tolerance": tol})
+        "tolerance": args.tol})
     print(f"fitted r={model.r} model on {len(points)} shapes; "
           f"eigenvalues {np.array2string(ev, precision=3)}")
 
@@ -296,8 +283,8 @@ def cmd_sweep(args) -> None:
                 for i, (f, s) in enumerate(zip(fracs, shapes))]
         gio.write_table(out / f"sweep-{k}.csv",
                         ["step", *columns, *_VALIDITY_COLUMNS], rows)
-        (out / f"sweep-{k}.svg").write_text(
-            svg.render_strip([s.points for s in shapes]))
+        gio.write_text(out / f"sweep-{k}.svg",
+                       svg.render_strip([s.points for s in shapes]))
         summaries.append({"sweep": k, "valid": sum(r[-4] for r in rows),
                           "steps": args.steps})
     _manifest(out, args, {"sweeps": summaries})
@@ -328,17 +315,17 @@ def cmd_blade_interp(args) -> None:
 
 
 def cmd_blade_perturb(args) -> None:
-    tol = _env_float("GRASSFOIL_CONSISTENCY_TOL", args.consistency_tol)
     blade = gio.read_blade(args.blade)
     model = gio.read_model(args.model)
     t = _parse_coord_vector(args.coords, model.r)
     out = _out_dir(args.out)
-    perturbed = perturb_blade(blade, model, t, consistency_tol=tol)
+    perturbed = perturb_blade(blade, model, t,
+                              consistency_tol=args.consistency_tol)
     gio.write_blade(out / "blade.json", perturbed)
     count = design_parameter_count(blade, model)
     _manifest(out, args, {
         "in_domain": domain_contains(model, t),
-        "design_parameters": count, "tolerance": tol})
+        "design_parameters": count, "tolerance": args.consistency_tol})
     print(f"perturbed {blade.n_stations} stations; "
           f"design parameter count {count}")
 
@@ -367,7 +354,7 @@ def cmd_render(args) -> None:
             raise ParameterError("--kind wireframe needs --wireframe")
         text = svg.render_wireframe(gio.read_wireframe(args.wireframe))
     target = out / f"{args.kind}.svg"
-    target.write_text(text)
+    gio.write_text(target, text)
     _manifest(out, args, {"svg": target.name})
     print(f"rendered {target}")
 

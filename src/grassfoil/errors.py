@@ -81,13 +81,23 @@ class FileFormatError(GrassfoilError):
 
 
 class FileParseError(FileFormatError):
-    """Malformed text input; carries the 1-based line (and column) hit."""
+    """Malformed text input; carries the file and the 1-based line and column.
 
-    def __init__(self, message: str, *, line: int | None = None,
+    Its string form leads with the known parts of ``path:line:column``.
+    """
+
+    def __init__(self, message: str, *, path=None, line: int | None = None,
                  column: int | None = None):
         super().__init__(message)
+        self.path = path
         self.line = line
         self.column = column
+
+    def __str__(self) -> str:
+        where = ":".join(str(part) for part in (self.path, self.line, self.column)
+                         if part is not None)
+        message = super().__str__()
+        return f"{where}: {message}" if where else message
 
 
 class SchemaError(FileFormatError):

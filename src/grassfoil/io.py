@@ -33,23 +33,6 @@ _FLOAT_FMT = "%.16e"
 _TOKEN = re.compile(r"\S+")
 
 
-def _write_text(path, text: str) -> None:
-    path = Path(path)
-    # Mode 0o666 less the umask, as open(path, "w") would create it.
-    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def read_text(path) -> str:
     """Whole text file; unreadable or undecodable files name the path."""
     try:
@@ -59,6 +42,27 @@ def read_text(path) -> str:
     except UnicodeDecodeError as err:
         raise FileFormatError(
             f"cannot decode {path}: {err.reason} at byte {err.start}") from None
+
+
+def write_text(path, text: str) -> None:
+    """Atomic create-then-rename write; unwritable targets name the path."""
+    path = Path(path)
+    # Mode 0o666 less the umask, as open(path, "w") would create it.
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as err:
+        raise FileFormatError(f"cannot write {path}: {err.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -72,31 +76,32 @@ def write_coordinates(path, shape: LandmarkMatrix, name: str = "section") -> Non
     lines = [name]
     for x, y in shape.points:
         lines.append(f"{_FLOAT_FMT % x} {_FLOAT_FMT % y}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
     lines = read_text(path).splitlines()
     if not lines:
-        raise FileParseError("empty coordinate file", line=1)
+        raise FileParseError("empty coordinate file", path=path, line=1)
     name = lines[0]
     points = []
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = list(_TOKEN.finditer(line))
         if len(tokens) != 2:
             raise FileParseError(
-                f"expected 2 values per line, found {len(tokens)}", line=lineno)
+                f"expected 2 values per line, found {len(tokens)}", path=path,
+                line=lineno)
         pair = []
         for tok in tokens:
             try:
                 value = float(tok.group())
             except ValueError:
                 raise FileParseError(
-                    f"not a number: {tok.group()!r}", line=lineno,
+                    f"not a number: {tok.group()!r}", path=path, line=lineno,
                     column=tok.start() + 1) from None
             if not np.isfinite(value):
                 raise FileParseError(
-                    f"non-finite value: {tok.group()!r}", line=lineno,
+                    f"non-finite value: {tok.group()!r}", path=path, line=lineno,
                     column=tok.start() + 1)
             pair.append(value)
         points.append(pair)
@@ -111,15 +116,15 @@ def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
 
 
 def write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def read_json(path):
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as err:
-        raise FileParseError(f"invalid JSON: {err.msg}", line=err.lineno,
-                             column=err.colno) from None
+        raise FileParseError(f"invalid JSON: {err.msg}", path=path,
+                             line=err.lineno, column=err.colno) from None
 
 
 def _get(mapping, key: str, path: str = ""):
@@ -336,7 +341,7 @@ def write_table(path, header: list[str], rows) -> None:
         lines.append(",".join(
             repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
             for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 _WIREFRAME_HEADER = ["section", "landmark", "x", "y", "eta"]
@@ -359,30 +364,34 @@ def read_wireframe(path) -> np.ndarray:
     lines = read_text(path).splitlines()
     if not lines or lines[0].split(",") != _WIREFRAME_HEADER:
         raise FileParseError(
-            "wireframe header must be " + ",".join(_WIREFRAME_HEADER), line=1)
+            "wireframe header must be " + ",".join(_WIREFRAME_HEADER),
+            path=path, line=1)
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 5:
             raise FileParseError(
-                f"expected 5 fields, found {len(fields)}", line=lineno)
+                f"expected 5 fields, found {len(fields)}", path=path,
+                line=lineno)
         try:
             records.append((int(fields[0]), int(fields[1]), float(fields[2]),
                             float(fields[3]), float(fields[4])))
         except ValueError:
-            raise FileParseError("malformed record", line=lineno) from None
+            raise FileParseError("malformed record", path=path,
+                                 line=lineno) from None
     if not records:
-        raise FileParseError("wireframe file has no records", line=2)
+        raise FileParseError("wireframe file has no records", path=path,
+                             line=2)
     spans = max(r[0] for r in records) + 1
     per = max(r[1] for r in records) + 1
     if len(records) != spans * per:
         raise FileParseError(
             f"expected {spans * per} records for a {spans} x {per} grid, "
-            f"found {len(records)}", line=len(lines))
+            f"found {len(records)}", path=path, line=len(lines))
     grid = np.full((spans, per, 3), np.nan)
     for sec, lm, x, y, eta in records:
         grid[sec, lm] = (x, y, eta)
     if np.any(np.isnan(grid)):
         raise FileParseError("grid has missing (section, landmark) records",
-                             line=len(lines))
+                             path=path, line=len(lines))
     return grid

@@ -12,13 +12,12 @@ second coordinates), and the convention is recorded in serialized models.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, IterationLimitError, ParameterError
-from .geometry import AffineMap, LandmarkMatrix, validate_shape
+from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import (
     GrassmannPoint,
     TangentVector,
@@ -27,8 +26,6 @@ from .grassmann import (
     LaDecomposition,
     log_map,
 )
-
-logger = logging.getLogger(__name__)
 
 #: Flattening convention for tangent matrices in models and files.
 FLATTEN_ORDER = "column-major"
@@ -115,28 +112,35 @@ def _mean_tangent(mean: GrassmannPoint,
     return logs.mean(axis=0)
 
 
+@dataclass(frozen=True)
+class KarcherResult:
+    """Intrinsic mean with the gradient norm there and the steps taken."""
+
+    point: GrassmannPoint
+    residual: float
+    iterations: int
+
+
 def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
-                 max_iter: int = 200) -> GrassmannPoint:
+                 max_iter: int = 200) -> KarcherResult:
     """Fixed-point intrinsic mean: repeatedly exponentiate the mean logarithm.
 
     Starts from the first shape; stops when the mean tangent's norm (the
     gradient of the summed squared distance, up to a factor) drops below
-    ``tol``. Summation order over shapes is fixed, so reruns agree exactly.
+    ``tol``. The result carries that norm as ``residual`` and the number of
+    exponential steps taken as ``iterations``. Summation order over shapes
+    is fixed, so reruns agree exactly.
     """
     if not shapes:
         raise ParameterError("cannot average an empty set of shapes")
     mean = shapes[0]
-    residual = np.inf
-    for _ in range(max_iter):
+    for iterations in range(max_iter + 1):
         grad = _mean_tangent(mean, shapes)
         residual = float(np.linalg.norm(grad))
         if residual < tol:
-            return mean
-        mean = exp_map(mean, TangentVector(grad, mean))
-    grad = _mean_tangent(mean, shapes)
-    residual = float(np.linalg.norm(grad))
-    if residual < tol:
-        return mean
+            return KarcherResult(mean, residual, iterations)
+        if iterations < max_iter:
+            mean = exp_map(mean, TangentVector(grad, mean))
     raise IterationLimitError(
         f"intrinsic mean did not converge in {max_iter} iterations "
         f"(residual {residual:.3e}, tol {tol:.1e})",
@@ -268,14 +272,8 @@ def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
 
 
 def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
-                 steps: int,
-                 reference_affine: AffineMap | None = None) -> list[GrassmannPoint]:
-    """Shapes along the straight segment between two coordinate corners.
-
-    With a reference affine factor supplied, every synthesized shape is
-    reconstructed and checked; failures are logged, never raised, so sweeps
-    stay inspectable end to end.
-    """
+                 steps: int) -> list[GrassmannPoint]:
+    """Shapes along the straight segment between two coordinate corners."""
     if steps < 2:
         raise ParameterError(f"a sweep needs at least 2 steps, got {steps}")
     corner_a = np.asarray(corner_a, dtype=float)
@@ -284,19 +282,6 @@ def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
     for i in range(steps):
         s = i / (steps - 1)
         points.append(synthesize(model, (1.0 - s) * corner_a + s * corner_b))
-    if reference_affine is not None:
-        for i, point in enumerate(points):
-            shape = reconstruct_with(point, reference_affine)
-            diag = validate_shape(shape)
-            if not (diag.rank_ok and diag.simple):
-                logger.warning(
-                    "sweep step %d is not a valid shape (rank_ok=%s, "
-                    "simple=%s)", i, diag.rank_ok, diag.simple)
-            elif not diag.ordering_ok:
-                # The reference affine fixes one orientation for the whole
-                # sweep; shapes whose own affine factor had the opposite
-                # handedness come back mirrored. Expected, so not a warning.
-                logger.info("sweep step %d reconstructs mirrored", i)
     return points
 
 

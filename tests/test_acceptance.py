@@ -50,7 +50,7 @@ def decomposed(dataset):
 @pytest.fixture(scope="session")
 def dataset_mean(decomposed):
     return karcher_mean([d.point for d in decomposed], tol=1e-10,
-                        max_iter=200)
+                        max_iter=200).point
 
 
 @pytest.fixture(scope="session")
@@ -127,7 +127,7 @@ def test_criterion_02_riemannian_kernel():
 def test_criterion_03_karcher_mean(decomposed, dataset_mean):
     rng = np.random.default_rng(300)
     p, q = random_point(rng, N_LANDMARKS), random_point(rng, N_LANDMARKS)
-    mid = karcher_mean([p, q])
+    mid = karcher_mean([p, q]).point
     equidistance = abs(distance(mid, p) - distance(mid, q))
 
     points = [d.point for d in decomposed]

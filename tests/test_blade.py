@@ -43,7 +43,7 @@ def blade():
 @pytest.fixture(scope="module")
 def blade_model(blade):
     points = list(blade.aligned)
-    mean = karcher_mean(points, tol=1e-12)
+    mean = karcher_mean(points, tol=1e-12).point
     return pga_fit(points, mean, 4)
 
 
@@ -320,7 +320,7 @@ def test_design_parameter_count(blade, blade_model):
     section = cst_evaluate(default_baselines()[3], 101)
     frozen = build_blade([0.0, 1.0], [section, section])
     points = list(frozen.aligned)
-    model = pga_fit(points, karcher_mean(points), 2)
+    model = pga_fit(points, karcher_mean(points).point, 2)
     assert design_parameter_count(frozen, model) == 2
 
 

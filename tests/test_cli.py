@@ -57,6 +57,8 @@ def test_gen_dataset_outputs(workdir):
 RERUNS = {
     "gen-dataset": ["gen-dataset", "--baselines", "3", "--per-baseline", "2",
                     "--n", str(N), "--seed", "7"],
+    "mean": ["mean", "--shapes", "{data}/shapes"],
+    "pga-fit": ["pga-fit", "--shapes", "{data}/shapes", "--r", "3"],
     "sweep-pga": ["sweep", "--space", "pga", "--model", "{fit}/model.json",
                   "--affine", "{fit}/mean_affine.json", "--count", "2",
                   "--steps", "5", "--seed", "3"],
@@ -113,23 +115,6 @@ def test_mean_outputs(workdir, tmp_path):
     manifest = read_manifest(out)
     assert manifest["results"]["residual"] < 1e-10
     assert manifest["results"]["tolerance"] == 1e-10
-
-
-def test_mean_respects_env_tolerance(workdir, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRASSFOIL_KARCHER_TOL", "1e-2")
-    out = tmp_path / "mean"
-    assert main(["mean", "--shapes", str(workdir / "data" / "shapes"),
-                 "--out", str(out)]) == 0
-    assert read_manifest(out)["results"]["tolerance"] == 1e-2
-
-
-def test_bad_env_tolerance_fails_cleanly(workdir, tmp_path, monkeypatch,
-                                         capsys):
-    monkeypatch.setenv("GRASSFOIL_KARCHER_TOL", "not-a-number")
-    code = main(["mean", "--shapes", str(workdir / "data" / "shapes"),
-                 "--out", str(tmp_path / "mean")])
-    assert code == 1
-    assert "GRASSFOIL_KARCHER_TOL" in capsys.readouterr().err
 
 
 def test_pga_fit_outputs(workdir):
@@ -303,14 +288,23 @@ BAD_INPUTS = {
     "missing-model": (["synth", "--model", "{tmp}/missing.json",
                        "--coords", "0,0,0"], "missing.json"),
     "non-utf8-dat": (["mean", "--shapes", "{tmp}/latin1.dat"], "latin1.dat"),
+    "dat-cell-not-a-number": (["mean", "--shapes", "{tmp}/bad.dat"],
+                              "bad.dat:3:3: not a number"),
+    "invalid-json": (["synth", "--model", "{tmp}/broken.json",
+                      "--coords", "0,0,0"], "broken.json:2:2: invalid JSON"),
     "axes-not-integers": (["render", "--kind", "scatter", "--table",
                            "{fit}/normal_coords.csv", "--axes", "x,y"],
                           "'x,y'"),
     "csv-cell-not-a-number": (["render", "--kind", "scatter", "--table",
-                               "{tmp}/coords.csv"], "line 2"),
+                               "{tmp}/coords.csv"], "coords.csv:2: "),
     "coefficient-not-a-number": (["sweep", "--space", "cst",
                                   "--coefficients", "{tmp}/coeffs.csv"],
-                                 "line 2"),
+                                 "coeffs.csv:2: "),
+    "out-is-a-file": (["gen-dataset", "--out", "{tmp}/latin1.dat"],
+                      "latin1.dat"),
+    "svg-target-is-a-directory": (["render", "--kind", "shapes", "--shapes",
+                                   "{data}/shapes", "--out", "{tmp}/taken"],
+                                  "shapes.svg"),
 }
 
 
@@ -322,9 +316,15 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
         workdir / "data" / "coefficients.csv").read_text().splitlines()[:2]
     first = first.replace(",0.", ",x", 1)  # one u0..l8 cell loses its number
     (tmp_path / "coeffs.csv").write_text("\n".join([header, first]) + "\n")
+    (tmp_path / "bad.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
+    (tmp_path / "broken.json").write_text("{\n broken\n}\n")
+    (tmp_path / "taken" / "shapes.svg").mkdir(parents=True)
     argv, named = BAD_INPUTS[case]
-    argv = [a.format(tmp=tmp_path, fit=workdir / "fit") for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    argv = [a.format(tmp=tmp_path, fit=workdir / "fit", data=workdir / "data")
+            for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err

@@ -28,7 +28,7 @@ def fitted_model():
                                      seed=70 + k), 101)).point
         for k in range(8)
     ]
-    mean = karcher_mean(points)
+    mean = karcher_mean(points).point
     return pga_fit(points, mean, 3)
 
 
