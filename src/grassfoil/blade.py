@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BladeDefinitionError,
@@ -46,6 +45,37 @@ def _affine_components(affine: AffineMap) -> np.ndarray:
     return np.concatenate([affine.linear.ravel(), affine.translation])
 
 
+def _pchip_end_slope(h0, h1, m0, m1) -> np.ndarray:
+    """One-sided three-point slope at an end, clipped to preserve shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(overshoot, 3.0 * m0, d))
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients (4, knots - 1, components), highest power first.
+
+    Row k multiplies (eta - x[i]) ** (3 - k) on segment i.
+    """
+    h = np.diff(x)[:, None]
+    m = np.diff(y, axis=0) / h
+    if len(x) == 2:
+        d = np.concatenate([m, m])
+    else:
+        d = np.zeros_like(y)
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class BladeStation:
     """One cross-section: span position, landmarks, and its affine factor.
@@ -68,8 +98,12 @@ class BladeStation:
 class AffineProfiles:
     """Componentwise monotone cubic profiles of the affine factor over span.
 
-    One interpolant per entry of the 2x2 matrix and the offset pair,
-    exact at the knots.
+    One PCHIP interpolant (Fritsch & Carlson 1980) per entry of the 2x2
+    matrix and the offset pair, exact at the knots: interior slopes are
+    the weighted harmonic means of Fritsch & Butland (1984), end slopes the
+    shape-preserving one-sided estimate of Moler (2004), and two knots give
+    a straight line. The operations and their order are those of the
+    reference PCHIP the tests hold it to, so values match it bit for bit.
     """
 
     def __init__(self, etas: np.ndarray, values: np.ndarray):
@@ -77,6 +111,8 @@ class AffineProfiles:
         values = np.array(values, dtype=float)
         if etas.ndim != 1 or len(etas) < 2:
             raise BladeDefinitionError("profiles need at least 2 span knots")
+        if not np.all(np.isfinite(etas)):
+            raise BladeDefinitionError("span knots must be finite")
         if np.any(np.diff(etas) <= 0.0):
             raise BladeDefinitionError(
                 "span knots must be strictly increasing (duplicates included)")
@@ -89,13 +125,16 @@ class AffineProfiles:
         values.setflags(write=False)
         self.etas = etas
         self.values = values
-        self._spline = PchipInterpolator(etas, values, axis=0)
-
-    def components_at(self, eta: float) -> np.ndarray:
-        return np.asarray(self._spline(eta), dtype=float)
+        self._coeffs = _pchip_coefficients(etas, values)
 
     def affine_at(self, eta: float) -> AffineMap:
-        vals = self.components_at(eta)
+        eta = float(eta)
+        idx = _locate_segment(self.etas, eta)
+        s = eta - self.etas[idx]
+        c = self._coeffs[:, idx]
+        # Lowest power first, starting from 0.0: the order fixes the last
+        # bit and the sign of zero.
+        vals = 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * ((s * s) * s)
         return AffineMap(vals[:4].reshape(2, 2), vals[4:])
 
     @property
@@ -152,26 +191,19 @@ class BladeDefinition:
         return len(self.stations)
 
 
-def procrustes_cluster(points: Sequence[GrassmannPoint],
-                       tip_to_hub: bool = True) -> list[GrassmannPoint]:
+def procrustes_cluster(points: Sequence[GrassmannPoint]) -> list[GrassmannPoint]:
     """Rotate each representative onto its already-aligned neighbor.
 
     Every station keeps its subspace; only the in-plane rotation gauge
     changes, which is what makes adjacent geodesic segments meet without
-    spurious twisting. ``tip_to_hub`` fixes the last station and walks
-    down; otherwise the first is fixed and the walk goes up.
+    spurious twisting. The last station is fixed and the walk goes down
+    from tip to hub.
     """
     if len(points) < 2:
         raise ParameterError("clustering needs at least 2 points")
     aligned = list(points)
-    if tip_to_hub:
-        order = range(len(points) - 2, -1, -1)
-        neighbor = +1
-    else:
-        order = range(1, len(points))
-        neighbor = -1
-    for k in order:
-        rot = procrustes_rotation(aligned[k + neighbor], aligned[k])
+    for k in range(len(points) - 2, -1, -1):
+        rot = procrustes_rotation(aligned[k + 1], aligned[k])
         aligned[k] = GrassmannPoint(aligned[k].rep @ rot)
     return aligned
 
@@ -185,8 +217,7 @@ def fit_affine_splines(stations: Sequence[BladeStation]) -> AffineProfiles:
     return AffineProfiles(etas, values)
 
 
-def build_blade(etas: Sequence[float], sections: Sequence,
-                tip_to_hub: bool = True) -> BladeDefinition:
+def build_blade(etas: Sequence[float], sections: Sequence) -> BladeDefinition:
     """Standardize, cluster, and spline a sequence of sections into a blade.
 
     The affine factor stored per station is re-expressed against the
@@ -201,7 +232,7 @@ def build_blade(etas: Sequence[float], sections: Sequence,
     shapes = [s if isinstance(s, LandmarkMatrix) else LandmarkMatrix(s)
               for s in sections]
     decomps = [la_standardize(s) for s in shapes]
-    aligned = procrustes_cluster([d.point for d in decomps], tip_to_hub)
+    aligned = procrustes_cluster([d.point for d in decomps])
     stations = []
     for eta, shape, decomp, rep in zip(etas, shapes, decomps, aligned):
         offset = decomp.affine.translation
@@ -211,15 +242,14 @@ def build_blade(etas: Sequence[float], sections: Sequence,
                            fit_affine_splines(stations))
 
 
-def _locate_segment(etas: np.ndarray, eta: float) -> tuple[int, float]:
+def _locate_segment(etas: np.ndarray, eta: float) -> int:
+    """Index i of the segment etas[i] <= eta < etas[i + 1], the last closed."""
     if not np.isfinite(eta) or eta < etas[0] or eta > etas[-1]:
         raise SpanRangeError(
             f"span {eta!r} outside [{etas[0]:g}, {etas[-1]:g}]; "
             "extrapolation is not supported")
     idx = int(np.searchsorted(etas, eta, side="right")) - 1
-    idx = min(max(idx, 0), len(etas) - 2)
-    s = (eta - etas[idx]) / (etas[idx + 1] - etas[idx])
-    return idx, s
+    return min(idx, len(etas) - 2)
 
 
 def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
@@ -229,10 +259,12 @@ def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
     a segment-local parameter linear in eta, rendered through the affine
     profiles. At a knot this reproduces the stored section.
     """
+    eta = float(eta)
     etas = blade.etas
-    idx, s = _locate_segment(etas, float(eta))
+    idx = _locate_segment(etas, eta)
+    s = (eta - etas[idx]) / (etas[idx + 1] - etas[idx])
     point = geodesic_point(blade.aligned[idx], blade.aligned[idx + 1], s)
-    affine = blade.profiles.affine_at(float(eta))
+    affine = blade.profiles.affine_at(eta)
     return LandmarkMatrix(point.rep @ affine.linear + affine.translation)
 
 

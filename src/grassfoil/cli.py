@@ -9,6 +9,7 @@ configuration, so any artifact can be regenerated byte-identically.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -102,10 +103,14 @@ def _read_csv_columns(path, wanted: list[str]) -> np.ndarray:
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         try:
-            rows.append([float(fields[i]) for i in idx])
+            row = [float(fields[i]) for i in idx]
         except (IndexError, ValueError):
             raise FileParseError(f"expected numbers in {', '.join(wanted)}",
                                  path=path, line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise FileParseError(f"non-finite value in {', '.join(wanted)}",
+                                 path=path, line=lineno)
+        rows.append(row)
     if not rows:
         raise FileFormatError(f"{path} has a header but no data rows")
     return np.array(rows)

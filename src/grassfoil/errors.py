@@ -77,27 +77,35 @@ class BladeDefinitionError(GrassfoilError):
 
 
 class FileFormatError(GrassfoilError):
-    """Base class for file reading/writing failures."""
+    """Base class for file reading/writing failures.
 
-
-class FileParseError(FileFormatError):
-    """Malformed text input; carries the file and the 1-based line and column.
-
-    Its string form leads with the known parts of ``path:line:column``.
+    Carries the offending file when known, and for malformed text the
+    1-based line and column; the string form leads with the known parts of
+    ``path:line:column``.
     """
 
-    def __init__(self, message: str, *, path=None, line: int | None = None,
-                 column: int | None = None):
+    line: int | None = None
+    column: int | None = None
+
+    def __init__(self, message: str, *, path=None):
         super().__init__(message)
         self.path = path
-        self.line = line
-        self.column = column
 
     def __str__(self) -> str:
         where = ":".join(str(part) for part in (self.path, self.line, self.column)
                          if part is not None)
         message = super().__str__()
         return f"{where}: {message}" if where else message
+
+
+class FileParseError(FileFormatError):
+    """Malformed text input at a known line and, when known, column."""
+
+    def __init__(self, message: str, *, path=None, line: int | None = None,
+                 column: int | None = None):
+        super().__init__(message, path=path)
+        self.line = line
+        self.column = column
 
 
 class SchemaError(FileFormatError):

@@ -419,6 +419,9 @@ def default_baselines() -> list[CstParams]:
 # ---------------------------------------------------------------------------
 # dataset generation
 
+# Draws per perturbation before generation gives up on it.
+_MAX_ATTEMPTS = 50
+
 
 @dataclass(frozen=True, eq=False)
 class DatasetShape:
@@ -447,8 +450,7 @@ def _perturbation_counts(n_baselines: int, n_perturbations: int,
 def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
                          fraction: float, seed: int,
                          n: int = DEFAULT_LANDMARK_COUNT, *,
-                         per_baseline: bool = False,
-                         max_attempts: int = 50) -> list[DatasetShape]:
+                         per_baseline: bool = False) -> list[DatasetShape]:
     """Baselines plus seeded perturbations, each validated on the way out.
 
     ``n_perturbations`` is the total across all baselines, distributed as
@@ -474,7 +476,7 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     for b_idx, params in enumerate(baselines):
         for k in range(counts[b_idx]):
             shape = None
-            for attempt in range(max_attempts):
+            for attempt in range(_MAX_ATTEMPTS):
                 child = _derived_seed(seed, b_idx, k, attempt)
                 candidate = perturb_cst(params, fraction, child)
                 landmarks = cst_evaluate(candidate, n)
@@ -488,7 +490,7 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
             if shape is None:
                 raise GenerationError(
                     f"no valid perturbation of baseline {b_idx} after "
-                    f"{max_attempts} attempts")
+                    f"{_MAX_ATTEMPTS} attempts")
             shapes.append(shape)
     return shapes
 

@@ -8,7 +8,9 @@ or key that offended; nothing is repaired silently.
 """
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -107,7 +109,8 @@ def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
         points.append(pair)
     if len(points) < 3:
         raise TooFewPointsError(
-            f"a shape needs at least 3 points, file has {len(points)}")
+            f"a shape needs at least 3 points, file has {len(points)}",
+            path=path)
     return name, LandmarkMatrix(np.array(points))
 
 
@@ -157,6 +160,19 @@ def _as_array(value, shape, key: str) -> np.ndarray:
     return arr
 
 
+def _names_file(reader):
+    """Let the schema and version errors of ``reader(path)`` name the file."""
+    @functools.wraps(reader)
+    def read(path):
+        try:
+            return reader(path)
+        except (SchemaError, VersionError) as err:
+            if err.path is None:
+                err.path = path
+            raise
+    return read
+
+
 def _check_version(data, kind: str) -> None:
     version = _get(data, "format_version")
     if version != FORMAT_VERSION:
@@ -188,6 +204,7 @@ def write_model(path, model: PgaModel) -> None:
     write_json(path, payload)
 
 
+@_names_file
 def read_model(path) -> PgaModel:
     data = read_json(path)
     _check_version(data, "model")
@@ -233,6 +250,7 @@ def write_affine(path, affine: AffineMap) -> None:
     })
 
 
+@_names_file
 def read_affine(path) -> AffineMap:
     data = read_json(path)
     _check_version(data, "affine")
@@ -266,6 +284,7 @@ def write_blade(path, blade: BladeDefinition) -> None:
     })
 
 
+@_names_file
 def read_blade(path) -> BladeDefinition:
     """Restore a blade; stations must be all-explicit or all-bare.
 
@@ -374,11 +393,14 @@ def read_wireframe(path) -> np.ndarray:
                 f"expected 5 fields, found {len(fields)}", path=path,
                 line=lineno)
         try:
-            records.append((int(fields[0]), int(fields[1]), float(fields[2]),
-                            float(fields[3]), float(fields[4])))
+            record = (int(fields[0]), int(fields[1]), float(fields[2]),
+                      float(fields[3]), float(fields[4]))
         except ValueError:
             raise FileParseError("malformed record", path=path,
                                  line=lineno) from None
+        if not all(map(math.isfinite, record[2:])):
+            raise FileParseError("non-finite value", path=path, line=lineno)
+        records.append(record)
     if not records:
         raise FileParseError("wireframe file has no records", path=path,
                              line=2)

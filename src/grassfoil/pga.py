@@ -133,6 +133,8 @@ def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
     """
     if not shapes:
         raise ParameterError("cannot average an empty set of shapes")
+    if max_iter < 0:
+        raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
     mean = shapes[0]
     for iterations in range(max_iter + 1):
         grad = _mean_tangent(mean, shapes)

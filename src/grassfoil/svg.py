@@ -69,11 +69,11 @@ def _to_string(root: ET.Element) -> str:
     return ET.tostring(root, encoding="unicode") + "\n"
 
 
-def render_shapes(shapes: Sequence[np.ndarray], width: float = 720.0,
-                  height: float = 360.0) -> str:
+def render_shapes(shapes: Sequence[np.ndarray]) -> str:
     """All shapes overlaid in one frame, one closed path each."""
     if not shapes:
         raise ParameterError("nothing to render")
+    width, height = 720.0, 360.0
     pts = np.vstack([np.asarray(s, dtype=float) for s in shapes])
     canvas = _Canvas(pts.min(axis=0), pts.max(axis=0), width, height, 20.0)
     root = _document(width, height)
@@ -83,12 +83,12 @@ def render_shapes(shapes: Sequence[np.ndarray], width: float = 720.0,
     return _to_string(root)
 
 
-def render_strip(shapes: Sequence[np.ndarray], columns: int = 10,
-                 cell: float = 130.0) -> str:
-    """Small multiples left to right, wrapping into rows; one path per shape."""
+def render_strip(shapes: Sequence[np.ndarray]) -> str:
+    """Small multiples left to right, up to ten a row; one path per shape."""
     if not shapes:
         raise ParameterError("nothing to render")
-    columns = min(max(columns, 1), len(shapes))
+    cell = 130.0
+    columns = min(10, len(shapes))
     rows = (len(shapes) + columns - 1) // columns
     width, height = columns * cell, rows * cell
     root = _document(width, height)
@@ -102,13 +102,13 @@ def render_strip(shapes: Sequence[np.ndarray], columns: int = 10,
     return _to_string(root)
 
 
-def render_scatter(points: np.ndarray, width: float = 480.0,
-                   height: float = 480.0, radius: float = 2.2) -> str:
+def render_scatter(points: np.ndarray) -> str:
     """2D scatter with light axes through the origin."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or len(points) == 0:
         raise ParameterError(
             f"scatter wants a nonempty (N, 2) array, got {points.shape}")
+    width = height = 480.0
     lo = np.minimum(points.min(axis=0), 0.0)
     hi = np.maximum(points.max(axis=0), 0.0)
     canvas = _Canvas(lo, hi, width, height, 25.0)
@@ -122,13 +122,12 @@ def render_scatter(points: np.ndarray, width: float = 480.0,
         "y2": _fmt(height), "stroke": "#cccccc", "stroke-width": "1"})
     for x, y in canvas.to_view(points):
         ET.SubElement(root, "circle", {
-            "cx": _fmt(x), "cy": _fmt(y), "r": _fmt(radius),
+            "cx": _fmt(x), "cy": _fmt(y), "r": "2.2",
             "fill": _PALETTE[0], "fill-opacity": "0.55"})
     return _to_string(root)
 
 
-def render_wireframe(grid: np.ndarray, width: float = 720.0,
-                     height: float = 540.0, depth_scale: float = 0.9) -> str:
+def render_wireframe(grid: np.ndarray) -> str:
     """Cavalier projection of the span-stacked sections, hub to tip.
 
     The span coordinate recedes along the diagonal; each section stays a
@@ -138,7 +137,8 @@ def render_wireframe(grid: np.ndarray, width: float = 720.0,
     if grid.ndim != 3 or grid.shape[2] != 3:
         raise ParameterError(
             f"wireframe wants a (spans, n, 3) grid, got {grid.shape}")
-    shear = depth_scale / np.sqrt(2.0)
+    width, height = 720.0, 540.0
+    shear = 0.9 / np.sqrt(2.0)  # depth scale 0.9 along the diagonal
     flat = grid.reshape(-1, 3)
     proj = np.stack([flat[:, 0] + shear * flat[:, 2],
                      flat[:, 1] + shear * flat[:, 2]], axis=1)

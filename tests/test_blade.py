@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from grassfoil.blade import (AFFINE_COMPONENT_NAMES, BladeDefinition,
-                             BladeStation, build_blade,
+from grassfoil.blade import (AFFINE_COMPONENT_NAMES, AffineProfiles,
+                             BladeDefinition, BladeStation, build_blade,
                              design_parameter_count, export_wireframe,
                              fit_affine_splines, interpolate_section,
                              perturb_blade, procrustes_cluster)
 from grassfoil.errors import (BladeDefinitionError, ConsistencyError,
                               CutLocusError, ParameterError, SpanRangeError)
-from grassfoil.geometry import (affine_apply, affine_subgroup, compose_affine,
-                                cst_evaluate, default_baselines, perturb_cst,
-                                validate_shape)
+from grassfoil.geometry import (AffineMap, LandmarkMatrix, affine_apply,
+                                affine_subgroup, compose_affine, cst_evaluate,
+                                default_baselines, perturb_cst, validate_shape)
 from grassfoil.grassmann import (GrassmannPoint, distance, exp_map,
                                  la_standardize)
 from grassfoil.pga import karcher_mean, pga_fit, synthesize
@@ -173,6 +173,56 @@ def test_profiles_reject_unsorted_etas():
         fit_affine_splines(stations)
 
 
+def _profile_knots(rng, etas):
+    """Knot values that keep the 2x2 part invertible along the whole span.
+
+    PCHIP stays inside each segment's range, so diagonals in [1.7, 2.3] and
+    off-diagonals in [-0.4, 0.4] bound the determinant away from zero. The
+    b0 column falls ever faster through a -0.0 knot, where the sign of the
+    zero the sum lands on depends on the order of its terms.
+    """
+    k = len(etas)
+    vals = rng.normal(size=(k, 6))
+    vals[:, [0, 3]] = 2.0 + 0.3 * np.tanh(vals[:, [0, 3]])
+    vals[:, 1] = 0.4 * np.tanh(vals[:, 1])
+    vals[:k // 2 + 1, 1] = vals[0, 1]                        # flat run
+    vals[:, 2] = rng.choice([-0.3, 0.3, 0.0], size=k)        # sign changes
+    vals[:, 5] = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)  # alternating
+    vals[:, 4] = 1.0 - np.exp(2.0 * (etas - etas[k // 2]))
+    vals[k // 2, 4] = -0.0
+    return vals
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+def test_profiles_match_reference_pchip_bitwise(k):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(40 + k)
+    for trial in range(20):
+        etas = np.sort(rng.uniform(-0.5, 1.5, k))
+        if trial % 2:
+            etas = np.linspace(0.0, 1.0, k)
+        vals = _profile_knots(rng, etas)
+        profiles = AffineProfiles(etas, vals)
+        ref = interpolate.PchipInterpolator(etas, vals, axis=0)
+        inner = rng.uniform(etas[0], etas[-1], 25)
+        mids = 0.5 * (etas[1:] + etas[:-1])
+        for eta in np.concatenate([etas, inner, mids]):
+            affine = profiles.affine_at(eta)
+            got = np.concatenate([affine.linear.ravel(), affine.translation])
+            want = ref(eta)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_profiles_refuse_to_extrapolate():
+    etas = np.array([0.0, 0.5, 1.0])
+    profiles = AffineProfiles(etas, _profile_knots(np.random.default_rng(3),
+                                                   etas))
+    for bad in (-1e-9, 1.0 + 1e-9, np.nan, np.inf):
+        with pytest.raises(SpanRangeError):
+            profiles.affine_at(bad)
+
+
 # ---------------------------------------------------------------------------
 # wireframe export
 
@@ -240,13 +290,24 @@ def test_perturbed_blade_still_continuous(blade, blade_model):
         assert np.max(np.abs(left - right)) < 1e-10
 
 
-def test_perturbation_independent_of_cluster_gauge(blade_model):
-    sections = make_sections()
-    fwd = build_blade(ETAS, sections, tip_to_hub=True)
-    rev = build_blade(ETAS, sections, tip_to_hub=False)
+def test_perturbation_independent_of_cluster_gauge(blade, blade_model):
+    # a second gauge by hand: turn every representative by its own rotation
+    # and fold the inverse rotation into that station's affine factor
+    stations = []
+    aligned = []
+    for phi, station, rep in zip((0.3, -1.1, 2.0, 0.0, -2.7), blade.stations,
+                                 blade.aligned):
+        c, s = np.cos(phi), np.sin(phi)
+        rot = np.array([[c, -s], [s, c]])
+        affine = AffineMap(rot.T @ station.affine.linear,
+                           station.affine.translation)
+        stations.append(BladeStation(station.eta, station.section, affine))
+        aligned.append(GrassmannPoint(rep.rep @ rot))
+    regauged = BladeDefinition(tuple(stations), tuple(aligned),
+                               fit_affine_splines(stations))
     t = np.array([0.015, -0.007, 0.002, 0.0])
-    out_f = perturb_blade(fwd, blade_model, t)
-    out_r = perturb_blade(rev, blade_model, t)
+    out_f = perturb_blade(blade, blade_model, t)
+    out_r = perturb_blade(regauged, blade_model, t)
     for a, b in zip(out_f.aligned, out_r.aligned):
         assert distance(a, b) < 1e-10
     # and the rendered sections agree because the affines re-gauge too
@@ -265,7 +326,6 @@ def test_perturbing_mean_blade_matches_synthesize(blade_model):
     stations = []
     for k, rep in enumerate(reps):
         pts = rep.rep @ np.diag([2.0, 0.5]) + np.array([0.5, 0.0])
-        from grassfoil.geometry import AffineMap, LandmarkMatrix
         stations.append(BladeStation(
             float(k) / 2.0, LandmarkMatrix(pts),
             AffineMap(np.diag([2.0, 0.5]), np.array([0.5, 0.0]))))
@@ -299,7 +359,6 @@ def test_perturb_reports_cut_locus_station():
     ]
     model = pga_fit(samples, mean, 1)
 
-    from grassfoil.geometry import AffineMap, LandmarkMatrix
     good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
     bad = plane(2, 3)  # orthogonal to the mean plane
     stations = []

@@ -305,6 +305,24 @@ BAD_INPUTS = {
     "svg-target-is-a-directory": (["render", "--kind", "shapes", "--shapes",
                                    "{data}/shapes", "--out", "{tmp}/taken"],
                                   "shapes.svg"),
+    "mean-negative-max-iter": (["mean", "--shapes", "{data}/shapes",
+                                "--max-iter", "-1"], "max_iter must be >= 0"),
+    "pga-fit-negative-max-iter": (["pga-fit", "--shapes", "{data}/shapes",
+                                   "--max-iter", "-1"],
+                                  "max_iter must be >= 0"),
+    "dat-too-few-points": (["mean", "--shapes", "{tmp}/short.dat"],
+                           "short.dat: a shape needs at least 3 points"),
+    "model-missing-key": (["synth", "--model", "{tmp}/keyless.json",
+                           "--coords", "0,0,0"],
+                          "keyless.json: missing key 'n'"),
+    "model-wrong-version": (["synth", "--model", "{tmp}/v2.json",
+                             "--coords", "0,0,0"],
+                            "v2.json: unsupported model format_version 2"),
+    "csv-cell-not-finite": (["render", "--kind", "scatter", "--table",
+                             "{tmp}/nan.csv"], "nan.csv:3: non-finite"),
+    "wireframe-cell-not-finite": (["render", "--kind", "wireframe",
+                                   "--wireframe", "{tmp}/wire.csv"],
+                                  "wire.csv:3: non-finite"),
 }
 
 
@@ -318,6 +336,12 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "coeffs.csv").write_text("\n".join([header, first]) + "\n")
     (tmp_path / "bad.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
     (tmp_path / "broken.json").write_text("{\n broken\n}\n")
+    (tmp_path / "short.dat").write_text("short\n0 0\n1 0\n")
+    (tmp_path / "keyless.json").write_text('{"format_version": 1}\n')
+    (tmp_path / "v2.json").write_text('{"format_version": 2}\n')
+    (tmp_path / "nan.csv").write_text("index,t0,t1\n0,0.5,0.1\n1,nan,0.2\n")
+    (tmp_path / "wire.csv").write_text(
+        "section,landmark,x,y,eta\n0,0,0.0,0.0,0.0\n0,1,inf,0.0,0.0\n")
     (tmp_path / "taken" / "shapes.svg").mkdir(parents=True)
     argv, named = BAD_INPUTS[case]
     argv = [a.format(tmp=tmp_path, fit=workdir / "fit", data=workdir / "data")
