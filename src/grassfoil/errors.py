@@ -27,7 +27,8 @@ class Gl2ViolationError(GrassfoilError):
 
 
 class DegenerateShapeError(GrassfoilError):
-    """Landmarks are too close to collinear for a stable decomposition."""
+    """Landmarks admit no stable decomposition: numerically collinear, or
+    too large to factor without overflow."""
 
 
 class DimensionError(GrassfoilError):
@@ -45,10 +46,12 @@ class CutLocusError(GrassfoilError):
     """
 
     def __init__(self, message: str, *, max_angle: float | None = None,
-                 station_index: int | None = None):
+                 station_index: int | None = None,
+                 shape_index: int | None = None):
         super().__init__(message)
         self.max_angle = max_angle
         self.station_index = station_index
+        self.shape_index = shape_index
 
 
 class IterationLimitError(GrassfoilError):

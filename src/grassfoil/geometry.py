@@ -291,7 +291,9 @@ def affine_apply(shape: LandmarkMatrix, affine: AffineMap) -> LandmarkMatrix:
 
 def _signed_area(pts: np.ndarray) -> float:
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x_next = np.concatenate([x[1:], x[:1]])
+    y_next = np.concatenate([y[1:], y[:1]])
+    return 0.5 * float((x * y_next - x_next * y).sum())
 
 
 def _single_le_extremum(x: np.ndarray) -> bool:
@@ -310,12 +312,17 @@ def _single_le_extremum(x: np.ndarray) -> bool:
 
 
 def _has_proper_crossing(pts: np.ndarray) -> bool:
-    """O(n^2) proper-crossing test over the closed polyline.
+    """Exact O(n^2) proper-crossing test over the closed polyline.
 
-    Zero-length segments and segments that merely touch at an endpoint never
-    count: an orientation within rounding distance of zero (relative to the
-    squared coordinate span) reads as collinear, so shapes whose surfaces
-    meet at a shared endpoint survive reconstruction noise.
+    Two segments cross properly when each one's endpoints lie strictly on
+    opposite sides of the other's line. Segments adjacent in index order are
+    never compared. Zero-length segments and segments that merely touch at
+    an endpoint never count: an orientation within ``1e-12 * span**2`` of
+    zero (``span`` the largest coordinate deviation from the centroid) reads
+    as collinear, so shapes whose surfaces meet at a shared endpoint survive
+    reconstruction noise. :func:`validate_shape` calls this only when
+    :func:`_separated_chains` cannot certify the shape; it is also the
+    oracle that certificate is tested against.
     """
     a = pts
     b = np.roll(pts, -1, axis=0)
@@ -339,6 +346,89 @@ def _has_proper_crossing(pts: np.ndarray) -> bool:
     return bool(np.any(proper & ~adjacent))
 
 
+# Largest |coordinate| / span at which _has_proper_crossing's rounding error
+# (at most 40 * 2**-53 * span * |coordinate| per orientation) stays below a
+# third of its 1e-12 * span**2 tolerance.
+_CERTIFIED_OFFSET = 64.0
+
+
+def _separated_chains(pts: np.ndarray, span: float) -> bool:
+    """O(n) certificate that the closed polyline has no proper crossing.
+
+    True only when, after dropping zero-length segments, the boundary splits
+    at its min-x and max-x ends into two strictly x-monotone chains, joined
+    there by a shared vertex or one vertical segment, and one chain lies
+    strictly above the other at every interior breakpoint of either chain
+    and above or level at both ends. :func:`_gap_signs` makes each sign
+    exact. The gap is linear between breakpoints, so the chains meet
+    nowhere but at shared ends, and each chain's own segments occupy
+    disjoint x-ranges: no two segments meet except at a shared vertex.
+    While every coordinate is within ``_CERTIFIED_OFFSET * span`` of the
+    origin, :func:`_has_proper_crossing` cannot mistake rounding for a
+    straddle, so it finds no crossing either. False means "not certified",
+    not "crossing".
+    """
+    # the span bounds keep products of coordinates clear of under/overflow
+    if (not 1e-100 < span < 1e100
+            or np.abs(pts).max() > _CERTIFIED_OFFSET * span):
+        return False
+    x, y = pts[:, 0], pts[:, 1]
+    dx = np.concatenate([x[1:], x[:1]]) - x
+    moving = (dx != 0.0) | (np.concatenate([y[1:], y[:1]]) != y)
+    if not moving.all():
+        # drop the start of each zero-length edge: the vertices skipped
+        # coincide with the next one kept, so every kept edge keeps its dx
+        x, y, dx = x[moving], y[moving], dx[moving]
+    m = x.size
+    if m < 3:
+        return False
+    # the rising chain starts at the min-x vertex, or at the far end of a
+    # vertical segment there; the checks below hold whatever k is chosen
+    k = int(np.argmin(x))
+    if dx[k] == 0.0:
+        k = (k + 1) % m
+    dx = np.concatenate([dx[k:], dx[:k]])
+    p = int(np.argmin(dx > 0.0))
+    rest = dx[p:]
+    z1, z2 = int(rest[0] == 0.0), int(rest[-1] == 0.0)
+    falling = rest[z1:rest.size - z2]
+    if falling.size == 0 or falling.max() >= 0.0:
+        return False
+    x = np.concatenate([x[k:], x[:k + 1]])
+    y = np.concatenate([y[k:], y[:k + 1]])
+    ax, ay = x[:p + 1], y[:p + 1]
+    bx, by = x[p + z1:m + 1 - z2][::-1], y[p + z1:m + 1 - z2][::-1]
+    margin = 1e-12 * span
+    gaps = np.concatenate([
+        _gap_signs(ax[1:-1], ay[1:-1], bx, by, margin),
+        -_gap_signs(bx[1:-1], by[1:-1], ax, ay, margin)])
+    ends = (by[0] - ay[0], by[-1] - ay[-1])
+    return bool((gaps.min(initial=math.inf) > 0.0 and min(ends) >= 0.0)
+                or (gaps.max(initial=-math.inf) < 0.0 and max(ends) <= 0.0))
+
+
+def _gap_signs(xq: np.ndarray, yq: np.ndarray, x: np.ndarray, y: np.ndarray,
+               margin: float) -> np.ndarray:
+    """Chain ``(x, y)`` minus ``yq`` at points ``xq`` inside it, correct in sign.
+
+    Within the certificate's coordinate bound ``np.interp`` errs by less
+    than ``1e-14 * span``, far below ``margin``; a gap no wider than
+    ``margin``, such as next to a trailing edge split by rounding noise, is
+    replaced by its sign in exact rational arithmetic.
+    """
+    gaps = np.interp(xq, x, y) - yq
+    for i in np.flatnonzero(np.abs(gaps) <= margin):
+        # imported on first need: most shapes never get here, and it would
+        # add to every import of the package
+        from fractions import Fraction
+        j = int(np.searchsorted(x, xq[i], side="right")) - 1
+        x0, x1, y0, y1, xv, yv = map(
+            Fraction, (x[j], x[j + 1], y[j], y[j + 1], xq[i], yq[i]))
+        gap = y0 + (y1 - y0) * (xv - x0) / (x1 - x0) - yv
+        gaps[i] = (gap > 0) - (gap < 0)
+    return gaps
+
+
 def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
     """Diagnose a landmark matrix; reports findings instead of raising.
 
@@ -346,16 +436,21 @@ def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
     anywhere in the plane, are what make the downstream decomposition
     unstable), boundary simplicity of the closed polyline, and ordering
     sanity: a single leading-edge extremum in the first coordinate plus
-    positive boundary orientation.
+    positive boundary orientation. ``simple`` is decided in O(n) by
+    :func:`_separated_chains` when it certifies the shape, as it does every
+    generated airfoil, and otherwise by the exact
+    :func:`_has_proper_crossing`; the verdict is the exact test's either way.
     """
     pts = shape.points
     centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     ratio = float(sv[1] / sv[0]) if sv[0] > 0.0 else 0.0
+    span = float(np.abs(centered).max())
     return ShapeDiagnostics(
         rank_ratio=ratio,
         rank_ok=ratio > RANK_RATIO_TOL,
-        simple=not _has_proper_crossing(pts),
+        simple=(_separated_chains(pts, span)
+                or not _has_proper_crossing(pts)),
         single_le_extremum=_single_le_extremum(pts[:, 0]),
         positive_orientation=_signed_area(pts) > 0.0,
     )

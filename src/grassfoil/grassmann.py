@@ -32,6 +32,8 @@ _ORTHO_TOL = 1e-12
 _HORIZONTAL_TOL = 1e-10
 _EXP_HORIZONTAL_TOL = 1e-8
 _CUT_LOCUS_MARGIN = 1e-8
+# Landmark magnitude beyond which the affine factor's determinant overflows.
+_MAX_COORDINATE = 1e150
 
 
 def orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -139,6 +141,10 @@ def la_standardize(shape: LandmarkMatrix) -> LaDecomposition:
     positive, the matching flip applied to the left factor) so equal inputs
     give bit-equal outputs. ``rep @ M + outer(1, b)`` reconstructs the input.
     """
+    if np.abs(shape.points).max() > _MAX_COORDINATE:
+        raise DegenerateShapeError(
+            f"landmark coordinates exceed {_MAX_COORDINATE:.0e} in magnitude; "
+            "the factorization would overflow")
     b = shape.points.mean(axis=0)
     centered = shape.points - b
     u, s, vt = np.linalg.svd(centered, full_matrices=False)

@@ -9,6 +9,7 @@ or key that offended; nothing is repaired silently.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -75,16 +76,35 @@ def write_coordinates(path, shape: LandmarkMatrix, name: str = "section") -> Non
     """Name line followed by one "x y" pair per landmark."""
     if "\n" in name or "\r" in name:
         raise FileFormatError("coordinate name must be a single line")
-    lines = [name]
-    for x, y in shape.points:
-        lines.append(f"{_FLOAT_FMT % x} {_FLOAT_FMT % y}")
-    write_text(path, "\n".join(lines) + "\n")
+    body = (f"{_FLOAT_FMT} {_FLOAT_FMT}\n" * shape.n) % tuple(
+        shape.points.ravel().tolist())
+    write_text(path, f"{name}\n{body}")
 
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
+    """Name line and landmarks of a file written by :func:`write_coordinates`.
+
+    Well-formed files are parsed in one pass of ``float`` over the split
+    lines; anything else is re-scanned line by line, so the error names the
+    first offending line and column.
+    """
     lines = read_text(path).splitlines()
     if not lines:
         raise FileParseError("empty coordinate file", path=path, line=1)
+    rows = [line.split() for line in lines[1:]]
+    if len(rows) >= 3 and all(len(row) == 2 for row in rows):
+        try:
+            points = np.array(list(map(float, itertools.chain(*rows))))
+        except ValueError:
+            pass
+        else:
+            if np.all(np.isfinite(points)):
+                return lines[0], LandmarkMatrix(points.reshape(-1, 2))
+    return _scan_coordinates(path, lines)
+
+
+def _scan_coordinates(path, lines: list[str]) -> tuple[str, LandmarkMatrix]:
+    """Line-by-line reading of a coordinate file; raises at the first fault."""
     name = lines[0]
     points = []
     for lineno, line in enumerate(lines[1:], start=2):

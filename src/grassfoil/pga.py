@@ -13,10 +13,16 @@ second coordinates), and the convention is recorded in serialized models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, IterationLimitError, ParameterError
+from .errors import (
+    CutLocusError,
+    DimensionError,
+    IterationLimitError,
+    ParameterError,
+)
 from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import (
     GrassmannPoint,
@@ -106,10 +112,21 @@ class PgaModel:
 # intrinsic mean
 
 
-def _mean_tangent(mean: GrassmannPoint,
-                  shapes: list[GrassmannPoint]) -> np.ndarray:
-    logs = np.array([log_map(mean, s).mat for s in shapes])
-    return logs.mean(axis=0)
+def _logs_at(mean: GrassmannPoint,
+             shapes: list[GrassmannPoint]) -> Iterator[np.ndarray]:
+    """Logarithms at ``mean``; a shape at its cut locus is named by index.
+
+    Yielded one at a time, so ``pga_fit`` flattens each without also
+    holding every unflattened logarithm.
+    """
+    for i, shape in enumerate(shapes):
+        try:
+            log = log_map(mean, shape).mat
+        except CutLocusError as err:
+            raise CutLocusError(
+                f"shape {i} is at the cut locus of the mean: {err}",
+                max_angle=err.max_angle, shape_index=i) from err
+        yield log
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,7 @@ def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
     mean = shapes[0]
     for iterations in range(max_iter + 1):
-        grad = _mean_tangent(mean, shapes)
+        grad = np.array(list(_logs_at(mean, shapes))).mean(axis=0)
         residual = float(np.linalg.norm(grad))
         if residual < tol:
             return KarcherResult(mean, residual, iterations)
@@ -176,7 +193,7 @@ def pga_fit(shapes: list[GrassmannPoint], mean: GrassmannPoint, r: int, *,
         raise DimensionError(
             f"requested {r} directions; at most {max_r} are identifiable "
             f"from {n_samples} samples on a manifold of dimension {2 * (n - 2)}")
-    logs = np.array([flatten_tangent(log_map(mean, s).mat) for s in shapes])
+    logs = np.array([flatten_tangent(m) for m in _logs_at(mean, shapes)])
     use_gram = n_samples < ambient if method == "auto" else method == "gram"
     if use_gram:
         gram = (logs @ logs.T) / n_samples

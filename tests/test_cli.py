@@ -1,10 +1,17 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grassfoil import io as gio
 from grassfoil.blade import build_blade
@@ -312,6 +319,8 @@ BAD_INPUTS = {
                                   "max_iter must be >= 0"),
     "dat-too-few-points": (["mean", "--shapes", "{tmp}/short.dat"],
                            "short.dat: a shape needs at least 3 points"),
+    "dat-coordinates-overflow": (["mean", "--shapes", "{tmp}/huge.dat"],
+                                 "exceed 1e+150 in magnitude"),
     "model-missing-key": (["synth", "--model", "{tmp}/keyless.json",
                            "--coords", "0,0,0"],
                           "keyless.json: missing key 'n'"),
@@ -337,6 +346,8 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "bad.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
     (tmp_path / "broken.json").write_text("{\n broken\n}\n")
     (tmp_path / "short.dat").write_text("short\n0 0\n1 0\n")
+    (tmp_path / "huge.dat").write_text(
+        "huge\n1e300 0\n0 1e300\n-1e300 -1e300\n")
     (tmp_path / "keyless.json").write_text('{"format_version": 1}\n')
     (tmp_path / "v2.json").write_text('{"format_version": 2}\n')
     (tmp_path / "nan.csv").write_text("index,t0,t1\n0,0.5,0.1\n1,nan,0.2\n")
@@ -352,3 +363,68 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated coordinate files never end in a traceback
+
+FUZZ_TOKENS = ["nan", "inf", "1e308", "-1e308", "1e-320", "0", "-0.0", "1_0",
+               "zz", "", "1 2", "\u00a01"]
+
+
+@st.composite
+def mutated_dat_files(draw):
+    files = []
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        pts = cst_evaluate(default_baselines()[k],
+                           draw(st.sampled_from([7, 9]))).points.tolist()
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            i = draw(st.integers(min_value=0, max_value=len(pts) - 1))
+            action = draw(st.sampled_from(["drop", "repeat", "scale", "same"]))
+            if action == "drop":
+                del pts[i]
+            elif action == "repeat":
+                pts.insert(i, pts[i])
+            elif action == "scale":
+                factor = draw(st.sampled_from([1e-300, 1e150, 1e300]))
+                pts[i] = [v * factor for v in pts[i]]
+            else:
+                pts = [pts[i]] * len(pts)
+            if not pts:
+                break
+        lines = [f"{x!r} {y!r}" for x, y in pts]
+        if lines and draw(st.booleans()):
+            i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, 1))] = draw(
+                st.sampled_from(FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        data = ("\n".join([f"shape {k}"] + lines) + "\n").encode()
+        if draw(st.integers(min_value=0, max_value=5)) == 5:
+            data = data.replace(b"e", b"\xe9", 1)
+        files.append(data)
+    return files
+
+
+@given(st.sampled_from(["standardize", "mean"]), mutated_dat_files())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_mutated_shapes_end_in_one_error_line(command, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        shapes = Path(tmp) / "shapes"
+        shapes.mkdir()
+        for k, data in enumerate(files):
+            (shapes / f"s{k}.dat").write_bytes(data)
+        stderr = io.StringIO()
+        # a warning would reach a user's stderr too; make it fail the test
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--shapes", str(shapes),
+                         "--out", str(Path(tmp) / "out")])
+    err = stderr.getvalue()
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert "error:" not in err

@@ -1,6 +1,7 @@
 """Tests for CST evaluation, affine deformations, validity, and the dataset."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from grassfoil.errors import (DomainError, GenerationError, ParameterError,
                               SamplingError)
 from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
+                                _has_proper_crossing, _separated_chains,
                                 affine_apply, affine_subgroup, baseline_names,
                                 chord_stations, coefficient_bounds,
                                 compose_affine, cst_evaluate, cst_sweep,
                                 default_baselines, gen_dataset,
                                 gen_dataset_detailed, identity_affine,
                                 perturb_cst, validate_shape)
+from grassfoil.grassmann import la_reconstruct, la_standardize
 
 UNIFORM = CstParams(np.full(9, 0.2), np.full(9, -0.2))
 
@@ -255,6 +258,160 @@ def test_reversed_ordering_detected():
     diag = validate_shape(LandmarkMatrix(shape.points[::-1]))
     assert not diag.positive_orientation
     assert not diag.passed
+
+
+# ---------------------------------------------------------------------------
+# the O(n) simplicity certificate against the exact O(n^2) test
+
+
+def span_of(pts):
+    return float(np.max(np.abs(pts - pts.mean(axis=0))))
+
+
+def certified(pts):
+    return _separated_chains(pts, span_of(pts))
+
+
+def assert_simple_matches_exact(pts):
+    simple = validate_shape(LandmarkMatrix(pts)).simple
+    assert simple == (not _has_proper_crossing(pts))
+
+
+def rotate(pts, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return pts @ np.array([[c, s], [-s, c]])
+
+
+def airfoil_variants(pts):
+    """The shape mirrored, reversed, mirrored and reversed, and rotated."""
+    return [pts, pts * [-1.0, 1.0], pts[::-1], (pts * [-1.0, 1.0])[::-1],
+            rotate(pts, 0.3), rotate(pts, -1.2), rotate(pts[::-1], 2.5)]
+
+
+grid_coords = st.integers(min_value=-3, max_value=3).map(float)
+float_coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@given(st.lists(st.tuples(grid_coords, grid_coords), min_size=3, max_size=9)
+       | st.lists(st.tuples(float_coords, float_coords), min_size=3,
+                  max_size=9))
+@settings(max_examples=300)
+def test_simple_matches_exact_test_on_random_polygons(vertices):
+    # integer grids make shared endpoints, collinear runs and touching
+    # vertices common; free floats make general position common
+    assert_simple_matches_exact(np.array(vertices))
+
+
+@given(st.integers(min_value=2, max_value=12),
+       st.floats(min_value=-1e-9, max_value=1e-9, allow_nan=False),
+       st.sampled_from([0.0, 1e-16, 1e-13, 1e-11, 1e-6]),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=200)
+def test_simple_matches_exact_test_near_touching(m, shift, te_gap, variant):
+    # two chains sharing their ends that nearly touch, touch or cross
+    # mid-chord, with the closing vertex split by a noise-sized gap
+    x = (1.0 - np.cos(np.pi * np.arange(m + 1) / m)) / 2.0
+    upper = 1e-3 * np.sin(np.pi * x) + shift
+    lower = -1e-3 * np.sin(np.pi * x)
+    upper[0] = lower[0] = 0.0
+    upper[-1] = lower[-1] = 0.0
+    pts = np.column_stack([np.concatenate([x[::-1], x[1:]]),
+                           np.concatenate([upper[::-1], lower[1:]])])
+    pts[-1, 1] -= te_gap
+    assert_simple_matches_exact(airfoil_variants(pts)[variant])
+
+
+@given(st.integers(min_value=0, max_value=15),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([0.0, 0.004, 0.02]),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_simple_matches_exact_test_on_transformed_airfoils(
+        baseline, fraction, seed, te_thickness, variant):
+    params = perturb_cst(default_baselines()[baseline], fraction, seed)
+    params = CstParams(params.upper, params.lower, te_thickness)
+    pts = cst_evaluate(params, 101).points
+    assert_simple_matches_exact(airfoil_variants(pts)[variant])
+
+
+def test_noise_separated_trailing_edge_matches_exact_test():
+    pts = cst_evaluate(UNIFORM, 101).points.copy()
+    pts[-1] = pts[0] + np.array([1e-16, -1e-16])
+    for variant in airfoil_variants(pts):
+        assert_simple_matches_exact(variant)
+    assert certified(pts)
+
+
+def test_certificate_covers_mirrored_reversed_and_open_airfoils():
+    open_te = CstParams(UNIFORM.upper, UNIFORM.lower, te_thickness=0.01)
+    for params in (UNIFORM, open_te, default_baselines()[12]):
+        pts = cst_evaluate(params, 101).points
+        for variant in airfoil_variants(pts)[:4]:
+            assert certified(variant)
+
+
+def test_certificate_skips_repeated_landmarks():
+    pts = cst_evaluate(UNIFORM, 101).points
+    repeated = np.insert(pts, [30, 30, 70], pts[[30, 30, 70]], axis=0)
+    assert certified(repeated)
+    assert_simple_matches_exact(repeated)
+
+
+def test_certificate_covers_reconstructed_airfoils():
+    # reconstruction splits the duplicated trailing edge by rounding noise,
+    # so the chains' last breakpoints sit ~1e-15 apart
+    for params in (UNIFORM, default_baselines()[9]):
+        back = la_reconstruct(la_standardize(cst_evaluate(params, 101)))
+        assert not np.array_equal(back.points[0], back.points[-1])
+        for variant in airfoil_variants(back.points)[:4]:
+            assert certified(variant)
+            assert_simple_matches_exact(variant)
+
+
+def test_certificate_settles_tiny_gaps_exactly():
+    # the upper chain dips 1e-13 below the lower one, inside the
+    # interpolation margin: a crossing the certificate must not pass,
+    # though the exact test reads it as touching
+    dip = np.array([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [1.0, -1e-13],
+                    [0.5, 1.0]])
+    assert not certified(dip)
+    assert_simple_matches_exact(dip)
+    lifted = dip.copy()
+    lifted[3, 1] = 1e-13
+    assert certified(lifted)
+    assert_simple_matches_exact(lifted)
+
+
+def test_certificate_declines_crossings_and_far_offsets():
+    t = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False) + 0.037
+    assert not certified(np.column_stack([np.sin(2.0 * t), np.sin(t)]))
+    # equal vertex counts on different stations: the chains cross at 4/3
+    # although the second vertices of each are in upper-over-lower order
+    staggered = np.array([[0.0, 0.0], [1.0, 0.5], [4.0, 0.0], [3.0, 1.0]])
+    assert not certified(staggered)
+    assert not validate_shape(LandmarkMatrix(staggered)).simple
+    pts = cst_evaluate(UNIFORM, 101).points
+    assert not certified(pts + 1e3)
+    assert validate_shape(LandmarkMatrix(pts + 1e3)).simple
+
+
+def test_certificate_alone_accepts_the_full_dataset():
+    shapes = gen_dataset(default_baselines(), 1000, 0.2, seed=1)
+    assert len(shapes) == 1016
+    assert all(certified(s.points) for s in shapes)
+
+
+def test_validate_shape_allocates_no_quadratic_temporaries():
+    shape = cst_evaluate(default_baselines()[7], 401)
+    validate_shape(shape)
+    tracemalloc.start()
+    try:
+        validate_shape(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for standardization, geodesics, transport, and Procrustes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,17 @@ def test_standardize_rejects_rank_deficient():
     pts = np.column_stack([np.linspace(0, 1, 20), np.linspace(0, 3, 20)])
     with pytest.raises(DegenerateShapeError):
         la_standardize(LandmarkMatrix(pts))
+
+
+@pytest.mark.parametrize("scale", [1e151, 1e300])
+def test_standardize_rejects_coordinates_that_would_overflow(scale):
+    # the affine factor's determinant, about scale**2, would overflow
+    shape = LandmarkMatrix(cst_evaluate(default_baselines()[1], 101).points
+                           * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateShapeError, match="exceed 1e\\+150"):
+            la_standardize(shape)
 
 
 def test_gl2_invariance_including_reflections():

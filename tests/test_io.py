@@ -2,21 +2,27 @@
 
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassfoil.blade import build_blade, export_wireframe
 from grassfoil.errors import (BladeDefinitionError, FileFormatError,
-                              FileParseError, SchemaError, TooFewPointsError,
-                              VersionError)
-from grassfoil.geometry import (AffineMap, affine_apply, affine_subgroup,
-                                cst_evaluate, default_baselines, perturb_cst)
+                              FileParseError, GrassfoilError, SchemaError,
+                              TooFewPointsError, VersionError)
+from grassfoil.geometry import (AffineMap, LandmarkMatrix, affine_apply,
+                                affine_subgroup, cst_evaluate,
+                                default_baselines, perturb_cst)
 from grassfoil.grassmann import la_standardize
-from grassfoil.io import (read_affine, read_blade, read_coordinates,
-                          read_json, read_model, read_wireframe, write_affine,
-                          write_blade, write_coordinates, write_json,
-                          write_model, write_table, write_wireframe)
+from grassfoil.io import (_scan_coordinates, read_affine, read_blade,
+                          read_coordinates, read_json, read_model,
+                          read_wireframe, write_affine, write_blade,
+                          write_coordinates, write_json, write_model,
+                          write_table, write_wireframe)
 from grassfoil.pga import karcher_mean, pga_fit
 
 
@@ -103,6 +109,98 @@ def test_too_few_points(tmp_path):
     path.write_text("name\n1.0 2.0\n3.0 4.0\n")
     with pytest.raises(TooFewPointsError):
         read_coordinates(path)
+
+
+def per_row_coordinates(shape, name):
+    """The coordinate file text as written one formatted row at a time."""
+    rows = [name] + [f"{'%.16e' % x} {'%.16e' % y}" for x, y in shape.points]
+    return "\n".join(rows) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0 / 3.0]
+
+
+finite_or_edge = (st.sampled_from(EDGE_FLOATS)
+                  | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(finite_or_edge, finite_or_edge), min_size=3,
+                max_size=20))
+@settings(max_examples=100)
+def test_coordinates_written_byte_for_byte_as_per_row(pairs):
+    shape = LandmarkMatrix(np.array(pairs))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.dat"
+        write_coordinates(path, shape, "edge cases")
+        assert path.read_text() == per_row_coordinates(shape, "edge cases")
+        name, back = read_coordinates(path)
+    assert name == "edge cases"
+    assert back.points.tobytes() == shape.points.tobytes()
+
+
+def outcome(read):
+    """What a reader returns or raises, in comparable form."""
+    try:
+        name, shape = read()
+    except GrassfoilError as err:
+        return type(err), str(err)
+    return name, shape.points.tobytes()
+
+
+ODD_TOKENS = ["nan", "-inf", "inf", "1e400", "1_0", "zz", "0x10", "+.5",
+              "\u0661\u0662", "1e-400", "--1", "2", "3.0", ""]
+ODD_SPACES = [" ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f", "\x0b"]
+
+
+@st.composite
+def mutated_coordinate_text(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = [[repr(draw(st.floats(-2.0, 2.0))) for _ in range(2)]
+            for _ in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = draw(st.sampled_from(rows))
+        action = draw(st.sampled_from(["replace", "extra", "missing"]))
+        if action == "replace" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(ODD_TOKENS))
+        elif action == "extra":
+            row.append(draw(st.sampled_from(ODD_TOKENS)))
+        elif row:
+            row.pop()
+    lines = [draw(st.sampled_from(ODD_SPACES)).join(row) for row in rows]
+    return "name\n" + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(mutated_coordinate_text())
+@settings(max_examples=300)
+def test_reader_matches_line_scan(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.dat"
+        path.write_text(text)
+        fast = outcome(lambda: read_coordinates(path))
+        slow = outcome(lambda: _scan_coordinates(path, text.splitlines()))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("1 2\n3 4\n5 6 7\n", "m.dat:4: expected 2 values per line, found 3"),
+    ("1 2\n3\n5 6\n", "m.dat:3: expected 2 values per line, found 1"),
+    ("1 2\n3 nan\n5 6\n", "m.dat:3:3: non-finite value: 'nan'"),
+    ("1 2\n3 4\ninf 6\n", "m.dat:4:1: non-finite value: 'inf'"),
+    ("1 2\n3 1_0\n5 6\n", None),
+    ("1\u00a02\n3\u30004\n5 6\n", None),
+    ("1 2\n3 4\n", "m.dat: a shape needs at least 3 points, file has 2"),
+])
+def test_reader_error_text(tmp_path, body, expected):
+    path = tmp_path / "m.dat"
+    path.write_text("name\n" + body)
+    if expected is None:
+        assert read_coordinates(path)[1].n == 3
+    else:
+        with pytest.raises(FileFormatError) as err:
+            read_coordinates(path)
+        assert str(err.value).endswith(expected)
 
 
 # ---------------------------------------------------------------------------

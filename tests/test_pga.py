@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from grassfoil.errors import (DimensionError, IterationLimitError,
-                              ParameterError)
+from grassfoil.errors import (CutLocusError, DimensionError,
+                              IterationLimitError, ParameterError)
 from grassfoil.geometry import AffineMap
-from grassfoil.grassmann import (TangentVector, distance, exp_map,
-                                 geodesic_point, inner, log_map)
+from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
+                                 exp_map, geodesic_point, inner, log_map)
 from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
                            flatten_tangent, karcher_mean, pga_fit,
                            reconstruct_with, synthesize, unflatten_tangent)
@@ -90,6 +90,30 @@ def test_mean_iteration_limit_is_honest():
         karcher_mean(shapes, tol=1e-30, max_iter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 0.0
+
+
+def plane(i, j, n=4):
+    """Coordinate 2-plane spanned by axes i and j of R^n."""
+    rep = np.zeros((n, 2))
+    rep[i, 0] = 1.0
+    rep[j, 1] = 1.0
+    return GrassmannPoint(rep)
+
+
+def test_mean_names_the_shape_at_the_cut_locus():
+    # the mean starts at shape 0; shape 2 is orthogonal to it
+    with pytest.raises(CutLocusError) as err:
+        karcher_mean([plane(0, 1), plane(0, 1), plane(2, 3)])
+    assert err.value.shape_index == 2
+    assert str(err.value).startswith("shape 2 is at the cut locus")
+    assert err.value.max_angle == pytest.approx(np.pi / 2.0)
+
+
+def test_pga_fit_names_the_shape_at_the_cut_locus():
+    with pytest.raises(CutLocusError) as err:
+        pga_fit([plane(0, 1), plane(2, 3), plane(0, 1)], plane(0, 1), 1)
+    assert err.value.shape_index == 1
+    assert str(err.value).startswith("shape 1 is at the cut locus")
 
 
 def test_mean_rejects_empty():
