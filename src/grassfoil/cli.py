@@ -25,8 +25,8 @@ from .blade import (
     interpolate_section,
     perturb_blade,
 )
-from .errors import (FileFormatError, FileParseError, GrassfoilError,
-                     ParameterError)
+from .errors import (DegenerateShapeError, DimensionError, FileFormatError,
+                     FileParseError, GrassfoilError, ParameterError)
 from .geometry import (
     CstParams,
     LandmarkMatrix,
@@ -71,12 +71,13 @@ def _manifest(out: Path, args: argparse.Namespace, extra: dict | None = None) ->
     gio.write_json(out / "manifest.json", payload)
 
 
-def _load_shapes(source) -> list[tuple[str, "LandmarkMatrix"]]:
+def _load_shapes(source) -> list[tuple[Path, str, LandmarkMatrix]]:
+    """(path, name line, landmarks) of each coordinate file, sorted by path."""
     src = Path(source)
     files = sorted(src.glob("*.dat")) if src.is_dir() else [src]
     if not files:
         raise FileFormatError(f"no .dat coordinate files under {src}")
-    return [gio.read_coordinates(f) for f in files]
+    return [(f, *gio.read_coordinates(f)) for f in files]
 
 
 def _parse_coord_vector(text: str, r: int) -> np.ndarray:
@@ -116,19 +117,35 @@ def _read_csv_columns(path, wanted: list[str]) -> np.ndarray:
     return np.array(rows)
 
 
-def _standardized(named_shapes):
-    return [(name, la_standardize(shape)) for name, shape in named_shapes]
+def _standardized(loaded):
+    """(name, decomposition) of each loaded shape; failures name the file."""
+    decomps = []
+    for path, name, shape in loaded:
+        try:
+            decomps.append((name, la_standardize(shape)))
+        except DegenerateShapeError as err:
+            raise DegenerateShapeError(f"{path}: {err}") from None
+    return decomps
+
+
+def _check_landmark_counts(loaded) -> None:
+    first_path, _, first = loaded[0]
+    for path, _, shape in loaded[1:]:
+        if shape.n != first.n:
+            raise DimensionError(
+                f"{path}: {shape.n} landmarks, but {first_path} has {first.n}")
 
 
 def _fit_mean(args):
     """Shared prologue of mean and pga-fit: load, standardize, average."""
-    named = _load_shapes(args.shapes)
+    loaded = _load_shapes(args.shapes)
     out = _out_dir(args.out)
-    decomps = _standardized(named)
+    _check_landmark_counts(loaded)
+    decomps = _standardized(loaded)
     points = [d.point for _, d in decomps]
     result = karcher_mean(points, tol=args.tol, max_iter=args.max_iter)
     affine = mean_affine([d.affine for _, d in decomps])
-    return named, out, points, result, affine
+    return decomps, out, points, result, affine
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +179,19 @@ def cmd_gen_dataset(args) -> None:
 
 
 def cmd_standardize(args) -> None:
-    named = _load_shapes(args.shapes)
+    loaded = _load_shapes(args.shapes)
     out = _out_dir(args.out)
     rows = []
     affines = []
-    for name, decomp in _standardized(named):
+    for name, decomp in _standardized(loaded):
         a = decomp.affine
         affines.append(a)
         rows.append([name.split()[0], *a.linear.ravel(), *a.translation])
     gio.write_table(out / "affines.csv",
                     ["file", "m00", "m01", "m10", "m11", "b0", "b1"], rows)
     gio.write_affine(out / "mean_affine.json", mean_affine(affines))
-    _manifest(out, args, {"shapes_standardized": len(named)})
-    print(f"standardized {len(named)} shapes")
+    _manifest(out, args, {"shapes_standardized": len(loaded)})
+    print(f"standardized {len(loaded)} shapes")
 
 
 def cmd_mean(args) -> None:
@@ -193,12 +210,12 @@ def cmd_mean(args) -> None:
 
 
 def cmd_pga_fit(args) -> None:
-    named, out, points, result, affine = _fit_mean(args)
+    decomps, out, points, result, affine = _fit_mean(args)
     model = pga_fit(points, result.point, args.r, method=args.method)
     gio.write_model(out / "model.json", model)
     gio.write_affine(out / "mean_affine.json", affine)
     coord_rows = [[i, name.split()[0], *model.training_coords[i]]
-                  for i, (name, _) in enumerate(named)]
+                  for i, (name, _) in enumerate(decomps)]
     gio.write_table(out / "normal_coords.csv",
                     ["index", "file", *[f"t{j}" for j in range(model.r)]],
                     coord_rows)
@@ -340,8 +357,7 @@ def cmd_render(args) -> None:
     if args.kind in ("shapes", "strip"):
         if args.shapes is None:
             raise ParameterError(f"--kind {args.kind} needs --shapes")
-        named = _load_shapes(args.shapes)
-        pts = [shape.points for _, shape in named]
+        pts = [shape.points for _, _, shape in _load_shapes(args.shapes)]
         text = (svg.render_shapes(pts) if args.kind == "shapes"
                 else svg.render_strip(pts))
     elif args.kind == "scatter":

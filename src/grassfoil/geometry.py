@@ -109,10 +109,6 @@ class AffineMap:
         return AffineMap(inv, -self.translation @ inv)
 
 
-def identity_affine() -> AffineMap:
-    return AffineMap(np.eye(2), np.zeros(2))
-
-
 def compose_affine(first: AffineMap, second: AffineMap) -> AffineMap:
     """Map equivalent to applying ``first`` then ``second``."""
     return AffineMap(first.linear @ second.linear,
@@ -602,14 +598,6 @@ def gen_dataset(baselines: list[CstParams], n_perturbations: int,
 
 # ---------------------------------------------------------------------------
 # coefficient-space sweeps (for comparison against subspace-space sweeps)
-
-
-def coefficient_bounds(params_list: list[CstParams]) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise min/max over the 18 free coefficients of a family."""
-    if not params_list:
-        raise ParameterError("need at least one coefficient set")
-    stack = np.array([p.as_vector() for p in params_list])
-    return stack.min(axis=0), stack.max(axis=0)
 
 
 def cst_sweep(corner_a: CstParams, corner_b: CstParams, steps: int,

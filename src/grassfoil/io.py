@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,81 @@ def _scan_coordinates(path, lines: list[str]) -> tuple[str, LandmarkMatrix]:
 
 
 def write_json(path, payload) -> None:
-    write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    """``payload`` in the stdlib ``json`` layout with a one-space indent and
+    sorted keys, byte for byte, plus a newline; dict keys must be strings."""
+    write_text(path, _json_text(payload, 0) + "\n")
+
+
+def _json_text(value, level: int) -> str:
+    """Indent-1, sorted-key JSON of ``value`` nested ``level`` deep.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set, so
+    this emitter does the same work itself, token for token, and hands
+    lists of floats to the C encoder (see :func:`_float_list_text`).
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    pad = "\n" + " " * (level + 1)
+    end = "\n" + " " * level
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _float_list_text(value, pad, end)
+        if text is not None:
+            return text
+        items = [_json_text(v, level + 1) for v in value]
+        return "[" + pad + ("," + pad).join(items) + end + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": "
+                 + _json_text(value[key], level + 1) for key in sorted(value)]
+        return "{" + pad + ("," + pad).join(items) + end + "}"
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _float_list_text(value, pad: str, end: str) -> str | None:
+    """Indented text of a non-empty array of exact floats, or of an array
+    of non-empty lists of exact floats; None for anything else.
+
+    The C encoder runs with the innermost indented separator, so it writes
+    a flat array in its final form, and only the breaks between rows need
+    rewriting. No float token it writes (a ``float.__repr__``, ``NaN`` or
+    ``Infinity``) holds a comma or a bracket, so the rewrite finds no
+    false match.
+    """
+    kinds = set(map(type, value))
+    if kinds == {float}:
+        body = json.dumps(value, separators=("," + pad, ": "))
+        return "[" + pad + body[1:-1] + end + "]"
+    if kinds == {list} and all(value) and set(
+            map(type, itertools.chain.from_iterable(value))) == {float}:
+        inner = pad + " "
+        body = json.dumps(value, separators=("," + inner, ": "))[2:-2].replace(
+            "]," + inner + "[", pad + "]," + pad + "[" + inner)
+        return "[" + pad + "[" + inner + body + pad + "]" + end + "]"
+    return None
 
 
 def read_json(path):
@@ -391,12 +466,12 @@ def write_wireframe(path, grid: np.ndarray) -> None:
     if grid.ndim != 3 or grid.shape[2] != 3:
         raise FileFormatError(
             f"wireframe grid must be (spans, n, 3), got {grid.shape}")
-    rows = []
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            x, y, eta = grid[i, j]
-            rows.append([i, j, float(x), float(y), float(eta)])
-    write_table(path, _WIREFRAME_HEADER, rows)
+    # The indices go into the template, so one % call formats every float
+    # and no per-record list is built.
+    template = ",".join(_WIREFRAME_HEADER) + "\n" + "".join(
+        f"{i},{j},%r,%r,%r\n"
+        for i, j in itertools.product(*map(range, grid.shape[:2])))
+    write_text(path, template % tuple(grid.ravel().tolist()))
 
 
 def read_wireframe(path) -> np.ndarray:

@@ -321,6 +321,11 @@ BAD_INPUTS = {
                            "short.dat: a shape needs at least 3 points"),
     "dat-coordinates-overflow": (["mean", "--shapes", "{tmp}/huge.dat"],
                                  "exceed 1e+150 in magnitude"),
+    "dat-mismatched-landmarks": (["mean", "--shapes", "{tmp}/mixed"],
+                                 "{tmp}/mixed/six.dat: 6 landmarks, but "
+                                 "{tmp}/mixed/five.dat has 5"),
+    "dat-collinear": (["standardize", "--shapes", "{tmp}/line.dat"],
+                      "line.dat: centered landmarks are numerically collinear"),
     "model-missing-key": (["synth", "--model", "{tmp}/keyless.json",
                            "--coords", "0,0,0"],
                           "keyless.json: missing key 'n'"),
@@ -354,7 +359,14 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "wire.csv").write_text(
         "section,landmark,x,y,eta\n0,0,0.0,0.0,0.0\n0,1,inf,0.0,0.0\n")
     (tmp_path / "taken" / "shapes.svg").mkdir(parents=True)
+    (tmp_path / "mixed").mkdir()
+    (tmp_path / "mixed" / "five.dat").write_text(
+        "five\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n")
+    (tmp_path / "mixed" / "six.dat").write_text(
+        "six\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0.2 0.3\n")
+    (tmp_path / "line.dat").write_text("line\n0 0\n1 1\n2 2\n")
     argv, named = BAD_INPUTS[case]
+    named = named.format(tmp=tmp_path)
     argv = [a.format(tmp=tmp_path, fit=workdir / "fit", data=workdir / "data")
             for a in argv]
     if "--out" not in argv:

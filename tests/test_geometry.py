@@ -13,11 +13,10 @@ from grassfoil.errors import (DomainError, GenerationError, ParameterError,
 from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
                                 _has_proper_crossing, _separated_chains,
                                 affine_apply, affine_subgroup, baseline_names,
-                                chord_stations, coefficient_bounds,
-                                compose_affine, cst_evaluate, cst_sweep,
-                                default_baselines, gen_dataset,
-                                gen_dataset_detailed, identity_affine,
-                                perturb_cst, validate_shape)
+                                chord_stations, compose_affine, cst_evaluate,
+                                cst_sweep, default_baselines, gen_dataset,
+                                gen_dataset_detailed, perturb_cst,
+                                validate_shape)
 from grassfoil.grassmann import la_reconstruct, la_standardize
 
 UNIFORM = CstParams(np.full(9, 0.2), np.full(9, -0.2))
@@ -195,7 +194,7 @@ def test_compose_matches_direct_matrix_oracle():
 
 def test_identity_and_inverse():
     shape = cst_evaluate(UNIFORM, 101)
-    same = affine_apply(shape, identity_affine())
+    same = affine_apply(shape, AffineMap(np.eye(2), np.zeros(2)))
     assert np.array_equal(same.points, shape.points)
     aff = AffineMap(np.array([[1.4, 0.2], [-0.1, 0.8]]), np.array([0.3, -0.2]))
     back = affine_apply(affine_apply(shape, aff), aff.inverse())
@@ -479,14 +478,6 @@ def test_cst_sweep_needs_two_steps():
     a = default_baselines()[0]
     with pytest.raises(ParameterError):
         cst_sweep(a, a, 1, n=101)
-
-
-def test_coefficient_bounds():
-    lo, hi = coefficient_bounds(default_baselines())
-    assert lo.shape == (18,)
-    assert np.all(lo <= hi)
-    stack = np.array([p.as_vector() for p in default_baselines()])
-    assert np.array_equal(lo, stack.min(axis=0))
 
 
 # ---------------------------------------------------------------------------

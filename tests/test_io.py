@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassfoil import io as gio
 from grassfoil.blade import build_blade, export_wireframe
+from grassfoil.cli import main
 from grassfoil.errors import (BladeDefinitionError, FileFormatError,
                               FileParseError, GrassfoilError, SchemaError,
                               TooFewPointsError, VersionError)
@@ -351,6 +353,115 @@ def test_blade_non_increasing_eta_rejected(tmp_path, small_blade):
 
 
 # ---------------------------------------------------------------------------
+# JSON layout: write_json must give json.dumps(indent=1, sort_keys=True) bytes
+
+
+def stdlib_json(payload) -> bytes:
+    return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+
+
+NAN, INF = float("nan"), float("inf")
+
+JSON_CASES = {
+    "signed-zero": [-0.0, 0.0, {"z": -0.0}],
+    "extremes": [5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308],
+    "non-finite-in-float-list": [1.0, NAN, INF, -INF],
+    "non-finite-in-pairs": [[NAN, 1.0], [2.0, -INF], [INF, NAN]],
+    "non-finite-scalars": {"a": NAN, "b": INF, "c": -INF, "d": [NAN, 1]},
+    "empty-list": [],
+    "empty-dict": {},
+    "nested-empty": {"a": {}, "b": {"c": {}, "d": []}, "e": [[], {}]},
+    "empty-rows": [[], [1.0]],
+    "non-ascii-keys": {"é": 1, "ключ": "значение", "\u2028": "\x00\"\\\n"},
+    "unsorted-keys": {"b": 1, "a": 2, "B": 3, "": 4, "aa": 5},
+    "np-float64-elements": [np.float64(0.1), np.float64(-0.0), 2.5],
+    "np-float64-in-pairs": [[np.float64(1) / 3, 2.0], [3.0, 4.0]],
+    "np-float64-scalar": {"v": np.float64(2) / 3},
+    "bool-in-float-list": [1.0, True, 2.0, False],
+    "int-in-float-list": [1.0, 1, 2.0],
+    "big-ints": [2**70, -5, 0],
+    "ragged-rows": [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+    "row-and-float": [[1.0], 2.0],
+    "float-and-row": [1.0, [2.0]],
+    "tuples": {"t": (1.0, 2.0), "rows": [(1.0, 2.0), [3.0, 4.0]]},
+    "deep-rows": [[[1.0, 2.0]], [[3.0]]],
+    "top-level-list": [{"a": 1, "b": [0.5, 0.25]}, "s", None, True],
+    "top-level-float": 0.1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_write_json_matches_stdlib(tmp_path, case):
+    path = tmp_path / "x.json"
+    write_json(path, JSON_CASES[case])
+    assert path.read_bytes() == stdlib_json(JSON_CASES[case])
+
+
+json_floats = st.sampled_from(EDGE_FLOATS + [NAN, INF, -INF]) | st.floats()
+json_strings = (st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "é",
+                                 "\u2028", "\U0001f600"]) | st.text(max_size=6))
+json_leaves = (st.none() | st.booleans() | st.integers() | json_floats
+               | json_strings | st.lists(json_floats, max_size=4)
+               | st.lists(st.lists(json_floats, max_size=3), max_size=4))
+json_payloads = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(json_strings, kids, max_size=4)),
+    max_leaves=16)
+
+
+@given(json_payloads)
+@settings(max_examples=50, deadline=None)
+def test_write_json_matches_stdlib_on_nested_payloads(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        write_json(path, payload)
+        assert path.read_bytes() == stdlib_json(payload)
+
+
+def test_write_json_rejects_arrays_as_stdlib_does(tmp_path):
+    payload = {"a": np.zeros(2)}
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "x.json", payload)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.fixture
+def json_writes(monkeypatch):
+    """(path, payload) of every write_json call, passed to the real writer."""
+    calls = []
+    real = gio.write_json
+
+    def record(path, payload):
+        calls.append((path, payload))
+        real(path, payload)
+
+    monkeypatch.setattr(gio, "write_json", record)
+    return calls
+
+
+def test_artifacts_written_as_stdlib_json(tmp_path, json_writes, small_blade,
+                                          fitted_model):
+    write_blade(tmp_path / "blade.json", small_blade)
+    write_model(tmp_path / "model.json", fitted_model)
+    write_affine(tmp_path / "affine.json",
+                 AffineMap(np.array([[1.25, -0.5], [0.125, 2.0]]),
+                           np.array([1.0 / 3.0, -0.0])))
+    assert main(["blade-interp", "--blade", str(tmp_path / "blade.json"),
+                 "--eta", "0.25", "--eta", "0.7", "--eta", "1e-3",
+                 "--out", str(tmp_path / "interp")]) == 0
+    written = [Path(path).name for path, _ in json_writes]
+    assert written == ["blade.json", "model.json", "affine.json",
+                       "manifest.json"]
+    assert json_writes[-1][1]["config"]["eta"] == [0.25, 0.7, 1e-3]
+    for path, payload in json_writes:
+        assert Path(path).read_bytes() == stdlib_json(payload)
+
+
+# ---------------------------------------------------------------------------
 # tables and wireframes
 
 
@@ -370,6 +481,26 @@ def test_wireframe_round_trip(tmp_path, small_blade):
     back = read_wireframe(path)
     assert back.shape == grid.shape
     assert np.array_equal(back, grid)
+
+
+def per_row_wireframe(path, grid):
+    """The wireframe as written through write_table one row at a time."""
+    rows = [[i, j, *map(float, grid[i, j])]
+            for i in range(grid.shape[0]) for j in range(grid.shape[1])]
+    write_table(path, ["section", "landmark", "x", "y", "eta"], rows)
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 3), (1, 12, 3), (0, 3, 3)])
+def test_wireframe_written_byte_for_byte_as_per_row(tmp_path, shape):
+    grid = np.random.default_rng(5).normal(size=shape)
+    if grid.size:
+        edges = np.array(EDGE_FLOATS)
+        grid.ravel()[:edges.size] = edges
+        grid.ravel()[-edges.size:] = -edges
+    write_wireframe(tmp_path / "new.csv", grid)
+    per_row_wireframe(tmp_path / "old.csv", grid)
+    assert (tmp_path / "new.csv").read_bytes() == (
+        tmp_path / "old.csv").read_bytes()
 
 
 def test_wireframe_missing_record_detected(tmp_path, small_blade):
