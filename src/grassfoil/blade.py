@@ -12,6 +12,7 @@ single coordinate vector deforms the whole blade consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,15 +36,9 @@ from .grassmann import (
     la_standardize,
     log_map,
     procrustes_rotation,
+    reconstruct_with,
 )
 from .pga import PgaModel
-
-AFFINE_COMPONENT_NAMES = ("m00", "m01", "m10", "m11", "b0", "b1")
-
-
-def _affine_components(affine: AffineMap) -> np.ndarray:
-    return np.concatenate([affine.linear.ravel(), affine.translation])
-
 
 def _pchip_end_slope(h0, h1, m0, m1) -> np.ndarray:
     """One-sided three-point slope at an end, clipped to preserve shape."""
@@ -154,11 +149,14 @@ class AffineProfiles:
 
 @dataclass(frozen=True, eq=False)
 class BladeDefinition:
-    """Ordered stations, their clustered representatives, affine profiles."""
+    """Ordered stations and their clustered representatives.
+
+    The affine profiles are derived from the stations' affine factors on
+    first use, so they always agree with the stations.
+    """
 
     stations: tuple[BladeStation, ...]
     aligned: tuple[GrassmannPoint, ...]
-    profiles: AffineProfiles
 
     def __post_init__(self):
         stations = tuple(self.stations)
@@ -181,6 +179,12 @@ class BladeDefinition:
     @property
     def etas(self) -> np.ndarray:
         return np.array([s.eta for s in self.stations])
+
+    @cached_property
+    def profiles(self) -> AffineProfiles:
+        """Interpolating profiles through the stations' affine components."""
+        return AffineProfiles(self.etas,
+                              [s.affine.as_vector() for s in self.stations])
 
     @property
     def n(self) -> int:
@@ -208,15 +212,6 @@ def procrustes_cluster(points: Sequence[GrassmannPoint]) -> list[GrassmannPoint]
     return aligned
 
 
-def fit_affine_splines(stations: Sequence[BladeStation]) -> AffineProfiles:
-    """Interpolating profiles through the stations' affine components."""
-    if len(stations) < 2:
-        raise BladeDefinitionError("profiles need at least 2 stations")
-    etas = np.array([s.eta for s in stations])
-    values = np.array([_affine_components(s.affine) for s in stations])
-    return AffineProfiles(etas, values)
-
-
 def build_blade(etas: Sequence[float], sections: Sequence) -> BladeDefinition:
     """Standardize, cluster, and spline a sequence of sections into a blade.
 
@@ -238,8 +233,7 @@ def build_blade(etas: Sequence[float], sections: Sequence) -> BladeDefinition:
         offset = decomp.affine.translation
         linear = rep.rep.T @ (shape.points - offset)
         stations.append(BladeStation(float(eta), shape, AffineMap(linear, offset)))
-    return BladeDefinition(tuple(stations), tuple(aligned),
-                           fit_affine_splines(stations))
+    return BladeDefinition(tuple(stations), tuple(aligned))
 
 
 def _locate_segment(etas: np.ndarray, eta: float) -> int:
@@ -264,8 +258,7 @@ def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
     idx = _locate_segment(etas, eta)
     s = (eta - etas[idx]) / (etas[idx + 1] - etas[idx])
     point = geodesic_point(blade.aligned[idx], blade.aligned[idx + 1], s)
-    affine = blade.profiles.affine_at(eta)
-    return LandmarkMatrix(point.rep @ affine.linear + affine.translation)
+    return reconstruct_with(point, blade.profiles.affine_at(eta))
 
 
 def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
@@ -279,6 +272,9 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     transported basis; that is checked per station and per direction.
     Affine factors and profiles are untouched: only subspaces move.
     """
+    if not (np.isfinite(consistency_tol) and consistency_tol >= 0.0):
+        raise ParameterError("consistency tolerance must be finite and >= 0, "
+                             f"got {consistency_tol}")
     t = np.asarray(t, dtype=float)
     if t.shape != (model.r,):
         raise DimensionError(f"expected {model.r} coordinates, got shape {t.shape}")
@@ -309,11 +305,10 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
         gauge = tau_v.base.rep.T @ rep.rep
         delta = TangentVector(tau_v.mat @ gauge, rep)
         moved_rep = exp_map(rep, delta)
-        section = LandmarkMatrix(
-            moved_rep.rep @ station.affine.linear + station.affine.translation)
+        section = reconstruct_with(moved_rep, station.affine)
         new_aligned.append(moved_rep)
         new_stations.append(BladeStation(station.eta, section, station.affine))
-    return BladeDefinition(tuple(new_stations), tuple(new_aligned), blade.profiles)
+    return BladeDefinition(tuple(new_stations), tuple(new_aligned))
 
 
 def export_wireframe(blade: BladeDefinition, spans: int,

@@ -9,7 +9,6 @@ configuration, so any artifact can be regenerated byte-identically.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -25,9 +24,10 @@ from .blade import (
     interpolate_section,
     perturb_blade,
 )
-from .errors import (DegenerateShapeError, DimensionError, FileFormatError,
-                     FileParseError, GrassfoilError, ParameterError)
+from .errors import (CutLocusError, DegenerateShapeError, DimensionError,
+                     FileFormatError, GrassfoilError, ParameterError)
 from .geometry import (
+    AFFINE_COMPONENT_NAMES,
     CstParams,
     LandmarkMatrix,
     baseline_names,
@@ -36,15 +36,9 @@ from .geometry import (
     gen_dataset_detailed,
     validate_shape,
 )
-from .grassmann import la_standardize, mean_affine
-from .pga import (
-    corner_sweep,
-    domain_contains,
-    karcher_mean,
-    pga_fit,
-    reconstruct_with,
-    synthesize,
-)
+from .grassmann import la_standardize, mean_affine, reconstruct_with
+from .pga import (corner_sweep, domain_contains, karcher_mean, pga_fit,
+                  synthesize)
 
 _COEFF_COLUMNS = [f"u{i}" for i in range(9)] + [f"l{i}" for i in range(9)]
 
@@ -91,32 +85,6 @@ def _parse_coord_vector(text: str, r: int) -> np.ndarray:
     return values
 
 
-def _read_csv_columns(path, wanted: list[str]) -> np.ndarray:
-    lines = gio.read_text(path).splitlines()
-    if not lines:
-        raise FileFormatError(f"{path} is empty")
-    header = lines[0].split(",")
-    try:
-        idx = [header.index(w) for w in wanted]
-    except ValueError as err:
-        raise FileFormatError(f"{path} lacks column: {err}") from None
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            row = [float(fields[i]) for i in idx]
-        except (IndexError, ValueError):
-            raise FileParseError(f"expected numbers in {', '.join(wanted)}",
-                                 path=path, line=lineno) from None
-        if not all(map(math.isfinite, row)):
-            raise FileParseError(f"non-finite value in {', '.join(wanted)}",
-                                 path=path, line=lineno)
-        rows.append(row)
-    if not rows:
-        raise FileFormatError(f"{path} has a header but no data rows")
-    return np.array(rows)
-
-
 def _standardized(loaded):
     """(name, decomposition) of each loaded shape; failures name the file."""
     decomps = []
@@ -143,7 +111,12 @@ def _fit_mean(args):
     _check_landmark_counts(loaded)
     decomps = _standardized(loaded)
     points = [d.point for _, d in decomps]
-    result = karcher_mean(points, tol=args.tol, max_iter=args.max_iter)
+    try:
+        result = karcher_mean(points, tol=args.tol, max_iter=args.max_iter)
+    except CutLocusError as err:
+        path = loaded[err.shape_index][0]
+        raise CutLocusError(f"{path}: {err}", max_angle=err.max_angle,
+                            shape_index=err.shape_index) from None
     affine = mean_affine([d.affine for _, d in decomps])
     return decomps, out, points, result, affine
 
@@ -186,9 +159,9 @@ def cmd_standardize(args) -> None:
     for name, decomp in _standardized(loaded):
         a = decomp.affine
         affines.append(a)
-        rows.append([name.split()[0], *a.linear.ravel(), *a.translation])
-    gio.write_table(out / "affines.csv",
-                    ["file", "m00", "m01", "m10", "m11", "b0", "b1"], rows)
+        rows.append([name.split()[0], *a.as_vector()])
+    gio.write_table(out / "affines.csv", ["file", *AFFINE_COMPONENT_NAMES],
+                    rows)
     gio.write_affine(out / "mean_affine.json", mean_affine(affines))
     _manifest(out, args, {"shapes_standardized": len(loaded)})
     print(f"standardized {len(loaded)} shapes")
@@ -273,6 +246,8 @@ def _validity(shape) -> dict[str, bool]:
 
 
 def cmd_sweep(args) -> None:
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if args.space == "pga":
         if args.model is None or args.affine is None:
             raise ParameterError("--space pga needs --model and --affine")
@@ -287,7 +262,7 @@ def cmd_sweep(args) -> None:
     else:
         if args.coefficients is None:
             raise ParameterError("--space cst needs --coefficients")
-        coeffs = _read_csv_columns(args.coefficients, _COEFF_COLUMNS)
+        coeffs = gio.read_table(args.coefficients, _COEFF_COLUMNS)
         lo, hi = coeffs.min(axis=0), coeffs.max(axis=0)
         columns = _COEFF_COLUMNS
 
@@ -368,7 +343,7 @@ def cmd_render(args) -> None:
         except ValueError:
             raise ParameterError(
                 f"--axes needs two integers, got {args.axes!r}") from None
-        data = _read_csv_columns(args.table, [f"t{i}", f"t{j}"])
+        data = gio.read_table(args.table, [f"t{i}", f"t{j}"])
         text = svg.render_scatter(data)
     else:
         if args.wireframe is None:

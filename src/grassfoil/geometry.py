@@ -73,6 +73,10 @@ class LandmarkMatrix:
         return self.points.shape[0]
 
 
+#: Order of the six affine components in tables, profiles and vectors.
+AFFINE_COMPONENT_NAMES = ("m00", "m01", "m10", "m11", "b0", "b1")
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """Right-acting affine deformation ``X -> X @ linear + outer(1, translation)``."""
@@ -102,6 +106,10 @@ class AffineMap:
     @property
     def det(self) -> float:
         return float(np.linalg.det(self.linear))
+
+    def as_vector(self) -> np.ndarray:
+        """The six components in :data:`AFFINE_COMPONENT_NAMES` order."""
+        return np.concatenate([self.linear.ravel(), self.translation])
 
     def inverse(self) -> "AffineMap":
         """The affine map undoing this one under the right action."""
@@ -554,6 +562,8 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
         raise ParameterError("need at least one baseline")
     if n_perturbations < 0:
         raise ParameterError("perturbation count cannot be negative")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     counts = _perturbation_counts(len(baselines), n_perturbations, per_baseline)
     shapes: list[DatasetShape] = []
     for b_idx, params in enumerate(baselines):

@@ -162,10 +162,10 @@ def la_standardize(shape: LandmarkMatrix) -> LaDecomposition:
     return LaDecomposition(GrassmannPoint(u), AffineMap(m, b))
 
 
-def la_reconstruct(decomposition: LaDecomposition) -> LandmarkMatrix:
-    """Apply the affine factor back onto the frame."""
-    return affine_apply(LandmarkMatrix(decomposition.point.rep),
-                        decomposition.affine)
+def reconstruct_with(point: GrassmannPoint,
+                     affine: AffineMap) -> LandmarkMatrix:
+    """The landmarks ``rep @ M + outer(1, b)`` of a frame and affine factor."""
+    return affine_apply(LandmarkMatrix(point.rep), affine)
 
 
 def mean_affine(affines: Iterable[AffineMap]) -> AffineMap:

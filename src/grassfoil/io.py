@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blade import BladeDefinition, BladeStation, build_blade, fit_affine_splines
+from .blade import BladeDefinition, BladeStation, build_blade
 from .errors import (
     FileFormatError,
     FileParseError,
@@ -29,7 +29,8 @@ from .errors import (
 )
 from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import GrassmannPoint, TangentVector
-from .pga import FLATTEN_ORDER, CoordinateDomain, PgaModel, unflatten_tangent
+from .pga import (FLATTEN_ORDER, CoordinateDomain, PgaModel, flatten_tangent,
+                  unflatten_tangent)
 
 FORMAT_VERSION = 1
 
@@ -286,7 +287,7 @@ def write_model(path, model: PgaModel) -> None:
         "n": model.n,
         "r": model.r,
         "flatten_order": FLATTEN_ORDER,
-        "mean": model.mean.rep.ravel(order="F").tolist(),
+        "mean": flatten_tangent(model.mean.rep).tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
         "basis": model.basis_matrix().tolist(),
         "domain": {
@@ -436,8 +437,7 @@ def read_blade(path) -> BladeDefinition:
                         f"{key}.representative")
         stations.append(BladeStation(eta, section, affine))
         aligned.append(GrassmannPoint(rep))
-    return BladeDefinition(tuple(stations), tuple(aligned),
-                           fit_affine_splines(stations))
+    return BladeDefinition(tuple(stations), tuple(aligned))
 
 
 # ---------------------------------------------------------------------------
@@ -474,41 +474,68 @@ def write_wireframe(path, grid: np.ndarray) -> None:
     write_text(path, template % tuple(grid.ravel().tolist()))
 
 
-def read_wireframe(path) -> np.ndarray:
+def read_table(path, columns) -> np.ndarray:
+    """Finite float values of the named ``columns``, one row per record.
+
+    The first line names the columns, comma-separated; columns are found
+    by name, so their order in the file does not matter. Every record must
+    have one field per header name, and there must be at least one record.
+    Faults name the file and line.
+    """
     lines = read_text(path).splitlines()
-    if not lines or lines[0].split(",") != _WIREFRAME_HEADER:
-        raise FileParseError(
-            "wireframe header must be " + ",".join(_WIREFRAME_HEADER),
-            path=path, line=1)
-    records = []
+    if not lines:
+        raise FileParseError("empty table", path=path, line=1)
+    header = lines[0].split(",")
+    for name in columns:
+        if name not in header:
+            raise FileParseError(f"no column {name!r} in the header",
+                                 path=path, line=1)
+    if len(lines) == 1:
+        raise FileParseError("table has no records", path=path, line=2)
+    picks = [header.index(name) for name in columns]
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
-        if len(fields) != 5:
+        if len(fields) != len(header):
             raise FileParseError(
-                f"expected 5 fields, found {len(fields)}", path=path,
-                line=lineno)
-        try:
-            record = (int(fields[0]), int(fields[1]), float(fields[2]),
-                      float(fields[3]), float(fields[4]))
-        except ValueError:
-            raise FileParseError("malformed record", path=path,
-                                 line=lineno) from None
-        if not all(map(math.isfinite, record[2:])):
-            raise FileParseError("non-finite value", path=path, line=lineno)
-        records.append(record)
-    if not records:
-        raise FileParseError("wireframe file has no records", path=path,
-                             line=2)
-    spans = max(r[0] for r in records) + 1
-    per = max(r[1] for r in records) + 1
-    if len(records) != spans * per:
+                f"expected {len(header)} fields, found {len(fields)}",
+                path=path, line=lineno)
+        row = []
+        for name, i in zip(columns, picks):
+            try:
+                value = float(fields[i])
+            except ValueError:
+                raise FileParseError(
+                    f"not a number in column {name!r}: {fields[i]!r}",
+                    path=path, line=lineno) from None
+            if not math.isfinite(value):
+                raise FileParseError(
+                    f"non-finite value in column {name!r}: {fields[i]!r}",
+                    path=path, line=lineno)
+            row.append(value)
+        rows.append(row)
+    return np.array(rows)
+
+
+def read_wireframe(path) -> np.ndarray:
+    """The (spans, n, 3) grid of a file written by :func:`write_wireframe`."""
+    table = read_table(path, _WIREFRAME_HEADER)
+    index = table[:, :2]
+    bad = np.flatnonzero(np.any((index < 0.0) | (index != np.floor(index)),
+                                axis=1))
+    if bad.size:
+        raise FileParseError(
+            "section and landmark must be non-negative integers",
+            path=path, line=int(bad[0]) + 2)
+    spans, per = (int(v) + 1 for v in index.max(axis=0))
+    if len(table) != spans * per:
         raise FileParseError(
             f"expected {spans * per} records for a {spans} x {per} grid, "
-            f"found {len(records)}", path=path, line=len(lines))
+            f"found {len(table)}", path=path, line=len(table) + 1)
     grid = np.full((spans, per, 3), np.nan)
-    for sec, lm, x, y, eta in records:
-        grid[sec, lm] = (x, y, eta)
+    sections, landmarks = index.astype(int).T
+    grid[sections, landmarks] = table[:, 2:]
     if np.any(np.isnan(grid)):
         raise FileParseError("grid has missing (section, landmark) records",
-                             path=path, line=len(lines))
+                             path=path, line=len(table) + 1)
     return grid

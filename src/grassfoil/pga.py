@@ -12,6 +12,7 @@ second coordinates), and the convention is recorded in serialized models.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,15 +24,7 @@ from .errors import (
     IterationLimitError,
     ParameterError,
 )
-from .geometry import AffineMap, LandmarkMatrix
-from .grassmann import (
-    GrassmannPoint,
-    TangentVector,
-    exp_map,
-    la_reconstruct,
-    LaDecomposition,
-    log_map,
-)
+from .grassmann import GrassmannPoint, TangentVector, exp_map, log_map
 
 #: Flattening convention for tangent matrices in models and files.
 FLATTEN_ORDER = "column-major"
@@ -150,6 +143,8 @@ def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
     """
     if not shapes:
         raise ParameterError("cannot average an empty set of shapes")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 0:
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
     mean = shapes[0]
@@ -237,7 +232,7 @@ def _clean_directions(basis_flat: np.ndarray, eigenvalues: np.ndarray,
             out.append(np.zeros((n, 2)))
             continue
         mat /= norm
-        flat = mat.ravel(order="F")
+        flat = flatten_tangent(mat)
         if flat[np.argmax(np.abs(flat))] < 0.0:
             mat = -mat
         out.append(mat)
@@ -302,9 +297,3 @@ def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
         s = i / (steps - 1)
         points.append(synthesize(model, (1.0 - s) * corner_a + s * corner_b))
     return points
-
-
-def reconstruct_with(point: GrassmannPoint,
-                     affine: AffineMap) -> LandmarkMatrix:
-    """Physical shape from a representative and a reference affine factor."""
-    return la_reconstruct(LaDecomposition(point, affine))

@@ -17,10 +17,10 @@ from grassfoil.geometry import (LandmarkMatrix, affine_apply, affine_subgroup,
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
                                  exp_map, geodesic_point, inner,
                                  la_standardize, log_map, mean_affine,
-                                 parallel_transport, procrustes_rotation)
+                                 parallel_transport, procrustes_rotation,
+                                 reconstruct_with)
 from grassfoil.pga import (coords_of, domain_contains, flatten_tangent,
-                           karcher_mean, pga_fit, reconstruct_with,
-                           synthesize)
+                           karcher_mean, pga_fit, synthesize)
 
 from conftest import random_horizontal, random_point
 

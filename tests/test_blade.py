@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from grassfoil.blade import (AFFINE_COMPONENT_NAMES, AffineProfiles,
-                             BladeDefinition, BladeStation, build_blade,
-                             design_parameter_count, export_wireframe,
-                             fit_affine_splines, interpolate_section,
+from grassfoil.blade import (AffineProfiles, BladeDefinition, BladeStation,
+                             build_blade, design_parameter_count,
+                             export_wireframe, interpolate_section,
                              perturb_blade, procrustes_cluster)
 from grassfoil.errors import (BladeDefinitionError, ConsistencyError,
                               CutLocusError, ParameterError, SpanRangeError)
-from grassfoil.geometry import (AffineMap, LandmarkMatrix, affine_apply,
-                                affine_subgroup, compose_affine, cst_evaluate,
+from grassfoil.geometry import (AFFINE_COMPONENT_NAMES, AffineMap,
+                                LandmarkMatrix, affine_apply, affine_subgroup,
+                                compose_affine, cst_evaluate,
                                 default_baselines, perturb_cst, validate_shape)
 from grassfoil.grassmann import (GrassmannPoint, distance, exp_map,
                                  la_standardize)
@@ -170,7 +170,18 @@ def test_profiles_reject_unsorted_etas():
         for eta, s in zip((0.0, 0.5, 0.25, 0.75, 1.0), sections)
     ]
     with pytest.raises(BladeDefinitionError):
-        fit_affine_splines(stations)
+        AffineProfiles([s.eta for s in stations],
+                       [s.affine.as_vector() for s in stations])
+
+
+def test_profiles_derive_from_the_stations(blade):
+    expected = AffineProfiles(blade.etas,
+                              [s.affine.as_vector() for s in blade.stations])
+    assert blade.profiles.etas.tobytes() == expected.etas.tobytes()
+    assert blade.profiles.values.tobytes() == expected.values.tobytes()
+    for eta in (0.0, 0.13, 0.5, 0.81, 1.0):
+        got, want = blade.profiles.affine_at(eta), expected.affine_at(eta)
+        assert got.as_vector().tobytes() == want.as_vector().tobytes()
 
 
 def _profile_knots(rng, etas):
@@ -271,7 +282,7 @@ def test_perturb_moves_all_stations_equally(blade, blade_model):
     ]
     assert np.max(norms) - np.min(norms) < 1e-10
     assert norms[0] == pytest.approx(float(np.linalg.norm(t)), abs=1e-9)
-    assert out.profiles is blade.profiles
+    assert out.profiles.values.tobytes() == blade.profiles.values.tobytes()
 
 
 def test_perturbed_knots_stay_valid(blade, blade_model):
@@ -303,8 +314,7 @@ def test_perturbation_independent_of_cluster_gauge(blade, blade_model):
                            station.affine.translation)
         stations.append(BladeStation(station.eta, station.section, affine))
         aligned.append(GrassmannPoint(rep.rep @ rot))
-    regauged = BladeDefinition(tuple(stations), tuple(aligned),
-                               fit_affine_splines(stations))
+    regauged = BladeDefinition(tuple(stations), tuple(aligned))
     t = np.array([0.015, -0.007, 0.002, 0.0])
     out_f = perturb_blade(blade, blade_model, t)
     out_r = perturb_blade(regauged, blade_model, t)
@@ -329,8 +339,7 @@ def test_perturbing_mean_blade_matches_synthesize(blade_model):
         stations.append(BladeStation(
             float(k) / 2.0, LandmarkMatrix(pts),
             AffineMap(np.diag([2.0, 0.5]), np.array([0.5, 0.0]))))
-    b = BladeDefinition(tuple(stations), tuple(reps),
-                        fit_affine_splines(stations))
+    b = BladeDefinition(tuple(stations), tuple(reps))
     t = np.array([0.02, -0.01, 0.003, 0.001])
     out = perturb_blade(b, blade_model, t)
     target = synthesize(blade_model, t)
@@ -342,6 +351,13 @@ def test_perturb_consistency_tolerance_enforced(blade, blade_model):
     with pytest.raises(ConsistencyError):
         perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]),
                       consistency_tol=1e-18)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_perturb_rejects_unusable_tolerance(blade, blade_model, tol):
+    with pytest.raises(ParameterError, match="consistency tolerance"):
+        perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]),
+                      consistency_tol=tol)
 
 
 def test_perturb_reports_cut_locus_station():
@@ -367,8 +383,7 @@ def test_perturb_reports_cut_locus_station():
         stations.append(BladeStation(
             float(k), LandmarkMatrix(pts),
             AffineMap(np.eye(2), np.array([3.0, 0.0]))))
-    blade = BladeDefinition(tuple(stations), (good, bad),
-                            fit_affine_splines(stations))
+    blade = BladeDefinition(tuple(stations), (good, bad))
     with pytest.raises(CutLocusError) as err:
         perturb_blade(blade, model, np.array([0.01]))
     assert err.value.station_index == 1
@@ -385,3 +400,6 @@ def test_design_parameter_count(blade, blade_model):
 
 def test_affine_component_names_order():
     assert AFFINE_COMPONENT_NAMES == ("m00", "m01", "m10", "m11", "b0", "b1")
+    affine = AffineMap(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                       np.array([5.0, 6.0]))
+    assert affine.as_vector().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

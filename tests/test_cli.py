@@ -337,6 +337,27 @@ BAD_INPUTS = {
     "wireframe-cell-not-finite": (["render", "--kind", "wireframe",
                                    "--wireframe", "{tmp}/wire.csv"],
                                   "wire.csv:3: non-finite"),
+    "wireframe-negative-index": (["render", "--kind", "wireframe",
+                                  "--wireframe", "{tmp}/negative.csv"],
+                                 "negative.csv:5: section and landmark must "
+                                 "be non-negative integers"),
+    "gen-dataset-negative-seed": (["gen-dataset", "--seed", "-1",
+                                   "--baselines", "1", "--per-baseline", "1",
+                                   "--n", "21"], "seed must be >= 0, got -1"),
+    "sweep-negative-seed": (["sweep", "--space", "cst", "--coefficients",
+                             "{data}/coefficients.csv", "--seed", "-1"],
+                            "--seed must be >= 0, got -1"),
+    "mean-nan-tolerance": (["mean", "--shapes", "{data}/shapes",
+                            "--tol", "nan"],
+                           "tol must be finite and > 0, got nan"),
+    "blade-perturb-nan-tolerance": (["blade-perturb", "--blade",
+                                     "{fit}/../blade.json", "--model",
+                                     "{fit}/model.json", "--coords",
+                                     "0.01,0,0", "--consistency-tol", "nan"],
+                                    "consistency tolerance must be finite "
+                                    "and >= 0, got nan"),
+    "dat-cut-locus": (["mean", "--shapes", "{tmp}/cut"],
+                      "{tmp}/cut/b.dat: shape 1 is at the cut locus"),
 }
 
 
@@ -358,6 +379,14 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "nan.csv").write_text("index,t0,t1\n0,0.5,0.1\n1,nan,0.2\n")
     (tmp_path / "wire.csv").write_text(
         "section,landmark,x,y,eta\n0,0,0.0,0.0,0.0\n0,1,inf,0.0,0.0\n")
+    (tmp_path / "negative.csv").write_text(
+        "section,landmark,x,y,eta\n0,0,0.0,0.0,0.0\n0,1,1.0,0.0,0.0\n"
+        "1,0,0.0,0.0,1.0\n-1,1,1.0,0.0,1.0\n")
+    # the centred columns of a.dat and b.dat span orthogonal planes
+    (tmp_path / "cut").mkdir()
+    (tmp_path / "cut" / "a.dat").write_text("a\n1 0\n-1 0\n0 1\n0 -1\n0 0\n")
+    (tmp_path / "cut" / "b.dat").write_text(
+        "b\n1 1\n1 1\n-1 1\n-1 1\n0 -4\n")
     (tmp_path / "taken" / "shapes.svg").mkdir(parents=True)
     (tmp_path / "mixed").mkdir()
     (tmp_path / "mixed" / "five.dat").write_text(

@@ -13,10 +13,10 @@ from grassfoil.geometry import AffineMap, LandmarkMatrix, cst_evaluate
 from grassfoil.geometry import default_baselines
 from grassfoil.grassmann import (Geodesic, GrassmannPoint, TangentVector,
                                  distance, exp_map, geodesic_point, inner,
-                                 la_reconstruct, la_standardize, log_map,
-                                 mean_affine, orthonormalize,
-                                 parallel_transport, principal_angles,
-                                 procrustes_rotation)
+                                 la_standardize, log_map, mean_affine,
+                                 orthonormalize, parallel_transport,
+                                 principal_angles, procrustes_rotation,
+                                 reconstruct_with)
 
 from conftest import random_horizontal, random_point
 
@@ -95,7 +95,7 @@ def test_standardize_properties():
     np.testing.assert_allclose(rep.mean(axis=0), np.zeros(2), atol=1e-14)
     np.testing.assert_allclose(d.affine.translation,
                                shape.points.mean(axis=0), atol=1e-14)
-    back = la_reconstruct(d)
+    back = reconstruct_with(d.point, d.affine)
     assert np.max(np.abs(back.points - shape.points)) < 1e-10
 
 

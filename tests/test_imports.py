@@ -38,6 +38,39 @@ def test_guard_sees_a_private_import(tmp_path):
     assert private_imports(probe) == ["io._get_int"]
 
 
+def text_reads(path: Path) -> list[int]:
+    """Lines of ``path`` that import, call or look up a ``read_text``."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            named = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            named = [node.attr]
+        elif isinstance(node, ast.Name):
+            named = [node.id]
+        else:
+            continue
+        if "read_text" in named:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_io_reads_file_text():
+    assert "io.py" in {p.name for p in SOURCES}
+    offenders = {p.name: text_reads(p) for p in SOURCES if p.name != "io.py"}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def test_guard_sees_a_text_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .io import read_text, write_text\n"
+                     "from . import io as gio\n"
+                     "text = gio.read_text('a.csv')\n"
+                     "gio.write_text('b.csv', text)\n"
+                     "data = Path('c.csv').read_text()\n")
+    assert text_reads(probe) == [1, 3, 5]
+
+
 NUMPY_ONLY = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now fails

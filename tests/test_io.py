@@ -22,9 +22,9 @@ from grassfoil.geometry import (AffineMap, LandmarkMatrix, affine_apply,
 from grassfoil.grassmann import la_standardize
 from grassfoil.io import (_scan_coordinates, read_affine, read_blade,
                           read_coordinates, read_json, read_model,
-                          read_wireframe, write_affine, write_blade,
-                          write_coordinates, write_json, write_model,
-                          write_table, write_wireframe)
+                          read_table, read_wireframe, write_affine,
+                          write_blade, write_coordinates, write_json,
+                          write_model, write_table, write_wireframe)
 from grassfoil.pga import karcher_mean, pga_fit
 
 
@@ -474,6 +474,37 @@ def test_write_table_layout(tmp_path):
     assert len(lines) == 3
 
 
+def test_table_columns_picked_by_name(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("c,file,a,b\n3.5,one.dat,1,-2e-3\n-0.0,two.dat,4,5\n")
+    got = read_table(path, ["b", "a", "c"])
+    assert got.tolist() == [[-2e-3, 1.0, 3.5], [5.0, 4.0, -0.0]]
+    assert np.signbit(got[1, 2])
+
+
+TABLE_FAULTS = {
+    "empty": ("", ":1: empty table"),
+    "no-records": ("a,b\n", ":2: table has no records"),
+    "missing-column": ("a,c\n1,2\n", ":1: no column 'b' in the header"),
+    "short-record": ("a,b\n1,2\n3\n", ":3: expected 2 fields, found 1"),
+    "long-record": ("a,b\n1,2,3\n", ":2: expected 2 fields, found 3"),
+    "blank-record": ("a,b\n\n1,2\n", ":2: expected 2 fields, found 1"),
+    "not-a-number": ("a,b\n1,2\n1,x\n", ":3: not a number in column 'b'"),
+    "nan": ("a,b\nnan,1\n", ":2: non-finite value in column 'a'"),
+    "inf": ("a,b\n1,2\n1,-inf\n", ":3: non-finite value in column 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_FAULTS))
+def test_table_faults_name_the_line(tmp_path, case):
+    text, where = TABLE_FAULTS[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(FileParseError) as err:
+        read_table(path, ["a", "b"])
+    assert str(err.value).startswith(f"{path}{where}")
+
+
 def test_wireframe_round_trip(tmp_path, small_blade):
     grid = export_wireframe(small_blade, 4, samples_per_section=13)
     path = tmp_path / "wf.csv"
@@ -511,6 +542,17 @@ def test_wireframe_missing_record_detected(tmp_path, small_blade):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FileParseError):
         read_wireframe(path)
+
+
+@pytest.mark.parametrize("index", ["-1,1", "1,-1", "0.5,1", "1,1.5"])
+def test_wireframe_rejects_negative_or_fractional_indices(tmp_path, index):
+    path = tmp_path / "wf.csv"
+    path.write_text("section,landmark,x,y,eta\n0,0,0,0,0\n0,1,1,0,0\n"
+                    f"1,0,0,0,1\n{index},1,0,1\n")
+    with pytest.raises(FileParseError) as err:
+        read_wireframe(path)
+    assert str(err.value).startswith(
+        f"{path}:5: section and landmark must be non-negative integers")
 
 
 # ---------------------------------------------------------------------------

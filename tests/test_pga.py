@@ -7,10 +7,11 @@ from grassfoil.errors import (CutLocusError, DimensionError,
                               IterationLimitError, ParameterError)
 from grassfoil.geometry import AffineMap
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
-                                 exp_map, geodesic_point, inner, log_map)
+                                 exp_map, geodesic_point, inner, log_map,
+                                 reconstruct_with)
 from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
                            flatten_tangent, karcher_mean, pga_fit,
-                           reconstruct_with, synthesize, unflatten_tangent)
+                           synthesize, unflatten_tangent)
 
 from conftest import random_horizontal, random_point
 
@@ -119,6 +120,12 @@ def test_pga_fit_names_the_shape_at_the_cut_locus():
 def test_mean_rejects_empty():
     with pytest.raises(ParameterError):
         karcher_mean([])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
+    with pytest.raises(ParameterError, match="tol must be finite"):
+        karcher_mean(airfoil_points, tol=tol)
 
 
 # ---------------------------------------------------------------------------
