@@ -234,6 +234,11 @@ def cst_evaluate(params: CstParams, n: int = DEFAULT_LANDMARK_COUNT) -> Landmark
     return LandmarkMatrix(np.column_stack([x, y]))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def perturb_cst(params: CstParams, fraction: float, seed: int) -> CstParams:
     """Scale every free coefficient by ``1 + fraction * u`` with ``u ~ U[-1, 1]``.
 
@@ -243,6 +248,7 @@ def perturb_cst(params: CstParams, fraction: float, seed: int) -> CstParams:
     if not (0.0 <= fraction <= 1.0):
         raise ParameterError(
             f"perturbation fraction must lie in [0, 1], got {fraction}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, size=2 * COEFFS_PER_SURFACE)
     return CstParams(params.upper * (1.0 + fraction * u[:COEFFS_PER_SURFACE]),
@@ -562,8 +568,7 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
         raise ParameterError("need at least one baseline")
     if n_perturbations < 0:
         raise ParameterError("perturbation count cannot be negative")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     counts = _perturbation_counts(len(baselines), n_perturbations, per_baseline)
     shapes: list[DatasetShape] = []
     for b_idx, params in enumerate(baselines):

@@ -86,54 +86,77 @@ def write_coordinates(path, shape: LandmarkMatrix, name: str = "section") -> Non
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
     """Name line and landmarks of a file written by :func:`write_coordinates`.
 
-    Well-formed files are parsed in one pass of ``float`` over the split
-    lines; anything else is re-scanned line by line, so the error names the
-    first offending line and column.
+    A file in the writer's own layout (one space inside each pair, ``\\n``
+    after every pair) is recognised by rebuilding its body from the split
+    tokens in one format call, and parsed in one numpy call. Anything else,
+    including a name line that ``str.splitlines`` would break, is scanned
+    line by line: other whitespace reads to the same values, and a fault is
+    named by its line and column.
     """
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise FileParseError("empty coordinate file", path=path, line=1)
-    rows = [line.split() for line in lines[1:]]
-    if len(rows) >= 3 and all(len(row) == 2 for row in rows):
+    text = read_text(path)
+    name, _, body = text.partition("\n")
+    tokens = body.split()
+    count = len(tokens) // 2
+    if (count >= 3 and len(tokens) == 2 * count
+            and (name + "\n").splitlines() == [name]
+            and ("%s %s\n" * count) % tuple(tokens) == body):
         try:
-            points = np.array(list(map(float, itertools.chain(*rows))))
+            points = np.array(tokens, dtype=float)
         except ValueError:
             pass
         else:
-            if np.all(np.isfinite(points)):
-                return lines[0], LandmarkMatrix(points.reshape(-1, 2))
+            if np.isfinite(points).all():
+                return name, LandmarkMatrix(points.reshape(count, 2))
+    lines = text.splitlines()
+    if not lines:
+        raise FileParseError("empty coordinate file", path=path, line=1)
     return _scan_coordinates(path, lines)
 
 
 def _scan_coordinates(path, lines: list[str]) -> tuple[str, LandmarkMatrix]:
-    """Line-by-line reading of a coordinate file; raises at the first fault."""
+    """Line-by-line reading of a coordinate file; raises at the first fault.
+
+    A line is split and converted whole; one that does not give two finite
+    numbers that way goes to :func:`_scan_line`, which names the fault.
+    """
     name = lines[0]
     points = []
     for lineno, line in enumerate(lines[1:], start=2):
-        tokens = list(_TOKEN.finditer(line))
-        if len(tokens) != 2:
-            raise FileParseError(
-                f"expected 2 values per line, found {len(tokens)}", path=path,
-                line=lineno)
-        pair = []
-        for tok in tokens:
-            try:
-                value = float(tok.group())
-            except ValueError:
-                raise FileParseError(
-                    f"not a number: {tok.group()!r}", path=path, line=lineno,
-                    column=tok.start() + 1) from None
-            if not np.isfinite(value):
-                raise FileParseError(
-                    f"non-finite value: {tok.group()!r}", path=path, line=lineno,
-                    column=tok.start() + 1)
-            pair.append(value)
-        points.append(pair)
+        try:
+            x, y = map(float, line.split())
+        except ValueError:
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            x, y = _scan_line(path, lineno, line)
+        points.append((x, y))
     if len(points) < 3:
         raise TooFewPointsError(
             f"a shape needs at least 3 points, file has {len(points)}",
             path=path)
     return name, LandmarkMatrix(np.array(points))
+
+
+def _scan_line(path, lineno: int, line: str) -> list[float]:
+    """The two values of one line, token by token; a fault names its column."""
+    tokens = list(_TOKEN.finditer(line))
+    if len(tokens) != 2:
+        raise FileParseError(
+            f"expected 2 values per line, found {len(tokens)}", path=path,
+            line=lineno)
+    pair = []
+    for tok in tokens:
+        try:
+            value = float(tok.group())
+        except ValueError:
+            raise FileParseError(
+                f"not a number: {tok.group()!r}", path=path, line=lineno,
+                column=tok.start() + 1) from None
+        if not math.isfinite(value):
+            raise FileParseError(
+                f"non-finite value: {tok.group()!r}", path=path, line=lineno,
+                column=tok.start() + 1)
+        pair.append(value)
+    return pair
 
 
 # ---------------------------------------------------------------------------

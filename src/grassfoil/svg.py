@@ -6,6 +6,7 @@ XML by construction; each shape becomes one closed path.
 """
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from typing import Sequence
 
@@ -21,6 +22,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 def _fmt(value: float) -> str:
     return f"{value:.3f}".rstrip("0").rstrip(".")
+
+
+# The zeros _fmt strips, for a whole path at once. Every number in a path
+# is followed by a space, and a finite "%.3f" number ends in a point and
+# three decimals, so a run of zeros before a space is trailing; it takes the
+# point along when all three decimals are zero. nan and inf hold no zero.
+_TRAILING_ZEROS = re.compile(r"[.0]0* ")
 
 
 class _Canvas:
@@ -56,9 +64,10 @@ def _document(width: float, height: float) -> ET.Element:
 
 def _closed_path(parent: ET.Element, pts: np.ndarray, stroke: str,
                  fill: str = "none", width: float = 1.0) -> None:
-    coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+    d = ("M %.3f %.3f" + " L %.3f %.3f" * (len(pts) - 1) + " Z") % tuple(
+        pts.ravel().tolist())
     ET.SubElement(parent, "path", {
-        "d": f"M {coords} Z",
+        "d": _TRAILING_ZEROS.sub(" ", d),
         "stroke": stroke,
         "fill": fill,
         "stroke-width": _fmt(width),

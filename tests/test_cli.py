@@ -14,10 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from grassfoil import io as gio
+from grassfoil import svg
 from grassfoil.blade import build_blade
 from grassfoil.cli import main
 from grassfoil.geometry import (affine_apply, affine_subgroup, cst_evaluate,
                                 default_baselines)
+from grassfoil.svg import _fmt
 
 N = 101
 
@@ -38,6 +40,8 @@ def workdir(tmp_path_factory):
         for k, eta in enumerate(etas)
     ]
     gio.write_blade(root / "blade.json", build_blade(etas, sections))
+    assert main(["blade-interp", "--blade", str(root / "blade.json"),
+                 "--spans", "6", "--out", str(root / "interp")]) == 0
     return root
 
 
@@ -64,6 +68,7 @@ def test_gen_dataset_outputs(workdir):
 RERUNS = {
     "gen-dataset": ["gen-dataset", "--baselines", "3", "--per-baseline", "2",
                     "--n", str(N), "--seed", "7"],
+    "standardize": ["standardize", "--shapes", "{data}/shapes"],
     "mean": ["mean", "--shapes", "{data}/shapes"],
     "pga-fit": ["pga-fit", "--shapes", "{data}/shapes", "--r", "3"],
     "sweep-pga": ["sweep", "--space", "pga", "--model", "{fit}/model.json",
@@ -78,6 +83,11 @@ RERUNS = {
                      "--spans", "4", "--samples-per-section", "11"],
     "blade-perturb": ["blade-perturb", "--blade", "{blade}", "--model",
                       "{fit}/model.json", "--coords", "0.002,-0.001,0.0"],
+    "render-shapes": ["render", "--kind", "shapes", "--shapes",
+                      "{data}/shapes"],
+    "render-strip": ["render", "--kind", "strip", "--shapes", "{data}/shapes"],
+    "render-wireframe": ["render", "--kind", "wireframe", "--wireframe",
+                         "{interp}/wireframe.csv"],
 }
 
 
@@ -88,7 +98,7 @@ def snapshot(root):
 
 def test_rerun_byte_identical(workdir, tmp_path, monkeypatch):
     paths = {"fit": workdir / "fit", "data": workdir / "data",
-             "blade": workdir / "blade.json"}
+             "blade": workdir / "blade.json", "interp": workdir / "interp"}
     for command, argv in RERUNS.items():
         argv = [a.format(**paths) for a in argv] + ["--out", command]
         runs = []
@@ -256,6 +266,29 @@ def test_render_wireframe(workdir, tmp_path):
     root = ET.fromstring((out / "wireframe.svg").read_text())
     paths = [el for el in root.iter() if el.tag.endswith("path")]
     assert len(paths) == 6
+
+
+def per_coordinate_closed_path(parent, pts, stroke, fill="none", width=1.0):
+    """A path element formatted one coordinate at a time by ``_fmt``."""
+    coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+    ET.SubElement(parent, "path", {"d": f"M {coords} Z", "stroke": stroke,
+                                   "fill": fill, "stroke-width": _fmt(width)})
+
+
+@pytest.mark.parametrize("kind", ["shapes", "strip", "wireframe"])
+def test_render_bytes_match_per_coordinate_paths(workdir, tmp_path,
+                                                 monkeypatch, kind):
+    source = (["--wireframe", str(workdir / "interp" / "wireframe.csv")]
+              if kind == "wireframe"
+              else ["--shapes", str(workdir / "data" / "shapes")])
+    texts = []
+    for where in ("one-format", "per-coordinate"):
+        if where == "per-coordinate":
+            monkeypatch.setattr(svg, "_closed_path", per_coordinate_closed_path)
+        out = tmp_path / where
+        assert main(["render", "--kind", kind, *source, "--out", str(out)]) == 0
+        texts.append((out / f"{kind}.svg").read_bytes())
+    assert texts[0] == texts[1]
 
 
 # ---------------------------------------------------------------------------

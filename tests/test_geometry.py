@@ -141,6 +141,11 @@ def test_perturb_deterministic_and_bounded():
     assert np.all(rel <= 0.2 + 1e-15)
 
 
+def test_perturb_rejects_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        perturb_cst(default_baselines()[0], 0.1, -1)
+
+
 def test_perturb_keeps_te_thickness():
     params = CstParams(np.full(9, 0.2), np.full(9, -0.2), te_thickness=0.02)
     assert perturb_cst(params, 0.2, seed=1).te_thickness == 0.02

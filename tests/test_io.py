@@ -153,12 +153,17 @@ def outcome(read):
 ODD_TOKENS = ["nan", "-inf", "inf", "1e400", "1_0", "zz", "0x10", "+.5",
               "\u0661\u0662", "1e-400", "--1", "2", "3.0", ""]
 ODD_SPACES = [" ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f", "\x0b"]
+# Names that str.splitlines() breaks (or, for "\r", that reading breaks),
+# next to ones it keeps whole.
+ODD_NAMES = ["name", "", " ", "a b", "na\rme", "na\x0bme", "na\x1cme",
+             "na\x85me", "name\x0b"]
 
 
 @st.composite
 def mutated_coordinate_text(draw):
     n = draw(st.integers(min_value=1, max_value=6))
-    rows = [[repr(draw(st.floats(-2.0, 2.0))) for _ in range(2)]
+    fmt = draw(st.sampled_from([repr, "%.16e".__mod__]))
+    rows = [[fmt(draw(st.floats(-2.0, 2.0))) for _ in range(2)]
             for _ in range(n)]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         row = draw(st.sampled_from(rows))
@@ -170,19 +175,52 @@ def mutated_coordinate_text(draw):
             row.append(draw(st.sampled_from(ODD_TOKENS)))
         elif row:
             row.pop()
+    name = draw(st.sampled_from(ODD_NAMES))
+    if draw(st.booleans()):  # the writer's layout: "a b\n" per row
+        return name + "\n" + "".join(" ".join(row) + "\n" for row in rows)
     lines = [draw(st.sampled_from(ODD_SPACES)).join(row) for row in rows]
-    return "name\n" + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return name + "\n" + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def read_both(tmp_path, text):
+    """Outcomes of the reader and of the line scan on one file's text."""
+    path = tmp_path / "m.dat"
+    path.write_text(text)
+    fast = outcome(lambda: read_coordinates(path))
+    slow = outcome(lambda: _scan_coordinates(path, text.splitlines()))
+    return fast, slow
 
 
 @given(mutated_coordinate_text())
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)  # a file write and two reads each
 def test_reader_matches_line_scan(text):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.dat"
-        path.write_text(text)
-        fast = outcome(lambda: read_coordinates(path))
-        slow = outcome(lambda: _scan_coordinates(path, text.splitlines()))
+        fast, slow = read_both(Path(tmp), text)
     assert fast == slow
+
+
+@pytest.mark.parametrize("text", [
+    "name\n1 2 3\n4\n5 6\n",          # even token total, uneven rows
+    "name\n1 2\n3 4\n5 6\n7\n",       # odd token count
+    "name\n1 2\n3 4\n5 6",             # no final newline
+    "name\r\n1 2\r\n3 4\r\n5 6\r\n",  # CRLF line ends
+    "name\n1 2\n",                     # one point
+    "name\n1 2\n3 4\n",                # two points
+    "name\x0bx\n1 2\n3 4\n5 6\n",      # a name line splitlines() breaks
+    "name\x85\n1 2\n3 4\n5 6\n",
+    "\n1 2\n3 4\n5 6\n",               # empty name
+])
+def test_reader_matches_line_scan_on_layout_edges(tmp_path, text):
+    fast, slow = read_both(tmp_path, text)
+    assert fast == slow
+
+
+def test_empty_coordinate_file_rejected(tmp_path):
+    path = tmp_path / "m.dat"
+    path.write_text("")
+    with pytest.raises(FileParseError) as err:
+        read_coordinates(path)
+    assert str(err.value).endswith("m.dat:1: empty coordinate file")
 
 
 @pytest.mark.parametrize("body, expected", [
