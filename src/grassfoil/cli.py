@@ -79,6 +79,8 @@ def _parse_coord_vector(text: str, r: int) -> np.ndarray:
         values = np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         raise ParameterError(f"could not parse coordinates {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"coordinates must be finite, got {text!r}")
     if values.shape != (r,):
         raise ParameterError(
             f"model has {r} coordinates, got {len(values)} in {text!r}")
@@ -109,16 +111,15 @@ def _fit_mean(args):
     loaded = _load_shapes(args.shapes)
     out = _out_dir(args.out)
     _check_landmark_counts(loaded)
-    decomps = _standardized(loaded)
-    points = [d.point for _, d in decomps]
+    names, decomps = zip(*_standardized(loaded))
     try:
-        result = karcher_mean(points, tol=args.tol, max_iter=args.max_iter)
+        result = karcher_mean([d.point for d in decomps], tol=args.tol,
+                              max_iter=args.max_iter)
     except CutLocusError as err:
         path = loaded[err.shape_index][0]
         raise CutLocusError(f"{path}: {err}", max_angle=err.max_angle,
                             shape_index=err.shape_index) from None
-    affine = mean_affine([d.affine for _, d in decomps])
-    return decomps, out, points, result, affine
+    return names, out, result, mean_affine([d.affine for d in decomps])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def cmd_standardize(args) -> None:
 
 
 def cmd_mean(args) -> None:
-    _, out, points, result, affine = _fit_mean(args)
+    names, out, result, affine = _fit_mean(args)
     mean = result.point
     gio.write_coordinates(out / "mean_rep.dat", LandmarkMatrix(mean.rep),
                           "karcher-mean-representative")
@@ -176,19 +177,19 @@ def cmd_mean(args) -> None:
     gio.write_coordinates(out / "mean_shape.dat",
                           reconstruct_with(mean, affine),
                           "karcher-mean-shape")
-    _manifest(out, args, {"residual": result.residual, "shapes": len(points),
+    _manifest(out, args, {"residual": result.residual, "shapes": len(names),
                           "tolerance": args.tol})
-    print(f"mean of {len(points)} shapes, "
+    print(f"mean of {len(names)} shapes, "
           f"gradient residual {result.residual:.3e}")
 
 
 def cmd_pga_fit(args) -> None:
-    decomps, out, points, result, affine = _fit_mean(args)
-    model = pga_fit(points, result.point, args.r, method=args.method)
+    names, out, result, affine = _fit_mean(args)
+    model = pga_fit(result.point, result.logs, args.r)
     gio.write_model(out / "model.json", model)
     gio.write_affine(out / "mean_affine.json", affine)
     coord_rows = [[i, name.split()[0], *model.training_coords[i]]
-                  for i, (name, _) in enumerate(decomps)]
+                  for i, name in enumerate(names)]
     gio.write_table(out / "normal_coords.csv",
                     ["index", "file", *[f"t{j}" for j in range(model.r)]],
                     coord_rows)
@@ -199,9 +200,9 @@ def cmd_pga_fit(args) -> None:
                     ["component", "eigenvalue", "ratio_to_previous"], ev_rows)
     _manifest(out, args, {
         "residual": result.residual,
-        "eigenvalues": ev.tolist(), "shapes": len(points),
+        "eigenvalues": ev.tolist(), "shapes": len(names),
         "tolerance": args.tol})
-    print(f"fitted r={model.r} model on {len(points)} shapes; "
+    print(f"fitted r={model.r} model on {len(names)} shapes; "
           f"eigenvalues {np.array2string(ev, precision=3)}")
 
 
@@ -248,6 +249,8 @@ def _validity(shape) -> dict[str, bool]:
 def cmd_sweep(args) -> None:
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
+    if args.count < 1:
+        raise ParameterError(f"--count must be >= 1, got {args.count}")
     if args.space == "pga":
         if args.model is None or args.affine is None:
             raise ParameterError("--space pga needs --model and --affine")
@@ -270,12 +273,12 @@ def cmd_sweep(args) -> None:
             return cst_sweep(CstParams.from_vector(a),
                              CstParams.from_vector(b), args.steps, args.n)
     out = _out_dir(args.out)
-    fracs = np.linspace(0.0, 1.0, args.steps)
     summaries = []
     for k in range(args.count):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         a, b = _sweep_corners(rng, lo, hi)
         shapes = shapes_between(a, b)
+        fracs = [i / (args.steps - 1) for i in range(args.steps)]
         rows = [[i, *((1 - f) * a + f * b), *map(int, _validity(s).values())]
                 for i, (f, s) in enumerate(zip(fracs, shapes))]
         gio.write_table(out / f"sweep-{k}.csv",
@@ -398,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--method", choices=("auto", "gram", "direct"),
-                   default="auto")
     p.set_defaults(func=cmd_pga_fit)
 
     p = sub.add_parser("synth", help="shape at given normal coordinates")

@@ -23,6 +23,7 @@ from .blade import BladeDefinition, BladeStation, build_blade
 from .errors import (
     FileFormatError,
     FileParseError,
+    GrassfoilError,
     SchemaError,
     TooFewPointsError,
     VersionError,
@@ -280,15 +281,17 @@ def _as_array(value, shape, key: str) -> np.ndarray:
 
 
 def _names_file(reader):
-    """Let the schema and version errors of ``reader(path)`` name the file."""
+    """Let every error in the contents of ``reader``'s file name the file."""
     @functools.wraps(reader)
     def read(path):
         try:
             return reader(path)
-        except (SchemaError, VersionError) as err:
-            if err.path is None:
+        except FileFormatError as err:
+            if isinstance(err, (SchemaError, VersionError)) and err.path is None:
                 err.path = path
             raise
+        except GrassfoilError as err:
+            raise SchemaError(str(err), path=path) from err
     return read
 
 

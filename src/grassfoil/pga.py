@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -105,30 +104,30 @@ class PgaModel:
 # intrinsic mean
 
 
-def _logs_at(mean: GrassmannPoint,
-             shapes: list[GrassmannPoint]) -> Iterator[np.ndarray]:
-    """Logarithms at ``mean``; a shape at its cut locus is named by index.
+def logs_at(mean: GrassmannPoint, shapes: list[GrassmannPoint]) -> np.ndarray:
+    """Logarithms at ``mean`` as one (N, 2n) array of flattened rows.
 
-    Yielded one at a time, so ``pga_fit`` flattens each without also
-    holding every unflattened logarithm.
+    A shape at the cut locus of ``mean`` is named by its index.
     """
+    logs = np.empty((len(shapes), 2 * mean.n))
     for i, shape in enumerate(shapes):
         try:
-            log = log_map(mean, shape).mat
+            logs[i] = flatten_tangent(log_map(mean, shape).mat)
         except CutLocusError as err:
             raise CutLocusError(
                 f"shape {i} is at the cut locus of the mean: {err}",
                 max_angle=err.max_angle, shape_index=i) from err
-        yield log
+    return logs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KarcherResult:
-    """Intrinsic mean with the gradient norm there and the steps taken."""
+    """Intrinsic mean, its gradient norm, steps taken, and logs there."""
 
     point: GrassmannPoint
     residual: float
     iterations: int
+    logs: np.ndarray
 
 
 def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
@@ -137,9 +136,9 @@ def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
 
     Starts from the first shape; stops when the mean tangent's norm (the
     gradient of the summed squared distance, up to a factor) drops below
-    ``tol``. The result carries that norm as ``residual`` and the number of
-    exponential steps taken as ``iterations``. Summation order over shapes
-    is fixed, so reruns agree exactly.
+    ``tol``. The result carries that norm as ``residual``, the number of
+    exponential steps as ``iterations``, and the last pass's read-only
+    logarithms as ``logs``. The summation order is fixed, so reruns agree.
     """
     if not shapes:
         raise ParameterError("cannot average an empty set of shapes")
@@ -149,10 +148,12 @@ def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
     mean = shapes[0]
     for iterations in range(max_iter + 1):
-        grad = np.array(list(_logs_at(mean, shapes))).mean(axis=0)
+        logs = logs_at(mean, shapes)
+        grad = unflatten_tangent(logs.mean(axis=0), mean.n)
         residual = float(np.linalg.norm(grad))
         if residual < tol:
-            return KarcherResult(mean, residual, iterations)
+            logs.setflags(write=False)
+            return KarcherResult(mean, residual, iterations, logs)
         if iterations < max_iter:
             mean = exp_map(mean, TangentVector(grad, mean))
     raise IterationLimitError(
@@ -165,41 +166,33 @@ def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
 # principal geodesic fit
 
 
-def pga_fit(shapes: list[GrassmannPoint], mean: GrassmannPoint, r: int, *,
-            method: str = "auto") -> PgaModel:
-    """Principal directions of the logarithms of ``shapes`` at ``mean``.
+def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
+    """Principal directions of the (N, 2n) logarithm rows at ``mean``.
 
     Eigendecomposes the second-moment matrix ``sum_i v_i v_i' / N`` of the
-    flattened logarithms; the mean itself is the centering, so no further
-    subtraction happens and the eigenvalue sum equals the mean squared
-    logarithm norm exactly. When fewer samples than ambient dimensions are
-    given, the N x N Gram matrix yields the same spectrum cheaper; both
-    routes are available explicitly for cross-checking.
+    rows, as ``logs_at`` and ``KarcherResult.logs`` give them; the mean is
+    the centering, so the eigenvalue sum equals the mean squared logarithm
+    norm exactly. Fewer samples than ambient dimensions take the N x N
+    Gram matrix, which yields the same spectrum cheaper.
     """
-    if method not in ("auto", "gram", "direct"):
-        raise ParameterError(f"unknown eigendecomposition method {method!r}")
-    if not shapes:
-        raise ParameterError("cannot fit a model to an empty set of shapes")
     n = mean.n
-    n_samples = len(shapes)
-    ambient = 2 * n
+    if logs.ndim != 2 or logs.shape[1] != 2 * n:
+        raise DimensionError(
+            f"logarithms must be (N, {2 * n}) rows, got shape {logs.shape}")
+    n_samples = len(logs)
     max_r = min(n_samples, 2 * (n - 2))
     if not (1 <= r <= max_r):
         raise DimensionError(
             f"requested {r} directions; at most {max_r} are identifiable "
             f"from {n_samples} samples on a manifold of dimension {2 * (n - 2)}")
-    logs = np.array([flatten_tangent(m) for m in _logs_at(mean, shapes)])
-    use_gram = n_samples < ambient if method == "auto" else method == "gram"
-    if use_gram:
-        gram = (logs @ logs.T) / n_samples
-        vals, vecs = np.linalg.eigh(gram)
+    if n_samples < 2 * n:
+        vals, vecs = np.linalg.eigh((logs @ logs.T) / n_samples)
         vals = vals[::-1][:r]
         vecs = vecs[:, ::-1][:, :r]
         safe = np.sqrt(np.where(vals > 0.0, vals, 1.0) * n_samples)
         basis_flat = ((logs.T @ vecs) / safe).T
     else:
-        moment = (logs.T @ logs) / n_samples
-        vals, vecs = np.linalg.eigh(moment)
+        vals, vecs = np.linalg.eigh((logs.T @ logs) / n_samples)
         vals = vals[::-1][:r]
         basis_flat = vecs[:, ::-1][:, :r].T
     eigenvalues = np.clip(vals, 0.0, None)

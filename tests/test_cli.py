@@ -199,6 +199,25 @@ def test_sweep_cst_space(workdir, tmp_path):
     assert lines[0].endswith("valid,rank_ok,simple,ordering_ok")
 
 
+@pytest.mark.parametrize("space", ["pga", "cst"])
+def test_sweep_rows_sit_at_the_shapes_fractions(workdir, tmp_path, space):
+    # corner_sweep and cst_sweep build step i at s = i / (steps - 1)
+    inputs = {"pga": ["--model", str(workdir / "fit" / "model.json"),
+                      "--affine", str(workdir / "fit" / "mean_affine.json")],
+              "cst": ["--coefficients",
+                      str(workdir / "data" / "coefficients.csv"),
+                      "--n", str(N)]}[space]
+    out = tmp_path / space
+    assert main(["sweep", "--space", space, *inputs, "--count", "1",
+                 "--steps", "20", "--seed", "5", "--out", str(out)]) == 0
+    header = (out / "sweep-0.csv").read_text().splitlines()[0].split(",")
+    rows = gio.read_table(out / "sweep-0.csv", header[1:-4])
+    assert len(rows) == 20
+    for i, row in enumerate(rows):
+        s = i / 19
+        assert np.array_equal(row, (1 - s) * rows[0] + s * rows[-1]), i
+
+
 def test_sweep_requires_space_inputs(workdir, tmp_path):
     assert main(["sweep", "--space", "pga", "--out",
                  str(tmp_path / "x")]) == 1
@@ -319,6 +338,13 @@ def test_missing_input_exits_1(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+def test_pga_fit_has_no_method_option(workdir, tmp_path, capsys):
+    assert main(["pga-fit", "--shapes", str(workdir / "data" / "shapes"),
+                 "--method", "gram", "--out", str(tmp_path / "fit")]) == 2
+    assert "--method" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
@@ -391,6 +417,31 @@ BAD_INPUTS = {
                                     "and >= 0, got nan"),
     "dat-cut-locus": (["mean", "--shapes", "{tmp}/cut"],
                       "{tmp}/cut/b.dat: shape 1 is at the cut locus"),
+    "affine-rank-deficient": (["synth", "--model", "{fit}/model.json",
+                               "--coords", "0,0,0", "--affine",
+                               "{tmp}/sing.json"],
+                              "sing.json: linear factor is rank deficient"),
+    "blade-repeated-eta": (["blade-interp", "--blade", "{tmp}/dup.json",
+                            "--eta", "0"],
+                           "dup.json: station spans must be strictly "
+                           "increasing"),
+    "model-mean-moved": (["synth", "--model", "{tmp}/moved.json",
+                          "--coords", "0,0,0"],
+                         "moved.json: vector is not horizontal"),
+    "synth-nan-coords": (["synth", "--model", "{fit}/model.json",
+                          "--coords", "nan,0,0"],
+                         "coordinates must be finite, got 'nan,0,0'"),
+    "blade-perturb-inf-coords": (["blade-perturb", "--blade",
+                                  "{fit}/../blade.json", "--model",
+                                  "{fit}/model.json", "--coords", "0,inf,0"],
+                                 "coordinates must be finite, got '0,inf,0'"),
+    "sweep-count-below-one": (["sweep", "--space", "cst", "--coefficients",
+                               "{data}/coefficients.csv", "--count", "-2"],
+                              "--count must be >= 1, got -2"),
+    "sweep-one-step": (["sweep", "--space", "pga", "--model",
+                        "{fit}/model.json", "--affine",
+                        "{fit}/mean_affine.json", "--steps", "1"],
+                       "a sweep needs at least 2 steps, got 1"),
 }
 
 
@@ -427,6 +478,16 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "mixed" / "six.dat").write_text(
         "six\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0.2 0.3\n")
     (tmp_path / "line.dat").write_text("line\n0 0\n1 1\n2 2\n")
+    (tmp_path / "sing.json").write_text(json.dumps(
+        {"format_version": 1, "linear": [[1, 2], [2, 4]],
+         "translation": [0, 0]}))
+    section = cst_evaluate(default_baselines()[0], 9).points.tolist()
+    (tmp_path / "dup.json").write_text(json.dumps(
+        {"format_version": 1, "n": 9,
+         "stations": [{"eta": 0.0, "section": section}] * 2}))
+    model = json.loads((workdir / "fit" / "model.json").read_text())
+    model["mean"][0] += 0.5
+    (tmp_path / "moved.json").write_text(json.dumps(model))
     argv, named = BAD_INPUTS[case]
     named = named.format(tmp=tmp_path)
     argv = [a.format(tmp=tmp_path, fit=workdir / "fit", data=workdir / "data")

@@ -36,8 +36,8 @@ def fitted_model():
                                      seed=70 + k), 101)).point
         for k in range(8)
     ]
-    mean = karcher_mean(points).point
-    return pga_fit(points, mean, 3)
+    result = karcher_mean(points)
+    return pga_fit(result.point, result.logs, 3)
 
 
 @pytest.fixture(scope="module")
@@ -386,8 +386,12 @@ def test_blade_non_increasing_eta_rejected(tmp_path, small_blade):
     data = json.loads(path.read_text())
     data["stations"][1]["eta"] = -0.5
     path.write_text(json.dumps(data))
-    with pytest.raises(BladeDefinitionError):
+    with pytest.raises(SchemaError) as err:
         read_blade(path)
+    assert isinstance(err.value.__cause__, BladeDefinitionError)
+    assert err.value.path == path
+    assert str(err.value) == (
+        f"{path}: station spans must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------

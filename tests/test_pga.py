@@ -10,7 +10,7 @@ from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
                                  exp_map, geodesic_point, inner, log_map,
                                  reconstruct_with)
 from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
-                           flatten_tangent, karcher_mean, pga_fit,
+                           flatten_tangent, karcher_mean, logs_at, pga_fit,
                            synthesize, unflatten_tangent)
 
 from conftest import random_horizontal, random_point
@@ -84,6 +84,15 @@ def test_mean_gradient_residual(airfoil_points):
     assert result.iterations >= 1
 
 
+def test_mean_hands_over_its_last_log_pass(airfoil_points):
+    result = karcher_mean(airfoil_points, tol=1e-10)
+    logs = np.array([flatten_tangent(log_map(result.point, s).mat)
+                     for s in airfoil_points])
+    assert result.logs.shape == logs.shape
+    assert np.array_equal(result.logs, logs)
+    assert not result.logs.flags.writeable
+
+
 def test_mean_iteration_limit_is_honest():
     rng = np.random.default_rng(3)
     shapes = [random_point(rng, 25) for _ in range(6)]
@@ -110,9 +119,9 @@ def test_mean_names_the_shape_at_the_cut_locus():
     assert err.value.max_angle == pytest.approx(np.pi / 2.0)
 
 
-def test_pga_fit_names_the_shape_at_the_cut_locus():
+def test_logs_at_names_the_shape_at_the_cut_locus():
     with pytest.raises(CutLocusError) as err:
-        pga_fit([plane(0, 1), plane(2, 3), plane(0, 1)], plane(0, 1), 1)
+        logs_at(plane(0, 1), [plane(0, 1), plane(2, 3), plane(0, 1)])
     assert err.value.shape_index == 1
     assert str(err.value).startswith("shape 1 is at the cut locus")
 
@@ -134,7 +143,7 @@ def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
 
 def test_planted_directions_recovered_exactly():
     base, (b1, b2), coeffs, shapes = planted_family()
-    model = pga_fit(shapes, base, 2)
+    model = pga_fit(base, logs_at(base, shapes), 2)
     planted = np.column_stack(
         [flatten_tangent(b1.mat), flatten_tangent(b2.mat)])
     fitted = np.column_stack(
@@ -151,28 +160,67 @@ def test_planted_directions_recovered_exactly():
 def test_eigenvalue_trace_identity():
     # the scatter has rank 2, so a handful of components carries the trace
     base, _, _, shapes = planted_family()
-    full = pga_fit(shapes, base, 6)
+    full = pga_fit(base, logs_at(base, shapes), 6)
     logs = [log_map(base, s) for s in shapes]
     mean_sq = float(np.mean([v.norm**2 for v in logs]))
     total = float(np.sum(full.eigenvalues))
     assert abs(total - mean_sq) <= 1e-8 * mean_sq
 
 
+def other_route(mean, logs, r):
+    """Spectrum, basis and coordinates from the route ``pga_fit`` skips.
+
+    ``pga_fit`` takes the N x N Gram matrix when N < 2n and the 2n x 2n
+    moment matrix otherwise; this takes the other one, then cleans the
+    directions the same way: horizontal projection, dead directions
+    zeroed, unit norm, largest-magnitude entry positive.
+    """
+    count = len(logs)
+    if count < logs.shape[1]:
+        vals, vecs = np.linalg.eigh((logs.T @ logs) / count)
+        rows = vecs[:, ::-1][:, :r].T
+    else:
+        vals, vecs = np.linalg.eigh((logs @ logs.T) / count)
+        top = vals[::-1][:r]
+        rows = ((logs.T @ vecs[:, ::-1][:, :r])
+                / np.sqrt(np.where(top > 0.0, top, 1.0) * count)).T
+    vals = np.clip(vals[::-1][:r], 0.0, None)
+    cutoff = max(float(vals[0]) * 1e-12, 1e-24)
+    basis = np.zeros((r, logs.shape[1]))
+    for k, (val, row) in enumerate(zip(vals, rows)):
+        mat = unflatten_tangent(row, mean.n).copy()
+        mat -= mean.rep @ (mean.rep.T @ mat)
+        norm = np.linalg.norm(mat)
+        if val <= cutoff or norm <= 0.5:
+            continue
+        flat = flatten_tangent(mat / norm)
+        basis[k] = flat if flat[np.argmax(np.abs(flat))] > 0.0 else -flat
+    return vals, basis, logs @ basis.T
+
+
 def test_gram_and_direct_routes_agree():
-    base, _, _, shapes = planted_family(n=60, samples=40)
-    gram = pga_fit(shapes, base, 6, method="gram")
-    direct = pga_fit(shapes, base, 6, method="direct")
-    np.testing.assert_allclose(gram.eigenvalues, direct.eigenvalues,
-                               atol=1e-15)
-    for u, v in zip(gram.basis, direct.basis):
-        assert np.max(np.abs(u.mat - v.mat)) < 1e-9
-    np.testing.assert_allclose(gram.training_coords, direct.training_coords,
-                               atol=1e-9)
+    # 40 samples of G(60, 2) take the Gram route, 60 of G(20, 2) the direct
+    for n, samples in ((60, 40), (20, 60)):
+        base, _, _, shapes = planted_family(n=n, samples=samples)
+        logs = logs_at(base, shapes)
+        model = pga_fit(base, logs, 6)
+        vals, basis, coords = other_route(base, logs, 6)
+        np.testing.assert_allclose(model.eigenvalues, vals, atol=1e-15)
+        assert np.max(np.abs(model.basis_matrix() - basis)) < 1e-9
+        np.testing.assert_allclose(model.training_coords, coords, atol=1e-9)
+
+
+def test_pga_fit_checks_the_log_rows():
+    base, _, _, shapes = planted_family(n=20, samples=10)
+    logs = logs_at(base, shapes)
+    for bad in (logs[:, :-1], logs.reshape(10, 20, 2), logs[0]):
+        with pytest.raises(DimensionError, match="logarithms must be"):
+            pga_fit(base, bad, 2)
 
 
 def test_model_invariants(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     assert model.r == 4
     assert np.all(np.diff(model.eigenvalues) <= 1e-18)
     for i, u in enumerate(model.basis):
@@ -185,26 +233,28 @@ def test_model_invariants(airfoil_points):
 def test_rank_limit_enforced():
     rng = np.random.default_rng(4)
     shapes = [random_point(rng, 10) for _ in range(5)]
-    mean = karcher_mean(shapes).point
+    result = karcher_mean(shapes)
     with pytest.raises(DimensionError):
-        pga_fit(shapes, mean, 6)  # only 5 samples
+        pga_fit(result.point, result.logs, 6)  # only 5 samples
     with pytest.raises(DimensionError):
-        pga_fit([random_point(rng, 10) for _ in range(30)],
-                mean, 17)  # 2(n-2) = 16
+        pga_fit(result.point,
+                logs_at(result.point,
+                        [random_point(rng, 10) for _ in range(30)]),
+                17)  # 2(n-2) = 16
 
 
 def test_identical_shapes_fit_collapses():
     rng = np.random.default_rng(5)
     p = random_point(rng, 20)
-    model = pga_fit([p, p, p, p], p, 3)
+    model = pga_fit(p, logs_at(p, [p, p, p, p]), 3)
     assert np.all(model.eigenvalues <= 1e-20)
     for v in model.basis:
         assert np.all(v.mat == 0.0)
 
 
 def test_coords_of_matches_training(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     for i, p in enumerate(airfoil_points):
         got = coords_of(model, p)
         np.testing.assert_allclose(got, model.training_coords[i], atol=1e-12)
@@ -221,15 +271,17 @@ def test_flatten_round_trip():
 
 
 def test_synthesize_zero_is_the_mean(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    mean = result.point
+    model = pga_fit(mean, result.logs, 4)
     out = synthesize(model, np.zeros(4))
     assert np.array_equal(out.rep, mean.rep)
 
 
 def test_synthesize_distance_is_coordinate_norm(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    mean = result.point
+    model = pga_fit(mean, result.logs, 4)
     rng = np.random.default_rng(7)
     for _ in range(10):
         t = rng.normal(scale=0.05, size=4)
@@ -239,8 +291,9 @@ def test_synthesize_distance_is_coordinate_norm(airfoil_points):
 
 
 def test_synthesize_symmetry(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    mean = result.point
+    model = pga_fit(mean, result.logs, 4)
     t = np.array([0.04, -0.02, 0.01, 0.005])
     plus = synthesize(model, t)
     minus = synthesize(model, -t)
@@ -249,8 +302,8 @@ def test_synthesize_symmetry(airfoil_points):
 
 
 def test_coords_synthesize_round_trip(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     rng = np.random.default_rng(8)
     scale = np.sqrt(np.maximum(model.eigenvalues, 1e-30))
     for _ in range(25):
@@ -260,8 +313,8 @@ def test_coords_synthesize_round_trip(airfoil_points):
 
 
 def test_synthesize_checks_length(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     with pytest.raises(DimensionError):
         synthesize(model, np.zeros(3))
 
@@ -271,16 +324,16 @@ def test_synthesize_checks_length(airfoil_points):
 
 
 def test_domain_contains_training_and_origin(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     assert domain_contains(model, np.zeros(4))
     for row in model.training_coords:
         assert domain_contains(model, row)
 
 
 def test_domain_excludes_far_points(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     far = 50.0 * np.sqrt(np.maximum(model.eigenvalues, 1e-12))
     assert not domain_contains(model, far)
 
@@ -288,7 +341,7 @@ def test_domain_excludes_far_points(airfoil_points):
 def test_degenerate_axes_require_zero_coordinate():
     rng = np.random.default_rng(9)
     p = random_point(rng, 20)
-    model = pga_fit([p, p, p], p, 2)
+    model = pga_fit(p, logs_at(p, [p, p, p]), 2)
     assert domain_contains(model, np.zeros(2))
     assert not domain_contains(model, np.array([1e-6, 0.0]))
 
@@ -298,8 +351,8 @@ def test_degenerate_axes_require_zero_coordinate():
 
 
 def test_corner_sweep_two_steps_hits_corners(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     a = model.domain.bounds_min
     b = model.domain.bounds_max
     out = corner_sweep(model, a, b, 2)
@@ -309,8 +362,8 @@ def test_corner_sweep_two_steps_hits_corners(airfoil_points):
 
 
 def test_corner_sweep_validates_steps(airfoil_points):
-    mean = karcher_mean(airfoil_points).point
-    model = pga_fit(airfoil_points, mean, 4)
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
     with pytest.raises(ParameterError):
         corner_sweep(model, model.domain.bounds_min,
                      model.domain.bounds_max, 1)
