@@ -43,26 +43,11 @@ from .pga import (corner_sweep, domain_contains, karcher_mean, pga_fit,
 _COEFF_COLUMNS = [f"u{i}" for i in range(9)] + [f"l{i}" for i in range(9)]
 
 
-def _out_dir(path) -> Path:
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise FileFormatError(
-            f"cannot create output directory {out}: {err.strerror}") from None
-    return out
-
-
-def _manifest(out: Path, args: argparse.Namespace, extra: dict | None = None) -> None:
-    config = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        config[key] = str(value) if isinstance(value, Path) else value
-    payload = {"package_version": __version__, "config": config}
-    if extra:
-        payload["results"] = extra
-    gio.write_json(out / "manifest.json", payload)
+def _manifest(args: argparse.Namespace, results: dict) -> None:
+    config = {key: str(value) if isinstance(value, Path) else value
+              for key, value in vars(args).items() if key != "func"}
+    gio.write_json(args.out / "manifest.json", {
+        "package_version": __version__, "config": config, "results": results})
 
 
 def _load_shapes(source) -> list[tuple[Path, str, LandmarkMatrix]]:
@@ -109,7 +94,6 @@ def _check_landmark_counts(loaded) -> None:
 def _fit_mean(args):
     """Shared prologue of mean and pga-fit: load, standardize, average."""
     loaded = _load_shapes(args.shapes)
-    out = _out_dir(args.out)
     _check_landmark_counts(loaded)
     names, decomps = zip(*_standardized(loaded))
     try:
@@ -119,25 +103,24 @@ def _fit_mean(args):
         path = loaded[err.shape_index][0]
         raise CutLocusError(f"{path}: {err}", max_angle=err.max_angle,
                             shape_index=err.shape_index) from None
-    return names, out, result, mean_affine([d.affine for d in decomps])
+    return names, result, mean_affine([d.affine for d in decomps])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads and checks its inputs and computes its results
+# before its first write, writes its own artifacts under args.out, and
+# returns (manifest results, one-line summary)
 
 
-def cmd_gen_dataset(args) -> None:
+def cmd_gen_dataset(args) -> tuple[dict, str]:
     recipes = default_baselines()
     names = baseline_names()
     if not (1 <= args.baselines <= len(recipes)):
         raise ParameterError(
             f"--baselines must be in [1, {len(recipes)}], got {args.baselines}")
-    count = args.per_baseline if args.per_baseline is not None else args.total
-    out = _out_dir(args.out)
-    detail = gen_dataset_detailed(
-        recipes[:args.baselines], count, args.fraction, args.seed, args.n,
-        per_baseline=args.per_baseline is not None)
-    shape_dir = _out_dir(out / "shapes")
+    detail = gen_dataset_detailed(recipes[:args.baselines], args.total,
+                                  args.fraction, args.seed, args.n)
+    shape_dir = args.out / "shapes"
     rows = []
     for item in detail:
         kind = "baseline" if item.index < args.baselines else "perturb"
@@ -146,83 +129,80 @@ def cmd_gen_dataset(args) -> None:
                               item.landmarks, label)
         rows.append([item.index, item.baseline_index, kind,
                      *item.params.as_vector()])
-    gio.write_table(out / "coefficients.csv",
+    gio.write_table(args.out / "coefficients.csv",
                     ["index", "baseline", "kind", *_COEFF_COLUMNS], rows)
-    _manifest(out, args, {"shapes_written": len(detail)})
-    print(f"wrote {len(detail)} shapes to {shape_dir}")
+    return ({"shapes_written": len(detail)},
+            f"wrote {len(detail)} shapes to {shape_dir}")
 
 
-def cmd_standardize(args) -> None:
+def cmd_standardize(args) -> tuple[dict, str]:
     loaded = _load_shapes(args.shapes)
-    out = _out_dir(args.out)
     rows = []
     affines = []
     for name, decomp in _standardized(loaded):
         a = decomp.affine
         affines.append(a)
         rows.append([name.split()[0], *a.as_vector()])
-    gio.write_table(out / "affines.csv", ["file", *AFFINE_COMPONENT_NAMES],
-                    rows)
-    gio.write_affine(out / "mean_affine.json", mean_affine(affines))
-    _manifest(out, args, {"shapes_standardized": len(loaded)})
-    print(f"standardized {len(loaded)} shapes")
+    gio.write_table(args.out / "affines.csv",
+                    ["file", *AFFINE_COMPONENT_NAMES], rows)
+    gio.write_affine(args.out / "mean_affine.json", mean_affine(affines))
+    return ({"shapes_standardized": len(loaded)},
+            f"standardized {len(loaded)} shapes")
 
 
-def cmd_mean(args) -> None:
-    names, out, result, affine = _fit_mean(args)
+def cmd_mean(args) -> tuple[dict, str]:
+    names, result, affine = _fit_mean(args)
     mean = result.point
-    gio.write_coordinates(out / "mean_rep.dat", LandmarkMatrix(mean.rep),
+    gio.write_coordinates(args.out / "mean_rep.dat", LandmarkMatrix(mean.rep),
                           "karcher-mean-representative")
-    gio.write_affine(out / "mean_affine.json", affine)
-    gio.write_coordinates(out / "mean_shape.dat",
+    gio.write_affine(args.out / "mean_affine.json", affine)
+    gio.write_coordinates(args.out / "mean_shape.dat",
                           reconstruct_with(mean, affine),
                           "karcher-mean-shape")
-    _manifest(out, args, {"residual": result.residual, "shapes": len(names),
-                          "tolerance": args.tol})
-    print(f"mean of {len(names)} shapes, "
-          f"gradient residual {result.residual:.3e}")
+    return ({"residual": result.residual, "shapes": len(names),
+             "tolerance": args.tol},
+            f"mean of {len(names)} shapes, "
+            f"gradient residual {result.residual:.3e}")
 
 
-def cmd_pga_fit(args) -> None:
-    names, out, result, affine = _fit_mean(args)
+def cmd_pga_fit(args) -> tuple[dict, str]:
+    names, result, affine = _fit_mean(args)
     model = pga_fit(result.point, result.logs, args.r)
-    gio.write_model(out / "model.json", model)
-    gio.write_affine(out / "mean_affine.json", affine)
+    gio.write_model(args.out / "model.json", model)
+    gio.write_affine(args.out / "mean_affine.json", affine)
     coord_rows = [[i, name.split()[0], *model.training_coords[i]]
                   for i, name in enumerate(names)]
-    gio.write_table(out / "normal_coords.csv",
+    gio.write_table(args.out / "normal_coords.csv",
                     ["index", "file", *[f"t{j}" for j in range(model.r)]],
                     coord_rows)
     ev = model.eigenvalues
     ev_rows = [[j, ev[j], ev[j] / ev[j - 1] if j and ev[j - 1] > 0 else 1.0]
                for j in range(model.r)]
-    gio.write_table(out / "eigenvalues.csv",
+    gio.write_table(args.out / "eigenvalues.csv",
                     ["component", "eigenvalue", "ratio_to_previous"], ev_rows)
-    _manifest(out, args, {
-        "residual": result.residual,
-        "eigenvalues": ev.tolist(), "shapes": len(names),
-        "tolerance": args.tol})
-    print(f"fitted r={model.r} model on {len(names)} shapes; "
-          f"eigenvalues {np.array2string(ev, precision=3)}")
+    return ({"residual": result.residual, "eigenvalues": ev.tolist(),
+             "shapes": len(names), "tolerance": args.tol},
+            f"fitted r={model.r} model on {len(names)} shapes; "
+            f"eigenvalues {np.array2string(ev, precision=3)}")
 
 
-def cmd_synth(args) -> None:
+def cmd_synth(args) -> tuple[dict, str]:
     model = gio.read_model(args.model)
     t = _parse_coord_vector(args.coords, model.r)
-    out = _out_dir(args.out)
+    affine = None if args.affine is None else gio.read_affine(args.affine)
     point = synthesize(model, t)
     inside = domain_contains(model, t)
-    gio.write_coordinates(out / "representative.dat",
+    results = {"in_domain": inside, "coords": t.tolist()}
+    if affine is not None:
+        shape = reconstruct_with(point, affine)
+        results.update(_validity(shape))
+    gio.write_coordinates(args.out / "representative.dat",
                           LandmarkMatrix(point.rep),
                           "synthesized-representative")
-    results = {"in_domain": inside, "coords": t.tolist()}
-    if args.affine is not None:
-        affine = gio.read_affine(args.affine)
-        shape = reconstruct_with(point, affine)
-        gio.write_coordinates(out / "shape.dat", shape, "synthesized-shape")
-        results.update(_validity(shape))
-    _manifest(out, args, results)
-    print(f"synthesized at t={t.tolist()}, in_domain={inside}")
+    if affine is not None:
+        gio.write_coordinates(args.out / "shape.dat", shape,
+                              "synthesized-shape")
+    return results, f"synthesized at t={t.tolist()}, in_domain={inside}"
 
 
 def _sweep_corners(rng: np.random.Generator, lo: np.ndarray,
@@ -246,7 +226,7 @@ def _validity(shape) -> dict[str, bool]:
     return {name: bool(f) for name, f in zip(_VALIDITY_COLUMNS, flags)}
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args) -> tuple[dict, str]:
     if args.seed < 0:
         raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if args.count < 1:
@@ -272,8 +252,7 @@ def cmd_sweep(args) -> None:
         def shapes_between(a, b):
             return cst_sweep(CstParams.from_vector(a),
                              CstParams.from_vector(b), args.steps, args.n)
-    out = _out_dir(args.out)
-    summaries = []
+    sweeps = []
     for k in range(args.count):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         a, b = _sweep_corners(rng, lo, hi)
@@ -281,57 +260,53 @@ def cmd_sweep(args) -> None:
         fracs = [i / (args.steps - 1) for i in range(args.steps)]
         rows = [[i, *((1 - f) * a + f * b), *map(int, _validity(s).values())]
                 for i, (f, s) in enumerate(zip(fracs, shapes))]
-        gio.write_table(out / f"sweep-{k}.csv",
+        sweeps.append((rows, svg.render_strip([s.points for s in shapes])))
+    for k, (rows, strip) in enumerate(sweeps):
+        gio.write_table(args.out / f"sweep-{k}.csv",
                         ["step", *columns, *_VALIDITY_COLUMNS], rows)
-        gio.write_text(out / f"sweep-{k}.svg",
-                       svg.render_strip([s.points for s in shapes]))
-        summaries.append({"sweep": k, "valid": sum(r[-4] for r in rows),
-                          "steps": args.steps})
-    _manifest(out, args, {"sweeps": summaries})
-    total = sum(s["valid"] for s in summaries)
-    print(f"{args.count} sweeps x {args.steps} steps, "
-          f"{total}/{args.count * args.steps} valid shapes")
+        gio.write_text(args.out / f"sweep-{k}.svg", strip)
+    valid = [sum(r[-4] for r in rows) for rows, _ in sweeps]
+    return ({"sweeps": [{"sweep": k, "valid": v, "steps": args.steps}
+                        for k, v in enumerate(valid)]},
+            f"{args.count} sweeps x {args.steps} steps, "
+            f"{sum(valid)}/{args.count * args.steps} valid shapes")
 
 
-def cmd_blade_interp(args) -> None:
+def cmd_blade_interp(args) -> tuple[dict, str]:
     if args.eta is None and args.spans is None:
         raise ParameterError("give --eta (repeatable) or --spans")
     blade = gio.read_blade(args.blade)
-    out = _out_dir(args.out)
+    etas = args.eta or []
+    sections = [interpolate_section(blade, eta) for eta in etas]
+    grid = (None if args.spans is None
+            else export_wireframe(blade, args.spans, args.samples_per_section))
     results = {}
+    for i, (eta, section) in enumerate(zip(etas, sections)):
+        gio.write_coordinates(args.out / "sections" / f"section-{i:03d}.dat",
+                              section, f"section eta={eta!r}")
     if args.eta is not None:
-        section_dir = _out_dir(out / "sections")
-        for i, eta in enumerate(args.eta):
-            section = interpolate_section(blade, eta)
-            gio.write_coordinates(section_dir / f"section-{i:03d}.dat",
-                                  section, f"section eta={eta!r}")
-        results["sections"] = len(args.eta)
-    if args.spans is not None:
-        grid = export_wireframe(blade, args.spans, args.samples_per_section)
-        gio.write_wireframe(out / "wireframe.csv", grid)
+        results["sections"] = len(etas)
+    if grid is not None:
+        gio.write_wireframe(args.out / "wireframe.csv", grid)
         results["wireframe_shape"] = list(grid.shape)
-    _manifest(out, args, results)
-    print(f"interpolated blade: {results}")
+    return results, f"interpolated blade: {results}"
 
 
-def cmd_blade_perturb(args) -> None:
+def cmd_blade_perturb(args) -> tuple[dict, str]:
     blade = gio.read_blade(args.blade)
     model = gio.read_model(args.model)
     t = _parse_coord_vector(args.coords, model.r)
-    out = _out_dir(args.out)
     perturbed = perturb_blade(blade, model, t,
                               consistency_tol=args.consistency_tol)
-    gio.write_blade(out / "blade.json", perturbed)
     count = design_parameter_count(blade, model)
-    _manifest(out, args, {
-        "in_domain": domain_contains(model, t),
-        "design_parameters": count, "tolerance": args.consistency_tol})
-    print(f"perturbed {blade.n_stations} stations; "
-          f"design parameter count {count}")
+    results = {"in_domain": domain_contains(model, t),
+               "design_parameters": count, "tolerance": args.consistency_tol}
+    gio.write_blade(args.out / "blade.json", perturbed)
+    return results, (f"perturbed {blade.n_stations} stations; "
+                     f"design parameter count {count}")
 
 
-def cmd_render(args) -> None:
-    out = _out_dir(args.out)
+def cmd_render(args) -> tuple[dict, str]:
     if args.kind in ("shapes", "strip"):
         if args.shapes is None:
             raise ParameterError(f"--kind {args.kind} needs --shapes")
@@ -352,10 +327,9 @@ def cmd_render(args) -> None:
         if args.wireframe is None:
             raise ParameterError("--kind wireframe needs --wireframe")
         text = svg.render_wireframe(gio.read_wireframe(args.wireframe))
-    target = out / f"{args.kind}.svg"
+    target = args.out / f"{args.kind}.svg"
     gio.write_text(target, text)
-    _manifest(out, args, {"svg": target.name})
-    print(f"rendered {target}")
+    return {"svg": target.name}, f"rendered {target}"
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baselines", type=int, default=16)
     p.add_argument("--total", type=int, default=1000,
                    help="total perturbations split across baselines")
-    p.add_argument("--per-baseline", type=int, default=None,
-                   help="perturbations per baseline instead of --total")
     p.add_argument("--fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--n", type=int, default=401)
@@ -466,10 +438,12 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        args.func(args)
+        results, summary = args.func(args)
+        _manifest(args, results)
     except GrassfoilError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    print(summary)
     return 0
 
 

@@ -544,23 +544,19 @@ def _derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _perturbation_counts(n_baselines: int, n_perturbations: int,
-                         per_baseline: bool) -> list[int]:
-    if per_baseline:
-        return [n_perturbations] * n_baselines
+def _perturbation_counts(n_baselines: int, n_perturbations: int) -> list[int]:
     base, extra = divmod(n_perturbations, n_baselines)
     return [base + (1 if i < extra else 0) for i in range(n_baselines)]
 
 
 def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
                          fraction: float, seed: int,
-                         n: int = DEFAULT_LANDMARK_COUNT, *,
-                         per_baseline: bool = False) -> list[DatasetShape]:
+                         n: int = DEFAULT_LANDMARK_COUNT) -> list[DatasetShape]:
     """Baselines plus seeded perturbations, each validated on the way out.
 
     ``n_perturbations`` is the total across all baselines, distributed as
-    evenly as possible; with ``per_baseline=True`` it applies to each
-    baseline instead. Shapes failing :func:`validate_shape` are resampled
+    evenly as possible, the first baselines taking one extra each when it
+    does not divide. Shapes failing :func:`validate_shape` are resampled
     with a fresh derived seed (logged); generation is reproducible because
     every draw's seed depends only on ``(seed, baseline, index, attempt)``.
     """
@@ -569,7 +565,7 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     if n_perturbations < 0:
         raise ParameterError("perturbation count cannot be negative")
     _check_seed(seed)
-    counts = _perturbation_counts(len(baselines), n_perturbations, per_baseline)
+    counts = _perturbation_counts(len(baselines), n_perturbations)
     shapes: list[DatasetShape] = []
     for b_idx, params in enumerate(baselines):
         landmarks = cst_evaluate(params, n)
@@ -603,12 +599,10 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
 
 def gen_dataset(baselines: list[CstParams], n_perturbations: int,
                 fraction: float, seed: int,
-                n: int = DEFAULT_LANDMARK_COUNT, *,
-                per_baseline: bool = False) -> list[LandmarkMatrix]:
+                n: int = DEFAULT_LANDMARK_COUNT) -> list[LandmarkMatrix]:
     """Landmark matrices of the baselines followed by their perturbations."""
-    detailed = gen_dataset_detailed(baselines, n_perturbations, fraction,
-                                    seed, n, per_baseline=per_baseline)
-    return [s.landmarks for s in detailed]
+    return [s.landmarks for s in gen_dataset_detailed(
+        baselines, n_perturbations, fraction, seed, n)]
 
 
 # ---------------------------------------------------------------------------

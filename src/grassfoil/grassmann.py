@@ -36,6 +36,12 @@ _CUT_LOCUS_MARGIN = 1e-8
 _MAX_COORDINATE = 1e150
 
 
+def _horizontal(rep: np.ndarray, mat: np.ndarray, tol: float) -> bool:
+    """Whether ``rep' mat`` vanishes to ``tol`` scaled by max(1, |mat|)."""
+    err = np.max(np.abs(rep.T @ mat))
+    return err <= tol or err <= tol * float(np.abs(mat).max())
+
+
 def orthonormalize(mat: np.ndarray) -> np.ndarray:
     """Thin QR with the sign of each diagonal pinned positive.
 
@@ -98,7 +104,7 @@ class TangentVector:
                 f"{self.base.rep.shape}")
         if not np.all(np.isfinite(mat)):
             raise DimensionError("tangent vector contains non-finite values")
-        if np.max(np.abs(self.base.rep.T @ mat)) > _HORIZONTAL_TOL:
+        if not _horizontal(self.base.rep, mat, _HORIZONTAL_TOL):
             raise TangencyError(
                 "vector is not horizontal at its base point")
         mat.setflags(write=False)
@@ -247,7 +253,7 @@ class Geodesic:
             raise DimensionError(
                 f"tangent shape {direction.mat.shape} does not match base "
                 f"{p.rep.shape}")
-        if np.max(np.abs(p.rep.T @ direction.mat)) > _EXP_HORIZONTAL_TOL:
+        if not _horizontal(p.rep, direction.mat, _EXP_HORIZONTAL_TOL):
             raise TangencyError("tangent vector is not horizontal at this base")
         self.p = p
         self._factors = (np.linalg.svd(direction.mat, full_matrices=False)

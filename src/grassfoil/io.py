@@ -51,11 +51,13 @@ def read_text(path) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Atomic create-then-rename write; unwritable targets name the path."""
+    """Atomic create-then-rename write into ``path``'s directory, made if
+    missing; unwritable targets name the path."""
     path = Path(path)
     # Mode 0o666 less the umask, as open(path, "w") would create it.
     tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:

@@ -29,7 +29,7 @@ def workdir(tmp_path_factory):
     """Dataset, fitted model, and blade shared by the read-only CLI tests."""
     root = tmp_path_factory.mktemp("cli")
     assert main(["gen-dataset", "--out", str(root / "data"),
-                 "--baselines", "3", "--per-baseline", "2",
+                 "--baselines", "3", "--total", "6",
                  "--n", str(N), "--seed", "7"]) == 0
     assert main(["pga-fit", "--shapes", str(root / "data" / "shapes"),
                  "--r", "3", "--out", str(root / "fit")]) == 0
@@ -66,7 +66,7 @@ def test_gen_dataset_outputs(workdir):
 
 
 RERUNS = {
-    "gen-dataset": ["gen-dataset", "--baselines", "3", "--per-baseline", "2",
+    "gen-dataset": ["gen-dataset", "--baselines", "3", "--total", "6",
                     "--n", str(N), "--seed", "7"],
     "standardize": ["standardize", "--shapes", "{data}/shapes"],
     "mean": ["mean", "--shapes", "{data}/shapes"],
@@ -96,11 +96,16 @@ def snapshot(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_rerun_byte_identical(workdir, tmp_path, monkeypatch):
+def rerun_argv(workdir, argv, out):
+    """A RERUNS vector with its inputs under ``workdir`` and ``--out out``."""
     paths = {"fit": workdir / "fit", "data": workdir / "data",
              "blade": workdir / "blade.json", "interp": workdir / "interp"}
+    return [a.format(**paths) for a in argv] + ["--out", out]
+
+
+def test_rerun_byte_identical(workdir, tmp_path, monkeypatch):
     for command, argv in RERUNS.items():
-        argv = [a.format(**paths) for a in argv] + ["--out", command]
+        argv = rerun_argv(workdir, argv, command)
         runs = []
         for where in ("first", "second"):
             (tmp_path / where).mkdir(exist_ok=True)
@@ -155,10 +160,13 @@ def test_synth_and_domain_flag(workdir, tmp_path):
     assert results["in_domain"] is True
     assert (out / "representative.dat").exists()
     assert (out / "shape.dat").exists()
-    far = tmp_path / "far"
-    assert main(["synth", "--model", str(workdir / "fit" / "model.json"),
-                 "--coords", "99.0,0.0,0.0", "--out", str(far)]) == 0
-    assert read_manifest(far)["results"]["in_domain"] is False
+    # horizontality is checked relative to the tangent's size, so a huge
+    # coordinate is not blamed on an internal vector
+    for k, coords in enumerate(["99.0,0.0,0.0", "1e8,0,0"]):
+        far = tmp_path / f"far{k}"
+        assert main(["synth", "--model", str(workdir / "fit" / "model.json"),
+                     "--coords", coords, "--out", str(far)]) == 0
+        assert read_manifest(far)["results"]["in_domain"] is False
 
 
 @pytest.mark.parametrize("command", ["synth", "blade-perturb"])
@@ -345,6 +353,13 @@ def test_pga_fit_has_no_method_option(workdir, tmp_path, capsys):
     assert not (tmp_path / "fit").exists()
 
 
+def test_gen_dataset_has_no_per_baseline_option(tmp_path, capsys):
+    assert main(["gen-dataset", "--per-baseline", "2",
+                 "--out", str(tmp_path / "data")]) == 2
+    assert "--per-baseline" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
@@ -401,7 +416,7 @@ BAD_INPUTS = {
                                  "negative.csv:5: section and landmark must "
                                  "be non-negative integers"),
     "gen-dataset-negative-seed": (["gen-dataset", "--seed", "-1",
-                                   "--baselines", "1", "--per-baseline", "1",
+                                   "--baselines", "1", "--total", "1",
                                    "--n", "21"], "seed must be >= 0, got -1"),
     "sweep-negative-seed": (["sweep", "--space", "cst", "--coefficients",
                              "{data}/coefficients.csv", "--seed", "-1"],
@@ -442,6 +457,15 @@ BAD_INPUTS = {
                         "{fit}/model.json", "--affine",
                         "{fit}/mean_affine.json", "--steps", "1"],
                        "a sweep needs at least 2 steps, got 1"),
+    "blade-interp-eta-out-of-span": (["blade-interp", "--blade",
+                                      "{fit}/../blade.json", "--eta", "0.5",
+                                      "--eta", "2"], "span 2.0 outside [0, 1]"),
+    "blade-interp-too-few-samples": (["blade-interp", "--blade",
+                                      "{fit}/../blade.json", "--eta", "0.5",
+                                      "--spans", "4",
+                                      "--samples-per-section", "2"],
+                                     "samples per section must be in "
+                                     "[3, 101], got 2"),
 }
 
 
@@ -498,6 +522,7 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+    assert not (tmp_path / "out").exists()  # a failed command writes nothing
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +582,62 @@ def test_cli_fuzz_mutated_shapes_end_in_one_error_line(command, files):
             warnings.simplefilter("error")
             code = main([command, "--shapes", str(shapes),
                          "--out", str(Path(tmp) / "out")])
+        out_left = (Path(tmp) / "out").exists()
     err = stderr.getvalue()
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_left
     else:
         assert "error:" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every subcommand's arguments, one option dropped or replaced
+
+ARG_TOKENS = ["-1", "0", "1", "2", "nan", "inf", "-inf", "1e308", "1_0", "",
+              "x", "0,0"]
+SIZE_OPTIONS = ("--n", "--spans", "--steps", "--count", "--total")
+
+
+def test_arg_tokens_keep_sizes_small():
+    # argparse's int() reads "1_0" as 10; no token may make a run large
+    for argv in RERUNS.values():
+        for flag, value in zip(argv, argv[1:]):
+            if flag in SIZE_OPTIONS:
+                for token in ARG_TOKENS:
+                    try:
+                        assert int(token) <= 10 * int(value), (flag, token)
+                    except ValueError:
+                        pass
+
+
+@st.composite
+def mutated_argv(draw):
+    argv = list(RERUNS[draw(st.sampled_from(sorted(RERUNS)))])
+    i = draw(st.sampled_from(
+        [k for k, a in enumerate(argv) if a.startswith("--")]))
+    if draw(st.booleans()):
+        del argv[i:i + 2]
+    else:
+        argv[i + 1] = draw(st.sampled_from(ARG_TOKENS))
+    return argv
+
+
+@given(argv=mutated_argv())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_mutated_arguments(workdir, argv):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(rerun_argv(workdir, argv, "out"))
+        out_left = Path("out").exists()
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1
+    if code:
+        assert not out_left

@@ -439,11 +439,11 @@ def test_gen_dataset_counts_and_order():
         assert np.array_equal(shape.points, cst_evaluate(params, 101).points)
 
 
-def test_gen_dataset_per_baseline_mode():
-    detail = gen_dataset_detailed(default_baselines()[:3], 4, 0.2, seed=3,
-                                  n=101, per_baseline=True)
-    assert len(detail) == 3 + 12
-    assert [d.baseline_index for d in detail[:3]] == [0, 1, 2]
+def test_gen_dataset_splits_an_uneven_total():
+    detail = gen_dataset_detailed(default_baselines()[:3], 7, 0.2, seed=3,
+                                  n=101)
+    assert [d.baseline_index for d in detail] == (
+        [0, 1, 2] + [0] * 3 + [1] * 2 + [2] * 2)
 
 
 def test_gen_dataset_bit_identical_rerun():

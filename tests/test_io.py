@@ -628,3 +628,18 @@ def test_written_files_follow_the_umask(tmp_path):
     for name in ("a.json", "t.csv"):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "t.csv"]
+
+
+def test_writers_make_missing_directories(tmp_path):
+    target = tmp_path / "a" / "b" / "t.csv"
+    write_table(target, ["i"], [[0]])
+    assert target.read_text() == "i\n0\n"
+
+
+def test_writer_under_a_file_names_the_path(tmp_path):
+    (tmp_path / "plain").write_text("not a directory\n")
+    target = tmp_path / "plain" / "x.json"
+    with pytest.raises(FileFormatError) as err:
+        write_json(target, {"k": 1})
+    assert f"cannot write {target}: " in str(err.value)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["plain"]
