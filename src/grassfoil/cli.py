@@ -59,9 +59,30 @@ def _load_shapes(source) -> list[tuple[Path, str, LandmarkMatrix]]:
     return [(f, *gio.read_coordinates(f)) for f in files]
 
 
+def _ascii_literal(convert):
+    """``convert`` restricted to ASCII text without digit-group underscores,
+    so an option value reads one way only; faults raise ValueError."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"not a plain ASCII literal: {text!r}")
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: ..."
+    return parse
+
+
+_int = _ascii_literal(int)
+_float = _ascii_literal(float)
+
+
+def _path(text: str) -> Path:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return Path(text)
+
+
 def _parse_coord_vector(text: str, r: int) -> np.ndarray:
     try:
-        values = np.array([float(tok) for tok in text.split(",")])
+        values = np.array([_float(tok) for tok in text.split(",")])
     except ValueError:
         raise ParameterError(f"could not parse coordinates {text!r}") from None
     if not np.all(np.isfinite(values)):
@@ -275,6 +296,8 @@ def cmd_sweep(args) -> tuple[dict, str]:
 def cmd_blade_interp(args) -> tuple[dict, str]:
     if args.eta is None and args.spans is None:
         raise ParameterError("give --eta (repeatable) or --spans")
+    if args.samples_per_section is not None and args.spans is None:
+        raise ParameterError("--samples-per-section needs --spans")
     blade = gio.read_blade(args.blade)
     etas = args.eta or []
     sections = [interpolate_section(blade, eta) for eta in etas]
@@ -317,7 +340,7 @@ def cmd_render(args) -> tuple[dict, str]:
         if args.table is None:
             raise ParameterError("--kind scatter needs --table")
         try:
-            i, j = (int(v) for v in args.axes.split(","))
+            i, j = (_int(v) for v in args.axes.split(","))
         except ValueError:
             raise ParameterError(
                 f"--axes needs two integers, got {args.axes!r}") from None
@@ -346,80 +369,80 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-dataset", help="generate baseline + perturbed shapes")
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--baselines", type=int, default=16)
-    p.add_argument("--total", type=int, default=1000,
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--baselines", type=_int, default=16)
+    p.add_argument("--total", type=_int, default=1000,
                    help="total perturbations split across baselines")
-    p.add_argument("--fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--n", type=int, default=401)
+    p.add_argument("--fraction", type=_float, default=0.2)
+    p.add_argument("--seed", type=_int, default=7)
+    p.add_argument("--n", type=_int, default=401)
     p.set_defaults(func=cmd_gen_dataset)
 
     p = sub.add_parser("standardize", help="affine factors of a shape family")
-    p.add_argument("--shapes", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--shapes", required=True, type=_path)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_standardize)
 
     p = sub.add_parser("mean", help="Karcher mean of standardized shapes")
-    p.add_argument("--shapes", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--shapes", required=True, type=_path)
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--tol", type=_float, default=1e-10)
+    p.add_argument("--max-iter", type=_int, default=200)
     p.set_defaults(func=cmd_mean)
 
     p = sub.add_parser("pga-fit", help="principal-geodesic model of a family")
-    p.add_argument("--shapes", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--shapes", required=True, type=_path)
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--r", type=_int, default=4)
+    p.add_argument("--tol", type=_float, default=1e-10)
+    p.add_argument("--max-iter", type=_int, default=200)
     p.set_defaults(func=cmd_pga_fit)
 
     p = sub.add_parser("synth", help="shape at given normal coordinates")
-    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--model", required=True, type=_path)
     p.add_argument("--coords", required=True)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--affine", type=Path, default=None,
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--affine", type=_path, default=None,
                    help="affine file for physical reconstruction")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="corner-to-corner design-space sweeps")
     p.add_argument("--space", choices=("pga", "cst"), default="pga")
-    p.add_argument("--model", type=Path, default=None)
-    p.add_argument("--affine", type=Path, default=None)
-    p.add_argument("--coefficients", type=Path, default=None,
+    p.add_argument("--model", type=_path, default=None)
+    p.add_argument("--affine", type=_path, default=None)
+    p.add_argument("--coefficients", type=_path, default=None,
                    help="coefficients.csv for --space cst")
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=401)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--count", type=_int, default=4)
+    p.add_argument("--steps", type=_int, default=20)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--n", type=_int, default=401)
+    p.add_argument("--out", required=True, type=_path)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("blade-interp", help="sections or wireframe of a blade")
-    p.add_argument("--blade", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--eta", type=float, action="append", default=None)
-    p.add_argument("--spans", type=int, default=None)
-    p.add_argument("--samples-per-section", type=int, default=None)
+    p.add_argument("--blade", required=True, type=_path)
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--eta", type=_float, action="append", default=None)
+    p.add_argument("--spans", type=_int, default=None)
+    p.add_argument("--samples-per-section", type=_int, default=None)
     p.set_defaults(func=cmd_blade_interp)
 
     p = sub.add_parser("blade-perturb", help="consistent blade deformation")
-    p.add_argument("--blade", required=True, type=Path)
-    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--blade", required=True, type=_path)
+    p.add_argument("--model", required=True, type=_path)
     p.add_argument("--coords", required=True)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--consistency-tol", type=float, default=1e-9)
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--consistency-tol", type=_float, default=1e-9)
     p.set_defaults(func=cmd_blade_perturb)
 
     p = sub.add_parser("render", help="SVG views of shapes, scatters, blades")
     p.add_argument("--kind", choices=("shapes", "strip", "scatter", "wireframe"),
                    required=True)
-    p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--shapes", type=Path, default=None)
-    p.add_argument("--table", type=Path, default=None)
+    p.add_argument("--out", required=True, type=_path)
+    p.add_argument("--shapes", type=_path, default=None)
+    p.add_argument("--table", type=_path, default=None)
     p.add_argument("--axes", default="0,1")
-    p.add_argument("--wireframe", type=Path, default=None)
+    p.add_argument("--wireframe", type=_path, default=None)
     p.set_defaults(func=cmd_render)
 
     return parser

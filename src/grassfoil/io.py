@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -245,11 +246,20 @@ def _float_list_text(value, pad: str, end: str) -> str | None:
 
 
 def read_json(path):
+    """Decoded JSON of ``path``; every decoder failure names the file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise FileParseError(f"invalid JSON: {err.msg}", path=path,
                              line=err.lineno, column=err.colno) from None
+    except RecursionError:
+        raise FileParseError("invalid JSON: nested too deeply",
+                             path=path) from None
+    except ValueError as err:  # an int literal past CPython's digit limit
+        raise FileParseError(
+            f"invalid JSON: {str(err).split(';')[0].lower()}",
+            path=path) from None
 
 
 def _get(mapping, key: str, path: str = ""):
@@ -263,22 +273,34 @@ def _get(mapping, key: str, path: str = ""):
 
 def _get_int(mapping, key: str, least: int) -> int:
     value = _get(mapping, key)
-    if not (isinstance(value, int) and value >= least):
+    if not (type(value) is int and value >= least):
         raise SchemaError(
             f"key {key!r} must be an integer >= {least}, got {value!r}")
     return value
 
 
-def _as_array(value, shape, key: str) -> np.ndarray:
+def _array(mapping, key: str, shape, where: str = "") -> np.ndarray:
+    """Finite float array of the JSON numbers at ``mapping[key]``.
+
+    A ``None`` length in ``shape`` matches any length. numpy gives strings,
+    nulls, huge integers and all-boolean arrays a non-numeric dtype; a
+    boolean among numbers still reads as 0 or 1.
+    """
+    value = _get(mapping, key, where)
+    full = f"{where}.{key}" if where else key
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"key {key!r} is not a numeric array") from None
-    if arr.shape != shape:
+        arr = np.array(value)
+    except ValueError:  # ragged, or nested past numpy's dimension limit
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise SchemaError(f"key {full!r} is not a numeric array")
+    if arr.ndim != len(shape) or any(
+            want not in (None, got) for got, want in zip(arr.shape, shape)):
         raise SchemaError(
-            f"key {key!r} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"key {key!r} contains non-finite values")
+            f"key {full!r} has shape {arr.shape}, expected {shape}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"key {full!r} contains non-finite values")
     return arr
 
 
@@ -299,7 +321,7 @@ def _names_file(reader):
 
 def _check_version(data, kind: str) -> None:
     version = _get(data, "format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise VersionError(
             f"unsupported {kind} format_version {version!r}; "
             f"this build reads version {FORMAT_VERSION}")
@@ -338,24 +360,14 @@ def read_model(path) -> PgaModel:
     if order != FLATTEN_ORDER:
         raise SchemaError(
             f"key 'flatten_order' is {order!r}; this build reads {FLATTEN_ORDER!r}")
-    mean_vec = _as_array(_get(data, "mean"), (2 * n,), "mean")
-    eigenvalues = _as_array(_get(data, "eigenvalues"), (r,), "eigenvalues")
-    basis_rows = _as_array(_get(data, "basis"), (r, 2 * n), "basis")
+    mean_vec = _array(data, "mean", (2 * n,))
+    eigenvalues = _array(data, "eigenvalues", (r,))
+    basis_rows = _array(data, "basis", (r, 2 * n))
     domain_data = _get(data, "domain")
     domain = CoordinateDomain(
-        bounds_min=_as_array(_get(domain_data, "bounds_min", "domain"), (r,),
-                             "domain.bounds_min"),
-        bounds_max=_as_array(_get(domain_data, "bounds_max", "domain"), (r,),
-                             "domain.bounds_max"),
-        ellipsoid_radii=_as_array(_get(domain_data, "ellipsoid_radii", "domain"),
-                                  (r,), "domain.ellipsoid_radii"),
-    )
-    coords_raw = _get(data, "training_coords")
-    try:
-        n_train = len(coords_raw)
-    except TypeError:
-        raise SchemaError("key 'training_coords' is not an array") from None
-    coords = _as_array(coords_raw, (n_train, r), "training_coords")
+        *(_array(domain_data, key, (r,), "domain")
+          for key in ("bounds_min", "bounds_max", "ellipsoid_radii")))
+    coords = _array(data, "training_coords", (None, r))
     mean = GrassmannPoint(unflatten_tangent(mean_vec, n))
     basis = tuple(TangentVector(unflatten_tangent(row, n), mean)
                   for row in basis_rows)
@@ -378,8 +390,8 @@ def write_affine(path, affine: AffineMap) -> None:
 def read_affine(path) -> AffineMap:
     data = read_json(path)
     _check_version(data, "affine")
-    return AffineMap(_as_array(_get(data, "linear"), (2, 2), "linear"),
-                     _as_array(_get(data, "translation"), (2,), "translation"))
+    return AffineMap(_array(data, "linear", (2, 2)),
+                     _array(data, "translation", (2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,49 +435,34 @@ def read_blade(path) -> BladeDefinition:
     stations_raw = _get(data, "stations")
     if not isinstance(stations_raw, list) or len(stations_raw) < 2:
         raise SchemaError("key 'stations' must list at least 2 stations")
-    explicit_flags = []
+    etas, sections, affines, aligned = [], [], [], []
     for i, st in enumerate(stations_raw):
+        key = f"stations[{i}]"
         if not isinstance(st, dict):
-            raise SchemaError(f"key 'stations[{i}]' must be an object")
-        explicit_flags.append("representative" in st or "affine" in st)
-    if any(explicit_flags) and not all(explicit_flags):
-        raise SchemaError(
-            "stations mix explicit representative/affine entries with bare "
-            "ones; supply them for every station or for none")
-    etas = []
-    sections = []
-    for i, st in enumerate(stations_raw):
-        key = f"stations[{i}]"
-        eta = _get(st, "eta", key)
-        if not isinstance(eta, (int, float)):
-            raise SchemaError(f"key '{key}.eta' must be a number")
-        etas.append(float(eta))
-        raw = _get(st, "section", key)
-        try:
-            count = len(raw)
-        except TypeError:
-            raise SchemaError(f"key '{key}.section' is not an array") from None
-        if count != n:
+            raise SchemaError(f"key '{key}' must be an object")
+        detail = "representative" in st or "affine" in st
+        if i == 0:
+            explicit = detail
+        elif detail != explicit:
             raise SchemaError(
-                f"key '{key}.section' has {count} points, expected n = {n}")
-        sections.append(LandmarkMatrix(_as_array(raw, (n, 2), f"{key}.section")))
-    if not all(explicit_flags):
+                "stations mix explicit representative/affine entries with "
+                "bare ones; supply them for every station or for none")
+        eta = _get(st, "eta", key)
+        if type(eta) not in (int, float) or not abs(eta) <= sys.float_info.max:
+            raise SchemaError(f"key '{key}.eta' must be a finite number")
+        etas.append(float(eta))
+        sections.append(LandmarkMatrix(_array(st, "section", (n, 2), key)))
+        if explicit:
+            affine_data = _get(st, "affine", key)
+            affines.append(AffineMap(
+                _array(affine_data, "linear", (2, 2), f"{key}.affine"),
+                _array(affine_data, "translation", (2,), f"{key}.affine")))
+            aligned.append(GrassmannPoint(
+                _array(st, "representative", (n, 2), key)))
+    if not explicit:
         return build_blade(etas, sections)
-    stations = []
-    aligned = []
-    for i, (st, eta, section) in enumerate(zip(stations_raw, etas, sections)):
-        key = f"stations[{i}]"
-        affine_data = _get(st, "affine", key)
-        affine = AffineMap(
-            _as_array(_get(affine_data, "linear", f"{key}.affine"), (2, 2),
-                      f"{key}.affine.linear"),
-            _as_array(_get(affine_data, "translation", f"{key}.affine"), (2,),
-                      f"{key}.affine.translation"))
-        rep = _as_array(_get(st, "representative", key), (n, 2),
-                        f"{key}.representative")
-        stations.append(BladeStation(eta, section, affine))
-        aligned.append(GrassmannPoint(rep))
-    return BladeDefinition(tuple(stations), tuple(aligned))
+    return BladeDefinition(tuple(map(BladeStation, etas, sections, affines)),
+                           tuple(aligned))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end."""
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -365,6 +366,28 @@ def test_version_exits_0(capsys):
     capsys.readouterr()
 
 
+# each option value is malformed, or an empty path, so argparse rejects it
+USAGE_ERRORS = {
+    "steps-underscore": ["sweep", "--model", "{fit}/model.json", "--affine",
+                         "{fit}/mean_affine.json", "--steps", "1_0"],
+    "steps-arabic-indic": ["sweep", "--model", "{fit}/model.json", "--affine",
+                           "{fit}/mean_affine.json", "--steps",
+                           "\u0661\u0660"],
+    "eta-underscore": ["blade-interp", "--blade", "{blade}", "--eta", "1_0"],
+    "shapes-empty": ["mean", "--shapes", ""],
+    "model-empty": ["synth", "--model", "", "--coords", "0,0,0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_malformed_option_value_exits_2(workdir, tmp_path, monkeypatch,
+                                        capsys, case):
+    monkeypatch.chdir(tmp_path)  # an empty path would mean this directory
+    assert main(rerun_argv(workdir, USAGE_ERRORS[case], "out")) == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 BAD_INPUTS = {
     "missing-model": (["synth", "--model", "{tmp}/missing.json",
                        "--coords", "0,0,0"], "missing.json"),
@@ -466,6 +489,44 @@ BAD_INPUTS = {
                                       "--samples-per-section", "2"],
                                      "samples per section must be in "
                                      "[3, 101], got 2"),
+    "blade-section-a-string": (["blade-interp", "--blade",
+                                "{tmp}/nan-section.json", "--eta", "0.5"],
+                               "nan-section.json: key 'stations[1].section' "
+                               "is not a numeric array"),
+    "blade-eta-huge-integer": (["blade-interp", "--blade",
+                                "{tmp}/big-eta.json", "--eta", "0.5"],
+                               "big-eta.json: key 'stations[1].eta' must be "
+                               "a finite number"),
+    "model-mean-as-strings": (["synth", "--model", "{tmp}/strings.json",
+                               "--coords", "0,0,0"],
+                              "strings.json: key 'mean' is not a numeric "
+                              "array"),
+    "model-null-eigenvalue": (["synth", "--model", "{tmp}/null.json",
+                               "--coords", "0,0,0"],
+                              "null.json: key 'eigenvalues' is not a numeric "
+                              "array"),
+    "model-r-true": (["synth", "--model", "{tmp}/rtrue.json",
+                      "--coords", "0,0,0"],
+                     "rtrue.json: key 'r' must be an integer >= 1, got True"),
+    "model-version-true": (["synth", "--model", "{tmp}/vtrue.json",
+                            "--coords", "0,0,0"],
+                           "vtrue.json: unsupported model format_version "
+                           "True"),
+    "model-nested-too-deeply": (["synth", "--model", "{tmp}/deep.json",
+                                 "--coords", "0,0,0"],
+                                "deep.json: invalid JSON: nested too deeply"),
+    "model-huge-integer": (["synth", "--model", "{tmp}/hugeint.json",
+                            "--coords", "0,0,0"],
+                           "hugeint.json: invalid JSON: exceeds the limit"),
+    "synth-coords-underscore": (["synth", "--model", "{fit}/model.json",
+                                 "--coords", "1_0e-3,0,0"],
+                                "could not parse coordinates '1_0e-3,0,0'"),
+    "blade-interp-samples-without-spans": (["blade-interp", "--blade",
+                                            "{fit}/../blade.json", "--eta",
+                                            "0.5", "--samples-per-section",
+                                            "11"],
+                                           "--samples-per-section needs "
+                                           "--spans"),
 }
 
 
@@ -509,7 +570,24 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "dup.json").write_text(json.dumps(
         {"format_version": 1, "n": 9,
          "stations": [{"eta": 0.0, "section": section}] * 2}))
+    (tmp_path / "nan-section.json").write_text(json.dumps(
+        {"format_version": 1, "n": 9,
+         "stations": [{"eta": 0.0, "section": section},
+                      {"eta": 1.0, "section": "NaN"}]}))
+    (tmp_path / "big-eta.json").write_text(json.dumps(
+        {"format_version": 1, "n": 9,
+         "stations": [{"eta": 0.0, "section": section},
+                      {"eta": 10 ** 400, "section": section}]}))
     model = json.loads((workdir / "fit" / "model.json").read_text())
+    for name, key, value in [
+            ("strings", "mean", [repr(v) for v in model["mean"]]),
+            ("null", "eigenvalues", [None, *model["eigenvalues"][1:]]),
+            ("rtrue", "r", True), ("vtrue", "format_version", True)]:
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({**model, key: value}))
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "hugeint.json").write_text(
+        '{"format_version": 1, "n": ' + "1" * 5000 + "}")
     model["mean"][0] += 0.5
     (tmp_path / "moved.json").write_text(json.dumps(model))
     argv, named = BAD_INPUTS[case]
@@ -601,7 +679,8 @@ SIZE_OPTIONS = ("--n", "--spans", "--steps", "--count", "--total")
 
 
 def test_arg_tokens_keep_sizes_small():
-    # argparse's int() reads "1_0" as 10; no token may make a run large
+    # the options reject "1_0", but Python's int() reads it as 10; guard
+    # anyway, so that no token may make a run large
     for argv in RERUNS.values():
         for flag, value in zip(argv, argv[1:]):
             if flag in SIZE_OPTIONS:
@@ -641,3 +720,90 @@ def test_cli_fuzz_mutated_arguments(workdir, argv):
         assert err.startswith("error:") and err.count("\n") == 1
     if code:
         assert not out_left
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated model, affine and blade files never end in a traceback
+
+# Values that JSON cannot carry through json.dumps go in as placeholders.
+JSON_SPLICES = {
+    '"@HUGE@"': "1" * 5000,  # past CPython's int-digit limit
+    '"@DEEP@"': "[" * 100000 + "]" * 100000,  # past the decoder's recursion
+    '"@NESTED@"': "[" * 70 + "0.5" + "]" * 70,  # past numpy's dimensions
+}
+JSON_MUTANTS = ["0.5", "NaN", None, True, False, "x", {}, [], [[0.5]],
+                0.5, 7, float("nan"), 10 ** 400, "@DROP@",
+                *(k.strip('"') for k in JSON_SPLICES)]
+JSON_INPUTS = {
+    "model": ["synth", "--model", "{file}", "--coords", "0.001,0,0"],
+    "affine": ["synth", "--model", "{fit}/model.json", "--affine", "{file}",
+               "--coords", "0.001,0,0"],
+    "blade": ["blade-interp", "--blade", "{file}", "--eta", "0.3",
+              "--spans", "3"],
+    "bare-blade": ["blade-interp", "--blade", "{file}", "--eta", "0.3",
+                   "--spans", "3"],
+}
+
+
+def json_source(workdir, kind):
+    path = {"model": workdir / "fit" / "model.json",
+            "affine": workdir / "fit" / "mean_affine.json"}.get(
+                kind, workdir / "blade.json")
+    doc = json.loads(path.read_text())
+    if kind == "bare-blade":
+        for station in doc["stations"]:
+            del station["affine"], station["representative"]
+    return doc
+
+
+def mutate_somewhere(data, node):
+    """Replace or drop one value at a random depth under ``node``."""
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    if not keys:
+        return
+    key = data.draw(st.sampled_from(keys))
+    child = node[key]
+    if (isinstance(child, (dict, list)) and child
+            and data.draw(st.integers(0, 3))):  # mostly go deeper
+        mutate_somewhere(data, child)
+        return
+    value = data.draw(st.sampled_from(JSON_MUTANTS))
+    if value == "@DROP@":
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)  # later draws may mutate it
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_mutated_json_files(workdir, data):
+    kind = data.draw(st.sampled_from(sorted(JSON_INPUTS)))
+    doc = json_source(workdir, kind)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        if type(doc.get("n")) is int and data.draw(st.integers(0, 4)) == 0:
+            doc["n"] += data.draw(st.sampled_from([-1, 1]))  # a wrong n
+        else:
+            mutate_somewhere(data, doc)
+    text = json.dumps(doc)
+    for placeholder, literal in JSON_SPLICES.items():
+        text = text.replace(placeholder, literal)
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("input.json").write_text(text)
+        argv = [a.format(file="input.json", fit=workdir / "fit")
+                for a in JSON_INPUTS[kind]]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", "out"])
+        out_left = Path("out").exists()
+    err = stderr.getvalue()
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_left
+    else:
+        assert "error:" not in err

@@ -366,7 +366,18 @@ def test_blade_mixed_station_detail_rejected(tmp_path, small_blade):
     del data["stations"][1]["representative"]
     del data["stations"][1]["affine"]
     path.write_text(json.dumps(data))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="stations mix explicit"):
+        read_blade(path)
+
+
+def test_blade_short_section_names_its_shape(tmp_path, small_blade):
+    path = tmp_path / "blade.json"
+    write_blade(path, small_blade)
+    data = json.loads(path.read_text())
+    data["stations"][1]["section"] = data["stations"][1]["section"][:3]
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=r"key 'stations\[1\]\.section' "
+                       r"has shape \(3, 2\), expected \(51, 2\)"):
         read_blade(path)
 
 
