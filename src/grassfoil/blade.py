@@ -31,7 +31,6 @@ from .grassmann import (
     GrassmannPoint,
     TangentVector,
     exp_map,
-    geodesic_point,
     inner,
     la_standardize,
     log_map,
@@ -253,11 +252,20 @@ def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
     a segment-local parameter linear in eta, rendered through the affine
     profiles. At a knot this reproduces the stored section.
     """
-    eta = float(eta)
+    return _section_at(blade, float(eta), {})
+
+
+def _section_at(blade: BladeDefinition, eta: float,
+                logs: dict[int, TangentVector]) -> LandmarkMatrix:
+    """:func:`interpolate_section`, reusing the segment logarithms kept in
+    ``logs`` and adding the one it computes."""
     etas = blade.etas
     idx = _locate_segment(etas, eta)
     s = (eta - etas[idx]) / (etas[idx + 1] - etas[idx])
-    point = geodesic_point(blade.aligned[idx], blade.aligned[idx + 1], s)
+    p = blade.aligned[idx]
+    if idx not in logs:
+        logs[idx] = log_map(p, blade.aligned[idx + 1])
+    point = exp_map(p, TangentVector(s * logs[idx].mat, p))
     return reconstruct_with(point, blade.profiles.affine_at(eta))
 
 
@@ -332,8 +340,9 @@ def export_wireframe(blade: BladeDefinition, spans: int,
     etas = blade.etas
     grid_etas = np.linspace(etas[0], etas[-1], spans)
     grid = np.empty((spans, len(take), 3))
+    logs = {}  # one logarithm per blade segment, shared by its sections
     for i, eta in enumerate(grid_etas):
-        section = interpolate_section(blade, float(eta))
+        section = _section_at(blade, float(eta), logs)
         grid[i, :, :2] = section.points[take]
         grid[i, :, 2] = eta
     return grid

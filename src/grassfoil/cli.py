@@ -56,7 +56,8 @@ def _load_shapes(source) -> list[tuple[Path, str, LandmarkMatrix]]:
     files = sorted(src.glob("*.dat")) if src.is_dir() else [src]
     if not files:
         raise FileFormatError(f"no .dat coordinate files under {src}")
-    return [(f, *gio.read_coordinates(f)) for f in files]
+    return [(f, *named)
+            for f, named in zip(files, gio.read_coordinate_files(files))]
 
 
 def _ascii_literal(convert):
@@ -142,14 +143,14 @@ def cmd_gen_dataset(args) -> tuple[dict, str]:
     detail = gen_dataset_detailed(recipes[:args.baselines], args.total,
                                   args.fraction, args.seed, args.n)
     shape_dir = args.out / "shapes"
-    rows = []
-    for item in detail:
-        kind = "baseline" if item.index < args.baselines else "perturb"
-        label = f"shape-{item.index:04d} {kind} {names[item.baseline_index]}"
-        gio.write_coordinates(shape_dir / f"shape-{item.index:04d}.dat",
-                              item.landmarks, label)
-        rows.append([item.index, item.baseline_index, kind,
-                     *item.params.as_vector()])
+    kinds = ["baseline" if item.index < args.baselines else "perturb"
+             for item in detail]
+    gio.write_coordinate_files(
+        (shape_dir / f"shape-{item.index:04d}.dat", item.landmarks,
+         f"shape-{item.index:04d} {kind} {names[item.baseline_index]}")
+        for item, kind in zip(detail, kinds))
+    rows = [[item.index, item.baseline_index, kind, *item.params.as_vector()]
+            for item, kind in zip(detail, kinds)]
     gio.write_table(args.out / "coefficients.csv",
                     ["index", "baseline", "kind", *_COEFF_COLUMNS], rows)
     return ({"shapes_written": len(detail)},

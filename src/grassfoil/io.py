@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import codec
 from .blade import BladeDefinition, BladeStation, build_blade
 from .errors import (
     FileFormatError,
@@ -30,13 +32,12 @@ from .errors import (
     VersionError,
 )
 from .geometry import AffineMap, LandmarkMatrix
-from .grassmann import GrassmannPoint, TangentVector
+from .grassmann import MAX_COORDINATE, GrassmannPoint, TangentVector
 from .pga import (FLATTEN_ORDER, CoordinateDomain, PgaModel, flatten_tangent,
                   unflatten_tangent)
 
 FORMAT_VERSION = 1
 
-_FLOAT_FMT = "%.16e"
 _TOKEN = re.compile(r"\S+")
 
 
@@ -77,52 +78,73 @@ def write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # coordinate listings
 
+_CHUNK = 8  # files per bulk conversion, which bounds its temporaries
+
 
 def write_coordinates(path, shape: LandmarkMatrix, name: str = "section") -> None:
     """Name line followed by one "x y" pair per landmark."""
-    if "\n" in name or "\r" in name:
-        raise FileFormatError("coordinate name must be a single line")
-    body = (f"{_FLOAT_FMT} {_FLOAT_FMT}\n" * shape.n) % tuple(
-        shape.points.ravel().tolist())
-    write_text(path, f"{name}\n{body}")
+    write_coordinate_files([(path, shape, name)])
+
+
+def write_coordinate_files(items) -> None:
+    """Write each ``(path, shape, name)`` as :func:`write_coordinates` does,
+    formatting a chunk of files at a time."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        for _, _, name in chunk:
+            if "\n" in name or "\r" in name:
+                raise FileFormatError("coordinate name must be a single line")
+        bodies = codec.encode_bodies([shape.points for _, shape, _ in chunk])
+        for (path, _, name), body in zip(chunk, bodies):
+            write_text(path, f"{name}\n{body}")
 
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
-    """Name line and landmarks of a file written by :func:`write_coordinates`.
+    """Name line and landmarks of a file written by :func:`write_coordinates`."""
+    return read_coordinate_files([path])[0]
 
-    A file in the writer's own layout (one space inside each pair, ``\\n``
-    after every pair) is recognised by rebuilding its body from the split
-    tokens in one format call, and parsed in one numpy call. Anything else,
-    including a name line that ``str.splitlines`` would break, is scanned
-    line by line: other whitespace reads to the same values, and a fault is
-    named by its line and column.
+
+def read_coordinate_files(paths) -> list[tuple[str, LandmarkMatrix]]:
+    """Name line and landmarks of each coordinate file, in order.
+
+    Files in the writer's exact layout (a name line that ``str.splitlines``
+    keeps whole, then "%.16e %.16e\\n" per landmark) are decoded in bulk, a
+    chunk of files at a time. Every other file is scanned line by line:
+    other whitespace reads to the same values, and a fault is named by its
+    line and column. The first file that fails raises.
     """
-    text = read_text(path)
-    name, _, body = text.partition("\n")
-    tokens = body.split()
-    count = len(tokens) // 2
-    if (count >= 3 and len(tokens) == 2 * count
-            and (name + "\n").splitlines() == [name]
-            and ("%s %s\n" * count) % tuple(tokens) == body):
-        try:
-            points = np.array(tokens, dtype=float)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(points).all():
-                return name, LandmarkMatrix(points.reshape(count, 2))
-    lines = text.splitlines()
-    if not lines:
-        raise FileParseError("empty coordinate file", path=path, line=1)
-    return _scan_coordinates(path, lines)
+    paths = list(paths)
+    shapes = []
+    for start in range(0, len(paths), _CHUNK):
+        chunk, texts, failure = paths[start:start + _CHUNK], [], None
+        for path in chunk:
+            try:
+                texts.append(read_text(path))
+            except FileFormatError as err:
+                failure = err
+                break
+        parts = [text.partition("\n") for text in texts]
+        decoded = codec.decode_bodies([body for _, _, body in parts])
+        for path, text, (name, _, _), values in zip(chunk, texts, parts,
+                                                    decoded):
+            if values is not None and (name + "\n").splitlines() == [name]:
+                shapes.append((name, LandmarkMatrix(values.reshape(-1, 2))))
+            else:
+                shapes.append(_scan_coordinates(path, text))
+        if failure is not None:
+            raise failure
+    return shapes
 
 
-def _scan_coordinates(path, lines: list[str]) -> tuple[str, LandmarkMatrix]:
+def _scan_coordinates(path, text: str) -> tuple[str, LandmarkMatrix]:
     """Line-by-line reading of a coordinate file; raises at the first fault.
 
     A line is split and converted whole; one that does not give two finite
     numbers that way goes to :func:`_scan_line`, which names the fault.
     """
+    lines = text.splitlines()
+    if not lines:
+        raise FileParseError("empty coordinate file", path=path, line=1)
     name = lines[0]
     points = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -283,8 +305,11 @@ def _array(mapping, key: str, shape, where: str = "") -> np.ndarray:
     """Finite float array of the JSON numbers at ``mapping[key]``.
 
     A ``None`` length in ``shape`` matches any length. numpy gives strings,
-    nulls, huge integers and all-boolean arrays a non-numeric dtype; a
-    boolean among numbers still reads as 0 or 1.
+    nulls, huge integers and all-boolean arrays a non-numeric dtype. A
+    magnitude above ``MAX_COORDINATE`` would overflow later products and is
+    rejected here. A boolean among numbers reads as 0 or 1, so only the
+    elements equal to 0 or 1 are looked up in ``value`` to tell one from a
+    number.
     """
     value = _get(mapping, key, where)
     full = f"{where}.{key}" if where else key
@@ -299,8 +324,17 @@ def _array(mapping, key: str, shape, where: str = "") -> np.ndarray:
         raise SchemaError(
             f"key {full!r} has shape {arr.shape}, expected {shape}")
     arr = arr.astype(float, copy=False)
-    if not np.isfinite(arr).all():
+    peak = np.abs(arr).max(initial=0.0)
+    if not np.isfinite(peak):
         raise SchemaError(f"key {full!r} contains non-finite values")
+    if peak > MAX_COORDINATE:
+        raise SchemaError(
+            f"key {full!r} exceeds {MAX_COORDINATE:.0e} in magnitude")
+    hits = (arr * arr == arr).ravel().nonzero()[0]  # 0 and 1: |arr| <= 1e150
+    if hits.size:
+        for index in zip(*np.unravel_index(hits, arr.shape)):
+            if type(functools.reduce(operator.getitem, index, value)) is bool:
+                raise SchemaError(f"key {full!r} is not a numeric array")
     return arr
 
 
@@ -450,6 +484,9 @@ def read_blade(path) -> BladeDefinition:
         eta = _get(st, "eta", key)
         if type(eta) not in (int, float) or not abs(eta) <= sys.float_info.max:
             raise SchemaError(f"key '{key}.eta' must be a finite number")
+        if abs(eta) > MAX_COORDINATE:
+            raise SchemaError(
+                f"key '{key}.eta' exceeds {MAX_COORDINATE:.0e} in magnitude")
         etas.append(float(eta))
         sections.append(LandmarkMatrix(_array(st, "section", (n, 2), key)))
         if explicit:

@@ -521,6 +521,20 @@ BAD_INPUTS = {
     "synth-coords-underscore": (["synth", "--model", "{fit}/model.json",
                                  "--coords", "1_0e-3,0,0"],
                                 "could not parse coordinates '1_0e-3,0,0'"),
+    "synth-affine-huge-translation": (["synth", "--model", "{fit}/model.json",
+                                       "--coords", "0,0,0", "--affine",
+                                       "{tmp}/huge-affine.json"],
+                                      "huge-affine.json: key 'translation' "
+                                      "exceeds 1e+150 in magnitude"),
+    "model-mean-huge": (["synth", "--model", "{tmp}/huge-mean.json",
+                         "--coords", "0,0,0"],
+                        "huge-mean.json: key 'mean' exceeds 1e+150 in "
+                        "magnitude"),
+    "blade-section-holds-true": (["blade-interp", "--blade",
+                                  "{tmp}/true-section.json", "--eta", "0.3"],
+                                 "true-section.json: key "
+                                 "'stations[1].section' is not a numeric "
+                                 "array"),
     "blade-interp-samples-without-spans": (["blade-interp", "--blade",
                                             "{fit}/../blade.json", "--eta",
                                             "0.5", "--samples-per-section",
@@ -574,6 +588,15 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
         {"format_version": 1, "n": 9,
          "stations": [{"eta": 0.0, "section": section},
                       {"eta": 1.0, "section": "NaN"}]}))
+    flagged = [row[:] for row in section]
+    flagged[4][1] = True  # reads as 1.0 unless it is caught
+    (tmp_path / "true-section.json").write_text(json.dumps(
+        {"format_version": 1, "n": 9,
+         "stations": [{"eta": 0.0, "section": section},
+                      {"eta": 1.0, "section": flagged}]}))
+    affine = json.loads((workdir / "fit" / "mean_affine.json").read_text())
+    affine["translation"][0] = 1e308
+    (tmp_path / "huge-affine.json").write_text(json.dumps(affine))
     (tmp_path / "big-eta.json").write_text(json.dumps(
         {"format_version": 1, "n": 9,
          "stations": [{"eta": 0.0, "section": section},
@@ -582,7 +605,8 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     for name, key, value in [
             ("strings", "mean", [repr(v) for v in model["mean"]]),
             ("null", "eigenvalues", [None, *model["eigenvalues"][1:]]),
-            ("rtrue", "r", True), ("vtrue", "format_version", True)]:
+            ("rtrue", "r", True), ("vtrue", "format_version", True),
+            ("huge-mean", "mean", [1e200, *model["mean"][1:]])]:
         (tmp_path / f"{name}.json").write_text(
             json.dumps({**model, key: value}))
     (tmp_path / "deep.json").write_text("[" * 100000)
@@ -732,7 +756,7 @@ JSON_SPLICES = {
     '"@NESTED@"': "[" * 70 + "0.5" + "]" * 70,  # past numpy's dimensions
 }
 JSON_MUTANTS = ["0.5", "NaN", None, True, False, "x", {}, [], [[0.5]],
-                0.5, 7, float("nan"), 10 ** 400, "@DROP@",
+                0.5, 7, 1e308, float("nan"), 10 ** 400, "@DROP@",
                 *(k.strip('"') for k in JSON_SPLICES)]
 JSON_INPUTS = {
     "model": ["synth", "--model", "{file}", "--coords", "0.001,0,0"],
@@ -799,6 +823,79 @@ def test_cli_fuzz_mutated_json_files(workdir, data):
                 contextlib.redirect_stderr(stderr), warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv + ["--out", "out"])
+        out_left = Path("out").exists()
+    err = stderr.getvalue()
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_left
+    else:
+        assert "error:" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated coefficient, normal-coordinate and wireframe tables never
+# end in a traceback
+
+CSV_INPUTS = {
+    "coefficients": (["sweep", "--space", "cst", "--coefficients", "{file}",
+                      "--count", "1", "--steps", "3", "--n", "21"],
+                     "data/coefficients.csv"),
+    "normal-coords": (["render", "--kind", "scatter", "--table", "{file}"],
+                      "fit/normal_coords.csv"),
+    "wireframe": (["render", "--kind", "wireframe", "--wireframe", "{file}"],
+                  "interp/wireframe.csv"),
+}
+CSV_CELLS = ["x", "", "0x1", "1_0", "nan", "-inf", "1e400", "-1e400", "0.5",
+             "-1", "7"]
+
+
+def mutate_table(data, lines):
+    """One edit of a CSV table's lines: a cell, a field, a header name or a
+    duplicated record."""
+    action = data.draw(st.sampled_from(
+        ["cell", "drop-field", "extra-field", "header", "duplicate",
+         "overwrite"]))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[i].split(",")
+    j = data.draw(st.integers(0, len(fields) - 1))
+    if action == "cell":
+        fields[j] = data.draw(st.sampled_from(CSV_CELLS))
+    elif action == "drop-field":
+        del fields[j]
+    elif action == "extra-field":
+        fields.insert(j, data.draw(st.sampled_from(CSV_CELLS)))
+    elif action == "header":
+        header = lines[0].split(",")
+        header[data.draw(st.integers(0, len(header) - 1))] = "zz"
+        lines[0] = ",".join(header)
+    elif action == "duplicate":  # a repeated record
+        lines.insert(i, lines[i])
+    else:  # a record replaced by a copy of another
+        fields = lines[data.draw(st.integers(1, len(lines) - 1))].split(",")
+    lines[i] = ",".join(fields)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_mutated_csv_files(workdir, data):
+    kind = data.draw(st.sampled_from(sorted(CSV_INPUTS)))
+    argv, source = CSV_INPUTS[kind]
+    lines = (workdir / source).read_text().splitlines()
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        mutate_table(data, lines)
+    text = "\n".join(lines) + "\n"
+    if data.draw(st.integers(0, 4)) == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("input.csv").write_text(text)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([a.format(file="input.csv") for a in argv]
+                        + ["--out", "out"])
         out_left = Path("out").exists()
     err = stderr.getvalue()
     assert code in (0, 1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassfoil import codec
 from grassfoil import io as gio
 from grassfoil.blade import build_blade, export_wireframe
 from grassfoil.cli import main
@@ -21,10 +22,11 @@ from grassfoil.geometry import (AffineMap, LandmarkMatrix, affine_apply,
                                 default_baselines, perturb_cst)
 from grassfoil.grassmann import la_standardize
 from grassfoil.io import (_scan_coordinates, read_affine, read_blade,
-                          read_coordinates, read_json, read_model,
-                          read_table, read_wireframe, write_affine,
-                          write_blade, write_coordinates, write_json,
-                          write_model, write_table, write_wireframe)
+                          read_coordinate_files, read_coordinates, read_json,
+                          read_model, read_table, read_wireframe,
+                          write_affine, write_blade, write_coordinate_files,
+                          write_coordinates, write_json, write_model,
+                          write_table, write_wireframe)
 from grassfoil.pga import karcher_mean, pga_fit
 
 
@@ -141,6 +143,128 @@ def test_coordinates_written_byte_for_byte_as_per_row(pairs):
     assert back.points.tobytes() == shape.points.tobytes()
 
 
+# Values at the edges of the bulk codec: zeros, subnormals, both ends of its
+# exponent range (e-11 to e+16) and just past them, three-digit exponents,
+# powers of ten and their neighbours, and a token whose long-double quotient
+# falls on the midpoint between two doubles.
+POWERS = [10.0 ** k for k in range(-15, 23)]
+CODEC_EDGES = (EDGE_FLOATS + [1e-12, 1e-11, 1e16, 1e17, 9.999999999999999e16,
+                              6.7528972387371347e+01]
+               + POWERS + [float(np.nextafter(p, 0.0)) for p in POWERS]
+               + [float(np.nextafter(p, np.inf)) for p in POWERS])
+codec_float = (st.sampled_from(CODEC_EDGES) | st.floats(-2.0, 2.0)
+               | st.floats(-1e17, 1e17)
+               | st.floats(allow_nan=False, allow_infinity=False))
+# a file of values the codec converts itself, or of anything finite
+coordinate_pairs = st.one_of(
+    st.lists(st.tuples(st.floats(-1e16, 1e16), st.floats(-2.0, 2.0)),
+             min_size=3, max_size=12),
+    st.lists(st.tuples(codec_float, codec_float), min_size=3, max_size=12))
+
+
+@given(st.lists(coordinate_pairs, min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_bulk_writer_matches_template_and_reads_back_bit_exact(files):
+    shapes = [LandmarkMatrix(np.array(pairs)) for pairs in files]
+    names = [f"file {i}" for i in range(len(shapes))]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"s{i:02d}.dat" for i in range(len(shapes))]
+        write_coordinate_files(zip(paths, shapes, names))
+        for path, shape, name in zip(paths, shapes, names):
+            assert path.read_text() == per_row_coordinates(shape, name)
+        back = read_coordinate_files(paths)
+    assert [name for name, _ in back] == names
+    for (_, read), shape in zip(back, shapes):
+        assert read.points.tobytes() == shape.points.tobytes()
+
+
+# "%.16e"-shaped tokens the writer never produced: any 17 digits, a leading
+# zero included, with exponents inside and outside the codec's range
+decimal_token = st.builds(
+    lambda sign, digits, exp: f"{sign}{digits // 10 ** 16}."
+                              f"{digits % 10 ** 16:016d}e{exp:+03d}",
+    st.sampled_from(["", "-"]), st.integers(0, 10 ** 17 - 1),
+    st.integers(-15, 20) | st.integers(-330, 300)) | st.sampled_from(
+        ["6.7528972387371347e+01", "-6.7528972387371347e+01"])
+
+
+@given(st.lists(st.lists(st.tuples(decimal_token, decimal_token),
+                         min_size=3, max_size=12), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_bulk_reader_matches_float_on_any_17_digit_decimal(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"d{i}.dat" for i in range(len(files))]
+        for path, pairs in zip(paths, files):
+            path.write_text("decimals\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+        back = read_coordinate_files(paths)
+    for (_, read), pairs in zip(back, files):
+        expected = np.array([float(t) for pair in pairs for t in pair])
+        assert read.points.ravel().tobytes() == expected.tobytes()
+
+
+def test_codec_off_gives_the_same_bytes_and_bits(tmp_path, monkeypatch):
+    shapes = [cst_evaluate(perturb_cst(default_baselines()[k % 16], 0.2,
+                                       seed=k), 101) for k in range(20)]
+    shapes.append(LandmarkMatrix(np.array(CODEC_EDGES[:30]).reshape(-1, 2)))
+    shapes.append(LandmarkMatrix(np.array(CODEC_EDGES[10:40]).reshape(-1, 2)))
+
+    def write_and_read(folder):
+        paths = [folder / f"s{i:02d}.dat" for i in range(len(shapes))]
+        write_coordinate_files((p, s, "edge") for p, s in zip(paths, shapes))
+        return ([p.read_bytes() for p in paths],
+                [shape.points.tobytes()
+                 for _, shape in read_coordinate_files(paths)])
+
+    on = write_and_read(tmp_path / "on")
+    monkeypatch.setattr(codec, "EXACT_LONGDOUBLE", False)
+    assert write_and_read(tmp_path / "off") == on
+    assert on[1] == [shape.points.tobytes() for shape in shapes]
+
+
+def hand_edited(text: str, k: int) -> str:
+    """One of several edits a person might make to a written file."""
+    name, _, body = text.partition("\n")
+    return [lambda: text,
+            lambda: text.replace("\n", "\r\n"),
+            lambda: text.replace(" ", "\t", 1),
+            lambda: text[:-1],
+            lambda: name + "\n" + body.replace("e+00", "e0"),
+            lambda: text.replace("0000e", "e", 1),
+            lambda: text.replace("\n", " \n", 2)][k % 7]()
+
+
+def test_multi_file_read_equals_per_file_reads(tmp_path):
+    for k in range(40):  # more than two chunks of files
+        shape = cst_evaluate(perturb_cst(default_baselines()[k % 16], 0.2,
+                                         seed=k), 21)
+        write_coordinates(tmp_path / f"s{k:02d}.dat", shape, f"shape {k}")
+        if k % 3:
+            path = tmp_path / f"s{k:02d}.dat"
+            path.write_text(hand_edited(path.read_text(), k))
+    paths = sorted(tmp_path.glob("*.dat"))
+    bulk = read_coordinate_files(paths)
+    single = [read_coordinates(p) for p in paths]
+    scanned = [_scan_coordinates(p, p.read_text()) for p in paths]
+    for (name, shape), *others in zip(bulk, single, scanned):
+        for other_name, other in others:
+            assert (name, shape.points.tobytes()) == (
+                other_name, other.points.tobytes())
+
+
+def test_multi_file_read_raises_for_the_first_bad_file(tmp_path):
+    shape = cst_evaluate(default_baselines()[0], 21)
+    for k in range(20):
+        write_coordinates(tmp_path / f"s{k:02d}.dat", shape)
+    (tmp_path / "s05.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
+    (tmp_path / "s03.dat").write_bytes(b"caf\xe9\n0 0\n1 0\n0 1\n")
+    (tmp_path / "s17.dat").write_text("short\n0 0\n")
+    with pytest.raises(FileFormatError, match="s03.dat"):
+        read_coordinate_files(sorted(tmp_path.glob("*.dat")))
+    (tmp_path / "s03.dat").unlink()
+    with pytest.raises(FileParseError, match="s05.dat:3:3"):
+        read_coordinate_files(sorted(tmp_path.glob("*.dat")))
+
+
 def outcome(read):
     """What a reader returns or raises, in comparable form."""
     try:
@@ -187,7 +311,7 @@ def read_both(tmp_path, text):
     path = tmp_path / "m.dat"
     path.write_text(text)
     fast = outcome(lambda: read_coordinates(path))
-    slow = outcome(lambda: _scan_coordinates(path, text.splitlines()))
+    slow = outcome(lambda: _scan_coordinates(path, text))
     return fast, slow
 
 
