@@ -11,8 +11,7 @@ single coordinate vector deforms the whole blade consistently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -82,12 +81,6 @@ class BladeStation:
     section: LandmarkMatrix
     affine: AffineMap
 
-    def __post_init__(self):
-        eta = float(self.eta)
-        if not np.isfinite(eta):
-            raise BladeDefinitionError(f"span position must be finite, got {eta}")
-        object.__setattr__(self, "eta", eta)
-
 
 class AffineProfiles:
     """Componentwise monotone cubic profiles of the affine factor over span.
@@ -104,22 +97,35 @@ class AffineProfiles:
         etas = np.array(etas, dtype=float)
         values = np.array(values, dtype=float)
         if etas.ndim != 1 or len(etas) < 2:
-            raise BladeDefinitionError("profiles need at least 2 span knots")
+            raise BladeDefinitionError("profiles need at least 2 station spans")
         if not np.all(np.isfinite(etas)):
-            raise BladeDefinitionError("span knots must be finite")
+            raise BladeDefinitionError("station spans must be finite")
         if np.any(np.diff(etas) <= 0.0):
-            raise BladeDefinitionError(
-                "span knots must be strictly increasing (duplicates included)")
+            raise BladeDefinitionError("station spans must be strictly increasing")
         if values.shape != (len(etas), 6):
             raise DimensionError(
                 f"expected ({len(etas)}, 6) component values, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise BladeDefinitionError("profile knot values must be finite")
+        # On a segment of width h, the sum of |c_k| h**(3 - k) bounds every
+        # partial sum that affine_at forms.
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _pchip_coefficients(etas, values)
+            h = np.diff(etas)[:, None]
+            bound = sum(np.abs(c) * w
+                        for c, w in zip(coeffs, ((h * h) * h, h * h, h, 1.0)))
+        finite = np.isfinite(bound).all(axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            a, b = etas[i:i + 2].tolist()
+            raise BladeDefinitionError(
+                f"the affine profile between stations {i} and {i + 1} (eta "
+                f"{a!r} and {b!r}) overflows: spans too far apart or too close")
         etas.setflags(write=False)
         values.setflags(write=False)
         self.etas = etas
         self.values = values
-        self._coeffs = _pchip_coefficients(etas, values)
+        self._coeffs = coeffs
 
     def affine_at(self, eta: float) -> AffineMap:
         eta = float(eta)
@@ -128,8 +134,8 @@ class AffineProfiles:
         c = self._coeffs[:, idx]
         # Lowest power first, starting from 0.0: the order fixes the last
         # bit and the sign of zero.
-        vals = 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * ((s * s) * s)
-        return AffineMap(vals[:4].reshape(2, 2), vals[4:])
+        return AffineMap.from_vector(
+            0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * ((s * s) * s))
 
     @property
     def varying(self) -> np.ndarray:
@@ -150,40 +156,34 @@ class AffineProfiles:
 class BladeDefinition:
     """Ordered stations and their clustered representatives.
 
-    The affine profiles are derived from the stations' affine factors on
-    first use, so they always agree with the stations.
+    The affine profiles are derived from the stations' affine factors when
+    the blade is made, so they always agree with the stations.
     """
 
     stations: tuple[BladeStation, ...]
     aligned: tuple[GrassmannPoint, ...]
+    profiles: AffineProfiles = field(init=False, repr=False)
 
     def __post_init__(self):
         stations = tuple(self.stations)
         aligned = tuple(self.aligned)
-        if len(stations) < 2:
-            raise BladeDefinitionError("a blade needs at least 2 stations")
+        profiles = AffineProfiles([s.eta for s in stations],
+                                  [s.affine.as_vector() for s in stations])
         if len(aligned) != len(stations):
             raise BladeDefinitionError(
                 "one aligned representative per station required")
-        etas = np.array([s.eta for s in stations])
-        if np.any(np.diff(etas) <= 0.0):
-            raise BladeDefinitionError("station spans must be strictly increasing")
         n = stations[0].section.n
         for s, a in zip(stations, aligned):
             if s.section.n != n or a.n != n:
                 raise DimensionError("all stations must share one landmark count")
         object.__setattr__(self, "stations", stations)
         object.__setattr__(self, "aligned", aligned)
+        object.__setattr__(self, "profiles", profiles)
 
     @property
     def etas(self) -> np.ndarray:
-        return np.array([s.eta for s in self.stations])
-
-    @cached_property
-    def profiles(self) -> AffineProfiles:
-        """Interpolating profiles through the stations' affine components."""
-        return AffineProfiles(self.etas,
-                              [s.affine.as_vector() for s in self.stations])
+        """Read-only station spans, the knots of the profiles."""
+        return self.profiles.etas
 
     @property
     def n(self) -> int:
@@ -283,16 +283,14 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     if not (np.isfinite(consistency_tol) and consistency_tol >= 0.0):
         raise ParameterError("consistency tolerance must be finite and >= 0, "
                              f"got {consistency_tol}")
-    t = np.asarray(t, dtype=float)
-    if t.shape != (model.r,):
-        raise DimensionError(f"expected {model.r} coordinates, got shape {t.shape}")
+    t = model.checked_coords(t)
     if model.n != blade.n:
         raise DimensionError(
             f"model landmarks ({model.n}) do not match blade ({blade.n})")
     if not np.any(t):
         return blade
     basis_mats = [b.mat for b in model.basis]
-    v = np.tensordot(t, np.array(basis_mats), axes=(0, 0))
+    v = model.direction(t)
     new_stations = []
     new_aligned = []
     for k, (station, rep) in enumerate(zip(blade.stations, blade.aligned)):

@@ -31,14 +31,14 @@ from .geometry import (
     CstParams,
     LandmarkMatrix,
     baseline_names,
-    cst_sweep,
+    cst_evaluate,
     default_baselines,
     gen_dataset_detailed,
+    sweep_points,
     validate_shape,
 )
 from .grassmann import la_standardize, mean_affine, reconstruct_with
-from .pga import (corner_sweep, domain_contains, karcher_mean, pga_fit,
-                  synthesize)
+from .pga import domain_contains, karcher_mean, pga_fit, synthesize
 
 _COEFF_COLUMNS = [f"u{i}" for i in range(9)] + [f"l{i}" for i in range(9)]
 
@@ -227,14 +227,6 @@ def cmd_synth(args) -> tuple[dict, str]:
     return results, f"synthesized at t={t.tolist()}, in_domain={inside}"
 
 
-def _sweep_corners(rng: np.random.Generator, lo: np.ndarray,
-                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = rng.integers(0, 2, size=lo.shape).astype(bool)
-    corner = np.where(mask, hi, lo)
-    opposite = np.where(mask, lo, hi)
-    return corner, opposite
-
-
 # A shape counts as valid when it is full rank and non-self-intersecting.
 # Orientation is reported separately: the shared reference affine mirrors
 # shapes whose own affine factor had opposite handedness.
@@ -261,9 +253,8 @@ def cmd_sweep(args) -> tuple[dict, str]:
         lo, hi = model.domain.bounds_min, model.domain.bounds_max
         columns = [f"t{j}" for j in range(model.r)]
 
-        def shapes_between(a, b):
-            return [reconstruct_with(p, affine)
-                    for p in corner_sweep(model, a, b, args.steps)]
+        def shape_at(t):
+            return reconstruct_with(synthesize(model, t), affine)
     else:
         if args.coefficients is None:
             raise ParameterError("--space cst needs --coefficients")
@@ -271,17 +262,17 @@ def cmd_sweep(args) -> tuple[dict, str]:
         lo, hi = coeffs.min(axis=0), coeffs.max(axis=0)
         columns = _COEFF_COLUMNS
 
-        def shapes_between(a, b):
-            return cst_sweep(CstParams.from_vector(a),
-                             CstParams.from_vector(b), args.steps, args.n)
+        def shape_at(v):
+            return cst_evaluate(CstParams.from_vector(v), args.n)
     sweeps = []
     for k in range(args.count):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
-        a, b = _sweep_corners(rng, lo, hi)
-        shapes = shapes_between(a, b)
-        fracs = [i / (args.steps - 1) for i in range(args.steps)]
-        rows = [[i, *((1 - f) * a + f * b), *map(int, _validity(s).values())]
-                for i, (f, s) in enumerate(zip(fracs, shapes))]
+        flip = rng.integers(0, 2, size=lo.shape).astype(bool)
+        points = sweep_points(np.where(flip, hi, lo), np.where(flip, lo, hi),
+                              args.steps)
+        shapes = [shape_at(p) for p in points]
+        rows = [[i, *p, *map(int, _validity(s).values())]
+                for i, (p, s) in enumerate(zip(points, shapes))]
         sweeps.append((rows, svg.render_strip([s.points for s in shapes])))
     for k, (rows, strip) in enumerate(sweeps):
         gio.write_table(args.out / f"sweep-{k}.csv",

@@ -111,6 +111,15 @@ class AffineMap:
         """The six components in :data:`AFFINE_COMPONENT_NAMES` order."""
         return np.concatenate([self.linear.ravel(), self.translation])
 
+    @classmethod
+    def from_vector(cls, vec: np.ndarray) -> "AffineMap":
+        """The map whose :meth:`as_vector` is ``vec``."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (6,):
+            raise ParameterError(
+                f"affine vector needs 6 entries, got shape {vec.shape}")
+        return cls(vec[:4].reshape(2, 2), vec[4:])
+
     def inverse(self) -> "AffineMap":
         """The affine map undoing this one under the right action."""
         inv = np.linalg.inv(self.linear)
@@ -606,7 +615,17 @@ def gen_dataset(baselines: list[CstParams], n_perturbations: int,
 
 
 # ---------------------------------------------------------------------------
-# coefficient-space sweeps (for comparison against subspace-space sweeps)
+# straight sweeps, shared by coefficient space and normal coordinates
+
+
+def sweep_points(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` points from ``a`` to ``b``: row i is ``(1 - s) * a + s * b``
+    at ``s = i / (steps - 1)``."""
+    if steps < 2:
+        raise ParameterError(f"a sweep needs at least 2 steps, got {steps}")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    s = np.arange(steps)[:, None] / (steps - 1)
+    return (1.0 - s) * a + s * b
 
 
 def cst_sweep(corner_a: CstParams, corner_b: CstParams, steps: int,
@@ -616,13 +635,6 @@ def cst_sweep(corner_a: CstParams, corner_b: CstParams, steps: int,
     Linear interpolation in raw coefficient space; unlike sweeps in the
     learned design space, intermediate shapes carry no validity guarantee.
     """
-    if steps < 2:
-        raise ParameterError(f"a sweep needs at least 2 steps, got {steps}")
-    va, vb = corner_a.as_vector(), corner_b.as_vector()
-    out = []
-    for i in range(steps):
-        s = i / (steps - 1)
-        params = CstParams.from_vector((1.0 - s) * va + s * vb,
-                                       corner_a.te_thickness)
-        out.append(cst_evaluate(params, n))
-    return out
+    return [cst_evaluate(CstParams.from_vector(v, corner_a.te_thickness), n)
+            for v in sweep_points(corner_a.as_vector(), corner_b.as_vector(),
+                                  steps)]

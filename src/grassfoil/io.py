@@ -18,6 +18,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def _scan_coordinates(path, text: str) -> tuple[str, LandmarkMatrix]:
     """Line-by-line reading of a coordinate file; raises at the first fault.
 
     A line is split and converted whole; one that does not give two finite
-    numbers that way goes to :func:`_scan_line`, which names the fault.
+    numbers that way goes to :func:`_line_fault`, which names the fault.
     """
     lines = text.splitlines()
     if not lines:
@@ -153,7 +154,7 @@ def _scan_coordinates(path, text: str) -> tuple[str, LandmarkMatrix]:
         except ValueError:
             x = y = math.nan
         if not (math.isfinite(x) and math.isfinite(y)):
-            x, y = _scan_line(path, lineno, line)
+            _line_fault(path, lineno, line)
         points.append((x, y))
     if len(points) < 3:
         raise TooFewPointsError(
@@ -162,14 +163,14 @@ def _scan_coordinates(path, text: str) -> tuple[str, LandmarkMatrix]:
     return name, LandmarkMatrix(np.array(points))
 
 
-def _scan_line(path, lineno: int, line: str) -> list[float]:
-    """The two values of one line, token by token; a fault names its column."""
+def _line_fault(path, lineno: int, line: str) -> NoReturn:
+    """Raise the fault, token by token, of a line that ``str.split`` does
+    not give two finite numbers; ``_TOKEN`` splits where it does."""
     tokens = list(_TOKEN.finditer(line))
     if len(tokens) != 2:
         raise FileParseError(
             f"expected 2 values per line, found {len(tokens)}", path=path,
             line=lineno)
-    pair = []
     for tok in tokens:
         try:
             value = float(tok.group())
@@ -181,8 +182,6 @@ def _scan_line(path, lineno: int, line: str) -> list[float]:
             raise FileParseError(
                 f"non-finite value: {tok.group()!r}", path=path, line=lineno,
                 column=tok.start() + 1)
-        pair.append(value)
-    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +483,6 @@ def read_blade(path) -> BladeDefinition:
         eta = _get(st, "eta", key)
         if type(eta) not in (int, float) or not abs(eta) <= sys.float_info.max:
             raise SchemaError(f"key '{key}.eta' must be a finite number")
-        if abs(eta) > MAX_COORDINATE:
-            raise SchemaError(
-                f"key '{key}.eta' exceeds {MAX_COORDINATE:.0e} in magnitude")
         etas.append(float(eta))
         sections.append(LandmarkMatrix(_array(st, "section", (n, 2), key)))
         if explicit:

@@ -23,6 +23,7 @@ from .errors import (
     IterationLimitError,
     ParameterError,
 )
+from .geometry import sweep_points
 from .grassmann import GrassmannPoint, TangentVector, exp_map, log_map
 
 #: Flattening convention for tangent matrices in models and files.
@@ -98,6 +99,19 @@ class PgaModel:
     def basis_matrix(self) -> np.ndarray:
         """Basis stacked as an (r, 2n) array of flattened tangents."""
         return np.array([flatten_tangent(b.mat) for b in self.basis])
+
+    def checked_coords(self, t) -> np.ndarray:
+        """``t`` as a float vector of this model's ``r`` normal coordinates."""
+        t = np.asarray(t, dtype=float)
+        if t.shape != (self.r,):
+            raise DimensionError(
+                f"expected {self.r} coordinates, got shape {t.shape}")
+        return t
+
+    def direction(self, t) -> np.ndarray:
+        """Tangent matrix at the mean with normal coordinates ``t``."""
+        return np.tensordot(self.checked_coords(t),
+                            np.array([b.mat for b in self.basis]), axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +270,12 @@ def coords_of(model: PgaModel, shape: GrassmannPoint) -> np.ndarray:
 
 def synthesize(model: PgaModel, t: np.ndarray) -> GrassmannPoint:
     """Shape at normal coordinates ``t``: exponentiate the basis combination."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (model.r,):
-        raise DimensionError(
-            f"expected {model.r} coordinates, got shape {t.shape}")
-    mat = np.tensordot(t, np.array([b.mat for b in model.basis]), axes=(0, 0))
-    return exp_map(model.mean, TangentVector(mat, model.mean))
+    return exp_map(model.mean, TangentVector(model.direction(t), model.mean))
 
 
 def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
     """Whether coordinates fall inside the training-data ellipsoid."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (model.r,):
-        raise DimensionError(
-            f"expected {model.r} coordinates, got shape {t.shape}")
+    t = model.checked_coords(t)
     radii = model.domain.ellipsoid_radii
     degenerate = radii <= 0.0
     if np.any(degenerate & (np.abs(t) > 1e-12)):
@@ -281,12 +287,4 @@ def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
 def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
                  steps: int) -> list[GrassmannPoint]:
     """Shapes along the straight segment between two coordinate corners."""
-    if steps < 2:
-        raise ParameterError(f"a sweep needs at least 2 steps, got {steps}")
-    corner_a = np.asarray(corner_a, dtype=float)
-    corner_b = np.asarray(corner_b, dtype=float)
-    points = []
-    for i in range(steps):
-        s = i / (steps - 1)
-        points.append(synthesize(model, (1.0 - s) * corner_a + s * corner_b))
-    return points
+    return [synthesize(model, t) for t in sweep_points(corner_a, corner_b, steps)]

@@ -1,5 +1,7 @@
 """Tests for blade construction, interpolation, and consistent perturbation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,25 @@ def test_profiles_reject_unsorted_etas():
     with pytest.raises(BladeDefinitionError):
         AffineProfiles([s.eta for s in stations],
                        [s.affine.as_vector() for s in stations])
+
+
+@pytest.mark.parametrize("etas, pair", [
+    ((0.0, 0.5, 1e120), "stations 1 and 2 (eta 0.5 and 1e+120)"),
+    ((0.0, 1e-170, 1.0), "stations 0 and 1 (eta 0.0 and 1e-170)")],
+    ids=["far-apart", "too-close"])
+def test_spans_whose_profile_overflows_are_rejected(etas, pair):
+    sections = make_sections()[:3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BladeDefinitionError) as err:
+            build_blade(etas, sections)
+    assert pair in str(err.value)
+
+
+def test_blade_etas_are_the_profile_knots(blade):
+    assert blade.etas is blade.profiles.etas
+    assert not blade.etas.flags.writeable
+    assert blade.etas.tolist() == list(ETAS)
 
 
 def test_profiles_derive_from_the_stations(blade):

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -210,7 +211,8 @@ def test_sweep_cst_space(workdir, tmp_path):
 
 @pytest.mark.parametrize("space", ["pga", "cst"])
 def test_sweep_rows_sit_at_the_shapes_fractions(workdir, tmp_path, space):
-    # corner_sweep and cst_sweep build step i at s = i / (steps - 1)
+    # geometry.sweep_points owns step i at s = i / (steps - 1): the CLI
+    # builds each shape from the very point it writes on that row
     inputs = {"pga": ["--model", str(workdir / "fit" / "model.json"),
                       "--affine", str(workdir / "fit" / "mean_affine.json")],
               "cst": ["--coefficients",
@@ -541,6 +543,45 @@ BAD_INPUTS = {
                                             "11"],
                                            "--samples-per-section needs "
                                            "--spans"),
+    "blade-spans-far-apart": (["blade-interp", "--blade", "{tmp}/far.json",
+                               "--eta", "0.3", "--spans", "3"],
+                              "far.json: the affine profile between stations "
+                              "1 and 2 (eta 0.5 and 1e+120) overflows"),
+    "blade-spans-too-close": (["blade-interp", "--blade", "{tmp}/close.json",
+                               "--eta", "0.3", "--spans", "3"],
+                              "close.json: the affine profile between "
+                              "stations 0 and 1 (eta 0.0 and 1e-170) "
+                              "overflows"),
+    "model-top-level-list": (["synth", "--model", "{tmp}/list.json",
+                              "--coords", "0,0,0"],
+                             "list.json: expected an object at 'top level'"),
+    "model-mean-ragged": (["synth", "--model", "{tmp}/ragged.json",
+                           "--coords", "0,0,0"],
+                          "ragged.json: key 'mean' is not a numeric array"),
+    "model-eigenvalue-infinite": (["synth", "--model", "{tmp}/inf.json",
+                                   "--coords", "0,0,0"],
+                                  "inf.json: key 'eigenvalues' contains "
+                                  "non-finite values"),
+    "model-row-major": (["synth", "--model", "{tmp}/rows.json",
+                         "--coords", "0,0,0"],
+                        "rows.json: key 'flatten_order' is 'row-major'; "
+                        "this build reads 'column-major'"),
+    "blade-station-a-number": (["blade-interp", "--blade", "{tmp}/five.json",
+                                "--eta", "0.5"],
+                               "five.json: key 'stations[1]' must be an "
+                               "object"),
+    "shapes-directory-empty": (["mean", "--shapes", "{tmp}/empty"],
+                               "no .dat coordinate files under {tmp}/empty"),
+    "gen-dataset-no-baselines": (["gen-dataset", "--baselines", "0"],
+                                 "--baselines must be in [1, 16], got 0"),
+    "render-scatter-without-table": (["render", "--kind", "scatter"],
+                                     "--kind scatter needs --table"),
+    "render-wireframe-without-file": (["render", "--kind", "wireframe"],
+                                      "--kind wireframe needs --wireframe"),
+    "wireframe-record-repeated": (["render", "--kind", "wireframe",
+                                   "--wireframe", "{tmp}/hole.csv"],
+                                  "hole.csv:5: grid has missing (section, "
+                                  "landmark) records"),
 }
 
 
@@ -601,14 +642,30 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
         {"format_version": 1, "n": 9,
          "stations": [{"eta": 0.0, "section": section},
                       {"eta": 10 ** 400, "section": section}]}))
+    for name, etas in [("far", [0.0, 0.5, 1e120]),
+                       ("close", [0.0, 1e-170, 1.0])]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"format_version": 1, "n": 9,
+             "stations": [{"eta": eta, "section": section} for eta in etas]}))
+    (tmp_path / "five.json").write_text(json.dumps(
+        {"format_version": 1, "n": 9,
+         "stations": [{"eta": 0.0, "section": section}, 5]}))
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "hole.csv").write_text(
+        "section,landmark,x,y,eta\n0,0,0.0,0.0,0.0\n0,0,1.0,0.0,0.0\n"
+        "1,0,0.0,0.0,1.0\n1,1,1.0,0.0,1.0\n")
     model = json.loads((workdir / "fit" / "model.json").read_text())
     for name, key, value in [
             ("strings", "mean", [repr(v) for v in model["mean"]]),
             ("null", "eigenvalues", [None, *model["eigenvalues"][1:]]),
             ("rtrue", "r", True), ("vtrue", "format_version", True),
-            ("huge-mean", "mean", [1e200, *model["mean"][1:]])]:
+            ("huge-mean", "mean", [1e200, *model["mean"][1:]]),
+            ("ragged", "mean", [model["mean"][:2], model["mean"][2:3]]),
+            ("inf", "eigenvalues", [math.inf, *model["eigenvalues"][1:]]),
+            ("rows", "flatten_order", "row-major")]:
         (tmp_path / f"{name}.json").write_text(
             json.dumps({**model, key: value}))
+    (tmp_path / "list.json").write_text(json.dumps([model]))
     (tmp_path / "deep.json").write_text("[" * 100000)
     (tmp_path / "hugeint.json").write_text(
         '{"format_version": 1, "n": ' + "1" * 5000 + "}")

@@ -16,7 +16,7 @@ from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
                                 chord_stations, compose_affine, cst_evaluate,
                                 cst_sweep, default_baselines, gen_dataset,
                                 gen_dataset_detailed, perturb_cst,
-                                validate_shape)
+                                sweep_points, validate_shape)
 from grassfoil.grassmann import la_standardize, reconstruct_with
 
 UNIFORM = CstParams(np.full(9, 0.2), np.full(9, -0.2))
@@ -204,6 +204,15 @@ def test_identity_and_inverse():
     aff = AffineMap(np.array([[1.4, 0.2], [-0.1, 0.8]]), np.array([0.3, -0.2]))
     back = affine_apply(affine_apply(shape, aff), aff.inverse())
     np.testing.assert_allclose(back.points, shape.points, atol=1e-12)
+
+
+def test_affine_vector_round_trip():
+    aff = AffineMap(np.array([[1.4, 0.2], [-0.1, 0.8]]), np.array([0.3, -0.2]))
+    back = AffineMap.from_vector(aff.as_vector())
+    assert np.array_equal(back.linear, aff.linear)
+    assert np.array_equal(back.translation, aff.translation)
+    with pytest.raises(ParameterError, match="needs 6 entries"):
+        AffineMap.from_vector(np.ones(5))
 
 
 def test_singular_affine_rejected():
@@ -468,7 +477,24 @@ def test_gen_dataset_rejects_invalid_baseline():
 
 
 # ---------------------------------------------------------------------------
-# coefficient sweeps
+# sweeps
+
+
+@pytest.mark.parametrize("steps", [2, 3, 20, 40, 1999])
+def test_sweep_points_blend_at_step_fractions(steps):
+    rng = np.random.default_rng(steps)
+    a, b = rng.normal(size=(2, 5))
+    points = sweep_points(a, b, steps)
+    assert points.shape == (steps, 5)
+    for i, row in enumerate(points):
+        s = i / (steps - 1)
+        assert np.array_equal(row, (1.0 - s) * a + s * b), i
+    assert np.array_equal(points[0], a) and np.array_equal(points[-1], b)
+
+
+def test_sweep_points_need_two_steps():
+    with pytest.raises(ParameterError, match="at least 2 steps, got 1"):
+        sweep_points(np.zeros(3), np.ones(3), 1)
 
 
 def test_cst_sweep_endpoints_exact():

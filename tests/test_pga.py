@@ -317,6 +317,18 @@ def test_synthesize_checks_length(airfoil_points):
     model = pga_fit(result.point, result.logs, 4)
     with pytest.raises(DimensionError):
         synthesize(model, np.zeros(3))
+    with pytest.raises(DimensionError, match="expected 4 coordinates"):
+        domain_contains(model, np.zeros((4, 1)))
+
+
+def test_direction_combines_the_basis(airfoil_points):
+    result = karcher_mean(airfoil_points)
+    model = pga_fit(result.point, result.logs, 4)
+    t = np.array([0.3, -0.1, 0.02, 0.0])
+    expected = sum(tj * b.mat for tj, b in zip(t, model.basis))
+    np.testing.assert_allclose(model.direction(t), expected, atol=1e-15)
+    assert np.array_equal(model.checked_coords([1, 2, 3, 4]),
+                          [1.0, 2.0, 3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
