@@ -31,10 +31,11 @@ from .grassmann import (
     TangentVector,
     exp_map,
     inner,
-    la_standardize,
     log_map,
+    log_map_stack,
     procrustes_rotation,
     reconstruct_with,
+    standardize_stack,
 )
 from .pga import PgaModel
 
@@ -127,9 +128,11 @@ class AffineProfiles:
         self.values = values
         self._coeffs = coeffs
 
-    def affine_at(self, eta: float) -> AffineMap:
+    def affine_at(self, eta: float, segment: int | None = None) -> AffineMap:
+        """The profiles at span ``eta``; a caller that has located eta's
+        segment (as ``_locate_segment`` does) passes it on."""
         eta = float(eta)
-        idx = _locate_segment(self.etas, eta)
+        idx = _locate_segment(self.etas, eta) if segment is None else segment
         s = eta - self.etas[idx]
         c = self._coeffs[:, idx]
         # Lowest power first, starting from 0.0: the order fixes the last
@@ -225,11 +228,12 @@ def build_blade(etas: Sequence[float], sections: Sequence) -> BladeDefinition:
         raise BladeDefinitionError("a blade needs at least 2 stations")
     shapes = [s if isinstance(s, LandmarkMatrix) else LandmarkMatrix(s)
               for s in sections]
-    decomps = [la_standardize(s) for s in shapes]
-    aligned = procrustes_cluster([d.point for d in decomps])
+    if len({s.n for s in shapes}) > 1:
+        raise DimensionError("all stations must share one landmark count")
+    frames, _, offsets = standardize_stack(np.array([s.points for s in shapes]))
+    aligned = procrustes_cluster([GrassmannPoint(f) for f in frames])
     stations = []
-    for eta, shape, decomp, rep in zip(etas, shapes, decomps, aligned):
-        offset = decomp.affine.translation
+    for eta, shape, offset, rep in zip(etas, shapes, offsets, aligned):
         linear = rep.rep.T @ (shape.points - offset)
         stations.append(BladeStation(float(eta), shape, AffineMap(linear, offset)))
     return BladeDefinition(tuple(stations), tuple(aligned))
@@ -266,7 +270,7 @@ def _section_at(blade: BladeDefinition, eta: float,
     if idx not in logs:
         logs[idx] = log_map(p, blade.aligned[idx + 1])
     point = exp_map(p, TangentVector(s * logs[idx].mat, p))
-    return reconstruct_with(point, blade.profiles.affine_at(eta))
+    return reconstruct_with(point, blade.profiles.affine_at(eta, idx))
 
 
 def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
@@ -291,15 +295,17 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
         return blade
     basis_mats = [b.mat for b in model.basis]
     v = model.direction(t)
+    reps = np.array([rep.rep for rep in blade.aligned])
+    try:
+        directions, cut = log_map_stack(model.mean.rep, reps), None
+    except CutLocusError as err:  # the stations before it still go first
+        directions = log_map_stack(model.mean.rep, reps[:err.shape_index])
+        cut = err
     new_stations = []
     new_aligned = []
-    for k, (station, rep) in enumerate(zip(blade.stations, blade.aligned)):
-        try:
-            direction = log_map(model.mean, rep)
-        except CutLocusError as err:
-            raise CutLocusError(
-                f"station {k} is at the cut locus of the model mean",
-                max_angle=err.max_angle, station_index=k) from err
+    for k, (station, rep, log) in enumerate(zip(blade.stations, blade.aligned,
+                                                directions)):
+        direction = TangentVector(log, model.mean)
         tau_v, *tau_basis = Geodesic(model.mean, direction).transport(
             [v] + basis_mats, 1.0)
         coords = np.array([inner(tau_v, tb) for tb in tau_basis])
@@ -314,6 +320,11 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
         section = reconstruct_with(moved_rep, station.affine)
         new_aligned.append(moved_rep)
         new_stations.append(BladeStation(station.eta, section, station.affine))
+    if cut is not None:
+        k = cut.shape_index
+        raise CutLocusError(
+            f"station {k} is at the cut locus of the model mean",
+            max_angle=cut.max_angle, station_index=k) from cut
     return BladeDefinition(tuple(new_stations), tuple(new_aligned))
 
 

@@ -9,6 +9,7 @@ configuration, so any artifact can be regenerated byte-identically.
 from __future__ import annotations
 
 import argparse
+import itertools
 import re
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .geometry import (
     AFFINE_COMPONENT_NAMES,
     CstParams,
     LandmarkMatrix,
+    affine_vectors,
     baseline_names,
     cst_evaluate,
     default_baselines,
@@ -37,7 +39,7 @@ from .geometry import (
     sweep_points,
     validate_shape,
 )
-from .grassmann import la_standardize, mean_affine, reconstruct_with
+from .grassmann import mean_affine, reconstruct_with, standardize_stack
 from .pga import domain_contains, karcher_mean, pga_fit, synthesize
 
 _COEFF_COLUMNS = [f"u{i}" for i in range(9)] + [f"l{i}" for i in range(9)]
@@ -95,14 +97,20 @@ def _parse_coord_vector(text: str, r: int) -> np.ndarray:
 
 
 def _standardized(loaded):
-    """(name, decomposition) of each loaded shape; failures name the file."""
-    decomps = []
-    for path, name, shape in loaded:
+    """Frames of each run of loaded shapes that share a landmark count, and
+    the linear factors and translations of all; a failure names its file."""
+    runs, start = [], 0
+    for _, run in itertools.groupby(loaded, key=lambda item: item[2].n):
+        points = np.array([shape.points for _, _, shape in run])
         try:
-            decomps.append((name, la_standardize(shape)))
+            runs.append(standardize_stack(points))
         except DegenerateShapeError as err:
-            raise DegenerateShapeError(f"{path}: {err}") from None
-    return decomps
+            index = start + err.shape_index
+            raise DegenerateShapeError(f"{loaded[index][0]}: {err}",
+                                       shape_index=index) from None
+        start += len(points)
+    frames, linear, translation = zip(*runs)
+    return frames, np.concatenate(linear), np.concatenate(translation)
 
 
 def _check_landmark_counts(loaded) -> None:
@@ -117,15 +125,15 @@ def _fit_mean(args):
     """Shared prologue of mean and pga-fit: load, standardize, average."""
     loaded = _load_shapes(args.shapes)
     _check_landmark_counts(loaded)
-    names, decomps = zip(*_standardized(loaded))
+    (frames,), linear, translation = _standardized(loaded)
     try:
-        result = karcher_mean([d.point for d in decomps], tol=args.tol,
-                              max_iter=args.max_iter)
+        result = karcher_mean(frames, tol=args.tol, max_iter=args.max_iter)
     except CutLocusError as err:
         path = loaded[err.shape_index][0]
         raise CutLocusError(f"{path}: {err}", max_angle=err.max_angle,
                             shape_index=err.shape_index) from None
-    return names, result, mean_affine([d.affine for d in decomps])
+    names = [name for _, name, _ in loaded]
+    return names, result, mean_affine(linear, translation)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +167,13 @@ def cmd_gen_dataset(args) -> tuple[dict, str]:
 
 def cmd_standardize(args) -> tuple[dict, str]:
     loaded = _load_shapes(args.shapes)
-    rows = []
-    affines = []
-    for name, decomp in _standardized(loaded):
-        a = decomp.affine
-        affines.append(a)
-        rows.append([name.split()[0], *a.as_vector()])
+    _, linear, translation = _standardized(loaded)
+    rows = [[name.split()[0], *vec] for (_, name, _), vec
+            in zip(loaded, affine_vectors(linear, translation))]
     gio.write_table(args.out / "affines.csv",
                     ["file", *AFFINE_COMPONENT_NAMES], rows)
-    gio.write_affine(args.out / "mean_affine.json", mean_affine(affines))
+    gio.write_affine(args.out / "mean_affine.json",
+                     mean_affine(linear, translation))
     return ({"shapes_standardized": len(loaded)},
             f"standardized {len(loaded)} shapes")
 

@@ -28,7 +28,12 @@ class Gl2ViolationError(GrassfoilError):
 
 class DegenerateShapeError(GrassfoilError):
     """Landmarks admit no stable decomposition: numerically collinear, or
-    too large to factor without overflow."""
+    too large to factor without overflow. ``shape_index`` is the failing
+    shape's position in a stack."""
+
+    def __init__(self, message: str, *, shape_index: int | None = None):
+        super().__init__(message)
+        self.shape_index = shape_index
 
 
 class DimensionError(GrassfoilError):
@@ -55,12 +60,15 @@ class CutLocusError(GrassfoilError):
 
 
 class IterationLimitError(GrassfoilError):
-    """A fixed-point iteration hit its iteration cap before converging."""
+    """A fixed-point iteration hit its iteration cap before converging;
+    ``ratio`` is the last residual over the one before, if there was one."""
 
-    def __init__(self, message: str, *, residual: float, iterations: int):
+    def __init__(self, message: str, *, residual: float, iterations: int,
+                 ratio: float | None = None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.ratio = ratio
 
 
 class ConsistencyError(GrassfoilError):

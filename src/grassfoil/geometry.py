@@ -77,6 +77,19 @@ class LandmarkMatrix:
 AFFINE_COMPONENT_NAMES = ("m00", "m01", "m10", "m11", "b0", "b1")
 
 
+def affine_vectors(linear: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """The six components of an affine factor, or a row of them for each
+    of a stack, in :data:`AFFINE_COMPONENT_NAMES` order."""
+    return np.concatenate([linear.reshape(*linear.shape[:-2], 4), translation],
+                          axis=-1)
+
+
+def singular_linear(linear: np.ndarray):
+    """Whether a 2x2 linear factor, or each of a stack, is rank deficient:
+    ``|det| <= 1e-12``."""
+    return np.abs(np.linalg.det(linear)) <= _DET_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMap:
     """Right-acting affine deformation ``X -> X @ linear + outer(1, translation)``."""
@@ -94,7 +107,7 @@ class AffineMap:
                 f"translation must have shape (2,), got {b.shape}")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise ParameterError("affine map contains non-finite values")
-        if abs(float(np.linalg.det(m))) <= _DET_TOL:
+        if singular_linear(m):
             raise Gl2ViolationError(
                 "linear factor is rank deficient (|det| <= 1e-12); the "
                 "deformation would collapse landmarks onto a line")
@@ -109,7 +122,7 @@ class AffineMap:
 
     def as_vector(self) -> np.ndarray:
         """The six components in :data:`AFFINE_COMPONENT_NAMES` order."""
-        return np.concatenate([self.linear.ravel(), self.translation])
+        return affine_vectors(self.linear, self.translation)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "AffineMap":

@@ -16,7 +16,7 @@ transport all reduce to small dense decompositions of 2-column blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from .errors import (
     CutLocusError,
     DegenerateShapeError,
     DimensionError,
+    ParameterError,
     TangencyError,
 )
-from .geometry import RANK_RATIO_TOL, AffineMap, LandmarkMatrix, affine_apply
+from .geometry import (RANK_RATIO_TOL, AffineMap, LandmarkMatrix,
+                       affine_apply, singular_linear)
 
 _ORTHO_TOL = 1e-12
 _HORIZONTAL_TOL = 1e-10
@@ -35,12 +37,15 @@ _CUT_LOCUS_MARGIN = 1e-8
 #: Magnitude beyond which a landmark or a stored value is rejected: the
 #: affine factor's determinant and other products of two would overflow.
 MAX_COORDINATE = 1e150
+#: Shapes per stacked decomposition, which bounds the kernels' temporaries.
+_CHUNK = 64
 
 
-def _horizontal(rep: np.ndarray, mat: np.ndarray, tol: float) -> bool:
-    """Whether ``rep' mat`` vanishes to ``tol`` scaled by max(1, |mat|)."""
-    err = np.max(np.abs(rep.T @ mat))
-    return err <= tol or err <= tol * float(np.abs(mat).max())
+def _horizontal(rep: np.ndarray, mat: np.ndarray, tol: float):
+    """Whether ``rep' mat`` vanishes to ``tol`` scaled by max(1, |mat|), for
+    one matrix or for each slice of an ``(N, n, q)`` stack."""
+    err = np.abs(np.matmul(rep.T, mat)).max(axis=(-2, -1))
+    return (err <= tol) | (err <= tol * np.abs(mat).max(axis=(-2, -1)))
 
 
 def orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -57,11 +62,47 @@ def orthonormalize(mat: np.ndarray) -> np.ndarray:
     return q * signs
 
 
+def as_frames(reps) -> np.ndarray:
+    """``reps`` as an ``(N, n, q)`` stack of orthonormal frames, each slice
+    checked as :class:`GrassmannPoint` checks one: slices whose Gram matrix
+    strays beyond 1e-12 from the identity are re-orthonormalized in a copy,
+    and clean slices keep their exact bits."""
+    reps = np.asarray(reps, dtype=float)
+    if reps.ndim != 3 or reps.shape[1] <= reps.shape[2]:
+        raise DimensionError(
+            f"representatives must be a stack of tall matrices, got shape "
+            f"{reps.shape}")
+    if not np.all(np.isfinite(reps)):
+        raise DimensionError("representative contains non-finite values")
+    gram = np.matmul(reps.swapaxes(1, 2), reps)
+    stray = np.abs(gram - np.eye(reps.shape[2])).max(axis=(1, 2)) > _ORTHO_TOL
+    if stray.any():
+        reps = reps.copy()
+    for i in np.flatnonzero(stray):
+        try:
+            reps[i] = orthonormalize(reps[i])
+        except DegenerateShapeError as err:
+            raise DegenerateShapeError(str(err), shape_index=int(i)) from None
+    return reps
+
+
+def _fault(bad: np.ndarray, stop: int, error, make):
+    """``(stop, error)`` after a check that marks ``bad`` shapes of a chunk.
+
+    Checks run in the one-shape order, each over the shapes before the
+    earliest fault found so far, so a fault found there comes earlier in
+    the stack and ``make(index)`` gives the error its one-shape call raises.
+    """
+    hits = np.flatnonzero(bad[:stop])
+    return (int(hits[0]), make(int(hits[0]))) if hits.size else (stop, error)
+
+
 @dataclass(frozen=True, eq=False)
 class GrassmannPoint:
     """Orthonormal ``(n, 2)`` representative of a 2-subspace of R^n.
 
-    Construction re-orthonormalizes only when the Gram matrix strays beyond
+    Construction checks the frame as :func:`as_frames` checks each of a
+    stack: it re-orthonormalizes only when the Gram matrix strays beyond
     1e-12 from the identity, so frames that are already clean keep their
     exact bits (serialization round-trips untouched).
     """
@@ -73,11 +114,7 @@ class GrassmannPoint:
         if rep.ndim != 2 or rep.shape[0] <= rep.shape[1]:
             raise DimensionError(
                 f"representative must be a tall matrix, got shape {rep.shape}")
-        if not np.all(np.isfinite(rep)):
-            raise DimensionError("representative contains non-finite values")
-        gram = rep.T @ rep
-        if np.max(np.abs(gram - np.eye(rep.shape[1]))) > _ORTHO_TOL:
-            rep = orthonormalize(rep)
+        rep = as_frames(rep[None])[0]
         rep.setflags(write=False)
         object.__setattr__(self, "rep", rep)
 
@@ -139,34 +176,69 @@ def _require_same_shape(p: GrassmannPoint, q: GrassmannPoint):
 # standardization
 
 
-def la_standardize(shape: LandmarkMatrix) -> LaDecomposition:
-    """Split a landmark matrix into an orthonormal frame and an affine factor.
+def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frames, linear factors and translations of an ``(N, n, 2)`` landmark
+    stack, as ``(N, n, 2)``, ``(N, 2, 2)`` and ``(N, 2)`` arrays.
 
-    The translation is the landmark center of mass; the frame is the left
+    Each translation is the landmark center of mass; each frame is the left
     factor of the thin SVD of the centered landmarks, with a deterministic
     sign convention (each right-singular column's leading nonzero entry made
     positive, the matching flip applied to the left factor) so equal inputs
-    give bit-equal outputs. ``rep @ M + outer(1, b)`` reconstructs the input.
+    give bit-equal outputs. ``frame @ M + outer(1, b)`` reconstructs each
+    input. A chunk of shapes shares one stacked SVD. A shape that fails a
+    check raises what its one-shape call would, a ``DegenerateShapeError``
+    with its index as ``shape_index``; of several, the first raises.
     """
-    if np.abs(shape.points).max() > MAX_COORDINATE:
-        raise DegenerateShapeError(
-            f"landmark coordinates exceed {MAX_COORDINATE:.0e} in magnitude; "
-            "the factorization would overflow")
-    b = shape.points.mean(axis=0)
-    centered = shape.points - b
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s[0] <= 0.0 or s[1] / s[0] <= RANK_RATIO_TOL:
-        raise DegenerateShapeError(
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
+        raise DimensionError("expected an (N, n, 2) landmark stack with "
+                             f"n >= 3, got shape {points.shape}")
+    count = len(points)
+    frames = np.empty(points.shape)
+    linear = np.empty((count, 2, 2))
+    translation = np.empty((count, 2))
+    for start in range(0, count, _CHUNK):
+        x = points[start:start + _CHUNK]
+        size = np.abs(x).max(axis=(1, 2))
+        stop, error = _fault(~np.isfinite(size), len(x), None, lambda i: (
+            ParameterError("landmark matrix contains non-finite values")))
+        stop, error = _fault(size > MAX_COORDINATE, stop, error, lambda i: (
+            DegenerateShapeError(
+                f"landmark coordinates exceed {MAX_COORDINATE:.0e} in magnitude;"
+                " the factorization would overflow", shape_index=start + i)))
+        b = x[:stop].mean(axis=1)
+        u, s, vt = np.linalg.svd(x[:stop] - b[:, None], full_matrices=False)
+        ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(stop),
+                          where=s[:, 0] > 0.0)
+        bad = (s[:, 0] <= 0.0) | (ratio <= RANK_RATIO_TOL)
+        stop, error = _fault(bad, stop, error, lambda i: DegenerateShapeError(
             "centered landmarks are numerically collinear; no stable "
-            "full-rank factorization exists")
-    v = vt.T
-    for k in range(2):
-        lead = v[0, k] if v[0, k] != 0.0 else v[1, k]
-        if lead < 0.0:
-            v[:, k] = -v[:, k]
-            u[:, k] = -u[:, k]
-    m = (s[:, None] * v.T)
-    return LaDecomposition(GrassmannPoint(u), AffineMap(m, b))
+            "full-rank factorization exists", shape_index=start + i))
+        lead = np.where(vt[:stop, :, 0] != 0.0, vt[:stop, :, 0], vt[:stop, :, 1])
+        signs = np.where(lead < 0.0, -1.0, 1.0)
+        try:
+            u = as_frames(u[:stop] * signs[:, None, :])
+        except DegenerateShapeError as err:
+            stop, error = err.shape_index, DegenerateShapeError(
+                str(err), shape_index=start + err.shape_index)
+        m = s[:stop, :, None] * (vt[:stop] * signs[:stop, :, None])
+        singular = np.flatnonzero(singular_linear(m))
+        if singular.size:  # every earlier shape passed: its map raises
+            AffineMap(m[singular[0]], b[singular[0]])
+        if error is not None:
+            raise error
+        frames[start:start + stop] = u
+        linear[start:start + stop] = m
+        translation[start:start + stop] = b
+    return frames, linear, translation
+
+
+def la_standardize(shape: LandmarkMatrix) -> LaDecomposition:
+    """Split a landmark matrix into an orthonormal frame and an affine factor,
+    as :func:`standardize_stack` splits a stack of one."""
+    frames, linear, translation = standardize_stack(shape.points[None])
+    return LaDecomposition(GrassmannPoint(frames[0]),
+                           AffineMap(linear[0], translation[0]))
 
 
 def reconstruct_with(point: GrassmannPoint,
@@ -175,14 +247,12 @@ def reconstruct_with(point: GrassmannPoint,
     return affine_apply(LandmarkMatrix(point.rep), affine)
 
 
-def mean_affine(affines: Iterable[AffineMap]) -> AffineMap:
-    """Entrywise average of affine factors over a shape family."""
-    affines = list(affines)
-    if not affines:
+def mean_affine(linear: np.ndarray, translation: np.ndarray) -> AffineMap:
+    """Entrywise average of a shape family's affine factors, given as its
+    ``(N, 2, 2)`` linear factors and ``(N, 2)`` translations."""
+    if len(linear) == 0:
         raise DimensionError("need at least one affine map to average")
-    linear = np.mean([a.linear for a in affines], axis=0)
-    translation = np.mean([a.translation for a in affines], axis=0)
-    return AffineMap(linear, translation)
+    return AffineMap(np.mean(linear, axis=0), np.mean(translation, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +281,9 @@ def distance(p: GrassmannPoint, q: GrassmannPoint) -> float:
     return float(np.linalg.norm(principal_angles(p, q)))
 
 
-def log_map(p: GrassmannPoint, q: GrassmannPoint) -> TangentVector:
-    """Tangent vector at ``p`` whose exponential reaches the subspace of ``q``.
+def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Logarithms at the frame ``base`` toward each frame of an ``(N, n, q)``
+    stack, as the ``(N, n, q)`` stack of horizontal tangents at ``base``.
 
     Built from principal vectors: with ``P' Q = W C Z'``, the residual
     ``Q Z - P W C`` has exactly-orthogonal columns of norm ``sin(theta_i)``,
@@ -220,23 +291,51 @@ def log_map(p: GrassmannPoint, q: GrassmannPoint) -> TangentVector:
     ``G diag(theta) W'`` with ``G`` the normalized residual columns. Stable
     across the whole angle range because no inverse of ``P' Q`` appears;
     its singular values are the principal angles, so the norm equals the
-    geodesic distance.
+    geodesic distance. A chunk of frames shares each stacked product and
+    SVD. Tangents are stored column by column, as models flatten them, so
+    their flattened rows are a view. A frame at the cut locus raises
+    ``CutLocusError`` with its index as ``shape_index``; of several faults,
+    the first in the stack raises. A ``base`` that is a frame of the stack
+    should be the view ``reps[i]``: numpy then forms that slice's ``P' Q``
+    with the one-shape call's symmetric product.
     """
-    _require_same_shape(p, q)
-    a = p.rep.T @ q.rep
-    w, c, zt = np.linalg.svd(a)
-    if c[-1] <= np.sin(_CUT_LOCUS_MARGIN):
-        angle = float(np.arccos(np.clip(c[-1], 0.0, 1.0)))
-        raise CutLocusError(
-            f"largest principal angle {angle:.6f} is within 1e-8 of pi/2; "
-            "the connecting geodesic is not unique", max_angle=angle)
-    residual = q.rep @ zt.T - p.rep @ (w * c)
-    sines = np.linalg.norm(residual, axis=0)
-    thetas = np.arctan2(sines, c)
-    g = residual / np.where(sines > 0.0, sines, 1.0)
-    delta = (g * thetas) @ w.T
-    delta -= p.rep @ (p.rep.T @ delta)
-    return TangentVector(delta, p)
+    if reps.shape[1:] != base.shape:
+        raise DimensionError(
+            f"mismatched representatives: {base.shape} vs {reps.shape[1:]}")
+    out = np.empty((len(reps), reps.shape[2], reps.shape[1])).swapaxes(1, 2)
+    for start in range(0, len(reps), _CHUNK):
+        q = reps[start:start + _CHUNK]
+        w, c, zt = np.linalg.svd(np.matmul(base.T, q))
+        stop, error = _fault(c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN), len(q),
+                             None, lambda i: _cut_locus(c[i, -1], start + i))
+        w, c = w[:stop], c[:stop]
+        residual = q[:stop] @ zt[:stop].swapaxes(1, 2) - base @ (w * c[:, None])
+        sines = np.linalg.norm(residual, axis=1)
+        thetas = np.arctan2(sines, c)
+        g = residual / np.where(sines > 0.0, sines, 1.0)[:, None]
+        delta = (g * thetas[:, None]) @ w.swapaxes(1, 2)
+        delta -= base @ (base.T @ delta)
+        bad = ~_horizontal(base, delta, _HORIZONTAL_TOL)
+        stop, error = _fault(bad, stop, error, lambda i: TangencyError(
+            "vector is not horizontal at its base point"))
+        if error is not None:
+            raise error
+        out[start:start + stop] = delta
+    return out
+
+
+def _cut_locus(cosine: float, index: int) -> CutLocusError:
+    angle = float(np.arccos(np.clip(cosine, 0.0, 1.0)))
+    return CutLocusError(
+        f"largest principal angle {angle:.6f} is within 1e-8 of pi/2; "
+        "the connecting geodesic is not unique", max_angle=angle,
+        shape_index=index)
+
+
+def log_map(p: GrassmannPoint, q: GrassmannPoint) -> TangentVector:
+    """Tangent vector at ``p`` whose exponential reaches the subspace of
+    ``q``: :func:`log_map_stack` on a stack of one."""
+    return TangentVector(log_map_stack(p.rep, q.rep[None])[0], p)
 
 
 class Geodesic:

@@ -24,7 +24,14 @@ from .errors import (
     ParameterError,
 )
 from .geometry import sweep_points
-from .grassmann import GrassmannPoint, TangentVector, exp_map, log_map
+from .grassmann import (
+    GrassmannPoint,
+    TangentVector,
+    as_frames,
+    exp_map,
+    log_map,
+    log_map_stack,
+)
 
 #: Flattening convention for tangent matrices in models and files.
 FLATTEN_ORDER = "column-major"
@@ -33,7 +40,8 @@ _DOMAIN_MARGIN = 1.1
 
 
 def flatten_tangent(mat: np.ndarray) -> np.ndarray:
-    return mat.ravel(order="F")
+    """Column-major flattening of one tangent matrix, or of each of a stack."""
+    return mat.swapaxes(-1, -2).reshape(*mat.shape[:-2], -1)
 
 
 def unflatten_tangent(vec: np.ndarray, n: int) -> np.ndarray:
@@ -118,20 +126,24 @@ class PgaModel:
 # intrinsic mean
 
 
-def logs_at(mean: GrassmannPoint, shapes: list[GrassmannPoint]) -> np.ndarray:
-    """Logarithms at ``mean`` as one (N, 2n) array of flattened rows.
+def logs_at(mean: GrassmannPoint, shapes) -> np.ndarray:
+    """Logarithms at ``mean`` of an ``(N, n, 2)`` stack of representatives,
+    as one (N, 2n) array of flattened rows.
 
     A shape at the cut locus of ``mean`` is named by its index.
     """
-    logs = np.empty((len(shapes), 2 * mean.n))
-    for i, shape in enumerate(shapes):
-        try:
-            logs[i] = flatten_tangent(log_map(mean, shape).mat)
-        except CutLocusError as err:
-            raise CutLocusError(
-                f"shape {i} is at the cut locus of the mean: {err}",
-                max_angle=err.max_angle, shape_index=i) from err
-    return logs
+    return _logs(mean.rep, as_frames(shapes))
+
+
+def _logs(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    try:
+        logs = log_map_stack(base, reps)
+    except CutLocusError as err:
+        i = err.shape_index
+        raise CutLocusError(
+            f"shape {i} is at the cut locus of the mean: {err}",
+            max_angle=err.max_angle, shape_index=i) from err
+    return flatten_tangent(logs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,36 +156,46 @@ class KarcherResult:
     logs: np.ndarray
 
 
-def karcher_mean(shapes: list[GrassmannPoint], tol: float = 1e-10,
+def karcher_mean(shapes, tol: float = 1e-10,
                  max_iter: int = 200) -> KarcherResult:
-    """Fixed-point intrinsic mean: repeatedly exponentiate the mean logarithm.
+    """Fixed-point intrinsic mean of an ``(N, n, 2)`` stack of
+    representatives: repeatedly exponentiate the mean logarithm.
 
     Starts from the first shape; stops when the mean tangent's norm (the
     gradient of the summed squared distance, up to a factor) drops below
     ``tol``. The result carries that norm as ``residual``, the number of
     exponential steps as ``iterations``, and the last pass's read-only
     logarithms as ``logs``. The summation order is fixed, so reruns agree.
+    Past ``max_iter`` steps, the error states the last contraction ratio.
     """
-    if not shapes:
+    if len(shapes) == 0:
         raise ParameterError("cannot average an empty set of shapes")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 0:
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
-    mean = shapes[0]
+    reps = as_frames(shapes)
+    # The first base is a view into the stack, so numpy forms the first
+    # shape's P'Q with the symmetric product of the one-shape log map.
+    base = reps[0]
+    mean = GrassmannPoint(base)
+    residual = None
     for iterations in range(max_iter + 1):
-        logs = logs_at(mean, shapes)
+        logs = _logs(base, reps)
         grad = unflatten_tangent(logs.mean(axis=0), mean.n)
-        residual = float(np.linalg.norm(grad))
+        previous, residual = residual, float(np.linalg.norm(grad))
         if residual < tol:
             logs.setflags(write=False)
             return KarcherResult(mean, residual, iterations, logs)
         if iterations < max_iter:
             mean = exp_map(mean, TangentVector(grad, mean))
+            base = mean.rep
+    ratio = None if previous is None else residual / previous
+    trend = "" if ratio is None else f", last contraction ratio {ratio:.4f}"
     raise IterationLimitError(
         f"intrinsic mean did not converge in {max_iter} iterations "
-        f"(residual {residual:.3e}, tol {tol:.1e})",
-        residual=residual, iterations=max_iter)
+        f"(residual {residual:.3e}, tol {tol:.1e}{trend})",
+        residual=residual, iterations=max_iter, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ def random_point(rng: np.random.Generator, n: int) -> GrassmannPoint:
     return GrassmannPoint(rng.normal(size=(n, 2)))
 
 
+def stack(points) -> np.ndarray:
+    """The (N, n, 2) stack of the points' representatives."""
+    return np.array([p.rep for p in points])
+
+
 def random_horizontal(rng: np.random.Generator, point: GrassmannPoint,
                       scale: float = 1.0) -> TangentVector:
     """Random horizontal tangent at ``point`` with Frobenius norm ``scale``."""

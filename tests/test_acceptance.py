@@ -22,7 +22,7 @@ from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
 from grassfoil.pga import (coords_of, domain_contains, flatten_tangent,
                            karcher_mean, logs_at, pga_fit, synthesize)
 
-from conftest import random_horizontal, random_point
+from conftest import random_horizontal, random_point, stack
 
 N_LANDMARKS = 401
 N_PERTURBATIONS = 1000
@@ -49,7 +49,7 @@ def decomposed(dataset):
 
 @pytest.fixture(scope="session")
 def dataset_karcher(decomposed):
-    return karcher_mean([d.point for d in decomposed], tol=1e-10,
+    return karcher_mean(stack([d.point for d in decomposed]), tol=1e-10,
                         max_iter=200)
 
 
@@ -127,7 +127,7 @@ def test_criterion_02_riemannian_kernel():
 def test_criterion_03_karcher_mean(decomposed, dataset_karcher):
     rng = np.random.default_rng(300)
     p, q = random_point(rng, N_LANDMARKS), random_point(rng, N_LANDMARKS)
-    mid = karcher_mean([p, q]).point
+    mid = karcher_mean(stack([p, q])).point
     equidistance = abs(distance(mid, p) - distance(mid, q))
 
     points = [d.point for d in decomposed]
@@ -154,7 +154,7 @@ def test_criterion_04_pga_oracle():
         exp_map(base, TangentVector(c1 * b1.mat + c2 * b2.mat, base))
         for c1, c2 in coeffs
     ]
-    model = pga_fit(base, logs_at(base, shapes), 6)
+    model = pga_fit(base, logs_at(base, stack(shapes)), 6)
 
     planted = np.column_stack(
         [flatten_tangent(b1.mat), flatten_tangent(b2.mat)])
@@ -208,7 +208,8 @@ def test_criterion_06_r4_pipeline(model):
 
 
 def test_criterion_07_sweep_validity(decomposed, model):
-    affine = mean_affine([d.affine for d in decomposed])
+    affine = mean_affine(np.array([d.affine.linear for d in decomposed]),
+                         np.array([d.affine.translation for d in decomposed]))
     lo = model.domain.bounds_min
     hi = model.domain.bounds_max
     rng = np.random.default_rng(700)

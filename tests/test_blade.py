@@ -19,7 +19,7 @@ from grassfoil.grassmann import (GrassmannPoint, distance, exp_map,
                                  la_standardize)
 from grassfoil.pga import karcher_mean, logs_at, pga_fit, synthesize
 
-from conftest import random_horizontal, random_point
+from conftest import random_horizontal, random_point, stack
 
 ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -45,7 +45,7 @@ def blade():
 @pytest.fixture(scope="module")
 def blade_model(blade):
     points = list(blade.aligned)
-    result = karcher_mean(points, tol=1e-12)
+    result = karcher_mean(stack(points), tol=1e-12)
     return pga_fit(result.point, result.logs, 4)
 
 
@@ -394,7 +394,7 @@ def test_perturb_reports_cut_locus_station():
         exp_map(mean, random_horizontal(rng, mean, scale=0.05))
         for _ in range(6)
     ]
-    model = pga_fit(mean, logs_at(mean, samples), 1)
+    model = pga_fit(mean, logs_at(mean, stack(samples)), 1)
 
     good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
     bad = plane(2, 3)  # orthogonal to the mean plane
@@ -415,7 +415,7 @@ def test_design_parameter_count(blade, blade_model):
     section = cst_evaluate(default_baselines()[3], 101)
     frozen = build_blade([0.0, 1.0], [section, section])
     points = list(frozen.aligned)
-    result = karcher_mean(points)
+    result = karcher_mean(stack(points))
     model = pga_fit(result.point, result.logs, 2)
     assert design_parameter_count(frozen, model) == 2
 

@@ -143,7 +143,8 @@ def test_gl2_invariance_including_reflections():
 def test_mean_affine_is_componentwise():
     a1 = AffineMap(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
     a2 = AffineMap(np.array([[4.0, 2.0], [0.0, 3.0]]), np.array([3.0, 2.0]))
-    m = mean_affine([a1, a2])
+    m = mean_affine(np.array([a1.linear, a2.linear]),
+                    np.array([a1.translation, a2.translation]))
     np.testing.assert_allclose(m.linear, [[3.0, 1.0], [0.0, 2.0]])
     np.testing.assert_allclose(m.translation, [2.0, 1.0])
 

@@ -29,6 +29,8 @@ from grassfoil.io import (_scan_coordinates, read_affine, read_blade,
                           write_table, write_wireframe)
 from grassfoil.pga import karcher_mean, pga_fit
 
+from conftest import stack
+
 
 @pytest.fixture(scope="module")
 def fitted_model():
@@ -38,7 +40,7 @@ def fitted_model():
                                      seed=70 + k), 101)).point
         for k in range(8)
     ]
-    result = karcher_mean(points)
+    result = karcher_mean(stack(points))
     return pga_fit(result.point, result.logs, 3)
 
 

@@ -13,7 +13,7 @@ from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
                            flatten_tangent, karcher_mean, logs_at, pga_fit,
                            synthesize, unflatten_tangent)
 
-from conftest import random_horizontal, random_point
+from conftest import random_horizontal, random_point, stack
 
 
 def planted_family(n=60, samples=300, stddevs=(0.05, 0.02), seed=42):
@@ -51,7 +51,7 @@ def planted_family(n=60, samples=300, stddevs=(0.05, 0.02), seed=42):
 def test_two_point_mean_is_equidistant_midpoint():
     rng = np.random.default_rng(0)
     p, q = random_point(rng, 40), random_point(rng, 40)
-    mean = karcher_mean([p, q]).point
+    mean = karcher_mean(stack([p, q])).point
     assert abs(distance(mean, p) - distance(mean, q)) < 1e-9
     assert distance(mean, geodesic_point(p, q, 0.5)) < 1e-9
 
@@ -59,25 +59,25 @@ def test_two_point_mean_is_equidistant_midpoint():
 def test_single_shape_mean_is_that_shape():
     rng = np.random.default_rng(1)
     p = random_point(rng, 30)
-    assert distance(karcher_mean([p]).point, p) < 1e-15
+    assert distance(karcher_mean(stack([p])).point, p) < 1e-15
 
 
 def test_identical_shapes_mean_converges_immediately():
     rng = np.random.default_rng(2)
     p = random_point(rng, 30)
-    result = karcher_mean([p, p, p])
+    result = karcher_mean(stack([p, p, p]))
     assert distance(result.point, p) < 1e-15
     assert result.iterations == 0
 
 
 def test_planted_mean_recovered():
     base, _, _, shapes = planted_family()
-    mean = karcher_mean(shapes, tol=1e-12).point
+    mean = karcher_mean(stack(shapes), tol=1e-12).point
     assert distance(mean, base) < 1e-9
 
 
 def test_mean_gradient_residual(airfoil_points):
-    result = karcher_mean(airfoil_points, tol=1e-10)
+    result = karcher_mean(stack(airfoil_points), tol=1e-10)
     logs = np.array([log_map(result.point, p).mat for p in airfoil_points])
     assert result.residual == float(np.linalg.norm(logs.mean(axis=0)))
     assert result.residual < 1e-10
@@ -85,7 +85,7 @@ def test_mean_gradient_residual(airfoil_points):
 
 
 def test_mean_hands_over_its_last_log_pass(airfoil_points):
-    result = karcher_mean(airfoil_points, tol=1e-10)
+    result = karcher_mean(stack(airfoil_points), tol=1e-10)
     logs = np.array([flatten_tangent(log_map(result.point, s).mat)
                      for s in airfoil_points])
     assert result.logs.shape == logs.shape
@@ -97,7 +97,7 @@ def test_mean_iteration_limit_is_honest():
     rng = np.random.default_rng(3)
     shapes = [random_point(rng, 25) for _ in range(6)]
     with pytest.raises(IterationLimitError) as err:
-        karcher_mean(shapes, tol=1e-30, max_iter=2)
+        karcher_mean(stack(shapes), tol=1e-30, max_iter=2)
     assert err.value.iterations == 2
     assert err.value.residual > 0.0
 
@@ -113,7 +113,7 @@ def plane(i, j, n=4):
 def test_mean_names_the_shape_at_the_cut_locus():
     # the mean starts at shape 0; shape 2 is orthogonal to it
     with pytest.raises(CutLocusError) as err:
-        karcher_mean([plane(0, 1), plane(0, 1), plane(2, 3)])
+        karcher_mean(stack([plane(0, 1), plane(0, 1), plane(2, 3)]))
     assert err.value.shape_index == 2
     assert str(err.value).startswith("shape 2 is at the cut locus")
     assert err.value.max_angle == pytest.approx(np.pi / 2.0)
@@ -121,7 +121,7 @@ def test_mean_names_the_shape_at_the_cut_locus():
 
 def test_logs_at_names_the_shape_at_the_cut_locus():
     with pytest.raises(CutLocusError) as err:
-        logs_at(plane(0, 1), [plane(0, 1), plane(2, 3), plane(0, 1)])
+        logs_at(plane(0, 1), stack([plane(0, 1), plane(2, 3), plane(0, 1)]))
     assert err.value.shape_index == 1
     assert str(err.value).startswith("shape 1 is at the cut locus")
 
@@ -134,7 +134,7 @@ def test_mean_rejects_empty():
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
     with pytest.raises(ParameterError, match="tol must be finite"):
-        karcher_mean(airfoil_points, tol=tol)
+        karcher_mean(stack(airfoil_points), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
 
 def test_planted_directions_recovered_exactly():
     base, (b1, b2), coeffs, shapes = planted_family()
-    model = pga_fit(base, logs_at(base, shapes), 2)
+    model = pga_fit(base, logs_at(base, stack(shapes)), 2)
     planted = np.column_stack(
         [flatten_tangent(b1.mat), flatten_tangent(b2.mat)])
     fitted = np.column_stack(
@@ -160,7 +160,7 @@ def test_planted_directions_recovered_exactly():
 def test_eigenvalue_trace_identity():
     # the scatter has rank 2, so a handful of components carries the trace
     base, _, _, shapes = planted_family()
-    full = pga_fit(base, logs_at(base, shapes), 6)
+    full = pga_fit(base, logs_at(base, stack(shapes)), 6)
     logs = [log_map(base, s) for s in shapes]
     mean_sq = float(np.mean([v.norm**2 for v in logs]))
     total = float(np.sum(full.eigenvalues))
@@ -202,7 +202,7 @@ def test_gram_and_direct_routes_agree():
     # 40 samples of G(60, 2) take the Gram route, 60 of G(20, 2) the direct
     for n, samples in ((60, 40), (20, 60)):
         base, _, _, shapes = planted_family(n=n, samples=samples)
-        logs = logs_at(base, shapes)
+        logs = logs_at(base, stack(shapes))
         model = pga_fit(base, logs, 6)
         vals, basis, coords = other_route(base, logs, 6)
         np.testing.assert_allclose(model.eigenvalues, vals, atol=1e-15)
@@ -212,14 +212,14 @@ def test_gram_and_direct_routes_agree():
 
 def test_pga_fit_checks_the_log_rows():
     base, _, _, shapes = planted_family(n=20, samples=10)
-    logs = logs_at(base, shapes)
+    logs = logs_at(base, stack(shapes))
     for bad in (logs[:, :-1], logs.reshape(10, 20, 2), logs[0]):
         with pytest.raises(DimensionError, match="logarithms must be"):
             pga_fit(base, bad, 2)
 
 
 def test_model_invariants(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     assert model.r == 4
     assert np.all(np.diff(model.eigenvalues) <= 1e-18)
@@ -233,27 +233,27 @@ def test_model_invariants(airfoil_points):
 def test_rank_limit_enforced():
     rng = np.random.default_rng(4)
     shapes = [random_point(rng, 10) for _ in range(5)]
-    result = karcher_mean(shapes)
+    result = karcher_mean(stack(shapes))
     with pytest.raises(DimensionError):
         pga_fit(result.point, result.logs, 6)  # only 5 samples
     with pytest.raises(DimensionError):
         pga_fit(result.point,
                 logs_at(result.point,
-                        [random_point(rng, 10) for _ in range(30)]),
+                        stack([random_point(rng, 10) for _ in range(30)])),
                 17)  # 2(n-2) = 16
 
 
 def test_identical_shapes_fit_collapses():
     rng = np.random.default_rng(5)
     p = random_point(rng, 20)
-    model = pga_fit(p, logs_at(p, [p, p, p, p]), 3)
+    model = pga_fit(p, logs_at(p, stack([p, p, p, p])), 3)
     assert np.all(model.eigenvalues <= 1e-20)
     for v in model.basis:
         assert np.all(v.mat == 0.0)
 
 
 def test_coords_of_matches_training(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     for i, p in enumerate(airfoil_points):
         got = coords_of(model, p)
@@ -271,7 +271,7 @@ def test_flatten_round_trip():
 
 
 def test_synthesize_zero_is_the_mean(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     mean = result.point
     model = pga_fit(mean, result.logs, 4)
     out = synthesize(model, np.zeros(4))
@@ -279,7 +279,7 @@ def test_synthesize_zero_is_the_mean(airfoil_points):
 
 
 def test_synthesize_distance_is_coordinate_norm(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     mean = result.point
     model = pga_fit(mean, result.logs, 4)
     rng = np.random.default_rng(7)
@@ -291,7 +291,7 @@ def test_synthesize_distance_is_coordinate_norm(airfoil_points):
 
 
 def test_synthesize_symmetry(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     mean = result.point
     model = pga_fit(mean, result.logs, 4)
     t = np.array([0.04, -0.02, 0.01, 0.005])
@@ -302,7 +302,7 @@ def test_synthesize_symmetry(airfoil_points):
 
 
 def test_coords_synthesize_round_trip(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     rng = np.random.default_rng(8)
     scale = np.sqrt(np.maximum(model.eigenvalues, 1e-30))
@@ -313,7 +313,7 @@ def test_coords_synthesize_round_trip(airfoil_points):
 
 
 def test_synthesize_checks_length(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     with pytest.raises(DimensionError):
         synthesize(model, np.zeros(3))
@@ -322,7 +322,7 @@ def test_synthesize_checks_length(airfoil_points):
 
 
 def test_direction_combines_the_basis(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     t = np.array([0.3, -0.1, 0.02, 0.0])
     expected = sum(tj * b.mat for tj, b in zip(t, model.basis))
@@ -336,7 +336,7 @@ def test_direction_combines_the_basis(airfoil_points):
 
 
 def test_domain_contains_training_and_origin(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     assert domain_contains(model, np.zeros(4))
     for row in model.training_coords:
@@ -344,7 +344,7 @@ def test_domain_contains_training_and_origin(airfoil_points):
 
 
 def test_domain_excludes_far_points(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     far = 50.0 * np.sqrt(np.maximum(model.eigenvalues, 1e-12))
     assert not domain_contains(model, far)
@@ -353,7 +353,7 @@ def test_domain_excludes_far_points(airfoil_points):
 def test_degenerate_axes_require_zero_coordinate():
     rng = np.random.default_rng(9)
     p = random_point(rng, 20)
-    model = pga_fit(p, logs_at(p, [p, p, p]), 2)
+    model = pga_fit(p, logs_at(p, stack([p, p, p])), 2)
     assert domain_contains(model, np.zeros(2))
     assert not domain_contains(model, np.array([1e-6, 0.0]))
 
@@ -363,7 +363,7 @@ def test_degenerate_axes_require_zero_coordinate():
 
 
 def test_corner_sweep_two_steps_hits_corners(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     a = model.domain.bounds_min
     b = model.domain.bounds_max
@@ -374,7 +374,7 @@ def test_corner_sweep_two_steps_hits_corners(airfoil_points):
 
 
 def test_corner_sweep_validates_steps(airfoil_points):
-    result = karcher_mean(airfoil_points)
+    result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     with pytest.raises(ParameterError):
         corner_sweep(model, model.domain.bounds_min,
