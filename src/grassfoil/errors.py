@@ -2,8 +2,11 @@
 
 Everything raised deliberately by this package derives from
 :class:`GrassfoilError`, so callers (and the CLI) can catch one type.
+:func:`integer_argument` turns a non-integer argument into such an error.
 """
 from __future__ import annotations
+
+import operator
 
 
 class GrassfoilError(Exception):
@@ -129,3 +132,14 @@ class VersionError(FileFormatError):
 
 class TooFewPointsError(FileFormatError):
     """Coordinate input holds fewer landmarks than the minimum of 3."""
+
+
+def integer_argument(value, name: str, error: type = ParameterError) -> int:
+    """``value`` as an ``int`` through ``operator.index``; a bool, a float
+    or any other non-integer raises ``error`` naming the argument."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

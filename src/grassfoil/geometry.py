@@ -25,6 +25,7 @@ from .errors import (
     Gl2ViolationError,
     ParameterError,
     SamplingError,
+    integer_argument,
 )
 
 logger = logging.getLogger(__name__)
@@ -43,6 +44,8 @@ DEFAULT_LANDMARK_COUNT = 401
 #: Smallest singular-value ratio of centered landmarks that counts as full rank.
 RANK_RATIO_TOL = 1e-10
 _DET_TOL = 1e-12
+#: Shapes per stacked validation, which bounds its temporaries.
+_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +219,7 @@ def chord_stations(n: int) -> np.ndarray:
     ``m = (n - 1) // 2``: leading edge at 0, trailing edge at 1, points
     clustered toward both ends where curvature concentrates.
     """
+    n = integer_argument(n, "landmark count", SamplingError)
     if n % 2 == 0:
         raise SamplingError(f"landmark count must be odd, got {n}")
     if n < 7:
@@ -236,27 +240,52 @@ def _class_function(psi: np.ndarray) -> np.ndarray:
     return psi ** CLASS_EXPONENT_LE * (1.0 - psi) ** CLASS_EXPONENT_TE
 
 
-def cst_evaluate(params: CstParams, n: int = DEFAULT_LANDMARK_COUNT) -> LandmarkMatrix:
-    """Evaluate an airfoil boundary at ``n`` landmarks.
+def cst_evaluate_stack(coeffs, n: int = DEFAULT_LANDMARK_COUNT,
+                       te_thickness=0.0) -> np.ndarray:
+    """Airfoil boundaries of an ``(N, 18)`` coefficient stack, upper surface
+    first, at ``n`` landmarks each, as an ``(N, n, 2)`` array.
 
-    The boundary runs trailing edge -> upper surface -> leading edge ->
+    Each boundary runs trailing edge -> upper surface -> leading edge ->
     lower surface -> trailing edge, with the leading-edge point shared, so
     each surface carries ``(n + 1) // 2`` of the ``n`` landmarks. All shapes
     with the same ``n`` share identical chordwise station values, which is
     what makes landmark-wise correspondence across a dataset meaningful.
+    ``te_thickness`` is one trailing-edge thickness or one per row. Each
+    surface is a batched matrix-vector product, which gives every row the
+    bits of its own one-row call.
     """
     psi = chord_stations(n)
+    coeffs = np.asarray(coeffs, dtype=float)
+    te_half = np.asarray(te_thickness, dtype=float) / 2.0
+    if (coeffs.ndim != 2 or coeffs.shape[1] != 2 * COEFFS_PER_SURFACE
+            or te_half.shape not in ((), (len(coeffs),))):
+        raise ParameterError(
+            f"expected an (N, 18) coefficient stack and one trailing-edge "
+            f"thickness or N, got shapes {coeffs.shape} and {te_half.shape}")
+    if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(te_half))):
+        raise ParameterError("coefficients are not finite")
     design = _bernstein_design(psi)
-    c = _class_function(psi)
-    te_half = params.te_thickness / 2.0
-    y_upper = c * (design @ params.upper) + psi * te_half
-    y_lower = c * (design @ params.lower) - psi * te_half
+    # one matrix-vector product per row and surface: a matrix product over
+    # all rows at once would round differently
+    surfaces = _class_function(psi) * np.matmul(
+        design, coeffs.reshape(-1, 2, COEFFS_PER_SURFACE, 1))[..., 0]
+    te = psi * te_half[..., None]
+    y = np.concatenate([(surfaces[:, 0] + te)[:, ::-1],
+                        (surfaces[:, 1] - te)[:, 1:]], axis=1)
     x = np.concatenate([psi[::-1], psi[1:]])
-    y = np.concatenate([y_upper[::-1], y_lower[1:]])
-    return LandmarkMatrix(np.column_stack([x, y]))
+    return np.stack([np.broadcast_to(x, y.shape), y], axis=-1)
 
 
-def _check_seed(seed: int) -> None:
+def cst_evaluate(params: CstParams, n: int = DEFAULT_LANDMARK_COUNT) -> LandmarkMatrix:
+    """One airfoil boundary: :func:`cst_evaluate_stack` of a stack of one."""
+    return LandmarkMatrix(cst_evaluate_stack(
+        params.as_vector()[None], n, params.te_thickness)[0])
+
+
+def _check_draw(fraction: float, seed: int) -> None:
+    if not (0.0 <= fraction <= 1.0):
+        raise ParameterError(
+            f"perturbation fraction must lie in [0, 1], got {fraction}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
@@ -267,10 +296,7 @@ def perturb_cst(params: CstParams, fraction: float, seed: int) -> CstParams:
     Each coefficient moves by at most ``fraction`` of its own magnitude, so
     sign patterns survive. Identical seeds reproduce identical draws.
     """
-    if not (0.0 <= fraction <= 1.0):
-        raise ParameterError(
-            f"perturbation fraction must lie in [0, 1], got {fraction}")
-    _check_seed(seed)
+    _check_draw(fraction, seed)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, size=2 * COEFFS_PER_SURFACE)
     return CstParams(params.upper * (1.0 + fraction * u[:COEFFS_PER_SURFACE]),
@@ -321,13 +347,6 @@ def affine_apply(shape: LandmarkMatrix, affine: AffineMap) -> LandmarkMatrix:
 # validity
 
 
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    x_next = np.concatenate([x[1:], x[:1]])
-    y_next = np.concatenate([y[1:], y[:1]])
-    return 0.5 * float((x * y_next - x_next * y).sum())
-
-
 def _single_le_extremum(x: np.ndarray) -> bool:
     """True when x descends once to a single minimum and ascends back.
 
@@ -352,7 +371,7 @@ def _has_proper_crossing(pts: np.ndarray) -> bool:
     an endpoint never count: an orientation within ``1e-12 * span**2`` of
     zero (``span`` the largest coordinate deviation from the centroid) reads
     as collinear, so shapes whose surfaces meet at a shared endpoint survive
-    reconstruction noise. :func:`validate_shape` calls this only when
+    reconstruction noise. :func:`validate_stack` calls this only when
     :func:`_separated_chains` cannot certify the shape; it is also the
     oracle that certificate is tested against.
     """
@@ -384,85 +403,96 @@ def _has_proper_crossing(pts: np.ndarray) -> bool:
 _CERTIFIED_OFFSET = 64.0
 
 
-def _separated_chains(pts: np.ndarray, span: float) -> bool:
-    """O(n) certificate that the closed polyline has no proper crossing.
+def _separated_chains(run: np.ndarray, span: np.ndarray,
+                      moving: np.ndarray) -> np.ndarray:
+    """O(n) certificate that no closed polyline of a run has a proper
+    crossing. The ``(R, n, 2)`` shapes of ``run`` share their x column and
+    ``moving``, the mask of their nonzero-length edges (edge i runs from
+    vertex i to the next); ``span`` is each one's largest coordinate
+    deviation from its centroid.
 
     True only when, after dropping zero-length segments, the boundary splits
     at its min-x and max-x ends into two strictly x-monotone chains, joined
     there by a shared vertex or one vertical segment, and one chain lies
     strictly above the other at every interior breakpoint of either chain
-    and above or level at both ends. :func:`_gap_signs` makes each sign
-    exact. The gap is linear between breakpoints, so the chains meet
-    nowhere but at shared ends, and each chain's own segments occupy
-    disjoint x-ranges: no two segments meet except at a shared vertex.
-    While every coordinate is within ``_CERTIFIED_OFFSET * span`` of the
-    origin, :func:`_has_proper_crossing` cannot mistake rounding for a
-    straddle, so it finds no crossing either. False means "not certified",
-    not "crossing".
+    and above or level at both ends. The split depends only on what the run
+    shares. :func:`_gap_signs` makes each sign exact. The gap is linear
+    between breakpoints, so the chains meet nowhere but at shared ends, and
+    each chain's own segments occupy disjoint x-ranges: no two segments
+    meet except at a shared vertex. While every coordinate is within
+    ``_CERTIFIED_OFFSET * span`` of the origin, :func:`_has_proper_crossing`
+    cannot mistake rounding for a straddle, so it finds no crossing either.
+    False means "not certified", not "crossing".
     """
+    certified = np.zeros(len(run), dtype=bool)
     # the span bounds keep products of coordinates clear of under/overflow
-    if (not 1e-100 < span < 1e100
-            or np.abs(pts).max() > _CERTIFIED_OFFSET * span):
-        return False
-    x, y = pts[:, 0], pts[:, 1]
-    dx = np.concatenate([x[1:], x[:1]]) - x
-    moving = (dx != 0.0) | (np.concatenate([y[1:], y[:1]]) != y)
-    if not moving.all():
-        # drop the start of each zero-length edge: the vertices skipped
-        # coincide with the next one kept, so every kept edge keeps its dx
-        x, y, dx = x[moving], y[moving], dx[moving]
+    inside = ((1e-100 < span) & (span < 1e100)
+              & (np.abs(run).max(axis=(1, 2)) <= _CERTIFIED_OFFSET * span))
+    # drop the start of each zero-length edge: the vertices skipped coincide
+    # with the next one kept, so every kept edge keeps its dx
+    x, y = run[0, moving, 0], run[inside][:, moving, 1]
+    dx = (np.roll(run[0, :, 0], -1) - run[0, :, 0])[moving]
     m = x.size
-    if m < 3:
-        return False
+    if m < 3 or not inside.any():
+        return certified
     # the rising chain starts at the min-x vertex, or at the far end of a
     # vertical segment there; the checks below hold whatever k is chosen
     k = int(np.argmin(x))
     if dx[k] == 0.0:
         k = (k + 1) % m
-    dx = np.concatenate([dx[k:], dx[:k]])
+    dx = np.roll(dx, -k)
     p = int(np.argmin(dx > 0.0))
     rest = dx[p:]
     z1, z2 = int(rest[0] == 0.0), int(rest[-1] == 0.0)
     falling = rest[z1:rest.size - z2]
     if falling.size == 0 or falling.max() >= 0.0:
-        return False
+        return certified
     x = np.concatenate([x[k:], x[:k + 1]])
-    y = np.concatenate([y[k:], y[:k + 1]])
-    ax, ay = x[:p + 1], y[:p + 1]
-    bx, by = x[p + z1:m + 1 - z2][::-1], y[p + z1:m + 1 - z2][::-1]
-    margin = 1e-12 * span
+    y = np.concatenate([y[:, k:], y[:, :k + 1]], axis=1)
+    ax, ay = x[:p + 1], y[:, :p + 1]
+    bx, by = x[p + z1:m + 1 - z2][::-1], y[:, p + z1:m + 1 - z2][:, ::-1]
+    margin = 1e-12 * span[inside, None]
     gaps = np.concatenate([
-        _gap_signs(ax[1:-1], ay[1:-1], bx, by, margin),
-        -_gap_signs(bx[1:-1], by[1:-1], ax, ay, margin)])
-    ends = (by[0] - ay[0], by[-1] - ay[-1])
-    return bool((gaps.min(initial=math.inf) > 0.0 and min(ends) >= 0.0)
-                or (gaps.max(initial=-math.inf) < 0.0 and max(ends) <= 0.0))
+        _gap_signs(ax[1:-1], ay[:, 1:-1], bx, by, margin),
+        -_gap_signs(bx[1:-1], by[:, 1:-1], ax, ay, margin)], axis=1)
+    ends = np.column_stack([by[:, 0] - ay[:, 0], by[:, -1] - ay[:, -1]])
+    above = (gaps.min(axis=1, initial=math.inf) > 0.0) & (ends.min(1) >= 0.0)
+    below = (gaps.max(axis=1, initial=-math.inf) < 0.0) & (ends.max(1) <= 0.0)
+    certified[inside] = above | below
+    return certified
 
 
 def _gap_signs(xq: np.ndarray, yq: np.ndarray, x: np.ndarray, y: np.ndarray,
-               margin: float) -> np.ndarray:
-    """Chain ``(x, y)`` minus ``yq`` at points ``xq`` inside it, correct in sign.
+               margin: np.ndarray) -> np.ndarray:
+    """Chains ``(x, y[r])`` minus ``yq[r]`` at points ``xq`` inside them,
+    correct in sign.
 
-    Within the certificate's coordinate bound ``np.interp`` errs by less
-    than ``1e-14 * span``, far below ``margin``; a gap no wider than
-    ``margin``, such as next to a trailing edge split by rounding noise, is
-    replaced by its sign in exact rational arithmetic.
+    Each value is computed as ``np.interp`` computes it. Within the
+    certificate's coordinate bound that errs by less than ``1e-14 * span``,
+    far below ``margin``; a gap no wider than its row's ``margin``, such as
+    next to a trailing edge split by rounding noise, is replaced by its
+    sign in exact rational arithmetic.
     """
-    gaps = np.interp(xq, x, y) - yq
-    for i in np.flatnonzero(np.abs(gaps) <= margin):
+    j = np.searchsorted(x, xq, side="right") - 1
+    # a query strictly inside the chain has a breakpoint j + 1; a slope
+    # may overflow, and the product of an infinite one is discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (y[:, j + 1] - y[:, j]) / (x[j + 1] - x[j])
+        gaps = np.where(xq == x[j], y[:, j], slope * (xq - x[j]) + y[:, j]) - yq
+    for r, i in zip(*np.nonzero(np.abs(gaps) <= margin)):
         # imported on first need: most shapes never get here, and it would
         # add to every import of the package
         from fractions import Fraction
-        j = int(np.searchsorted(x, xq[i], side="right")) - 1
-        x0, x1, y0, y1, xv, yv = map(
-            Fraction, (x[j], x[j + 1], y[j], y[j + 1], xq[i], yq[i]))
+        x0, x1, y0, y1, xv, yv = map(Fraction, (
+            x[j[i]], x[j[i] + 1], y[r, j[i]], y[r, j[i] + 1], xq[i], yq[r, i]))
         gap = y0 + (y1 - y0) * (xv - x0) / (x1 - x0) - yv
-        gaps[i] = (gap > 0) - (gap < 0)
+        gaps[r, i] = (gap > 0) - (gap < 0)
     return gaps
 
 
-def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
-    """Diagnose a landmark matrix; reports findings instead of raising.
+def validate_stack(points) -> list[ShapeDiagnostics]:
+    """Diagnose each shape of an ``(N, n, 2)`` landmark stack; reports
+    findings instead of raising.
 
     Checks the effective rank of the centered landmarks (collinear inputs,
     anywhere in the plane, are what make the downstream decomposition
@@ -472,20 +502,44 @@ def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
     :func:`_separated_chains` when it certifies the shape, as it does every
     generated airfoil, and otherwise by the exact
     :func:`_has_proper_crossing`; the verdict is the exact test's either way.
+    A chunk of shapes shares one stacked SVD, and each run of consecutive
+    shapes with the same x column and zero-length edges shares one chain
+    split and one leading-edge test.
     """
-    pts = shape.points
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    ratio = float(sv[1] / sv[0]) if sv[0] > 0.0 else 0.0
-    span = float(np.abs(centered).max())
-    return ShapeDiagnostics(
-        rank_ratio=ratio,
-        rank_ok=ratio > RANK_RATIO_TOL,
-        simple=(_separated_chains(pts, span)
-                or not _has_proper_crossing(pts)),
-        single_le_extremum=_single_le_extremum(pts[:, 0]),
-        positive_orientation=_signed_area(pts) > 0.0,
-    )
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
+        raise ParameterError("expected an (N, n, 2) landmark stack with "
+                             f"n >= 3, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ParameterError("landmark stack contains non-finite values")
+    out = []
+    for start in range(0, len(points), _CHUNK):
+        pts = points[start:start + _CHUNK]
+        centered = pts - pts.mean(axis=1, keepdims=True)
+        sv = np.linalg.svd(centered, compute_uv=False)
+        ratio = np.divide(sv[:, 1], sv[:, 0], out=np.zeros(len(pts)),
+                          where=sv[:, 0] > 0.0)
+        span = np.abs(centered).max(axis=(1, 2))
+        x, y = pts[:, :, 0], pts[:, :, 1]
+        area = 0.5 * (x * np.roll(y, -1, 1) - np.roll(x, -1, 1) * y).sum(axis=1)
+        moving = np.any(np.roll(pts, -1, axis=1) != pts, axis=2)
+        shared = np.all(x[1:] == x[:-1], 1) & np.all(moving[1:] == moving[:-1], 1)
+        cuts = [0, *(np.flatnonzero(~shared) + 1).tolist(), len(pts)]
+        simple, leading = np.empty((2, len(pts)), dtype=bool)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            simple[a:b] = _separated_chains(pts[a:b], span[a:b], moving[a])
+            leading[a:b] = _single_le_extremum(x[a])
+        for i in np.flatnonzero(~simple):
+            simple[i] = not _has_proper_crossing(pts[i])
+        out += [ShapeDiagnostics(r, r > RANK_RATIO_TOL, *flags, a > 0.0)
+                for r, *flags, a in zip(ratio.tolist(), simple.tolist(),
+                                        leading.tolist(), area.tolist())]
+    return out
+
+
+def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
+    """Diagnose one landmark matrix: :func:`validate_stack` of a stack of one."""
+    return validate_stack(shape.points[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +620,14 @@ def _derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _perturbation_counts(n_baselines: int, n_perturbations: int) -> list[int]:
-    base, extra = divmod(n_perturbations, n_baselines)
-    return [base + (1 if i < extra else 0) for i in range(n_baselines)]
+def _trials(params: list[CstParams], n: int) -> tuple[list, list]:
+    """Landmarks and diagnostics of coefficient sets, evaluated and
+    validated as one stack."""
+    rows = cst_evaluate_stack(
+        np.reshape([p.as_vector() for p in params],
+                   (len(params), 2 * COEFFS_PER_SURFACE)),
+        n, [p.te_thickness for p in params])
+    return [LandmarkMatrix(r) for r in rows], validate_stack(rows)
 
 
 def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
@@ -581,42 +640,60 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     does not divide. Shapes failing :func:`validate_shape` are resampled
     with a fresh derived seed (logged); generation is reproducible because
     every draw's seed depends only on ``(seed, baseline, index, attempt)``.
+    Each round of draws is evaluated and validated as one stack, and only
+    its rejects are drawn again; the shapes, warnings and errors are those
+    of drawing each shape in turn.
     """
     if not baselines:
         raise ParameterError("need at least one baseline")
+    n_perturbations = integer_argument(n_perturbations, "perturbation count")
     if n_perturbations < 0:
         raise ParameterError("perturbation count cannot be negative")
-    _check_seed(seed)
-    counts = _perturbation_counts(len(baselines), n_perturbations)
-    shapes: list[DatasetShape] = []
-    for b_idx, params in enumerate(baselines):
-        landmarks = cst_evaluate(params, n)
-        diag = validate_shape(landmarks)
+    _check_draw(fraction, seed)
+    shapes: list = []
+    for b_idx, (landmarks, diag) in enumerate(zip(*_trials(baselines, n))):
         if not diag.passed:
             raise GenerationError(
                 f"baseline {b_idx} fails validation (rank_ok={diag.rank_ok}, "
                 f"simple={diag.simple}, ordering_ok={diag.ordering_ok})")
-        shapes.append(DatasetShape(len(shapes), b_idx, params, landmarks, 1))
-    for b_idx, params in enumerate(baselines):
-        for k in range(counts[b_idx]):
-            shape = None
-            for attempt in range(_MAX_ATTEMPTS):
-                child = _derived_seed(seed, b_idx, k, attempt)
-                candidate = perturb_cst(params, fraction, child)
-                landmarks = cst_evaluate(candidate, n)
-                if validate_shape(landmarks).passed:
-                    shape = DatasetShape(len(shapes), b_idx, candidate,
-                                         landmarks, attempt + 1)
-                    break
-                logger.warning(
-                    "rejected perturbation (baseline %d, index %d, attempt %d);"
-                    " resampling", b_idx, k, attempt)
-            if shape is None:
-                raise GenerationError(
-                    f"no valid perturbation of baseline {b_idx} after "
-                    f"{_MAX_ATTEMPTS} attempts")
-            shapes.append(shape)
-    return shapes
+        shapes.append(DatasetShape(b_idx, b_idx, baselines[b_idx], landmarks, 1))
+    each, extra = divmod(n_perturbations, len(baselines))
+    slots = [(b_idx, k) for b_idx in range(len(baselines))
+             for k in range(each + (b_idx < extra))]
+    # each slot's shape, or the error that drawing it in turn ends with
+    outcomes: list = [None] * len(slots)
+    rejected = []  # (slot, attempt) of each rejected draw
+    for attempt in range(_MAX_ATTEMPTS):
+        pending = [i for i, out in enumerate(outcomes) if out is None]
+        if not pending:
+            break
+        draws = {}
+        for i in pending:
+            b_idx, k = slots[i]
+            try:
+                draws[i] = perturb_cst(baselines[b_idx], fraction,
+                                       _derived_seed(seed, b_idx, k, attempt))
+            except ParameterError as err:
+                outcomes[i] = err
+        for (i, draw), landmarks, diag in zip(draws.items(),
+                                              *_trials(list(draws.values()), n)):
+            if diag.passed:
+                outcomes[i] = DatasetShape(len(shapes) + i, slots[i][0], draw,
+                                           landmarks, attempt + 1)
+            else:
+                rejected.append((i, attempt))
+    stop = next((i for i, out in enumerate(outcomes)
+                 if not isinstance(out, DatasetShape)), len(slots))
+    for i, attempt in sorted(rejected):
+        if i <= stop:
+            logger.warning(
+                "rejected perturbation (baseline %d, index %d, attempt %d);"
+                " resampling", *slots[i], attempt)
+    if stop < len(slots):
+        raise outcomes[stop] or GenerationError(
+            f"no valid perturbation of baseline {slots[stop][0]} after "
+            f"{_MAX_ATTEMPTS} attempts")
+    return shapes + outcomes
 
 
 def gen_dataset(baselines: list[CstParams], n_perturbations: int,
@@ -633,10 +710,16 @@ def gen_dataset(baselines: list[CstParams], n_perturbations: int,
 
 def sweep_points(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
     """``steps`` points from ``a`` to ``b``: row i is ``(1 - s) * a + s * b``
-    at ``s = i / (steps - 1)``."""
+    at ``s = i / (steps - 1)``. The corners must be finite and of one shape."""
+    steps = integer_argument(steps, "steps")
     if steps < 2:
         raise ParameterError(f"a sweep needs at least 2 steps, got {steps}")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ParameterError(
+            f"sweep corners differ in shape: {a.shape} and {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("sweep corners contain non-finite values")
     s = np.arange(steps)[:, None] / (steps - 1)
     return (1.0 - s) * a + s * b
 
@@ -647,7 +730,8 @@ def cst_sweep(corner_a: CstParams, corner_b: CstParams, steps: int,
 
     Linear interpolation in raw coefficient space; unlike sweeps in the
     learned design space, intermediate shapes carry no validity guarantee.
+    The trailing-edge thickness is ``corner_a``'s throughout.
     """
-    return [cst_evaluate(CstParams.from_vector(v, corner_a.te_thickness), n)
-            for v in sweep_points(corner_a.as_vector(), corner_b.as_vector(),
-                                  steps)]
+    return [LandmarkMatrix(pts) for pts in cst_evaluate_stack(
+        sweep_points(corner_a.as_vector(), corner_b.as_vector(), steps), n,
+        corner_a.te_thickness)]

@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     IterationLimitError,
     ParameterError,
+    integer_argument,
 )
 from .geometry import sweep_points
 from .grassmann import (
@@ -172,6 +173,7 @@ def karcher_mean(shapes, tol: float = 1e-10,
         raise ParameterError("cannot average an empty set of shapes")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    max_iter = integer_argument(max_iter, "max_iter")
     if max_iter < 0:
         raise ParameterError(f"max_iter must be >= 0, got {max_iter}")
     reps = as_frames(shapes)
@@ -212,6 +214,7 @@ def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
     Gram matrix, which yields the same spectrum cheaper.
     """
     n = mean.n
+    r = integer_argument(r, "r")
     if logs.ndim != 2 or logs.shape[1] != 2 * n:
         raise DimensionError(
             f"logarithms must be (N, {2 * n}) rows, got shape {logs.shape}")

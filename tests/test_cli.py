@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -65,6 +66,21 @@ def test_gen_dataset_outputs(workdir):
     table = (workdir / "data" / "coefficients.csv").read_text().splitlines()
     assert table[0].startswith("index,baseline,kind,u0")
     assert len(table) == 10
+
+
+def test_gen_dataset_bytes_match_the_recorded_digests(tmp_path):
+    # SHA-256 of every file that this run wrote before the generator worked
+    # on stacks; any byte drift in generation or in the writers shows here
+    digests = json.loads(
+        (Path(__file__).parent / "gen_dataset_digests.json").read_text())
+    assert main(["gen-dataset", "--baselines", "4", "--total", "60",
+                 "--n", "101", "--seed", "1", "--out", str(tmp_path)]) == 0
+    written = sorted(tmp_path.glob("shapes/*.dat")) + [
+        tmp_path / "coefficients.csv"]
+    got = {f.relative_to(tmp_path).as_posix():
+           hashlib.sha256(f.read_bytes()).hexdigest() for f in written}
+    assert len(digests) == 65
+    assert got == digests
 
 
 RERUNS = {
@@ -574,6 +590,15 @@ BAD_INPUTS = {
                                "no .dat coordinate files under {tmp}/empty"),
     "gen-dataset-no-baselines": (["gen-dataset", "--baselines", "0"],
                                  "--baselines must be in [1, 16], got 0"),
+    # no perturbation is drawn, so only the generator's own check sees these
+    "gen-dataset-fraction-above-one": (["gen-dataset", "--total", "0",
+                                        "--fraction", "5"],
+                                       "perturbation fraction must lie in "
+                                       "[0, 1], got 5.0"),
+    "gen-dataset-fraction-nan": (["gen-dataset", "--total", "0",
+                                  "--fraction", "nan"],
+                                 "perturbation fraction must lie in [0, 1], "
+                                 "got nan"),
     "render-scatter-without-table": (["render", "--kind", "scatter"],
                                      "--kind scatter needs --table"),
     "render-wireframe-without-file": (["render", "--kind", "wireframe"],

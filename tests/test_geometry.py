@@ -112,6 +112,13 @@ def test_max_thickness_matches_dense_closed_form():
     assert abs(landmark_max - dense_max) < 1e-4
 
 
+@pytest.mark.parametrize("n", [9.0, True, "9", None])
+def test_cst_evaluate_needs_an_integer_landmark_count(n):
+    with pytest.raises(SamplingError,
+                       match=f"landmark count must be an integer, got {n!r}"):
+        cst_evaluate(UNIFORM, n)
+
+
 def test_te_thickness_opens_trailing_edge():
     shape = cst_evaluate(
         CstParams(np.full(9, 0.2), np.full(9, -0.2), te_thickness=0.01), 101)
@@ -281,8 +288,15 @@ def span_of(pts):
     return float(np.max(np.abs(pts - pts.mean(axis=0))))
 
 
+def moving_edges(pts):
+    """Which edges of a closed polyline have nonzero length."""
+    return np.any(np.roll(pts, -1, axis=0) != pts, axis=1)
+
+
 def certified(pts):
-    return _separated_chains(pts, span_of(pts))
+    """The certificate on a run of one shape."""
+    return bool(_separated_chains(pts[None], np.array([span_of(pts)]),
+                                  moving_edges(pts))[0])
 
 
 def assert_simple_matches_exact(pts):
@@ -470,6 +484,23 @@ def test_gen_dataset_all_valid():
         assert validate_shape(d.landmarks).passed
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ({"n_perturbations": 1.5}, ParameterError,
+     "perturbation count must be an integer, got 1.5"),
+    ({"n_perturbations": 4.0}, ParameterError,
+     "perturbation count must be an integer, got 4.0"),
+    ({"n": 21.0}, SamplingError, "landmark count must be an integer, got 21.0"),
+    ({"fraction": 1.5}, ParameterError,
+     r"fraction must lie in \[0, 1\], got 1.5"),
+])
+def test_gen_dataset_rejects_bad_arguments(args, error, message):
+    # checked before anything is drawn, even when nothing would be
+    kwargs = {"n_perturbations": 4, "fraction": 0.2, "seed": 1, "n": 21}
+    for total in ({}, {"n_perturbations": 0}):
+        with pytest.raises(error, match=message):
+            gen_dataset(default_baselines()[:2], **{**kwargs, **total, **args})
+
+
 def test_gen_dataset_rejects_invalid_baseline():
     degenerate = CstParams(np.zeros(9), np.zeros(9))
     with pytest.raises(GenerationError):
@@ -495,6 +526,26 @@ def test_sweep_points_blend_at_step_fractions(steps):
 def test_sweep_points_need_two_steps():
     with pytest.raises(ParameterError, match="at least 2 steps, got 1"):
         sweep_points(np.zeros(3), np.ones(3), 1)
+
+
+def test_sweep_points_reject_corners_of_different_shapes():
+    with pytest.raises(ParameterError, match=r"differ in shape: \(2,\) and"):
+        sweep_points([0.0, 1.0], [1.0], 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sweep_points_reject_non_finite_corners(bad):
+    with pytest.raises(ParameterError, match="non-finite"):
+        sweep_points([bad], [1.0], 3)
+    with pytest.raises(ParameterError, match="non-finite"):
+        sweep_points([0.0, 1.0], [1.0, bad], 3)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True])
+def test_sweep_points_need_an_integer_step_count(steps):
+    with pytest.raises(ParameterError,
+                       match=f"steps must be an integer, got {steps}"):
+        sweep_points(np.zeros(3), np.ones(3), steps)
 
 
 def test_cst_sweep_endpoints_exact():

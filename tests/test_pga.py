@@ -131,6 +131,14 @@ def test_mean_rejects_empty():
         karcher_mean([])
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True])
+def test_mean_rejects_a_max_iter_that_is_not_an_integer(airfoil_points,
+                                                        max_iter):
+    with pytest.raises(ParameterError,
+                       match=f"max_iter must be an integer, got {max_iter}"):
+        karcher_mean(stack(airfoil_points), max_iter=max_iter)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
 def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
     with pytest.raises(ParameterError, match="tol must be finite"):
@@ -216,6 +224,13 @@ def test_pga_fit_checks_the_log_rows():
     for bad in (logs[:, :-1], logs.reshape(10, 20, 2), logs[0]):
         with pytest.raises(DimensionError, match="logarithms must be"):
             pga_fit(base, bad, 2)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, True])
+def test_pga_fit_rejects_an_r_that_is_not_an_integer(r):
+    base, _, _, shapes = planted_family(n=20, samples=10)
+    with pytest.raises(ParameterError, match=f"r must be an integer, got {r}"):
+        pga_fit(base, logs_at(base, stack(shapes)), r)
 
 
 def test_model_invariants(airfoil_points):
