@@ -9,7 +9,6 @@ configuration, so any artifact can be regenerated byte-identically.
 from __future__ import annotations
 
 import argparse
-import itertools
 import re
 import sys
 from pathlib import Path
@@ -52,14 +51,14 @@ def _manifest(args: argparse.Namespace, results: dict) -> None:
         "package_version": __version__, "config": config, "results": results})
 
 
-def _load_shapes(source) -> list[tuple[Path, str, LandmarkMatrix]]:
-    """(path, name line, landmarks) of each coordinate file, sorted by path."""
+def _load_shapes(source) -> tuple[list[Path], gio.CoordinateFamily]:
+    """The coordinate files under ``source``, sorted by path, and their
+    names and landmarks."""
     src = Path(source)
     files = sorted(src.glob("*.dat")) if src.is_dir() else [src]
     if not files:
         raise FileFormatError(f"no .dat coordinate files under {src}")
-    return [(f, *named)
-            for f, named in zip(files, gio.read_coordinate_files(files))]
+    return files, gio.read_coordinate_files(files)
 
 
 def _ascii_literal(convert):
@@ -96,43 +95,42 @@ def _parse_coord_vector(text: str, r: int) -> np.ndarray:
     return values
 
 
-def _standardized(loaded):
-    """Frames of each run of loaded shapes that share a landmark count, and
-    the linear factors and translations of all; a failure names its file."""
+def _standardized(source, one_count: bool = False):
+    """The coordinate files under ``source``, their name lines, the frames
+    of each run of equal landmark count, and the linear factors and
+    translations of all shapes. With ``one_count``, a second landmark count
+    raises before any shape is standardized. A failure names its file. The
+    landmarks are not kept past the factorization."""
+    files, family = _load_shapes(source)
+    if one_count and len(family.runs) > 1:
+        first, other = family.runs[:2]
+        raise DimensionError(
+            f"{files[len(first)]}: {other.shape[1]} landmarks, but "
+            f"{files[0]} has {first.shape[1]}")
     runs, start = [], 0
-    for _, run in itertools.groupby(loaded, key=lambda item: item[2].n):
-        points = np.array([shape.points for _, _, shape in run])
+    for points in family.runs:
         try:
             runs.append(standardize_stack(points))
         except DegenerateShapeError as err:
             index = start + err.shape_index
-            raise DegenerateShapeError(f"{loaded[index][0]}: {err}",
+            raise DegenerateShapeError(f"{files[index]}: {err}",
                                        shape_index=index) from None
         start += len(points)
     frames, linear, translation = zip(*runs)
-    return frames, np.concatenate(linear), np.concatenate(translation)
-
-
-def _check_landmark_counts(loaded) -> None:
-    first_path, _, first = loaded[0]
-    for path, _, shape in loaded[1:]:
-        if shape.n != first.n:
-            raise DimensionError(
-                f"{path}: {shape.n} landmarks, but {first_path} has {first.n}")
+    return (files, family.names, frames, np.concatenate(linear),
+            np.concatenate(translation))
 
 
 def _fit_mean(args):
     """Shared prologue of mean and pga-fit: load, standardize, average."""
-    loaded = _load_shapes(args.shapes)
-    _check_landmark_counts(loaded)
-    (frames,), linear, translation = _standardized(loaded)
+    files, names, (frames,), linear, translation = _standardized(
+        args.shapes, one_count=True)
     try:
         result = karcher_mean(frames, tol=args.tol, max_iter=args.max_iter)
     except CutLocusError as err:
-        path = loaded[err.shape_index][0]
+        path = files[err.shape_index]
         raise CutLocusError(f"{path}: {err}", max_angle=err.max_angle,
                             shape_index=err.shape_index) from None
-    names = [name for _, name, _ in loaded]
     return names, result, mean_affine(linear, translation)
 
 
@@ -166,16 +164,15 @@ def cmd_gen_dataset(args) -> tuple[dict, str]:
 
 
 def cmd_standardize(args) -> tuple[dict, str]:
-    loaded = _load_shapes(args.shapes)
-    _, linear, translation = _standardized(loaded)
-    rows = [[name.split()[0], *vec] for (_, name, _), vec
-            in zip(loaded, affine_vectors(linear, translation))]
+    _, names, _, linear, translation = _standardized(args.shapes)
+    rows = [[name.split()[0], *vec] for name, vec
+            in zip(names, affine_vectors(linear, translation))]
     gio.write_table(args.out / "affines.csv",
                     ["file", *AFFINE_COMPONENT_NAMES], rows)
     gio.write_affine(args.out / "mean_affine.json",
                      mean_affine(linear, translation))
-    return ({"shapes_standardized": len(loaded)},
-            f"standardized {len(loaded)} shapes")
+    return ({"shapes_standardized": len(names)},
+            f"standardized {len(names)} shapes")
 
 
 def cmd_mean(args) -> tuple[dict, str]:
@@ -331,9 +328,9 @@ def cmd_render(args) -> tuple[dict, str]:
     if args.kind in ("shapes", "strip"):
         if args.shapes is None:
             raise ParameterError(f"--kind {args.kind} needs --shapes")
-        pts = [shape.points for _, _, shape in _load_shapes(args.shapes)]
-        text = (svg.render_shapes(pts) if args.kind == "shapes"
-                else svg.render_strip(pts))
+        shapes = _load_shapes(args.shapes)[1].shapes
+        text = (svg.render_shapes(shapes) if args.kind == "shapes"
+                else svg.render_strip(shapes))
     elif args.kind == "scatter":
         if args.table is None:
             raise ParameterError("--kind scatter needs --table")

@@ -1,4 +1,4 @@
-"""Exact bulk conversion between coordinate-file bodies and float arrays.
+"""Exact bulk conversion between float arrays and their text forms.
 
 A coordinate file's body is "%.16e %.16e\\n" per landmark. Such a token is
 a 17-digit integer M < 2**57 times 10**-k, k = 16 - exponent. Where
@@ -7,8 +7,10 @@ for 0 <= k <= 27 (5**27 < 2**63) are exact in it, so one long-double
 division or multiplication rounds once (Clinger 1990; Lemire 2021). Both
 directions convert many bodies at a time that way, to the bits of float()
 and the bytes of "%.16e", and hand every value whose result that one
-rounding cannot settle to float() or "%" itself. Where np.longdouble has
-another format, everything goes that way.
+rounding cannot settle to float() or "%" itself. SVG path data writes each
+number as "%.3f" does, less its trailing zeros: 1000 * |x| is exact in
+long double, so one rounding to an integer gives the digits. Where
+np.longdouble has another format, everything goes through float() or "%".
 """
 from __future__ import annotations
 
@@ -17,12 +19,22 @@ import numpy as np
 _FLOAT_FMT = "%.16e"
 
 
+def _significands(x: np.ndarray) -> np.ndarray:
+    """The 64-bit significand of each element of a 1-D long-double array,
+    where it is x87's 80-bit format padded to 16 bytes."""
+    return x.view("<u8")[::2]
+
+
 def _longdouble_rounds_exactly() -> bool:
-    """Whether np.longdouble has a 64-bit significand and rounds ties to
-    even, as the bulk conversion assumes."""
+    """Whether np.longdouble is x87's 80-bit format, with a 64-bit
+    significand in its low eight bytes, and rounds ties to even, as the
+    bulk conversion assumes."""
     one = np.longdouble(1)
     half_ulp = np.longdouble(2.0 ** -64)
     return bool(np.finfo(np.longdouble).nmant == 63
+                and np.dtype(np.longdouble).itemsize == 16
+                and _significands(np.array([one + 2 * half_ulp]))[0]
+                == 2 ** 63 + 1
                 and one + half_ulp == one
                 and one + 3 * half_ulp == one + 4 * half_ulp != one)
 
@@ -110,27 +122,27 @@ def _encode(arrays: list[np.ndarray]) -> list[str | None]:
             for a, b, ok in zip(cuts, cuts[1:], fits)]
 
 
-def decode_bodies(bodies: list[str]) -> list[np.ndarray | None]:
+def decode_bodies(bodies: list[bytes]) -> list[np.ndarray | None]:
     """The values of each body in the exact "%.16e %.16e\\n" layout, bit
     for bit as float() reads them, or None for any other body.
 
     Every token is found by its '.', and the 32 bytes from 7 before it are
     taken as four little-endian words: [..., sign or separator, lead digit,
     '.'], eight fraction digits twice, ['e', sign, two digits, separator,
-    ...]. Each character is checked, and the tokens of an accepted body tile
-    it exactly with ' ' and '\\n' after them in turn. A value is M / 10**k in
+    ...]. Each byte is checked, and the tokens of an accepted body tile it
+    exactly with ' ' and '\\n' after them in turn. A value is M / 10**k in
     long double, rounded to float64. A long double on the midpoint between
     two doubles, where that second rounding may differ from float()'s one,
-    and a k outside [0, 27] go through float().
+    and a k outside [0, 27] go through float(). The quotient is a normal
+    number, so it is on a midpoint exactly when the 11 significand bits that
+    float64 drops read 0x400.
     """
     if not EXACT_LONGDOUBLE:
         return [None] * len(bodies)
     sizes = np.array([len(body) for body in bodies], dtype=np.int64)
     ends = np.cumsum(sizes) + 7
     starts = ends - sizes
-    buf = np.frombuffer(
-        (" " * 7 + "".join(bodies) + " " * 25).encode("ascii", "replace"),
-        np.uint8)
+    buf = np.frombuffer(b"".join([b" " * 7, *bodies, b" " * 25]), np.uint8)
     dot = np.flatnonzero(buf == ord("."))
     if not dot.size:
         return [None] * len(bodies)
@@ -150,7 +162,7 @@ def decode_bodies(bodies: list[str]) -> list[np.ndarray | None]:
     ok = (high_ok & low_ok & (lead < 10) & (tens < 10) & (ones < 10)
           & (chars[:, 24] == ord("e"))
           & ((chars[:, 25] == ord("+")) | (chars[:, 25] == ord("-")))
-          & (chars[:, 28] == np.where(rank % 2, ord("\n"), ord(" ")))
+          & (chars[:, 28] == _SEPARATORS[rank & 1])
           & (dot - 1 - negative == start))
     owner = np.repeat(np.arange(len(bodies)), count)
     accepted = ((np.bincount(owner[~ok], minlength=len(bodies)) == 0)
@@ -163,9 +175,7 @@ def decode_bodies(bodies: list[str]) -> list[np.ndarray | None]:
     in_range = (k >= 0) & (k <= 27)
     quotient = significand / _POW10[np.where(in_range, k, 0)]
     values = quotient.astype(float)
-    excess = (quotient - values).astype(float)
-    gap = np.nextafter(values, np.copysign(np.inf, excess)) - values
-    redo = ~in_range | (excess != 0) & (2 * excess == gap)
+    redo = ~in_range | (_significands(quotient) & 0x7FF == 0x400)
     values[negative] *= -1
     for i in np.flatnonzero(redo & accepted[owner]):
         values[i] = float(buf[dot[i] - 1 - negative[i]:dot[i] + 21].tobytes())
@@ -183,3 +193,67 @@ def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
     v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
     return (v * 10000 + (v >> 32)) & 0xFFFFFFFF, ok
+
+
+# A path number is assembled from little-endian 4-byte words: [prefix,
+# prefix, prefix, '-'], two words of four integer digits, ['.', three
+# fraction digits]. The prefix is "M " before the first x, " L " before
+# every other x and " " before each y. Four keep words, one 0-or-1 byte per
+# byte of the number, then drop the prefix bytes a value does not take, the
+# '-' of a value whose sign bit is clear, the leading zeros of the integer
+# part, and the trailing zeros of the fraction, with its point when all
+# three are zero.
+_PREFIXES = np.frombuffer(b" M -   - L -", "<u4")  # first x, y, other x
+_PREFIX_KEEP = np.array([0x10100, 0x10000, 0x10101], "<u4")
+_TENS = 10 ** np.arange(1, 8)
+# row d - 1 keeps the last d of the eight integer digits
+_INTEGER_KEEP = (np.arange(8) >= 7 - np.arange(8)[:, None]).view("<u4")
+_FRACTIONS = (_QUADS[:1000] & 0xFFFFFF00 | ord(".")).astype("<u4")
+_FRACTION_KEEP = np.select([np.arange(1000) % k == 0 for k in (1000, 100, 10)],
+                           [0, 0x101, 0x10101], 0x1010101).astype("<u4")
+#: Rounded magnitude from which a path number is left to "%": its integer
+#: part would not fit eight digits.
+_PATH_LIMIT = 10 ** 8
+#: Added to a long double below 2**63, it leaves no fraction bit, so the sum
+#: rounds to an integer, half to even.
+_ROUNDER = np.longdouble(2 ** 63)
+
+
+def path_data(views: np.ndarray) -> list[str | None]:
+    """The closed SVG path "M x y L x y ... Z" of each (n, 2) slice of a
+    (k, n, 2) float stack, every number as "%.3f" writes it less its
+    trailing zeros, and less its point when all three decimals are zero
+    ("12.5", "3", "-0").
+
+    1000 * |x| needs at most 63 significand bits, so it is exact in long
+    double, and rounding it to an integer, half to even, rounds as "%.3f"
+    does. A slice that holds a NaN, an infinity or a number that rounds to
+    a magnitude of 1e8 or more gives None, and so does every slice where
+    the bulk conversion does not run.
+    """
+    k, n = views.shape[:2]
+    if not EXACT_LONGDOUBLE:
+        return [None] * k
+    mag = np.abs(views).reshape(k, 2 * n)
+    mag[~(mag < _PATH_LIMIT)] = _PATH_LIMIT  # nan and inf as well
+    scaled = (mag.astype(np.longdouble) * 1000 + _ROUNDER - _ROUNDER).astype(
+        np.int64)
+    settled = scaled < 1000 * _PATH_LIMIT
+    scaled[~settled] = 0
+    whole, fraction = np.divmod(scaled, 1000)
+    kinds = np.tile([2, 1], n)
+    kinds[0] = 0
+    words = np.empty((k, 2 * n, 4), "<u4")
+    words[..., 0] = _PREFIXES[kinds]
+    words[..., 1], words[..., 2] = (_QUADS[q] for q in np.divmod(whole, 10000))
+    words[..., 3] = _FRACTIONS[fraction]
+    keep = np.empty((k, 2 * n, 4), "<u4")
+    keep[..., 0] = _PREFIX_KEEP[kinds] | np.signbit(views).reshape(
+        k, 2 * n).astype("<u4") << 24
+    keep[..., 1:3] = _INTEGER_KEEP[np.searchsorted(_TENS, whole, "right")]
+    keep[..., 3] = _FRACTION_KEEP[fraction]
+    mask = keep.view(bool)
+    text = str(words.view(np.uint8)[mask].data, "ascii")
+    cuts = [0, *np.cumsum(np.count_nonzero(mask.reshape(k, -1), 1)).tolist()]
+    return [text[a:b] + " Z" if ok else None
+            for a, b, ok in zip(cuts, cuts[1:], settled.all(axis=1))]

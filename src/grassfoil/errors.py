@@ -2,11 +2,14 @@
 
 Everything raised deliberately by this package derives from
 :class:`GrassfoilError`, so callers (and the CLI) can catch one type.
-:func:`integer_argument` turns a non-integer argument into such an error.
+:func:`integer_argument` and :func:`array_argument` turn a non-integer or
+a non-numeric argument into such an error.
 """
 from __future__ import annotations
 
 import operator
+
+import numpy as np
 
 
 class GrassfoilError(Exception):
@@ -143,3 +146,17 @@ def integer_argument(value, name: str, error: type = ParameterError) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def array_argument(value, name: str, error: type = ParameterError):
+    """``value`` as a float ``ndarray``, the very object when it is one
+    already; a ragged or non-numeric value raises ``error`` naming the
+    argument."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise error(f"{name} must be a rectangular numeric array, got a "
+                    f"ragged or non-numeric {type(value).__name__}")
+    return arr.astype(float, copy=False)

@@ -25,6 +25,7 @@ from .errors import (
     Gl2ViolationError,
     ParameterError,
     SamplingError,
+    array_argument,
     integer_argument,
 )
 
@@ -43,6 +44,9 @@ DEFAULT_LANDMARK_COUNT = 401
 
 #: Smallest singular-value ratio of centered landmarks that counts as full rank.
 RANK_RATIO_TOL = 1e-10
+#: Magnitude beyond which a landmark or a stored value is rejected: the
+#: affine factor's determinant and other products of two would overflow.
+MAX_COORDINATE = 1e150
 _DET_TOL = 1e-12
 #: Shapes per stacked validation, which bounds its temporaries.
 _CHUNK = 64
@@ -255,8 +259,8 @@ def cst_evaluate_stack(coeffs, n: int = DEFAULT_LANDMARK_COUNT,
     bits of its own one-row call.
     """
     psi = chord_stations(n)
-    coeffs = np.asarray(coeffs, dtype=float)
-    te_half = np.asarray(te_thickness, dtype=float) / 2.0
+    coeffs = array_argument(coeffs, "coeffs")
+    te_half = array_argument(te_thickness, "te_thickness") / 2.0
     if (coeffs.ndim != 2 or coeffs.shape[1] != 2 * COEFFS_PER_SURFACE
             or te_half.shape not in ((), (len(coeffs),))):
         raise ParameterError(
@@ -506,15 +510,20 @@ def validate_stack(points) -> list[ShapeDiagnostics]:
     shapes with the same x column and zero-length edges shares one chain
     split and one leading-edge test.
     """
-    points = np.asarray(points, dtype=float)
+    points = array_argument(points, "points")
     if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
         raise ParameterError("expected an (N, n, 2) landmark stack with "
                              f"n >= 3, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ParameterError("landmark stack contains non-finite values")
     out = []
     for start in range(0, len(points), _CHUNK):
         pts = points[start:start + _CHUNK]
+        size = np.abs(pts).max(axis=(1, 2), initial=0.0)
+        if not np.all(np.isfinite(size)):
+            raise ParameterError("landmark stack contains non-finite values")
+        if np.any(size > MAX_COORDINATE):
+            raise ParameterError(
+                f"landmark coordinates exceed {MAX_COORDINATE:.0e} in "
+                "magnitude; validation products would overflow")
         centered = pts - pts.mean(axis=1, keepdims=True)
         sv = np.linalg.svd(centered, compute_uv=False)
         ratio = np.divide(sv[:, 1], sv[:, 0], out=np.zeros(len(pts)),

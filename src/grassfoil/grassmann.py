@@ -26,17 +26,15 @@ from .errors import (
     DimensionError,
     ParameterError,
     TangencyError,
+    array_argument,
 )
-from .geometry import (RANK_RATIO_TOL, AffineMap, LandmarkMatrix,
-                       affine_apply, singular_linear)
+from .geometry import (MAX_COORDINATE, RANK_RATIO_TOL, AffineMap,
+                       LandmarkMatrix, affine_apply, singular_linear)
 
 _ORTHO_TOL = 1e-12
 _HORIZONTAL_TOL = 1e-10
 _EXP_HORIZONTAL_TOL = 1e-8
 _CUT_LOCUS_MARGIN = 1e-8
-#: Magnitude beyond which a landmark or a stored value is rejected: the
-#: affine factor's determinant and other products of two would overflow.
-MAX_COORDINATE = 1e150
 #: Shapes per stacked decomposition, which bounds the kernels' temporaries.
 _CHUNK = 64
 
@@ -189,7 +187,7 @@ def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     check raises what its one-shape call would, a ``DegenerateShapeError``
     with its index as ``shape_index``; of several, the first raises.
     """
-    points = np.asarray(points, dtype=float)
+    points = array_argument(points, "points", DimensionError)
     if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
         raise DimensionError("expected an (N, n, 2) landmark stack with "
                              f"n >= 3, got shape {points.shape}")
@@ -297,17 +295,30 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     ``CutLocusError`` with its index as ``shape_index``; of several faults,
     the first in the stack raises. A ``base`` that is a frame of the stack
     should be the view ``reps[i]``: numpy then forms that slice's ``P' Q``
-    with the one-shape call's symmetric product.
+    with the one-shape call's symmetric product. A ``base`` or a frame that
+    is not finite raises ``DimensionError``. The frames are checked through
+    their products with ``base``, which a non-finite entry makes
+    non-finite, so a float stack pays for no pass of its own.
     """
-    if reps.shape[1:] != base.shape:
+    base = array_argument(base, "base", DimensionError)
+    reps = array_argument(reps, "reps", DimensionError)
+    if reps.ndim != 3 or reps.shape[1:] != base.shape:
         raise DimensionError(
             f"mismatched representatives: {base.shape} vs {reps.shape[1:]}")
+    if not np.all(np.isfinite(base)):
+        raise DimensionError("base contains non-finite values")
     out = np.empty((len(reps), reps.shape[2], reps.shape[1])).swapaxes(1, 2)
     for start in range(0, len(reps), _CHUNK):
         q = reps[start:start + _CHUNK]
-        w, c, zt = np.linalg.svd(np.matmul(base.T, q))
-        stop, error = _fault(c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN), len(q),
-                             None, lambda i: _cut_locus(c[i, -1], start + i))
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = np.matmul(base.T, q)
+        stop, error = _fault(~np.isfinite(products).all(axis=(1, 2)), len(q),
+                             None, lambda i: DimensionError(
+                                 f"reps[{start + i}] is not finite, or too "
+                                 "large to pair with base"))
+        w, c, zt = np.linalg.svd(products[:stop])
+        stop, error = _fault(c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN), stop,
+                             error, lambda i: _cut_locus(c[i, -1], start + i))
         w, c = w[:stop], c[:stop]
         residual = q[:stop] @ zt[:stop].swapaxes(1, 2) - base @ (w * c[:, None])
         sines = np.linalg.norm(residual, axis=1)

@@ -16,6 +16,8 @@ import operator
 import os
 import re
 import sys
+from dataclasses import dataclass
+from io import BytesIO, TextIOWrapper
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
@@ -32,8 +34,8 @@ from .errors import (
     TooFewPointsError,
     VersionError,
 )
-from .geometry import AffineMap, LandmarkMatrix
-from .grassmann import MAX_COORDINATE, GrassmannPoint, TangentVector
+from .geometry import MAX_COORDINATE, AffineMap, LandmarkMatrix
+from .grassmann import GrassmannPoint, TangentVector
 from .pga import (FLATTEN_ORDER, CoordinateDomain, PgaModel, flatten_tangent,
                   unflatten_tangent)
 
@@ -44,10 +46,22 @@ _TOKEN = re.compile(r"\S+")
 
 def read_text(path) -> str:
     """Whole text file; unreadable or undecodable files name the path."""
+    return _decode(path, _read_bytes(path))
+
+
+def _read_bytes(path) -> bytes:
     try:
-        return Path(path).read_text()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as err:
         raise FileFormatError(f"cannot read {path}: {err.strerror}") from None
+
+
+def _decode(path, data: bytes) -> str:
+    """``data`` as text mode reads the file ``path`` that holds it: in the
+    default encoding, every line end made "\\n"."""
+    try:
+        return TextIOWrapper(BytesIO(data)).read()
     except UnicodeDecodeError as err:
         raise FileFormatError(
             f"cannot decode {path}: {err.reason} at byte {err.start}") from None
@@ -102,42 +116,73 @@ def write_coordinate_files(items) -> None:
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
     """Name line and landmarks of a file written by :func:`write_coordinates`."""
-    return read_coordinate_files([path])[0]
+    family = read_coordinate_files([path])
+    return family.names[0], LandmarkMatrix(family.runs[0][0])
 
 
-def read_coordinate_files(paths) -> list[tuple[str, LandmarkMatrix]]:
-    """Name line and landmarks of each coordinate file, in order.
+@dataclass(frozen=True, eq=False)
+class CoordinateFamily:
+    """Name lines and landmarks of coordinate files, in file order. Each run
+    of consecutive files that share a landmark count ``n`` is one
+    ``(N_run, n, 2)`` array of ``runs``."""
 
-    Files in the writer's exact layout (a name line that ``str.splitlines``
-    keeps whole, then "%.16e %.16e\\n" per landmark) are decoded in bulk, a
-    chunk of files at a time. Every other file is scanned line by line:
-    other whitespace reads to the same values, and a fault is named by its
-    line and column. The first file that fails raises.
+    names: tuple[str, ...]
+    runs: tuple[np.ndarray, ...]
+
+    @property
+    def shapes(self):
+        """Every file's ``(n, 2)`` landmarks: the one run itself when all
+        files share a landmark count, else a list of views into the runs."""
+        if len(self.runs) == 1:
+            return self.runs[0]
+        return [shape for run in self.runs for shape in run]
+
+
+def read_coordinate_files(paths) -> CoordinateFamily:
+    """Name lines and landmarks of coordinate files, decoded straight into
+    one array per run of equal landmark count.
+
+    Files are read as bytes. An ASCII file in the writer's exact layout (a
+    name line that ``str.splitlines`` keeps whole, then "%.16e %.16e\\n"
+    per landmark) is decoded in bulk, a chunk of files at a time. Every
+    other file is decoded as :func:`read_text` decodes it and scanned line
+    by line: other whitespace reads to the same values, and a fault is
+    named by its line and column. The first file that fails raises.
     """
     paths = list(paths)
-    shapes = []
+    names, runs, used = [], [], 0
     for start in range(0, len(paths), _CHUNK):
-        chunk, texts, failure = paths[start:start + _CHUNK], [], None
+        chunk, datas, failure = paths[start:start + _CHUNK], [], None
         for path in chunk:
             try:
-                texts.append(read_text(path))
+                datas.append(_read_bytes(path))
             except FileFormatError as err:
                 failure = err
                 break
-        parts = [text.partition("\n") for text in texts]
-        decoded = codec.decode_bodies([body for _, _, body in parts])
-        for path, text, (name, _, _), values in zip(chunk, texts, parts,
-                                                    decoded):
+        heads = [data.partition(b"\n") if data.isascii() else (b"", b"", b"")
+                 for data in datas]
+        decoded = codec.decode_bodies([body for _, _, body in heads])
+        for path, data, (head, _, _), values in zip(chunk, datas, heads,
+                                                     decoded):
+            name = head.decode("ascii")
             if values is not None and (name + "\n").splitlines() == [name]:
-                shapes.append((name, LandmarkMatrix(values.reshape(-1, 2))))
+                points = values.reshape(-1, 2)
             else:
-                shapes.append(_scan_coordinates(path, text))
+                name, points = _scan_coordinates(path, _decode(path, data))
+            if not runs or runs[-1].shape[1] != len(points):
+                if runs:  # give back the rows the run did not fill
+                    runs[-1] = runs[-1][:used].copy()
+                runs.append(np.empty((len(paths) - len(names), *points.shape)))
+                used = 0
+            runs[-1][used] = points
+            used += 1
+            names.append(name)
         if failure is not None:
             raise failure
-    return shapes
+    return CoordinateFamily(tuple(names), tuple(runs))
 
 
-def _scan_coordinates(path, text: str) -> tuple[str, LandmarkMatrix]:
+def _scan_coordinates(path, text: str) -> tuple[str, np.ndarray]:
     """Line-by-line reading of a coordinate file; raises at the first fault.
 
     A line is split and converted whole; one that does not give two finite
@@ -160,7 +205,7 @@ def _scan_coordinates(path, text: str) -> tuple[str, LandmarkMatrix]:
         raise TooFewPointsError(
             f"a shape needs at least 3 points, file has {len(points)}",
             path=path)
-    return name, LandmarkMatrix(np.array(points))
+    return name, np.array(points)
 
 
 def _line_fault(path, lineno: int, line: str) -> NoReturn:

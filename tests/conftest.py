@@ -36,3 +36,14 @@ def airfoil_points():
         params = perturb_cst(default_baselines()[k % 16], 0.15, seed=900 + k)
         points.append(la_standardize(cst_evaluate(params, 101)).point)
     return points
+
+
+def fmt(value: float) -> str:
+    """A drawing's number, one at a time: "%.3f" less its trailing zeros and
+    a bare point; the oracle of the bulk path formatting."""
+    return f"{value:.3f}".rstrip("0").rstrip(".")
+
+
+def per_coordinate_path(pts) -> str:
+    """The closed path data of an (n, 2) shape, formatted by ``fmt``."""
+    return "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in pts) + " Z"

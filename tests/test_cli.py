@@ -22,7 +22,8 @@ from grassfoil.blade import build_blade
 from grassfoil.cli import main
 from grassfoil.geometry import (affine_apply, affine_subgroup, cst_evaluate,
                                 default_baselines)
-from grassfoil.svg import _fmt
+
+from conftest import per_coordinate_path
 
 N = 101
 
@@ -81,6 +82,70 @@ def test_gen_dataset_bytes_match_the_recorded_digests(tmp_path):
            hashlib.sha256(f.read_bytes()).hexdigest() for f in written}
     assert len(digests) == 65
     assert got == digests
+
+
+# The reading stages, each run on a family of one landmark count and on a
+# family that mixes counts and holds hand-edited files
+READING_STAGES = {
+    "standardize": (["standardize"], ("one", "mixed")),
+    "mean": (["mean"], ("one",)),
+    "pga-fit": (["pga-fit", "--r", "3"], ("one",)),
+    "shapes": (["render", "--kind", "shapes"], ("one", "mixed")),
+    "strip": (["render", "--kind", "strip"], ("one", "mixed")),
+}
+
+
+def reading_stage_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every non-manifest file that the reading stages, and the
+    wireframe and scatter drawings, write under ``root``, keyed by stage,
+    family and file name."""
+    assert main(["gen-dataset", "--baselines", "4", "--total", "20",
+                 "--n", "101", "--seed", "1", "--out", str(root / "data")]) == 0
+    one = root / "data" / "shapes"
+    mixed = root / "mixed"
+    mixed.mkdir()
+    for k, path in enumerate(sorted(one.glob("*.dat"))):
+        text = path.read_text()
+        if k % 7 == 3:
+            text = text.replace("\n", "\r\n")
+        elif k % 7 == 5:
+            text = text.replace(" ", "\t")
+        (mixed / path.name).write_text(text, newline="")
+    gio.write_coordinates(mixed / "shape-0011a.dat",
+                          cst_evaluate(default_baselines()[5], 51),
+                          "shape-0011a coarse")
+    runs = [[*argv, "--shapes", str(one if family == "one" else mixed),
+             "--out", str(root / "out" / f"{stage}-{family}")]
+            for stage, (argv, families) in READING_STAGES.items()
+            for family in families]
+    # the other drawings share the path and number formatting
+    etas = [0.0, 0.5, 1.0]
+    gio.write_blade(root / "blade.json", build_blade(etas, [
+        gio.read_coordinates(one / f"shape-{k:04d}.dat")[1] for k in range(3)]))
+    runs += [
+        ["blade-interp", "--blade", str(root / "blade.json"), "--spans", "7",
+         "--out", str(root / "interp")],
+        ["render", "--kind", "wireframe", "--wireframe",
+         str(root / "interp" / "wireframe.csv"),
+         "--out", str(root / "out" / "wireframe")],
+        ["render", "--kind", "scatter", "--table",
+         str(root / "out" / "pga-fit-one" / "normal_coords.csv"),
+         "--out", str(root / "out" / "scatter")]]
+    for argv in runs:
+        assert main(argv) == 0
+    return {f.relative_to(root / "out").as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted((root / "out").glob("*/*"))
+            if f.name != "manifest.json"}
+
+
+def test_reading_stage_bytes_match_the_recorded_digests(tmp_path):
+    # recorded before the reader decoded whole families into one stack and
+    # before the drawings wrote their numbers in bulk
+    digests = json.loads(
+        (Path(__file__).parent / "reading_stage_digests.json").read_text())
+    assert len(digests) == 17
+    assert reading_stage_digests(tmp_path) == digests
 
 
 RERUNS = {
@@ -314,13 +379,6 @@ def test_render_wireframe(workdir, tmp_path):
     assert len(paths) == 6
 
 
-def per_coordinate_closed_path(parent, pts, stroke, fill="none", width=1.0):
-    """A path element formatted one coordinate at a time by ``_fmt``."""
-    coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
-    ET.SubElement(parent, "path", {"d": f"M {coords} Z", "stroke": stroke,
-                                   "fill": fill, "stroke-width": _fmt(width)})
-
-
 @pytest.mark.parametrize("kind", ["shapes", "strip", "wireframe"])
 def test_render_bytes_match_per_coordinate_paths(workdir, tmp_path,
                                                  monkeypatch, kind):
@@ -330,7 +388,8 @@ def test_render_bytes_match_per_coordinate_paths(workdir, tmp_path,
     texts = []
     for where in ("one-format", "per-coordinate"):
         if where == "per-coordinate":
-            monkeypatch.setattr(svg, "_closed_path", per_coordinate_closed_path)
+            monkeypatch.setattr(svg, "_path_data", lambda views: [
+                per_coordinate_path(view) for view in views])
         out = tmp_path / where
         assert main(["render", "--kind", kind, *source, "--out", str(out)]) == 0
         texts.append((out / f"{kind}.svg").read_bytes())

@@ -1,5 +1,6 @@
 """Tests for coordinate, model, blade, and wireframe serialization."""
 
+import itertools
 import json
 import os
 import tempfile
@@ -175,9 +176,9 @@ def test_bulk_writer_matches_template_and_reads_back_bit_exact(files):
         for path, shape, name in zip(paths, shapes, names):
             assert path.read_text() == per_row_coordinates(shape, name)
         back = read_coordinate_files(paths)
-    assert [name for name, _ in back] == names
-    for (_, read), shape in zip(back, shapes):
-        assert read.points.tobytes() == shape.points.tobytes()
+    assert back.names == tuple(names)
+    for read, shape in zip(back.shapes, shapes):
+        assert read.tobytes() == shape.points.tobytes()
 
 
 # "%.16e"-shaped tokens the writer never produced: any 17 digits, a leading
@@ -199,9 +200,9 @@ def test_bulk_reader_matches_float_on_any_17_digit_decimal(files):
         for path, pairs in zip(paths, files):
             path.write_text("decimals\n" + "".join(f"{a} {b}\n" for a, b in pairs))
         back = read_coordinate_files(paths)
-    for (_, read), pairs in zip(back, files):
+    for read, pairs in zip(back.shapes, files):
         expected = np.array([float(t) for pair in pairs for t in pair])
-        assert read.points.ravel().tobytes() == expected.tobytes()
+        assert read.tobytes() == expected.tobytes()
 
 
 def test_codec_off_gives_the_same_bytes_and_bits(tmp_path, monkeypatch):
@@ -214,8 +215,8 @@ def test_codec_off_gives_the_same_bytes_and_bits(tmp_path, monkeypatch):
         paths = [folder / f"s{i:02d}.dat" for i in range(len(shapes))]
         write_coordinate_files((p, s, "edge") for p, s in zip(paths, shapes))
         return ([p.read_bytes() for p in paths],
-                [shape.points.tobytes()
-                 for _, shape in read_coordinate_files(paths)])
+                [shape.tobytes()
+                 for shape in read_coordinate_files(paths).shapes])
 
     on = write_and_read(tmp_path / "on")
     monkeypatch.setattr(codec, "EXACT_LONGDOUBLE", False)
@@ -232,25 +233,72 @@ def hand_edited(text: str, k: int) -> str:
             lambda: text[:-1],
             lambda: name + "\n" + body.replace("e+00", "e0"),
             lambda: text.replace("0000e", "e", 1),
-            lambda: text.replace("\n", " \n", 2)][k % 7]()
+            lambda: text.replace("\n", " \n", 2),
+            lambda: text.replace("\n", "\r"),
+            lambda: name + "\r\n" + body,
+            lambda: "café " + text][k % 10]()
+
+
+@pytest.mark.parametrize("data", [
+    b"a\r\nb\rc\n", b"x\r\r\n\n\r", b"\xef\xbb\xbfname\n1 2\n",
+    "caf\u00e9\r1 2".encode(), b""])
+def test_read_text_reads_as_text_mode_does(tmp_path, data):
+    path = tmp_path / "t.dat"
+    path.write_bytes(data)
+    assert gio.read_text(path) == path.read_text()
+
+
+def oracle_reads(paths):
+    """Name and landmark bits of each file, read one file at a time by the
+    line scan from the text that ``Path.read_text`` gives."""
+    return [(name, points.tobytes()) for name, points in
+            (_scan_coordinates(p, p.read_text()) for p in paths)]
+
+
+def family_reads(family):
+    """Name and landmark bits of each file of a read family."""
+    return [(name, shape.tobytes())
+            for name, shape in zip(family.names, family.shapes)]
 
 
 def test_multi_file_read_equals_per_file_reads(tmp_path):
     for k in range(40):  # more than two chunks of files
         shape = cst_evaluate(perturb_cst(default_baselines()[k % 16], 0.2,
                                          seed=k), 21)
-        write_coordinates(tmp_path / f"s{k:02d}.dat", shape, f"shape {k}")
+        path = tmp_path / f"s{k:02d}.dat"
+        write_coordinates(path, shape, f"shape {k}")
         if k % 3:
-            path = tmp_path / f"s{k:02d}.dat"
-            path.write_text(hand_edited(path.read_text(), k))
+            path.write_bytes(hand_edited(path.read_text(), k).encode())
     paths = sorted(tmp_path.glob("*.dat"))
-    bulk = read_coordinate_files(paths)
+    family = read_coordinate_files(paths)
     single = [read_coordinates(p) for p in paths]
-    scanned = [_scan_coordinates(p, p.read_text()) for p in paths]
-    for (name, shape), *others in zip(bulk, single, scanned):
-        for other_name, other in others:
-            assert (name, shape.points.tobytes()) == (
-                other_name, other.points.tobytes())
+    assert [run.shape for run in family.runs] == [(40, 21, 2)]
+    assert family_reads(family) == oracle_reads(paths) == [
+        (name, shape.points.tobytes()) for name, shape in single]
+    assert not any("\r" in name for name in family.names)
+    assert "café shape 19" in family.names
+
+
+@pytest.mark.parametrize("counts", [
+    [21] * 5 + [11] * 9 + [21] * 3,  # runs across chunk boundaries
+    [11, 21] * 6,                     # a run per file
+    [21] * 16 + [7],                  # a short last run
+])
+def test_mixed_landmark_counts_read_as_runs(tmp_path, counts):
+    for k, n in enumerate(counts):
+        shape = cst_evaluate(perturb_cst(default_baselines()[k % 16], 0.2,
+                                         seed=k), n)
+        path = tmp_path / f"s{k:02d}.dat"
+        write_coordinates(path, shape, f"shape {k}")
+        if k % 4 == 1:
+            path.write_bytes(hand_edited(path.read_text(), k).encode())
+    paths = sorted(tmp_path.glob("*.dat"))
+    family = read_coordinate_files(paths)
+    sizes = [(len(list(run)), n) for n, run in itertools.groupby(counts)]
+    assert [run.shape for run in family.runs] == [
+        (size, n, 2) for size, n in sizes]
+    assert family_reads(family) == oracle_reads(paths)
+    assert len(family.shapes) == len(counts)
 
 
 def test_multi_file_read_raises_for_the_first_bad_file(tmp_path):
@@ -259,12 +307,28 @@ def test_multi_file_read_raises_for_the_first_bad_file(tmp_path):
         write_coordinates(tmp_path / f"s{k:02d}.dat", shape)
     (tmp_path / "s05.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
     (tmp_path / "s03.dat").write_bytes(b"caf\xe9\n0 0\n1 0\n0 1\n")
+    (tmp_path / "s09.dat").unlink()
+    (tmp_path / "s09.dat").mkdir()  # a file that cannot be read
     (tmp_path / "s17.dat").write_text("short\n0 0\n")
-    with pytest.raises(FileFormatError, match="s03.dat"):
-        read_coordinate_files(sorted(tmp_path.glob("*.dat")))
-    (tmp_path / "s03.dat").unlink()
+    paths = sorted(tmp_path.glob("*.dat"))
+    try:
+        paths[3].read_text()
+    except UnicodeDecodeError as err:
+        reason = f"{err.reason} at byte {err.start}"
+    with pytest.raises(FileFormatError) as err:
+        read_coordinate_files(paths)
+    assert str(err.value) == f"cannot decode {paths[3]}: {reason}"
+    paths[3].write_text("fixed\n0 0\n1 0\n0 1\n")
     with pytest.raises(FileParseError, match="s05.dat:3:3"):
-        read_coordinate_files(sorted(tmp_path.glob("*.dat")))
+        read_coordinate_files(paths)
+    paths[5].write_text("fixed\n0 0\n1 0\n0 1\n")
+    with pytest.raises(FileFormatError) as err:
+        read_coordinate_files(paths)
+    assert str(err.value) == f"cannot read {paths[9]}: Is a directory"
+    paths[9].rmdir()
+    paths[9].write_text("fixed\n0 0\n1 0\n0 1\n")
+    with pytest.raises(TooFewPointsError, match="s17.dat"):
+        read_coordinate_files(paths)
 
 
 def outcome(read):
@@ -273,7 +337,7 @@ def outcome(read):
         name, shape = read()
     except GrassfoilError as err:
         return type(err), str(err)
-    return name, shape.points.tobytes()
+    return name, np.asarray(getattr(shape, "points", shape)).tobytes()
 
 
 ODD_TOKENS = ["nan", "-inf", "inf", "1e400", "1_0", "zz", "0x10", "+.5",

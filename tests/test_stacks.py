@@ -18,10 +18,13 @@ from grassfoil import blade
 from grassfoil import grassmann as gm
 from grassfoil.cli import main
 from grassfoil.errors import (CutLocusError, DegenerateShapeError,
-                              Gl2ViolationError, IterationLimitError)
+                              DimensionError, Gl2ViolationError,
+                              IterationLimitError, ParameterError,
+                              array_argument)
 from grassfoil.geometry import (RANK_RATIO_TOL, LandmarkMatrix, affine_apply,
                                 affine_subgroup, cst_evaluate,
-                                default_baselines, gen_dataset)
+                                cst_evaluate_stack, default_baselines,
+                                gen_dataset, validate_shape, validate_stack)
 from grassfoil.grassmann import (MAX_COORDINATE, GrassmannPoint,
                                  TangentVector, exp_map, la_standardize,
                                  log_map, log_map_stack, standardize_stack)
@@ -238,6 +241,56 @@ def plane(i, j, n=4):
     rep = np.zeros((n, 2))
     rep[i, 0] = rep[j, 1] = 1.0
     return rep
+
+
+def test_ragged_stacks_raise_typed_errors_naming_the_argument(family):
+    pts = family[0]
+    with pytest.raises(ParameterError, match="^points must be a rectangular"):
+        validate_stack([pts, pts[:-2]])
+    with pytest.raises(ParameterError, match="^coeffs must be a rectangular"):
+        cst_evaluate_stack([[0.1] * 18, [0.1] * 17])
+    with pytest.raises(DimensionError, match="^points must be a rectangular"):
+        standardize_stack([pts, pts[:-2]])
+    frames = standardize_stack(family[:3])[0]
+    with pytest.raises(DimensionError, match="^reps must be a rectangular"):
+        log_map_stack(frames[0], [frames[1], frames[2][:-1]])
+    with pytest.raises(DimensionError, match="^base must be a rectangular"):
+        log_map_stack([[0.0, 1.0], [1.0]], frames)
+
+
+def test_log_map_stack_takes_lists_of_frames(family):
+    frames = standardize_stack(family[:5])[0]
+    assert same_bits(log_map_stack(frames[2].tolist(), list(frames)),
+                     log_map_stack(frames[2].copy(), frames))
+
+
+def test_log_map_stack_names_non_finite_frames(family):
+    frames = standardize_stack(family[:CHUNK + 5])[0]
+    with pytest.raises(DimensionError, match="^base contains non-finite"):
+        log_map_stack(frames[0] * np.nan, frames)
+    frames[CHUNK + 3, 7, 1] = np.inf
+    frames[CHUNK + 4, 2, 0] = np.nan
+    with pytest.raises(DimensionError, match=rf"^reps\[{CHUNK + 3}\] is not"):
+        log_map_stack(frames[0].copy(), frames)
+
+
+def test_the_array_check_keeps_a_float_stack_as_it_is(family):
+    assert array_argument(family, "points") is family
+    assert array_argument(family[::2], "points").base is family
+
+
+@pytest.mark.parametrize("scale", [1e149, 1e160, 1e300])
+def test_validation_rejects_coordinates_beyond_the_bound(family, scale):
+    shape = LandmarkMatrix(family[0] * scale)
+    if scale < MAX_COORDINATE:
+        assert validate_shape(shape).passed
+        return
+    with pytest.raises(ParameterError, match="exceed 1e\\+150"):
+        validate_shape(shape)
+    stack = family[:CHUNK + 2].copy()
+    stack[CHUNK + 1] *= scale
+    with pytest.raises(ParameterError, match="exceed 1e\\+150"):
+        validate_stack(stack)
 
 
 def test_cut_locus_past_the_first_chunk_is_named():
