@@ -23,6 +23,7 @@ from .errors import (
     DimensionError,
     ParameterError,
     SpanRangeError,
+    in_order,
 )
 from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import (
@@ -282,7 +283,8 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     re-expressed in that station's rotation gauge and exponentiated. Being
     an isometry, transport preserves the coordinates against the
     transported basis; that is checked per station and per direction.
-    Affine factors and profiles are untouched: only subspaces move.
+    Affine factors and profiles are untouched: only subspaces move. Of
+    several faulty stations, the first raises its own error.
     """
     if not (np.isfinite(consistency_tol) and consistency_tol >= 0.0):
         raise ParameterError("consistency tolerance must be finite and >= 0, "
@@ -296,35 +298,36 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     basis_mats = [b.mat for b in model.basis]
     v = model.direction(t)
     reps = np.array([rep.rep for rep in blade.aligned])
-    try:
-        directions, cut = log_map_stack(model.mean.rep, reps), None
-    except CutLocusError as err:  # the stations before it still go first
-        directions = log_map_stack(model.mean.rep, reps[:err.shape_index])
-        cut = err
-    new_stations = []
-    new_aligned = []
-    for k, (station, rep, log) in enumerate(zip(blade.stations, blade.aligned,
-                                                directions)):
-        direction = TangentVector(log, model.mean)
-        tau_v, *tau_basis = Geodesic(model.mean, direction).transport(
-            [v] + basis_mats, 1.0)
-        coords = np.array([inner(tau_v, tb) for tb in tau_basis])
-        drift = np.max(np.abs(coords - t))
-        if drift > consistency_tol:
-            raise ConsistencyError(
-                f"transported coordinates at station {k} drifted by {drift:.3e} "
-                f"(tolerance {consistency_tol:.1e})")
-        gauge = tau_v.base.rep.T @ rep.rep
-        delta = TangentVector(tau_v.mat @ gauge, rep)
-        moved_rep = exp_map(rep, delta)
-        section = reconstruct_with(moved_rep, station.affine)
-        new_aligned.append(moved_rep)
-        new_stations.append(BladeStation(station.eta, section, station.affine))
-    if cut is not None:
-        k = cut.shape_index
-        raise CutLocusError(
-            f"station {k} is at the cut locus of the model mean",
-            max_angle=cut.max_angle, station_index=k) from cut
+    new_stations = [None] * len(reps)
+    new_aligned = [None] * len(reps)
+
+    def run(rows: range):
+        try:
+            directions = log_map_stack(model.mean.rep,
+                                       reps[rows.start:rows.stop])
+        except CutLocusError as err:
+            k = rows[err.shape_index]
+            raise CutLocusError(
+                f"station {k} is at the cut locus of the model mean",
+                max_angle=err.max_angle, station_index=k) from err
+        for k, log in zip(rows, directions):
+            station, rep = blade.stations[k], blade.aligned[k]
+            direction = TangentVector(log, model.mean)
+            tau_v, *tau_basis = Geodesic(model.mean, direction).transport(
+                [v] + basis_mats, 1.0)
+            coords = np.array([inner(tau_v, tb) for tb in tau_basis])
+            drift = np.max(np.abs(coords - t))
+            if drift > consistency_tol:
+                raise ConsistencyError(
+                    f"transported coordinates at station {k} drifted by "
+                    f"{drift:.3e} (tolerance {consistency_tol:.1e})")
+            gauge = tau_v.base.rep.T @ rep.rep
+            delta = TangentVector(tau_v.mat @ gauge, rep)
+            new_aligned[k] = exp_map(rep, delta)
+            new_stations[k] = BladeStation(
+                station.eta, reconstruct_with(new_aligned[k], station.affine),
+                station.affine)
+    in_order(run, len(reps), len(reps))
     return BladeDefinition(tuple(new_stations), tuple(new_aligned))
 
 

@@ -276,7 +276,8 @@ def cmd_sweep(args) -> tuple[dict, str]:
         shapes = [shape_at(p) for p in points]
         rows = [[i, *p, *map(int, _validity(s).values())]
                 for i, (p, s) in enumerate(zip(points, shapes))]
-        sweeps.append((rows, svg.render_strip([s.points for s in shapes])))
+        sweeps.append((rows, svg.render_strip(
+            [np.array([s.points for s in shapes])])))
     for k, (rows, strip) in enumerate(sweeps):
         gio.write_table(args.out / f"sweep-{k}.csv",
                         ["step", *columns, *_VALIDITY_COLUMNS], rows)
@@ -328,9 +329,9 @@ def cmd_render(args) -> tuple[dict, str]:
     if args.kind in ("shapes", "strip"):
         if args.shapes is None:
             raise ParameterError(f"--kind {args.kind} needs --shapes")
-        shapes = _load_shapes(args.shapes)[1].shapes
-        text = (svg.render_shapes(shapes) if args.kind == "shapes"
-                else svg.render_strip(shapes))
+        runs = _load_shapes(args.shapes)[1].runs
+        text = (svg.render_shapes(runs) if args.kind == "shapes"
+                else svg.render_strip(runs))
     elif args.kind == "scatter":
         if args.table is None:
             raise ParameterError("--kind scatter needs --table")

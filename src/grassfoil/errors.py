@@ -2,8 +2,8 @@
 
 Everything raised deliberately by this package derives from
 :class:`GrassfoilError`, so callers (and the CLI) can catch one type.
-:func:`integer_argument` and :func:`array_argument` turn a non-integer or
-a non-numeric argument into such an error.
+:func:`integer_argument` and :func:`array_argument` turn a bad argument
+into such an error; :func:`in_order` finds the first faulty item of a stack.
 """
 from __future__ import annotations
 
@@ -160,3 +160,19 @@ def array_argument(value, name: str, error: type = ParameterError):
         raise error(f"{name} must be a rectangular numeric array, got a "
                     f"ragged or non-numeric {type(value).__name__}")
     return arr.astype(float, copy=False)
+
+
+def in_order(run, count: int, chunk: int) -> None:
+    """``run(rows)`` on consecutive ranges of at most ``chunk`` of ``count``
+    positions. A range that raises a :class:`GrassfoilError` runs again one
+    position at a time, so the first faulty position raises its own error."""
+    for start in range(0, count, chunk):
+        rows = range(start, min(start + chunk, count))
+        try:
+            run(rows)
+            continue
+        except GrassfoilError as err:
+            fault = err
+        for i in rows:
+            run(range(i, i + 1))
+        raise fault

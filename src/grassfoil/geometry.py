@@ -26,6 +26,7 @@ from .errors import (
     ParameterError,
     SamplingError,
     array_argument,
+    in_order,
     integer_argument,
 )
 
@@ -508,15 +509,17 @@ def validate_stack(points) -> list[ShapeDiagnostics]:
     :func:`_has_proper_crossing`; the verdict is the exact test's either way.
     A chunk of shapes shares one stacked SVD, and each run of consecutive
     shapes with the same x column and zero-length edges shares one chain
-    split and one leading-edge test.
+    split and one leading-edge test. Coordinates that are not finite or
+    too large raise ``ParameterError``; the first such shape raises.
     """
     points = array_argument(points, "points")
     if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
         raise ParameterError("expected an (N, n, 2) landmark stack with "
                              f"n >= 3, got shape {points.shape}")
     out = []
-    for start in range(0, len(points), _CHUNK):
-        pts = points[start:start + _CHUNK]
+
+    def run(rows: range):
+        pts = points[rows.start:rows.stop]
         size = np.abs(pts).max(axis=(1, 2), initial=0.0)
         if not np.all(np.isfinite(size)):
             raise ParameterError("landmark stack contains non-finite values")
@@ -540,9 +543,10 @@ def validate_stack(points) -> list[ShapeDiagnostics]:
             leading[a:b] = _single_le_extremum(x[a])
         for i in np.flatnonzero(~simple):
             simple[i] = not _has_proper_crossing(pts[i])
-        out += [ShapeDiagnostics(r, r > RANK_RATIO_TOL, *flags, a > 0.0)
-                for r, *flags, a in zip(ratio.tolist(), simple.tolist(),
-                                        leading.tolist(), area.tolist())]
+        out.extend(ShapeDiagnostics(r, r > RANK_RATIO_TOL, *flags, a > 0.0)
+                   for r, *flags, a in zip(ratio.tolist(), simple.tolist(),
+                                           leading.tolist(), area.tolist()))
+    in_order(run, len(points), _CHUNK)
     return out
 
 
@@ -649,9 +653,9 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     does not divide. Shapes failing :func:`validate_shape` are resampled
     with a fresh derived seed (logged); generation is reproducible because
     every draw's seed depends only on ``(seed, baseline, index, attempt)``.
-    Each round of draws is evaluated and validated as one stack, and only
-    its rejects are drawn again; the shapes, warnings and errors are those
-    of drawing each shape in turn.
+    All first draws are evaluated and validated as one stack; then, slot by
+    slot, each rejected draw is logged and the slot drawn again on its own,
+    so the shapes, warnings and errors are those of drawing each in turn.
     """
     if not baselines:
         raise ParameterError("need at least one baseline")
@@ -669,40 +673,31 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     each, extra = divmod(n_perturbations, len(baselines))
     slots = [(b_idx, k) for b_idx in range(len(baselines))
              for k in range(each + (b_idx < extra))]
-    # each slot's shape, or the error that drawing it in turn ends with
-    outcomes: list = [None] * len(slots)
-    rejected = []  # (slot, attempt) of each rejected draw
-    for attempt in range(_MAX_ATTEMPTS):
-        pending = [i for i, out in enumerate(outcomes) if out is None]
-        if not pending:
-            break
-        draws = {}
-        for i in pending:
-            b_idx, k = slots[i]
-            try:
-                draws[i] = perturb_cst(baselines[b_idx], fraction,
-                                       _derived_seed(seed, b_idx, k, attempt))
-            except ParameterError as err:
-                outcomes[i] = err
-        for (i, draw), landmarks, diag in zip(draws.items(),
-                                              *_trials(list(draws.values()), n)):
-            if diag.passed:
-                outcomes[i] = DatasetShape(len(shapes) + i, slots[i][0], draw,
-                                           landmarks, attempt + 1)
+
+    def draw(b_idx: int, k: int, attempt: int) -> CstParams:
+        return perturb_cst(baselines[b_idx], fraction,
+                           _derived_seed(seed, b_idx, k, attempt))
+    # no first draw raises: its arguments and its baseline passed the checks
+    firsts = [draw(b_idx, k, 0) for b_idx, k in slots]
+    rows, diags = _trials(firsts, n)
+    for i, (b_idx, k) in enumerate(slots):
+        for attempt in range(_MAX_ATTEMPTS):
+            if attempt == 0:
+                params, landmarks, diag = firsts[i], rows[i], diags[i]
             else:
-                rejected.append((i, attempt))
-    stop = next((i for i, out in enumerate(outcomes)
-                 if not isinstance(out, DatasetShape)), len(slots))
-    for i, attempt in sorted(rejected):
-        if i <= stop:
-            logger.warning(
-                "rejected perturbation (baseline %d, index %d, attempt %d);"
-                " resampling", *slots[i], attempt)
-    if stop < len(slots):
-        raise outcomes[stop] or GenerationError(
-            f"no valid perturbation of baseline {slots[stop][0]} after "
-            f"{_MAX_ATTEMPTS} attempts")
-    return shapes + outcomes
+                params = draw(b_idx, k, attempt)
+                (landmarks,), (diag,) = _trials([params], n)
+            if diag.passed:
+                shapes.append(DatasetShape(len(shapes), b_idx, params,
+                                           landmarks, attempt + 1))
+                break
+            logger.warning("rejected perturbation (baseline %d, index %d, "
+                           "attempt %d); resampling", b_idx, k, attempt)
+        else:
+            raise GenerationError(
+                f"no valid perturbation of baseline {b_idx} after "
+                f"{_MAX_ATTEMPTS} attempts")
+    return shapes
 
 
 def gen_dataset(baselines: list[CstParams], n_perturbations: int,

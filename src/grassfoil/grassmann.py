@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     TangencyError,
     array_argument,
+    in_order,
 )
 from .geometry import (MAX_COORDINATE, RANK_RATIO_TOL, AffineMap,
                        LandmarkMatrix, affine_apply, singular_linear)
@@ -82,17 +83,6 @@ def as_frames(reps) -> np.ndarray:
         except DegenerateShapeError as err:
             raise DegenerateShapeError(str(err), shape_index=int(i)) from None
     return reps
-
-
-def _fault(bad: np.ndarray, stop: int, error, make):
-    """``(stop, error)`` after a check that marks ``bad`` shapes of a chunk.
-
-    Checks run in the one-shape order, each over the shapes before the
-    earliest fault found so far, so a fault found there comes earlier in
-    the stack and ``make(index)`` gives the error its one-shape call raises.
-    """
-    hits = np.flatnonzero(bad[:stop])
-    return (int(hits[0]), make(int(hits[0]))) if hits.size else (stop, error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +173,9 @@ def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sign convention (each right-singular column's leading nonzero entry made
     positive, the matching flip applied to the left factor) so equal inputs
     give bit-equal outputs. ``frame @ M + outer(1, b)`` reconstructs each
-    input. A chunk of shapes shares one stacked SVD. A shape that fails a
-    check raises what its one-shape call would, a ``DegenerateShapeError``
-    with its index as ``shape_index``; of several, the first raises.
+    input. A chunk of shapes shares one stacked SVD; a chunk that fails runs
+    again shape by shape, so the first faulty shape raises what its one-shape
+    call would, a ``DegenerateShapeError`` with its index as ``shape_index``.
     """
     points = array_argument(points, "points", DimensionError)
     if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
@@ -195,39 +185,43 @@ def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     frames = np.empty(points.shape)
     linear = np.empty((count, 2, 2))
     translation = np.empty((count, 2))
-    for start in range(0, count, _CHUNK):
-        x = points[start:start + _CHUNK]
+
+    def run(rows: range):
+        at = slice(rows.start, rows.stop)
+        x = points[at]
         size = np.abs(x).max(axis=(1, 2))
-        stop, error = _fault(~np.isfinite(size), len(x), None, lambda i: (
-            ParameterError("landmark matrix contains non-finite values")))
-        stop, error = _fault(size > MAX_COORDINATE, stop, error, lambda i: (
-            DegenerateShapeError(
+        if not np.isfinite(size).all():
+            raise ParameterError("landmark matrix contains non-finite values")
+        huge = size > MAX_COORDINATE
+        if huge.any():
+            raise DegenerateShapeError(
                 f"landmark coordinates exceed {MAX_COORDINATE:.0e} in magnitude;"
-                " the factorization would overflow", shape_index=start + i)))
-        b = x[:stop].mean(axis=1)
-        u, s, vt = np.linalg.svd(x[:stop] - b[:, None], full_matrices=False)
-        ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(stop),
+                " the factorization would overflow",
+                shape_index=rows[huge.argmax()])
+        b = x.mean(axis=1)
+        u, s, vt = np.linalg.svd(x - b[:, None], full_matrices=False)
+        ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(x)),
                           where=s[:, 0] > 0.0)
-        bad = (s[:, 0] <= 0.0) | (ratio <= RANK_RATIO_TOL)
-        stop, error = _fault(bad, stop, error, lambda i: DegenerateShapeError(
-            "centered landmarks are numerically collinear; no stable "
-            "full-rank factorization exists", shape_index=start + i))
-        lead = np.where(vt[:stop, :, 0] != 0.0, vt[:stop, :, 0], vt[:stop, :, 1])
+        flat = (s[:, 0] <= 0.0) | (ratio <= RANK_RATIO_TOL)
+        if flat.any():
+            raise DegenerateShapeError(
+                "centered landmarks are numerically collinear; no stable "
+                "full-rank factorization exists",
+                shape_index=rows[flat.argmax()])
+        lead = np.where(vt[:, :, 0] != 0.0, vt[:, :, 0], vt[:, :, 1])
         signs = np.where(lead < 0.0, -1.0, 1.0)
         try:
-            u = as_frames(u[:stop] * signs[:, None, :])
+            frames[at] = as_frames(u * signs[:, None, :])
         except DegenerateShapeError as err:
-            stop, error = err.shape_index, DegenerateShapeError(
-                str(err), shape_index=start + err.shape_index)
-        m = s[:stop, :, None] * (vt[:stop] * signs[:stop, :, None])
-        singular = np.flatnonzero(singular_linear(m))
-        if singular.size:  # every earlier shape passed: its map raises
-            AffineMap(m[singular[0]], b[singular[0]])
-        if error is not None:
-            raise error
-        frames[start:start + stop] = u
-        linear[start:start + stop] = m
-        translation[start:start + stop] = b
+            raise DegenerateShapeError(
+                str(err), shape_index=rows[err.shape_index]) from None
+        m = s[:, :, None] * (vt * signs[:, :, None])
+        singular = singular_linear(m)
+        if singular.any():  # its map raises
+            AffineMap(m[singular.argmax()], b[singular.argmax()])
+        linear[at] = m
+        translation[at] = b
+    in_order(run, count, _CHUNK)
     return frames, linear, translation
 
 
@@ -292,13 +286,13 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     geodesic distance. A chunk of frames shares each stacked product and
     SVD. Tangents are stored column by column, as models flatten them, so
     their flattened rows are a view. A frame at the cut locus raises
-    ``CutLocusError`` with its index as ``shape_index``; of several faults,
-    the first in the stack raises. A ``base`` that is a frame of the stack
-    should be the view ``reps[i]``: numpy then forms that slice's ``P' Q``
-    with the one-shape call's symmetric product. A ``base`` or a frame that
-    is not finite raises ``DimensionError``. The frames are checked through
-    their products with ``base``, which a non-finite entry makes
-    non-finite, so a float stack pays for no pass of its own.
+    ``CutLocusError`` with its index as ``shape_index``; the first faulty
+    frame raises. A ``base`` that is a frame of the stack should be the view
+    ``reps[i]``: numpy then forms that slice's ``P' Q`` with the one-shape
+    call's symmetric product. A ``base`` or a frame that is not finite
+    raises ``DimensionError``. The frames are checked through their products
+    with ``base``, which a non-finite entry makes non-finite, so a float
+    stack pays for no pass of its own.
     """
     base = array_argument(base, "base", DimensionError)
     reps = array_argument(reps, "reps", DimensionError)
@@ -308,30 +302,29 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(base)):
         raise DimensionError("base contains non-finite values")
     out = np.empty((len(reps), reps.shape[2], reps.shape[1])).swapaxes(1, 2)
-    for start in range(0, len(reps), _CHUNK):
-        q = reps[start:start + _CHUNK]
+
+    def run(rows: range):
+        q = reps[rows.start:rows.stop]
         with np.errstate(over="ignore", invalid="ignore"):
             products = np.matmul(base.T, q)
-        stop, error = _fault(~np.isfinite(products).all(axis=(1, 2)), len(q),
-                             None, lambda i: DimensionError(
-                                 f"reps[{start + i}] is not finite, or too "
-                                 "large to pair with base"))
-        w, c, zt = np.linalg.svd(products[:stop])
-        stop, error = _fault(c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN), stop,
-                             error, lambda i: _cut_locus(c[i, -1], start + i))
-        w, c = w[:stop], c[:stop]
-        residual = q[:stop] @ zt[:stop].swapaxes(1, 2) - base @ (w * c[:, None])
+        broken = ~np.isfinite(products).all(axis=(1, 2))
+        if broken.any():
+            raise DimensionError(f"reps[{rows[broken.argmax()]}] is not "
+                                 "finite, or too large to pair with base")
+        w, c, zt = np.linalg.svd(products)
+        cut = c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN)
+        if cut.any():
+            raise _cut_locus(c[cut.argmax(), -1], rows[cut.argmax()])
+        residual = q @ zt.swapaxes(1, 2) - base @ (w * c[:, None])
         sines = np.linalg.norm(residual, axis=1)
         thetas = np.arctan2(sines, c)
         g = residual / np.where(sines > 0.0, sines, 1.0)[:, None]
         delta = (g * thetas[:, None]) @ w.swapaxes(1, 2)
         delta -= base @ (base.T @ delta)
-        bad = ~_horizontal(base, delta, _HORIZONTAL_TOL)
-        stop, error = _fault(bad, stop, error, lambda i: TangencyError(
-            "vector is not horizontal at its base point"))
-        if error is not None:
-            raise error
-        out[start:start + stop] = delta
+        if not _horizontal(base, delta, _HORIZONTAL_TOL).all():
+            raise TangencyError("vector is not horizontal at its base point")
+        out[rows.start:rows.stop] = delta
+    in_order(run, len(reps), _CHUNK)
     return out
 
 

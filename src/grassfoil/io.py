@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     TooFewPointsError,
     VersionError,
+    in_order,
 )
 from .geometry import MAX_COORDINATE, AffineMap, LandmarkMatrix
 from .grassmann import GrassmannPoint, TangentVector
@@ -129,14 +130,6 @@ class CoordinateFamily:
     names: tuple[str, ...]
     runs: tuple[np.ndarray, ...]
 
-    @property
-    def shapes(self):
-        """Every file's ``(n, 2)`` landmarks: the one run itself when all
-        files share a landmark count, else a list of views into the runs."""
-        if len(self.runs) == 1:
-            return self.runs[0]
-        return [shape for run in self.runs for shape in run]
-
 
 def read_coordinate_files(paths) -> CoordinateFamily:
     """Name lines and landmarks of coordinate files, decoded straight into
@@ -147,28 +140,29 @@ def read_coordinate_files(paths) -> CoordinateFamily:
     per landmark) is decoded in bulk, a chunk of files at a time. Every
     other file is decoded as :func:`read_text` decodes it and scanned line
     by line: other whitespace reads to the same values, and a fault is
-    named by its line and column. The first file that fails raises.
+    named by its line and column. A chunk of files that fails runs again
+    one file at a time, so the first file that fails raises its own error.
     """
     paths = list(paths)
     names, runs, used = [], [], 0
-    for start in range(0, len(paths), _CHUNK):
-        chunk, datas, failure = paths[start:start + _CHUNK], [], None
-        for path in chunk:
-            try:
-                datas.append(_read_bytes(path))
-            except FileFormatError as err:
-                failure = err
-                break
+
+    def run(rows: range):
+        nonlocal used
+        chunk = paths[rows.start:rows.stop]
+        datas = [_read_bytes(path) for path in chunk]
         heads = [data.partition(b"\n") if data.isascii() else (b"", b"", b"")
                  for data in datas]
         decoded = codec.decode_bodies([body for _, _, body in heads])
+        files = []
         for path, data, (head, _, _), values in zip(chunk, datas, heads,
                                                      decoded):
             name = head.decode("ascii")
             if values is not None and (name + "\n").splitlines() == [name]:
-                points = values.reshape(-1, 2)
+                files.append((name, values.reshape(-1, 2)))
             else:
-                name, points = _scan_coordinates(path, _decode(path, data))
+                files.append(_scan_coordinates(path, _decode(path, data)))
+        # only a range that decoded whole is kept: a faulty one runs again
+        for name, points in files:
             if not runs or runs[-1].shape[1] != len(points):
                 if runs:  # give back the rows the run did not fill
                     runs[-1] = runs[-1][:used].copy()
@@ -177,8 +171,7 @@ def read_coordinate_files(paths) -> CoordinateFamily:
             runs[-1][used] = points
             used += 1
             names.append(name)
-        if failure is not None:
-            raise failure
+    in_order(run, len(paths), _CHUNK)
     return CoordinateFamily(tuple(names), tuple(runs))
 
 

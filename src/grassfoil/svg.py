@@ -6,7 +6,6 @@ XML by construction; each shape becomes one closed path.
 """
 from __future__ import annotations
 
-import itertools
 import re
 import xml.etree.ElementTree as ET
 from typing import Sequence
@@ -96,57 +95,56 @@ def _closed_paths(parent: ET.Element, views: np.ndarray, start: int,
         })
 
 
-def _chunks(shapes: Sequence[np.ndarray]):
-    """``(start, stack)`` for consecutive shapes that share a landmark
-    count, as float (k, n, 2) stacks of at most ``_CHUNK`` shapes; an
-    (N, n, 2) array is sliced, not copied."""
-    if isinstance(shapes, np.ndarray):
-        runs = [shapes]
-    else:
-        runs = [list(run) for _, run in itertools.groupby(shapes, key=len)]
+def _chunks(runs: Sequence[np.ndarray]):
+    """``(start, stack)`` for each run of ``runs`` in turn, as float
+    (k, n, 2) stacks of at most ``_CHUNK`` shapes, sliced, not copied;
+    ``start`` counts the shapes of the drawing before the stack."""
     start = 0
     for run in runs:
+        run = np.asarray(run, dtype=float)
+        if run.ndim != 3 or run.shape[2] != 2:
+            raise ParameterError(
+                f"shapes must come as (k, n, 2) stacks, got shape {run.shape}")
         for i in range(0, len(run), _CHUNK):
-            stack = np.asarray(run[i:i + _CHUNK], dtype=float)
-            if stack.ndim != 3 or stack.shape[2] != 2:
-                raise ParameterError(
-                    f"shapes must be (n, 2) arrays, got {stack.shape[1:]}")
-            yield start, stack
-            start += len(stack)
+            yield start + i, run[i:i + _CHUNK]
+        start += len(run)
 
 
 def _to_string(root: ET.Element) -> str:
     return ET.tostring(root, encoding="unicode") + "\n"
 
 
-def render_shapes(shapes: Sequence[np.ndarray]) -> str:
-    """All shapes overlaid in one frame, one closed path each; ``shapes`` is
-    a sequence of (n, 2) arrays, an (N, n, 2) stack among them."""
-    if len(shapes) == 0:
+def render_shapes(runs: Sequence[np.ndarray]) -> str:
+    """All shapes overlaid in one frame, one closed path each, coloured in
+    drawing order. ``runs`` is a sequence of (k, n, 2) stacks, whose
+    landmark counts may differ; the first run that is not such a stack
+    raises ``ParameterError``, as does a drawing with no shape."""
+    if sum(map(len, runs)) == 0:
         raise ParameterError("nothing to render")
     width, height = 720.0, 360.0
     lows, highs = zip(*[(s.min(axis=(0, 1)), s.max(axis=(0, 1)))
-                        for _, s in _chunks(shapes)])
+                        for _, s in _chunks(runs)])
     lo, hi = np.min(lows, axis=0), np.max(highs, axis=0)
     canvas = _Canvas(lo, hi, width, height, 20.0)
     root = _document(width, height)
-    for start, stack in _chunks(shapes):
+    for start, stack in _chunks(runs):
         _closed_paths(root, canvas.to_view(stack), start)
     return _to_string(root)
 
 
-def render_strip(shapes: Sequence[np.ndarray]) -> str:
+def render_strip(runs: Sequence[np.ndarray]) -> str:
     """Small multiples left to right, up to ten a row; one path per shape,
-    each scaled to its own cell. ``shapes`` is as for
+    each scaled to its own cell. ``runs`` and its errors are as for
     :func:`render_shapes`."""
-    if len(shapes) == 0:
+    count = sum(map(len, runs))
+    if count == 0:
         raise ParameterError("nothing to render")
     cell = 130.0
-    columns = min(10, len(shapes))
-    rows = (len(shapes) + columns - 1) // columns
+    columns = min(10, count)
+    rows = (count + columns - 1) // columns
     width, height = columns * cell, rows * cell
     root = _document(width, height)
-    for start, stack in _chunks(shapes):
+    for start, stack in _chunks(runs):
         canvas = _Canvas(stack.min(axis=1), stack.max(axis=1), cell, cell,
                          10.0)
         view = canvas.to_view(stack)
@@ -202,6 +200,6 @@ def render_wireframe(grid: np.ndarray) -> str:
     canvas = _Canvas(proj.min(axis=0), proj.max(axis=0), width, height, 25.0)
     root = _document(width, height)
     sections = proj.reshape(grid.shape[0], grid.shape[1], 2)
-    for start, stack in _chunks(sections):
+    for start, stack in _chunks([sections]):
         _closed_paths(root, canvas.to_view(stack), start, width="0.8")
     return _to_string(root)

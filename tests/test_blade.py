@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from grassfoil import blade as blade_module
+from grassfoil import grassmann
 from grassfoil.blade import (AffineProfiles, BladeDefinition, BladeStation,
                              build_blade, design_parameter_count,
                              export_wireframe, interpolate_section,
@@ -408,6 +410,26 @@ def test_perturb_reports_cut_locus_station():
     with pytest.raises(CutLocusError) as err:
         perturb_blade(blade, model, np.array([0.01]))
     assert err.value.station_index == 1
+
+
+def test_perturb_reports_an_earlier_station_before_a_cut_locus(monkeypatch):
+    mean = GrassmannPoint(np.eye(6)[:, :2])
+    rng = np.random.default_rng(2)
+    samples = [exp_map(mean, random_horizontal(rng, mean, scale=0.05))
+               for _ in range(6)]
+    model = pga_fit(mean, logs_at(mean, stack(samples)), 1)
+    good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
+    bad = GrassmannPoint(np.eye(6)[:, 2:4])  # orthogonal to the mean plane
+    stations = tuple(
+        BladeStation(float(k), LandmarkMatrix(rep.rep + [3.0, 0.0]),
+                     AffineMap(np.eye(2), np.array([3.0, 0.0])))
+        for k, rep in enumerate((good, bad)))
+    blade = BladeDefinition(stations, (good, bad))
+    # every transported coordinate drifts: station 0 fails its check
+    monkeypatch.setattr(blade_module, "inner",
+                        lambda u, v: grassmann.inner(u, v) + 1.0)
+    with pytest.raises(ConsistencyError, match="at station 0 drifted"):
+        perturb_blade(blade, model, np.array([0.01]))
 
 
 def test_design_parameter_count(blade, blade_model):

@@ -118,6 +118,11 @@ def test_too_few_points(tmp_path):
         read_coordinates(path)
 
 
+def shapes_of(family):
+    """Every file's (n, 2) landmarks of a read family, run after run."""
+    return [shape for run in family.runs for shape in run]
+
+
 def per_row_coordinates(shape, name):
     """The coordinate file text as written one formatted row at a time."""
     rows = [name] + [f"{'%.16e' % x} {'%.16e' % y}" for x, y in shape.points]
@@ -177,7 +182,7 @@ def test_bulk_writer_matches_template_and_reads_back_bit_exact(files):
             assert path.read_text() == per_row_coordinates(shape, name)
         back = read_coordinate_files(paths)
     assert back.names == tuple(names)
-    for read, shape in zip(back.shapes, shapes):
+    for read, shape in zip(shapes_of(back), shapes):
         assert read.tobytes() == shape.points.tobytes()
 
 
@@ -200,7 +205,7 @@ def test_bulk_reader_matches_float_on_any_17_digit_decimal(files):
         for path, pairs in zip(paths, files):
             path.write_text("decimals\n" + "".join(f"{a} {b}\n" for a, b in pairs))
         back = read_coordinate_files(paths)
-    for read, pairs in zip(back.shapes, files):
+    for read, pairs in zip(shapes_of(back), files):
         expected = np.array([float(t) for pair in pairs for t in pair])
         assert read.tobytes() == expected.tobytes()
 
@@ -216,7 +221,7 @@ def test_codec_off_gives_the_same_bytes_and_bits(tmp_path, monkeypatch):
         write_coordinate_files((p, s, "edge") for p, s in zip(paths, shapes))
         return ([p.read_bytes() for p in paths],
                 [shape.tobytes()
-                 for shape in read_coordinate_files(paths).shapes])
+                 for shape in shapes_of(read_coordinate_files(paths))])
 
     on = write_and_read(tmp_path / "on")
     monkeypatch.setattr(codec, "EXACT_LONGDOUBLE", False)
@@ -258,7 +263,7 @@ def oracle_reads(paths):
 def family_reads(family):
     """Name and landmark bits of each file of a read family."""
     return [(name, shape.tobytes())
-            for name, shape in zip(family.names, family.shapes)]
+            for name, shape in zip(family.names, shapes_of(family))]
 
 
 def test_multi_file_read_equals_per_file_reads(tmp_path):
@@ -298,7 +303,20 @@ def test_mixed_landmark_counts_read_as_runs(tmp_path, counts):
     assert [run.shape for run in family.runs] == [
         (size, n, 2) for size, n in sizes]
     assert family_reads(family) == oracle_reads(paths)
-    assert len(family.shapes) == len(counts)
+    assert len(shapes_of(family)) == len(counts)
+
+
+@pytest.mark.parametrize("count", [16, 19])
+def test_a_bad_last_file_raises_its_own_error(tmp_path, count):
+    # the faulty last chunk is read twice, the second time file by file:
+    # its good files must not be kept from the first reading
+    shape = cst_evaluate(default_baselines()[0], 21)
+    for k in range(count):
+        write_coordinates(tmp_path / f"s{k:02d}.dat", shape)
+    (tmp_path / f"s{count - 1:02d}.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
+    with pytest.raises(FileParseError,
+                       match=rf"s{count - 1:02d}\.dat:3:3: not a number"):
+        read_coordinate_files(sorted(tmp_path.glob("*.dat")))
 
 
 def test_multi_file_read_raises_for_the_first_bad_file(tmp_path):

@@ -13,14 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassfoil import blade
 from grassfoil import grassmann as gm
 from grassfoil.cli import main
 from grassfoil.errors import (CutLocusError, DegenerateShapeError,
                               DimensionError, Gl2ViolationError,
-                              IterationLimitError, ParameterError,
-                              array_argument)
+                              GrassfoilError, IterationLimitError,
+                              ParameterError, array_argument)
 from grassfoil.geometry import (RANK_RATIO_TOL, LandmarkMatrix, affine_apply,
                                 affine_subgroup, cst_evaluate,
                                 cst_evaluate_stack, default_baselines,
@@ -308,6 +310,105 @@ def test_cut_locus_past_the_first_chunk_is_named():
         log_map_stack(reps[0], reps)
     assert err.value.shape_index == 70
     assert err.value.max_angle == pytest.approx(np.pi / 2.0)
+
+
+def test_a_non_finite_shape_raises_after_an_earlier_fault(family):
+    points = family[:CHUNK].copy()
+    points[5, 7, 1] = np.nan
+    with pytest.raises(ParameterError, match="non-finite"):
+        standardize_stack(points)
+    points[2] = points[2, :1]
+    with pytest.raises(DegenerateShapeError, match="collinear") as err:
+        standardize_stack(points)
+    assert err.value.shape_index == 2
+    points[2] = family[2] * 1e151
+    with pytest.raises(ParameterError, match="exceed 1e\\+150"):
+        validate_stack(points)
+
+
+# The first-fault rule: a stacked call raises what the one-item call of its
+# first faulty item raises, with that item's stack index.
+
+SMALL = np.array([cst_evaluate(default_baselines()[k % 16], 21).points
+                  for k in range(130)])
+SMALL_FRAMES = standardize_stack(SMALL)[0]
+SMALL_BASE = SMALL_FRAMES[7].copy()
+_SPREAD = np.random.default_rng(0).normal(size=SMALL_BASE.shape)
+# a plane orthogonal to the base: at its cut locus
+ORTHOGONAL = np.linalg.qr(_SPREAD - SMALL_BASE @ (SMALL_BASE.T @ _SPREAD))[0]
+
+
+def with_nan(rows):
+    rows = rows.copy()
+    rows[3] = np.nan
+    return rows
+
+
+SHAPE_FAULTS = {
+    "nan": with_nan,
+    "huge": lambda pts: pts * 1e151,
+    "equal": lambda pts: np.repeat(pts[:1], len(pts), axis=0),
+    "tiny": lambda pts: pts * 1e-7,  # |det| of the linear factor < 1e-12
+}
+FRAME_FAULTS = {
+    "nan": with_nan,
+    "orthogonal": lambda rep: ORTHOGONAL,
+}
+
+
+def fault_plans(kinds):
+    """A stack size and 1 to 3 faults at distinct positions, as (position,
+    kind) pairs."""
+    return st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 130]).flatmap(
+        lambda size: st.tuples(st.just(size), st.lists(
+            st.tuples(st.integers(0, size - 1), st.sampled_from(kinds)),
+            min_size=1, max_size=min(3, size),
+            unique_by=lambda fault: fault[0])))
+
+
+def first_fault(call, items):
+    """(type, text, shape_index) of the first one-item call that raises,
+    with the stack index that item has in ``items``."""
+    for i in range(len(items)):
+        try:
+            call(items[i:i + 1])
+        except GrassfoilError as err:
+            text = str(err).replace("reps[0]", f"reps[{i}]")
+            index = getattr(err, "shape_index", None)
+            return type(err), text, None if index is None else i
+    raise AssertionError("no item raised")
+
+
+def raised(call, items):
+    with pytest.raises(GrassfoilError) as err:
+        call(items)
+    return (type(err.value), str(err.value),
+            getattr(err.value, "shape_index", None))
+
+
+@given(fault_plans(sorted(SHAPE_FAULTS)))
+@settings(max_examples=30, deadline=None)
+def test_standardize_stack_raises_the_first_one_shape_fault(plan):
+    size, faults = plan
+    points = SMALL[:size].copy()
+    for i, kind in faults:
+        points[i] = SHAPE_FAULTS[kind](points[i])
+    assert raised(standardize_stack, points) == first_fault(
+        standardize_stack, points)
+
+
+@given(fault_plans(sorted(FRAME_FAULTS)))
+@settings(max_examples=30, deadline=None)
+def test_log_map_stack_raises_the_first_one_frame_fault(plan):
+    size, faults = plan
+    reps = SMALL_FRAMES[:size].copy()
+    for i, kind in faults:
+        reps[i] = FRAME_FAULTS[kind](reps[i])
+
+    def call(items):
+        return log_map_stack(SMALL_BASE, items)
+
+    assert raised(call, reps) == first_fault(call, reps)
 
 
 def write_dat(path, points, name):

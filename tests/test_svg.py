@@ -121,20 +121,31 @@ def test_render_holds_no_whole_family_temporaries():
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            text = render(shapes)
+            text = render([shapes])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - before < 3 * len(text) + 2e6
 
 
-def test_renderers_take_a_stack_or_a_list_of_shapes():
-    shapes = [cst_evaluate(default_baselines()[k], n).points
-              for k, n in enumerate([21, 21, 31, 21])]
+def test_renderers_take_runs_of_stacks():
+    shapes = np.array([cst_evaluate(default_baselines()[k % 16], 21).points
+                       for k in range(2 * svg._CHUNK + 3)])
+    odd = cst_evaluate(default_baselines()[0], 31).points[None]
     for render in (svg.render_shapes, svg.render_strip):
-        assert render(np.array(shapes[:2])) == render(shapes[:2])
-        assert render(shapes).count("<path ") == 4
+        whole = render([shapes])
+        # a run boundary inside a chunk keeps the colours and cells of
+        # drawing order
+        assert render([shapes[:5], shapes[5:]]) == whole
+        assert render([shapes[:5], shapes[5:5], shapes[5:]]) == whole
+        text = render([shapes[:3], odd, shapes[3:]])
+        assert text.count("<path ") == len(shapes) + 1
+        assert text.count('stroke="#1f77b4"') == 5
         with pytest.raises(ParameterError, match="nothing to render"):
             render([])
-        with pytest.raises(ParameterError, match=r"\(n, 2\) arrays"):
-            render([np.zeros((5, 3))])
+        with pytest.raises(ParameterError, match="nothing to render"):
+            render([shapes[:0]])
+        with pytest.raises(ParameterError, match=r"\(k, n, 2\) stacks"):
+            render([np.zeros((1, 5, 3))])
+        with pytest.raises(ParameterError, match=r"\(k, n, 2\) stacks"):
+            render(shapes[:2])
