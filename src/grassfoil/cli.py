@@ -24,8 +24,8 @@ from .blade import (
     interpolate_section,
     perturb_blade,
 )
-from .errors import (CutLocusError, DegenerateShapeError, DimensionError,
-                     FileFormatError, GrassfoilError, ParameterError)
+from .errors import (DimensionError, FileFormatError, GrassfoilError,
+                     ParameterError)
 from .geometry import (
     AFFINE_COMPONENT_NAMES,
     CstParams,
@@ -95,6 +95,18 @@ def _parse_coord_vector(text: str, r: int) -> np.ndarray:
     return values
 
 
+def _naming_files(files: list[Path], start: int, call, *args, **kwargs):
+    """``call(*args, **kwargs)`` on a stack of the shapes read from
+    ``files[start:]``; an error raised for one shape leads with its file."""
+    try:
+        return call(*args, **kwargs)
+    except GrassfoilError as err:
+        if err.shape_index is not None:
+            err.shape_index += start
+            err.args = (f"{files[err.shape_index]}: {err}",)
+        raise
+
+
 def _standardized(source, one_count: bool = False):
     """The coordinate files under ``source``, their name lines, the frames
     of each run of equal landmark count, and the linear factors and
@@ -109,12 +121,7 @@ def _standardized(source, one_count: bool = False):
             f"{files[0]} has {first.shape[1]}")
     runs, start = [], 0
     for points in family.runs:
-        try:
-            runs.append(standardize_stack(points))
-        except DegenerateShapeError as err:
-            index = start + err.shape_index
-            raise DegenerateShapeError(f"{files[index]}: {err}",
-                                       shape_index=index) from None
+        runs.append(_naming_files(files, start, standardize_stack, points))
         start += len(points)
     frames, linear, translation = zip(*runs)
     return (files, family.names, frames, np.concatenate(linear),
@@ -125,12 +132,8 @@ def _fit_mean(args):
     """Shared prologue of mean and pga-fit: load, standardize, average."""
     files, names, (frames,), linear, translation = _standardized(
         args.shapes, one_count=True)
-    try:
-        result = karcher_mean(frames, tol=args.tol, max_iter=args.max_iter)
-    except CutLocusError as err:
-        path = files[err.shape_index]
-        raise CutLocusError(f"{path}: {err}", max_angle=err.max_angle,
-                            shape_index=err.shape_index) from None
+    result = _naming_files(files, 0, karcher_mean, frames, tol=args.tol,
+                           max_iter=args.max_iter)
     return names, result, mean_affine(linear, translation)
 
 

@@ -3,7 +3,8 @@
 Everything raised deliberately by this package derives from
 :class:`GrassfoilError`, so callers (and the CLI) can catch one type.
 :func:`integer_argument` and :func:`array_argument` turn a bad argument
-into such an error; :func:`in_order` finds the first faulty item of a stack.
+into such an error; :func:`in_order` finds the first faulty item of a stack
+and sets the error's ``shape_index`` to the item's position.
 """
 from __future__ import annotations
 
@@ -13,7 +14,12 @@ import numpy as np
 
 
 class GrassfoilError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``shape_index`` is
+    the position of the faulty item in the stack the caller passed."""
+
+    def __init__(self, message: str, *, shape_index: int | None = None):
+        super().__init__(message)
+        self.shape_index = shape_index
 
 
 class ParameterError(GrassfoilError):
@@ -34,12 +40,7 @@ class Gl2ViolationError(GrassfoilError):
 
 class DegenerateShapeError(GrassfoilError):
     """Landmarks admit no stable decomposition: numerically collinear, or
-    too large to factor without overflow. ``shape_index`` is the failing
-    shape's position in a stack."""
-
-    def __init__(self, message: str, *, shape_index: int | None = None):
-        super().__init__(message)
-        self.shape_index = shape_index
+    too large to factor without overflow."""
 
 
 class DimensionError(GrassfoilError):
@@ -57,12 +58,10 @@ class CutLocusError(GrassfoilError):
     """
 
     def __init__(self, message: str, *, max_angle: float | None = None,
-                 station_index: int | None = None,
-                 shape_index: int | None = None):
+                 station_index: int | None = None):
         super().__init__(message)
         self.max_angle = max_angle
         self.station_index = station_index
-        self.shape_index = shape_index
 
 
 class IterationLimitError(GrassfoilError):
@@ -101,12 +100,10 @@ class FileFormatError(GrassfoilError):
     ``path:line:column``.
     """
 
-    line: int | None = None
-    column: int | None = None
-
-    def __init__(self, message: str, *, path=None):
+    def __init__(self, message: str, *, path=None, line: int | None = None,
+                 column: int | None = None):
         super().__init__(message)
-        self.path = path
+        self.path, self.line, self.column = path, line, column
 
     def __str__(self) -> str:
         where = ":".join(str(part) for part in (self.path, self.line, self.column)
@@ -117,12 +114,6 @@ class FileFormatError(GrassfoilError):
 
 class FileParseError(FileFormatError):
     """Malformed text input at a known line and, when known, column."""
-
-    def __init__(self, message: str, *, path=None, line: int | None = None,
-                 column: int | None = None):
-        super().__init__(message, path=path)
-        self.line = line
-        self.column = column
 
 
 class SchemaError(FileFormatError):
@@ -165,7 +156,8 @@ def array_argument(value, name: str, error: type = ParameterError):
 def in_order(run, count: int, chunk: int) -> None:
     """``run(rows)`` on consecutive ranges of at most ``chunk`` of ``count``
     positions. A range that raises a :class:`GrassfoilError` runs again one
-    position at a time, so the first faulty position raises its own error."""
+    position at a time, so the first faulty position raises its own error,
+    with that position as ``shape_index``; an outer call sets it last."""
     for start in range(0, count, chunk):
         rows = range(start, min(start + chunk, count))
         try:
@@ -174,5 +166,9 @@ def in_order(run, count: int, chunk: int) -> None:
         except GrassfoilError as err:
             fault = err
         for i in rows:
-            run(range(i, i + 1))
+            try:
+                run(range(i, i + 1))
+            except GrassfoilError as err:
+                err.shape_index = i
+                raise
         raise fault

@@ -61,27 +61,37 @@ def orthonormalize(mat: np.ndarray) -> np.ndarray:
     return q * signs
 
 
+def _stray(reps: np.ndarray) -> np.ndarray:
+    """Whether the Gram matrix of each frame of an ``(N, n, q)`` stack strays
+    beyond 1e-12 from the identity; a non-finite frame always strays."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(reps.swapaxes(1, 2), reps) - np.eye(reps.shape[2])
+        return ~(np.abs(gram).max(axis=(1, 2)) <= _ORTHO_TOL)
+
+
 def as_frames(reps) -> np.ndarray:
     """``reps`` as an ``(N, n, q)`` stack of orthonormal frames, each slice
     checked as :class:`GrassmannPoint` checks one: slices whose Gram matrix
     strays beyond 1e-12 from the identity are re-orthonormalized in a copy,
-    and clean slices keep their exact bits."""
+    and clean slices keep their exact bits. The first faulty slice raises,
+    with its position as ``shape_index``."""
     reps = np.asarray(reps, dtype=float)
     if reps.ndim != 3 or reps.shape[1] <= reps.shape[2]:
         raise DimensionError(
             f"representatives must be a stack of tall matrices, got shape "
             f"{reps.shape}")
-    if not np.all(np.isfinite(reps)):
-        raise DimensionError("representative contains non-finite values")
-    gram = np.matmul(reps.swapaxes(1, 2), reps)
-    stray = np.abs(gram - np.eye(reps.shape[2])).max(axis=(1, 2)) > _ORTHO_TOL
+    stray = _stray(reps)
     if stray.any():
         reps = reps.copy()
-    for i in np.flatnonzero(stray):
+    for i in np.flatnonzero(stray).tolist():
+        if not np.isfinite(reps[i]).all():
+            raise DimensionError("representative contains non-finite values",
+                                 shape_index=i)
         try:
             reps[i] = orthonormalize(reps[i])
         except DegenerateShapeError as err:
-            raise DegenerateShapeError(str(err), shape_index=int(i)) from None
+            err.shape_index = i
+            raise
     return reps
 
 
@@ -175,7 +185,7 @@ def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     give bit-equal outputs. ``frame @ M + outer(1, b)`` reconstructs each
     input. A chunk of shapes shares one stacked SVD; a chunk that fails runs
     again shape by shape, so the first faulty shape raises what its one-shape
-    call would, a ``DegenerateShapeError`` with its index as ``shape_index``.
+    call would, with its index as ``shape_index``.
     """
     points = array_argument(points, "points", DimensionError)
     if points.ndim != 3 or points.shape[1] < 3 or points.shape[2] != 2:
@@ -192,33 +202,24 @@ def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         size = np.abs(x).max(axis=(1, 2))
         if not np.isfinite(size).all():
             raise ParameterError("landmark matrix contains non-finite values")
-        huge = size > MAX_COORDINATE
-        if huge.any():
+        if (size > MAX_COORDINATE).any():
             raise DegenerateShapeError(
                 f"landmark coordinates exceed {MAX_COORDINATE:.0e} in magnitude;"
-                " the factorization would overflow",
-                shape_index=rows[huge.argmax()])
+                " the factorization would overflow")
         b = x.mean(axis=1)
         u, s, vt = np.linalg.svd(x - b[:, None], full_matrices=False)
         ratio = np.divide(s[:, 1], s[:, 0], out=np.zeros(len(x)),
                           where=s[:, 0] > 0.0)
-        flat = (s[:, 0] <= 0.0) | (ratio <= RANK_RATIO_TOL)
-        if flat.any():
+        if ((s[:, 0] <= 0.0) | (ratio <= RANK_RATIO_TOL)).any():
             raise DegenerateShapeError(
                 "centered landmarks are numerically collinear; no stable "
-                "full-rank factorization exists",
-                shape_index=rows[flat.argmax()])
+                "full-rank factorization exists")
         lead = np.where(vt[:, :, 0] != 0.0, vt[:, :, 0], vt[:, :, 1])
         signs = np.where(lead < 0.0, -1.0, 1.0)
-        try:
-            frames[at] = as_frames(u * signs[:, None, :])
-        except DegenerateShapeError as err:
-            raise DegenerateShapeError(
-                str(err), shape_index=rows[err.shape_index]) from None
+        frames[at] = as_frames(u * signs[:, None, :])
         m = s[:, :, None] * (vt * signs[:, :, None])
-        singular = singular_linear(m)
-        if singular.any():  # its map raises
-            AffineMap(m[singular.argmax()], b[singular.argmax()])
+        for k in np.flatnonzero(singular_linear(m)):  # its map raises
+            AffineMap(m[k], b[k])
         linear[at] = m
         translation[at] = b
     in_order(run, count, _CHUNK)
@@ -285,14 +286,13 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     its singular values are the principal angles, so the norm equals the
     geodesic distance. A chunk of frames shares each stacked product and
     SVD. Tangents are stored column by column, as models flatten them, so
-    their flattened rows are a view. A frame at the cut locus raises
-    ``CutLocusError`` with its index as ``shape_index``; the first faulty
-    frame raises. A ``base`` that is a frame of the stack should be the view
-    ``reps[i]``: numpy then forms that slice's ``P' Q`` with the one-shape
-    call's symmetric product. A ``base`` or a frame that is not finite
-    raises ``DimensionError``. The frames are checked through their products
-    with ``base``, which a non-finite entry makes non-finite, so a float
-    stack pays for no pass of its own.
+    their flattened rows are a view. A ``base`` that is a frame of the stack
+    should be the view ``reps[i]``: numpy then forms that slice's ``P' Q``
+    with the one-shape call's symmetric product. A ``base`` that is not a
+    finite orthonormal frame, or a frame that is not finite (checked through
+    its product with ``base``, at no pass of its own), raises
+    ``DimensionError``, and a frame at the cut locus ``CutLocusError``; the
+    first faulty frame raises, with its index as ``shape_index``.
     """
     base = array_argument(base, "base", DimensionError)
     reps = array_argument(reps, "reps", DimensionError)
@@ -301,20 +301,24 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
             f"mismatched representatives: {base.shape} vs {reps.shape[1:]}")
     if not np.all(np.isfinite(base)):
         raise DimensionError("base contains non-finite values")
+    if _stray(base[None])[0]:
+        raise DimensionError("base is not an orthonormal frame")
     out = np.empty((len(reps), reps.shape[2], reps.shape[1])).swapaxes(1, 2)
 
     def run(rows: range):
         q = reps[rows.start:rows.stop]
         with np.errstate(over="ignore", invalid="ignore"):
             products = np.matmul(base.T, q)
-        broken = ~np.isfinite(products).all(axis=(1, 2))
-        if broken.any():
-            raise DimensionError(f"reps[{rows[broken.argmax()]}] is not "
-                                 "finite, or too large to pair with base")
+        if not np.isfinite(products).all():
+            raise DimensionError(f"reps[{rows.start}] is not finite, or too "
+                                 "large to pair with base")
         w, c, zt = np.linalg.svd(products)
         cut = c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN)
         if cut.any():
-            raise _cut_locus(c[cut.argmax(), -1], rows[cut.argmax()])
+            angle = float(np.arccos(np.clip(c[cut.argmax(), -1], 0.0, 1.0)))
+            raise CutLocusError(
+                f"largest principal angle {angle:.6f} is within 1e-8 of "
+                "pi/2; the connecting geodesic is not unique", max_angle=angle)
         residual = q @ zt.swapaxes(1, 2) - base @ (w * c[:, None])
         sines = np.linalg.norm(residual, axis=1)
         thetas = np.arctan2(sines, c)
@@ -326,14 +330,6 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
         out[rows.start:rows.stop] = delta
     in_order(run, len(reps), _CHUNK)
     return out
-
-
-def _cut_locus(cosine: float, index: int) -> CutLocusError:
-    angle = float(np.arccos(np.clip(cosine, 0.0, 1.0)))
-    return CutLocusError(
-        f"largest principal angle {angle:.6f} is within 1e-8 of pi/2; "
-        "the connecting geodesic is not unique", max_angle=angle,
-        shape_index=index)
 
 
 def log_map(p: GrassmannPoint, q: GrassmannPoint) -> TangentVector:

@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     IterationLimitError,
     ParameterError,
+    array_argument,
     integer_argument,
 )
 from .geometry import sweep_points
@@ -140,10 +141,9 @@ def _logs(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     try:
         logs = log_map_stack(base, reps)
     except CutLocusError as err:
-        i = err.shape_index
-        raise CutLocusError(
-            f"shape {i} is at the cut locus of the mean: {err}",
-            max_angle=err.max_angle, shape_index=i) from err
+        err.args = (f"shape {err.shape_index} is at the cut locus of the "
+                    f"mean: {err}",)
+        raise
     return flatten_tangent(logs)
 
 
@@ -211,13 +211,17 @@ def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
     rows, as ``logs_at`` and ``KarcherResult.logs`` give them; the mean is
     the centering, so the eigenvalue sum equals the mean squared logarithm
     norm exactly. Fewer samples than ambient dimensions take the N x N
-    Gram matrix, which yields the same spectrum cheaper.
+    Gram matrix, which yields the same spectrum cheaper. ``logs`` that are
+    not a finite numeric (N, 2n) array raise ``DimensionError``.
     """
     n = mean.n
     r = integer_argument(r, "r")
+    logs = array_argument(logs, "logs", DimensionError)
     if logs.ndim != 2 or logs.shape[1] != 2 * n:
         raise DimensionError(
             f"logarithms must be (N, {2 * n}) rows, got shape {logs.shape}")
+    if not np.isfinite(logs).all():
+        raise DimensionError("logarithms contain non-finite values")
     n_samples = len(logs)
     max_r = min(n_samples, 2 * (n - 2))
     if not (1 <= r <= max_r):

@@ -410,6 +410,7 @@ def test_perturb_reports_cut_locus_station():
     with pytest.raises(CutLocusError) as err:
         perturb_blade(blade, model, np.array([0.01]))
     assert err.value.station_index == 1
+    assert err.value.shape_index == 1  # the outer stack: stations
 
 
 def test_perturb_reports_an_earlier_station_before_a_cut_locus(monkeypatch):

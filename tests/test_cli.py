@@ -498,6 +498,11 @@ BAD_INPUTS = {
     "dat-mismatched-landmarks": (["mean", "--shapes", "{tmp}/mixed"],
                                  "{tmp}/mixed/six.dat: 6 landmarks, but "
                                  "{tmp}/mixed/five.dat has 5"),
+    # b.dat is a.dat scaled by 1e-7: |det| of its linear factor < 1e-12
+    **{f"dat-linear-factor-singular-{cmd}": (
+        [cmd, "--shapes", "{tmp}/tiny"],
+        "{tmp}/tiny/b.dat: linear factor is rank deficient")
+       for cmd in ("standardize", "mean", "pga-fit")},
     "dat-collinear": (["standardize", "--shapes", "{tmp}/line.dat"],
                       "line.dat: centered landmarks are numerically collinear"),
     "model-missing-key": (["synth", "--model", "{tmp}/keyless.json",
@@ -702,6 +707,11 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "mixed" / "six.dat").write_text(
         "six\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n0.2 0.3\n")
     (tmp_path / "line.dat").write_text("line\n0 0\n1 1\n2 2\n")
+    (tmp_path / "tiny").mkdir()
+    for name, scale in [("a", 1.0), ("b", 1e-7)]:
+        (tmp_path / "tiny" / f"{name}.dat").write_text(name + "\n" + "".join(
+            f"{x * scale!r} {y * scale!r}\n"
+            for x, y in [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.3)]))
     (tmp_path / "sing.json").write_text(json.dumps(
         {"format_version": 1, "linear": [[1, 2], [2, 4]],
          "translation": [0, 0]}))

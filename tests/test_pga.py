@@ -226,6 +226,18 @@ def test_pga_fit_checks_the_log_rows():
             pga_fit(base, bad, 2)
 
 
+def test_pga_fit_rejects_log_rows_that_are_not_finite_numbers():
+    base, _, _, shapes = planted_family(n=20, samples=10)
+    logs = logs_at(base, stack(shapes))
+    assert pga_fit(base, logs.tolist(), 2).eigenvalues.tolist() == (
+        pga_fit(base, logs, 2).eigenvalues.tolist())
+    with pytest.raises(DimensionError, match="^logs must be a rectangular"):
+        pga_fit(base, [list(logs[0]), list(logs[1, :-1])], 2)
+    logs[4, 7] = np.nan
+    with pytest.raises(DimensionError, match="non-finite"):
+        pga_fit(base, logs, 2)
+
+
 @pytest.mark.parametrize("r", [1.5, 2.0, True])
 def test_pga_fit_rejects_an_r_that_is_not_an_integer(r):
     base, _, _, shapes = planted_family(n=20, samples=10)

@@ -174,6 +174,20 @@ def test_as_frames_fixes_stray_slices_in_a_copy(frames):
     assert err.value.shape_index == 2
 
 
+def test_as_frames_raises_for_the_first_faulty_slice(frames):
+    reps = frames[:8].copy()
+    reps[2] = 1.0  # rank deficient
+    reps[5, 3, 0] = np.nan
+    with pytest.raises(DegenerateShapeError, match="rank deficient") as err:
+        karcher_mean(reps)
+    assert err.value.shape_index == 2
+    reps[2] = frames[2]
+    reps[6, 0, 1] = np.inf
+    with pytest.raises(DimensionError, match="non-finite") as err:
+        karcher_mean(reps)
+    assert err.value.shape_index == 5
+
+
 # ---------------------------------------------------------------------------
 # memory
 
@@ -223,8 +237,9 @@ def test_last_check_of_an_earlier_shape_wins_over_a_later_shape(family):
     points = family[CHUNK:2 * CHUNK].copy()
     points[2] *= 1e-7  # |det| of its linear factor falls below 1e-12
     points[4] *= 1e151
-    with pytest.raises(Gl2ViolationError):
+    with pytest.raises(Gl2ViolationError) as err:
         standardize_stack(points)
+    assert err.value.shape_index == 2
     points[1] = points[0, :1]  # all landmarks equal: no rank at all
     with pytest.raises(DegenerateShapeError, match="collinear") as err:
         standardize_stack(points)
@@ -274,6 +289,13 @@ def test_log_map_stack_names_non_finite_frames(family):
     frames[CHUNK + 4, 2, 0] = np.nan
     with pytest.raises(DimensionError, match=rf"^reps\[{CHUNK + 3}\] is not"):
         log_map_stack(frames[0].copy(), frames)
+
+
+def test_log_map_stack_rejects_a_base_that_is_not_a_frame(family):
+    frames = standardize_stack(family[:3])[0]
+    for base in (np.ones(frames[0].shape), frames[0] * (1.0 + 1e-9)):
+        with pytest.raises(DimensionError, match="^base is not an orthonormal"):
+            log_map_stack(base, frames)
 
 
 def test_the_array_check_keeps_a_float_stack_as_it_is(family):
@@ -373,17 +395,14 @@ def first_fault(call, items):
         try:
             call(items[i:i + 1])
         except GrassfoilError as err:
-            text = str(err).replace("reps[0]", f"reps[{i}]")
-            index = getattr(err, "shape_index", None)
-            return type(err), text, None if index is None else i
+            return type(err), str(err).replace("reps[0]", f"reps[{i}]"), i
     raise AssertionError("no item raised")
 
 
 def raised(call, items):
     with pytest.raises(GrassfoilError) as err:
         call(items)
-    return (type(err.value), str(err.value),
-            getattr(err.value, "shape_index", None))
+    return type(err.value), str(err.value), err.value.shape_index
 
 
 @given(fault_plans(sorted(SHAPE_FAULTS)))
@@ -395,6 +414,17 @@ def test_standardize_stack_raises_the_first_one_shape_fault(plan):
         points[i] = SHAPE_FAULTS[kind](points[i])
     assert raised(standardize_stack, points) == first_fault(
         standardize_stack, points)
+
+
+@given(fault_plans(["huge", "nan"]))
+@settings(max_examples=30, deadline=None)
+def test_validate_stack_raises_the_first_one_shape_fault(plan):
+    size, faults = plan
+    points = SMALL[:size].copy()
+    for i, kind in faults:
+        points[i] = SHAPE_FAULTS[kind](points[i])
+    assert raised(validate_stack, points) == first_fault(
+        validate_stack, points)
 
 
 @given(fault_plans(sorted(FRAME_FAULTS)))
