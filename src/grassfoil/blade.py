@@ -11,6 +11,7 @@ single coordinate vector deforms the whole blade consistently.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .errors import (
     ParameterError,
     SpanRangeError,
     in_order,
+    integer_argument,
 )
 from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import (
@@ -286,7 +288,8 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     Affine factors and profiles are untouched: only subspaces move. Of
     several faulty stations, the first raises its own error.
     """
-    if not (np.isfinite(consistency_tol) and consistency_tol >= 0.0):
+    if not (isinstance(consistency_tol, numbers.Real)
+            and np.isfinite(consistency_tol) and consistency_tol >= 0.0):
         raise ParameterError("consistency tolerance must be finite and >= 0, "
                              f"got {consistency_tol}")
     t = model.checked_coords(t)
@@ -307,9 +310,9 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
                                        reps[rows.start:rows.stop])
         except CutLocusError as err:
             k = rows[err.shape_index]
-            raise CutLocusError(
-                f"station {k} is at the cut locus of the model mean",
-                max_angle=err.max_angle, station_index=k) from err
+            err.args = (f"station {k} is at the cut locus of the model mean: "
+                        f"{err}",)
+            raise
         for k, log in zip(rows, directions):
             station, rep = blade.stations[k], blade.aligned[k]
             direction = TangentVector(log, model.mean)
@@ -339,12 +342,15 @@ def export_wireframe(blade: BladeDefinition, spans: int,
     wireframe. ``samples_per_section`` thins each section to an evenly
     spaced landmark subset.
     """
+    spans = integer_argument(spans, "spans")
     if spans < 2:
         raise ParameterError(f"a wireframe needs at least 2 spans, got {spans}")
     n = blade.n
     if samples_per_section is None:
         take = np.arange(n)
     else:
+        samples_per_section = integer_argument(samples_per_section,
+                                               "samples per section")
         if not (3 <= samples_per_section <= n):
             raise ParameterError(
                 f"samples per section must be in [3, {n}], got {samples_per_section}")

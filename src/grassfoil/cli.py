@@ -28,15 +28,16 @@ from .errors import (DimensionError, FileFormatError, GrassfoilError,
                      ParameterError)
 from .geometry import (
     AFFINE_COMPONENT_NAMES,
-    CstParams,
     LandmarkMatrix,
+    ShapeDiagnostics,
     affine_vectors,
     baseline_names,
-    cst_evaluate,
+    cst_evaluate_stack,
     default_baselines,
     gen_dataset_detailed,
     sweep_points,
     validate_shape,
+    validate_stack,
 )
 from .grassmann import mean_affine, reconstruct_with, standardize_stack
 from .pga import domain_contains, karcher_mean, pga_fit, synthesize
@@ -223,7 +224,7 @@ def cmd_synth(args) -> tuple[dict, str]:
     results = {"in_domain": inside, "coords": t.tolist()}
     if affine is not None:
         shape = reconstruct_with(point, affine)
-        results.update(_validity(shape))
+        results.update(_validity(validate_shape(shape)))
     gio.write_coordinates(args.out / "representative.dat",
                           LandmarkMatrix(point.rep),
                           "synthesized-representative")
@@ -239,8 +240,7 @@ def cmd_synth(args) -> tuple[dict, str]:
 _VALIDITY_COLUMNS = ["valid", "rank_ok", "simple", "ordering_ok"]
 
 
-def _validity(shape) -> dict[str, bool]:
-    diag = validate_shape(shape)
+def _validity(diag: ShapeDiagnostics) -> dict[str, bool]:
     flags = (diag.rank_ok and diag.simple, diag.rank_ok, diag.simple,
              diag.ordering_ok)
     return {name: bool(f) for name, f in zip(_VALIDITY_COLUMNS, flags)}
@@ -259,8 +259,9 @@ def cmd_sweep(args) -> tuple[dict, str]:
         lo, hi = model.domain.bounds_min, model.domain.bounds_max
         columns = [f"t{j}" for j in range(model.r)]
 
-        def shape_at(t):
-            return reconstruct_with(synthesize(model, t), affine)
+        def shapes_at(points):
+            reps = np.array([synthesize(model, t).rep for t in points])
+            return reps @ affine.linear + affine.translation
     else:
         if args.coefficients is None:
             raise ParameterError("--space cst needs --coefficients")
@@ -268,19 +269,18 @@ def cmd_sweep(args) -> tuple[dict, str]:
         lo, hi = coeffs.min(axis=0), coeffs.max(axis=0)
         columns = _COEFF_COLUMNS
 
-        def shape_at(v):
-            return cst_evaluate(CstParams.from_vector(v), args.n)
+        def shapes_at(points):
+            return cst_evaluate_stack(points, args.n)
     sweeps = []
     for k in range(args.count):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         flip = rng.integers(0, 2, size=lo.shape).astype(bool)
         points = sweep_points(np.where(flip, hi, lo), np.where(flip, lo, hi),
                               args.steps)
-        shapes = [shape_at(p) for p in points]
-        rows = [[i, *p, *map(int, _validity(s).values())]
-                for i, (p, s) in enumerate(zip(points, shapes))]
-        sweeps.append((rows, svg.render_strip(
-            [np.array([s.points for s in shapes])])))
+        shapes = shapes_at(points)
+        rows = [[i, *p, *map(int, _validity(d).values())]
+                for i, (p, d) in enumerate(zip(points, validate_stack(shapes)))]
+        sweeps.append((rows, svg.render_strip([shapes])))
     for k, (rows, strip) in enumerate(sweeps):
         gio.write_table(args.out / f"sweep-{k}.csv",
                         ["step", *columns, *_VALIDITY_COLUMNS], rows)

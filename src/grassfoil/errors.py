@@ -57,11 +57,9 @@ class CutLocusError(GrassfoilError):
     Recoverable: distances remain well defined, only Log is refused.
     """
 
-    def __init__(self, message: str, *, max_angle: float | None = None,
-                 station_index: int | None = None):
+    def __init__(self, message: str, *, max_angle: float | None = None):
         super().__init__(message)
         self.max_angle = max_angle
-        self.station_index = station_index
 
 
 class IterationLimitError(GrassfoilError):

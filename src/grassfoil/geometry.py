@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,12 +288,15 @@ def cst_evaluate(params: CstParams, n: int = DEFAULT_LANDMARK_COUNT) -> Landmark
         params.as_vector()[None], n, params.te_thickness)[0])
 
 
-def _check_draw(fraction: float, seed: int) -> None:
-    if not (0.0 <= fraction <= 1.0):
+def _check_draw(fraction: float, seed: int) -> int:
+    """``seed`` as an ``int``, once the fraction and seed of a draw pass."""
+    if not (isinstance(fraction, numbers.Real) and 0.0 <= fraction <= 1.0):
         raise ParameterError(
             f"perturbation fraction must lie in [0, 1], got {fraction}")
+    seed = integer_argument(seed, "seed")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def perturb_cst(params: CstParams, fraction: float, seed: int) -> CstParams:
@@ -301,8 +305,7 @@ def perturb_cst(params: CstParams, fraction: float, seed: int) -> CstParams:
     Each coefficient moves by at most ``fraction`` of its own magnitude, so
     sign patterns survive. Identical seeds reproduce identical draws.
     """
-    _check_draw(fraction, seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_draw(fraction, seed))
     u = rng.uniform(-1.0, 1.0, size=2 * COEFFS_PER_SURFACE)
     return CstParams(params.upper * (1.0 + fraction * u[:COEFFS_PER_SURFACE]),
                      params.lower * (1.0 + fraction * u[COEFFS_PER_SURFACE:]),
@@ -662,7 +665,7 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     n_perturbations = integer_argument(n_perturbations, "perturbation count")
     if n_perturbations < 0:
         raise ParameterError("perturbation count cannot be negative")
-    _check_draw(fraction, seed)
+    seed = _check_draw(fraction, seed)
     shapes: list = []
     for b_idx, (landmarks, diag) in enumerate(zip(*_trials(baselines, n))):
         if not diag.passed:
@@ -714,11 +717,12 @@ def gen_dataset(baselines: list[CstParams], n_perturbations: int,
 
 def sweep_points(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
     """``steps`` points from ``a`` to ``b``: row i is ``(1 - s) * a + s * b``
-    at ``s = i / (steps - 1)``. The corners must be finite and of one shape."""
+    at ``s = i / (steps - 1)``. The corners must be finite numeric arrays
+    of one shape."""
     steps = integer_argument(steps, "steps")
     if steps < 2:
         raise ParameterError(f"a sweep needs at least 2 steps, got {steps}")
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = array_argument(a, "corner a"), array_argument(b, "corner b")
     if a.shape != b.shape:
         raise ParameterError(
             f"sweep corners differ in shape: {a.shape} and {b.shape}")

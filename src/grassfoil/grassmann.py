@@ -75,7 +75,7 @@ def as_frames(reps) -> np.ndarray:
     strays beyond 1e-12 from the identity are re-orthonormalized in a copy,
     and clean slices keep their exact bits. The first faulty slice raises,
     with its position as ``shape_index``."""
-    reps = np.asarray(reps, dtype=float)
+    reps = array_argument(reps, "representatives", DimensionError)
     if reps.ndim != 3 or reps.shape[1] <= reps.shape[2]:
         raise DimensionError(
             f"representatives must be a stack of tall matrices, got shape "
@@ -242,10 +242,20 @@ def reconstruct_with(point: GrassmannPoint,
 
 def mean_affine(linear: np.ndarray, translation: np.ndarray) -> AffineMap:
     """Entrywise average of a shape family's affine factors, given as its
-    ``(N, 2, 2)`` linear factors and ``(N, 2)`` translations."""
+    ``(N, 2, 2)`` linear factors and ``(N, 2)`` translations; stacks of
+    other shapes raise ``DimensionError``."""
+    linear = array_argument(linear, "linear", DimensionError)
+    translation = array_argument(translation, "translation", DimensionError)
+    if (linear.ndim != 3 or linear.shape[1:] != (2, 2)
+            or translation.shape != (len(linear), 2)):
+        raise DimensionError(
+            "expected (N, 2, 2) linear factors and (N, 2) translations, got "
+            f"shapes {linear.shape} and {translation.shape}")
     if len(linear) == 0:
         raise DimensionError("need at least one affine map to average")
-    return AffineMap(np.mean(linear, axis=0), np.mean(translation, axis=0))
+    # a non-finite mean, from the input or an overflow, fails the map's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return AffineMap(np.mean(linear, axis=0), np.mean(translation, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +319,10 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
         q = reps[rows.start:rows.stop]
         with np.errstate(over="ignore", invalid="ignore"):
             products = np.matmul(base.T, q)
+        unusable = (f"reps[{rows.start}] is not finite, or too large to pair "
+                    "with base")
         if not np.isfinite(products).all():
-            raise DimensionError(f"reps[{rows.start}] is not finite, or too "
-                                 "large to pair with base")
+            raise DimensionError(unusable)
         w, c, zt = np.linalg.svd(products)
         cut = c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN)
         if cut.any():
@@ -319,8 +330,11 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
             raise CutLocusError(
                 f"largest principal angle {angle:.6f} is within 1e-8 of "
                 "pi/2; the connecting geodesic is not unique", max_angle=angle)
-        residual = q @ zt.swapaxes(1, 2) - base @ (w * c[:, None])
-        sines = np.linalg.norm(residual, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = q @ zt.swapaxes(1, 2) - base @ (w * c[:, None])
+            sines = np.linalg.norm(residual, axis=1)
+        if not np.isfinite(sines).all():
+            raise DimensionError(unusable)
         thetas = np.arctan2(sines, c)
         g = residual / np.where(sines > 0.0, sines, 1.0)[:, None]
         delta = (g * thetas[:, None]) @ w.swapaxes(1, 2)

@@ -132,8 +132,8 @@ class CoordinateFamily:
 
 
 def read_coordinate_files(paths) -> CoordinateFamily:
-    """Name lines and landmarks of coordinate files, decoded straight into
-    one array per run of equal landmark count.
+    """Name lines and landmarks of coordinate files; the files of each run
+    of equal landmark count are stacked into one array once all are read.
 
     Files are read as bytes. An ASCII file in the writer's exact layout (a
     name line that ``str.splitlines`` keeps whole, then "%.16e %.16e\\n"
@@ -144,10 +144,9 @@ def read_coordinate_files(paths) -> CoordinateFamily:
     one file at a time, so the first file that fails raises its own error.
     """
     paths = list(paths)
-    names, runs, used = [], [], 0
+    names, shapes = [], []
 
     def run(rows: range):
-        nonlocal used
         chunk = paths[rows.start:rows.stop]
         datas = [_read_bytes(path) for path in chunk]
         heads = [data.partition(b"\n") if data.isascii() else (b"", b"", b"")
@@ -162,17 +161,11 @@ def read_coordinate_files(paths) -> CoordinateFamily:
             else:
                 files.append(_scan_coordinates(path, _decode(path, data)))
         # only a range that decoded whole is kept: a faulty one runs again
-        for name, points in files:
-            if not runs or runs[-1].shape[1] != len(points):
-                if runs:  # give back the rows the run did not fill
-                    runs[-1] = runs[-1][:used].copy()
-                runs.append(np.empty((len(paths) - len(names), *points.shape)))
-                used = 0
-            runs[-1][used] = points
-            used += 1
-            names.append(name)
+        names.extend(name for name, _ in files)
+        shapes.extend(points for _, points in files)
     in_order(run, len(paths), _CHUNK)
-    return CoordinateFamily(tuple(names), tuple(runs))
+    return CoordinateFamily(tuple(names), tuple(
+        np.array(list(group)) for _, group in itertools.groupby(shapes, len)))
 
 
 def _scan_coordinates(path, text: str) -> tuple[str, np.ndarray]:

@@ -13,6 +13,7 @@ second coordinates), and the convention is recorded in serialized models.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     array_argument,
     integer_argument,
 )
-from .geometry import sweep_points
+from .geometry import MAX_COORDINATE, sweep_points
 from .grassmann import (
     GrassmannPoint,
     TangentVector,
@@ -43,11 +44,12 @@ _DOMAIN_MARGIN = 1.1
 
 def flatten_tangent(mat: np.ndarray) -> np.ndarray:
     """Column-major flattening of one tangent matrix, or of each of a stack."""
-    return mat.swapaxes(-1, -2).reshape(*mat.shape[:-2], -1)
+    return mat.swapaxes(-1, -2).reshape(*mat.shape[:-2],
+                                        mat.shape[-2] * mat.shape[-1])
 
 
 def unflatten_tangent(vec: np.ndarray, n: int) -> np.ndarray:
-    return vec.reshape((n, 2), order="F")
+    return vec.reshape((n, -1), order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +173,7 @@ def karcher_mean(shapes, tol: float = 1e-10,
     """
     if len(shapes) == 0:
         raise ParameterError("cannot average an empty set of shapes")
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
     max_iter = integer_argument(max_iter, "max_iter")
     if max_iter < 0:
@@ -212,7 +214,8 @@ def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
     the centering, so the eigenvalue sum equals the mean squared logarithm
     norm exactly. Fewer samples than ambient dimensions take the N x N
     Gram matrix, which yields the same spectrum cheaper. ``logs`` that are
-    not a finite numeric (N, 2n) array raise ``DimensionError``.
+    not a finite numeric (N, 2n) array, or whose moments would overflow (an
+    entry beyond ``MAX_COORDINATE``), raise ``DimensionError``.
     """
     n = mean.n
     r = integer_argument(r, "r")
@@ -220,8 +223,14 @@ def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
     if logs.ndim != 2 or logs.shape[1] != 2 * n:
         raise DimensionError(
             f"logarithms must be (N, {2 * n}) rows, got shape {logs.shape}")
-    if not np.isfinite(logs).all():
+    # a NaN makes both extremes NaN; neither reduction allocates a copy
+    peak = max(-logs.min(initial=0.0), logs.max(initial=0.0))
+    if not np.isfinite(peak):
         raise DimensionError("logarithms contain non-finite values")
+    if peak > MAX_COORDINATE:
+        raise DimensionError(
+            f"logarithms exceed {MAX_COORDINATE:.0e} in magnitude; the "
+            "moment matrix would overflow")
     n_samples = len(logs)
     max_r = min(n_samples, 2 * (n - 2))
     if not (1 <= r <= max_r):

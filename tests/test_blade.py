@@ -12,7 +12,8 @@ from grassfoil.blade import (AffineProfiles, BladeDefinition, BladeStation,
                              export_wireframe, interpolate_section,
                              perturb_blade, procrustes_cluster)
 from grassfoil.errors import (BladeDefinitionError, ConsistencyError,
-                              CutLocusError, ParameterError, SpanRangeError)
+                              CutLocusError, DimensionError, ParameterError,
+                              SpanRangeError)
 from grassfoil.geometry import (AFFINE_COMPONENT_NAMES, AffineMap,
                                 LandmarkMatrix, affine_apply, affine_subgroup,
                                 compose_affine, cst_evaluate,
@@ -104,6 +105,9 @@ def test_blade_validation():
         build_blade([0.0], sections[:1])
     with pytest.raises(BladeDefinitionError):
         build_blade([0.0, 0.5, 0.5, 0.75, 1.0], sections)
+    with pytest.raises(BladeDefinitionError,
+                       match="4 span positions for 5 sections"):
+        build_blade(ETAS[:4], sections)
     mixed = sections[:4] + [cst_evaluate(default_baselines()[0], 51)]
     with pytest.raises(Exception):
         build_blade(ETAS, mixed)
@@ -189,6 +193,42 @@ def test_spans_whose_profile_overflows_are_rejected(etas, pair):
         with pytest.raises(BladeDefinitionError) as err:
             build_blade(etas, sections)
     assert pair in str(err.value)
+
+
+@pytest.mark.parametrize("etas, values, error, message", [
+    ([0.0], np.zeros((1, 6)), BladeDefinitionError, "at least 2 station spans"),
+    ([[0.0, 1.0]], np.zeros((2, 6)), BladeDefinitionError,
+     "at least 2 station spans"),
+    ([0.0, np.nan], np.zeros((2, 6)), BladeDefinitionError,
+     "station spans must be finite"),
+    ([0.0, 1.0], np.zeros((2, 5)), DimensionError,
+     r"expected \(2, 6\) component values, got \(2, 5\)"),
+    ([0.0, 1.0], [[0.0] * 6, [np.inf] * 6], BladeDefinitionError,
+     "profile knot values must be finite"),
+])
+def test_profiles_reject_bad_knots(etas, values, error, message):
+    with pytest.raises(error, match=message):
+        AffineProfiles(etas, values)
+
+
+def test_blade_definition_checks_its_stations(blade):
+    stations, aligned = blade.stations, blade.aligned
+    with pytest.raises(BladeDefinitionError,
+                       match="one aligned representative per station"):
+        BladeDefinition(stations, aligned[:-1])
+    coarse = GrassmannPoint(aligned[0].rep[:51])
+    with pytest.raises(DimensionError, match="share one landmark count"):
+        BladeDefinition(stations, (coarse, *aligned[1:]))
+
+
+def test_perturb_needs_a_model_of_the_blade_landmark_count(blade):
+    coarse = build_blade(ETAS, make_sections(n=51))
+    result = karcher_mean(stack(coarse.aligned), tol=1e-12)
+    model = pga_fit(result.point, result.logs, 2)
+    with pytest.raises(DimensionError,
+                       match=r"model landmarks \(51\) do not match blade "
+                             r"\(101\)"):
+        perturb_blade(blade, model, np.array([0.01, 0.0]))
 
 
 def test_blade_etas_are_the_profile_knots(blade):
@@ -288,6 +328,17 @@ def test_wireframe_thinning(blade):
         export_wireframe(blade, 1)
 
 
+@pytest.mark.parametrize("spans, samples, message", [
+    (2.5, None, "spans must be an integer, got 2.5"),
+    (True, None, "spans must be an integer, got True"),
+    (4, 25.0, "samples per section must be an integer, got 25.0"),
+    (4, "25", "samples per section must be an integer, got '25'"),
+])
+def test_wireframe_counts_must_be_integers(blade, spans, samples, message):
+    with pytest.raises(ParameterError, match=message):
+        export_wireframe(blade, spans, samples)
+
+
 # ---------------------------------------------------------------------------
 # perturbation
 
@@ -376,7 +427,8 @@ def test_perturb_consistency_tolerance_enforced(blade, blade_model):
                       consistency_tol=1e-18)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "x",
+                                 None])
 def test_perturb_rejects_unusable_tolerance(blade, blade_model, tol):
     with pytest.raises(ParameterError, match="consistency tolerance"):
         perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]),
@@ -409,7 +461,9 @@ def test_perturb_reports_cut_locus_station():
     blade = BladeDefinition(tuple(stations), (good, bad))
     with pytest.raises(CutLocusError) as err:
         perturb_blade(blade, model, np.array([0.01]))
-    assert err.value.station_index == 1
+    assert str(err.value).startswith(
+        "station 1 is at the cut locus of the model mean: ")
+    assert err.value.max_angle is not None
     assert err.value.shape_index == 1  # the outer stack: stations
 
 

@@ -148,6 +148,41 @@ def test_reading_stage_bytes_match_the_recorded_digests(tmp_path):
     assert reading_stage_digests(tmp_path) == digests
 
 
+def sweep_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every non-manifest file that a cst and a pga sweep write
+    under ``root``, keyed by space and file name. The cst box spans a
+    baseline and its mirror image, so its steps pass and fail every
+    validity flag."""
+    data, fit = root / "data", root / "fit"
+    assert main(["gen-dataset", "--baselines", "4", "--total", "20",
+                 "--n", "101", "--seed", "1", "--out", str(data)]) == 0
+    assert main(["pga-fit", "--shapes", str(data / "shapes"), "--r", "3",
+                 "--out", str(fit)]) == 0
+    v = default_baselines()[0].as_vector()
+    gio.write_table(root / "coefficients.csv",
+                    [f"{c}{i}" for c in "ul" for i in range(9)],
+                    [v, [*v[9:], *v[:9]]])
+    common = ["--count", "3", "--steps", "9", "--seed", "2"]
+    assert main(["sweep", "--space", "cst", "--coefficients",
+                 str(root / "coefficients.csv"), "--n", "101", *common,
+                 "--out", str(root / "out" / "cst")]) == 0
+    assert main(["sweep", "--space", "pga", "--model", str(fit / "model.json"),
+                 "--affine", str(fit / "mean_affine.json"), *common,
+                 "--out", str(root / "out" / "pga")]) == 0
+    return {f.relative_to(root / "out").as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted((root / "out").glob("*/*"))
+            if f.name != "manifest.json"}
+
+
+def test_sweep_bytes_match_the_recorded_digests(tmp_path):
+    # recorded while sweep still evaluated and validated one step at a time
+    digests = json.loads(
+        (Path(__file__).parent / "sweep_digests.json").read_text())
+    assert len(digests) == 12
+    assert sweep_digests(tmp_path) == digests
+
+
 RERUNS = {
     "gen-dataset": ["gen-dataset", "--baselines", "3", "--total", "6",
                     "--n", str(N), "--seed", "7"],
@@ -555,6 +590,8 @@ BAD_INPUTS = {
                                   "{fit}/../blade.json", "--model",
                                   "{fit}/model.json", "--coords", "0,inf,0"],
                                  "coordinates must be finite, got '0,inf,0'"),
+    "sweep-cst-without-coefficients": (["sweep", "--space", "cst"],
+                                       "--space cst needs --coefficients"),
     "sweep-count-below-one": (["sweep", "--space", "cst", "--coefficients",
                                "{data}/coefficients.csv", "--count", "-2"],
                               "--count must be >= 1, got -2"),

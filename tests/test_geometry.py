@@ -153,6 +153,13 @@ def test_perturb_rejects_negative_seed():
         perturb_cst(default_baselines()[0], 0.1, -1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+def test_perturb_needs_an_integer_seed(seed):
+    with pytest.raises(ParameterError,
+                       match=f"seed must be an integer, got {seed!r}"):
+        perturb_cst(default_baselines()[0], 0.1, seed)
+
+
 def test_perturb_keeps_te_thickness():
     params = CstParams(np.full(9, 0.2), np.full(9, -0.2), te_thickness=0.02)
     assert perturb_cst(params, 0.2, seed=1).te_thickness == 0.02
@@ -163,6 +170,8 @@ def test_perturb_rejects_bad_fraction():
         perturb_cst(UNIFORM, -0.1, seed=1)
     with pytest.raises(ParameterError):
         perturb_cst(UNIFORM, 1.5, seed=1)
+    with pytest.raises(ParameterError, match="fraction must lie in"):
+        perturb_cst(UNIFORM, "0.1", seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +229,33 @@ def test_affine_vector_round_trip():
     assert np.array_equal(back.translation, aff.translation)
     with pytest.raises(ParameterError, match="needs 6 entries"):
         AffineMap.from_vector(np.ones(5))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LandmarkMatrix(np.ones(6)), r"expected an \(n, 2\) array"),
+    (lambda: LandmarkMatrix(np.ones((4, 3))), r"expected an \(n, 2\) array"),
+    (lambda: LandmarkMatrix(np.eye(2)), "needs at least 3 rows, got 2"),
+    (lambda: LandmarkMatrix([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]]),
+     "landmark matrix contains non-finite values"),
+    (lambda: AffineMap(np.eye(3), np.zeros(2)), "must be 2x2, got"),
+    (lambda: AffineMap(np.eye(2), np.zeros(3)),
+     r"translation must have shape \(2,\)"),
+    (lambda: AffineMap(np.eye(2), [0.0, math.inf]),
+     "affine map contains non-finite values"),
+    (lambda: CstParams(np.ones(8), np.ones(9)),
+     "upper surface needs exactly 9 coefficients"),
+    (lambda: CstParams(np.ones(9), np.full(9, math.nan)),
+     "lower coefficients are not finite"),
+    (lambda: CstParams(np.ones(9), -np.ones(9), math.inf),
+     "trailing-edge thickness is not finite"),
+    (lambda: CstParams.from_vector(np.ones(17)),
+     "coefficient vector needs 18 entries"),
+    (lambda: CstParams.from_vector(np.ones((2, 9))),
+     "coefficient vector needs 18 entries"),
+])
+def test_value_types_reject_bad_input(make, message):
+    with pytest.raises(ParameterError, match=message):
+        make()
 
 
 def test_singular_affine_rejected():
@@ -492,6 +528,7 @@ def test_gen_dataset_all_valid():
     ({"n": 21.0}, SamplingError, "landmark count must be an integer, got 21.0"),
     ({"fraction": 1.5}, ParameterError,
      r"fraction must lie in \[0, 1\], got 1.5"),
+    ({"seed": 1.5}, ParameterError, "seed must be an integer, got 1.5"),
 ])
 def test_gen_dataset_rejects_bad_arguments(args, error, message):
     # checked before anything is drawn, even when nothing would be
@@ -531,6 +568,18 @@ def test_sweep_points_need_two_steps():
 def test_sweep_points_reject_corners_of_different_shapes():
     with pytest.raises(ParameterError, match=r"differ in shape: \(2,\) and"):
         sweep_points([0.0, 1.0], [1.0], 3)
+
+
+@pytest.mark.parametrize("a, b, name", [
+    ("a", "b", "corner a"),
+    ([0.0, 1.0], [[1.0, 2.0], [3.0]], "corner b"),
+    ([[0.0], [1.0, 2.0]], [0.0, 1.0], "corner a"),
+    ([0.0, None], [1.0, 2.0], "corner a"),
+])
+def test_sweep_points_reject_corners_that_are_not_numeric_arrays(a, b, name):
+    with pytest.raises(ParameterError,
+                       match=f"^{name} must be a rectangular numeric array"):
+        sweep_points(a, b, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

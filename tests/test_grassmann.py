@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassfoil import grassmann
 from grassfoil.errors import (CutLocusError, DegenerateShapeError,
-                              TangencyError)
+                              DimensionError, ParameterError, TangencyError)
 from grassfoil.geometry import AffineMap, LandmarkMatrix, cst_evaluate
 from grassfoil.geometry import default_baselines
 from grassfoil.grassmann import (Geodesic, GrassmannPoint, TangentVector,
-                                 distance, exp_map, geodesic_point, inner,
-                                 la_standardize, log_map, mean_affine,
-                                 orthonormalize, parallel_transport,
-                                 principal_angles, procrustes_rotation,
-                                 reconstruct_with)
+                                 as_frames, distance, exp_map, geodesic_point,
+                                 inner, la_standardize, log_map, log_map_stack,
+                                 mean_affine, orthonormalize,
+                                 parallel_transport, principal_angles,
+                                 procrustes_rotation, reconstruct_with,
+                                 standardize_stack)
 
 from conftest import random_horizontal, random_point
 
@@ -51,6 +53,39 @@ def test_orthonormalize_is_deterministic_projection():
 def test_point_requires_full_rank():
     with pytest.raises(DegenerateShapeError):
         GrassmannPoint(np.ones((10, 2)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda p: GrassmannPoint(np.ones((2, 2))), "must be a tall matrix"),
+    (lambda p: GrassmannPoint(np.ones(5)), "must be a tall matrix"),
+    (lambda p: as_frames(np.ones((3, 2, 2))), "a stack of tall matrices"),
+    (lambda p: as_frames(p.rep), "a stack of tall matrices"),
+    (lambda p: TangentVector(np.zeros((p.n + 1, 2)), p),
+     r"tangent shape \(21, 2\) does not match base \(20, 2\)"),
+    (lambda p: TangentVector(np.full((p.n, 2), np.nan), p),
+     "tangent vector contains non-finite values"),
+    (lambda p: standardize_stack(np.ones((3, 2, 2))),
+     r"landmark stack with n >= 3, got shape \(3, 2, 2\)"),
+    (lambda p: standardize_stack(np.ones((3, 5))),
+     r"landmark stack with n >= 3, got shape \(3, 5\)"),
+    (lambda p: log_map_stack(p.rep, p.rep[None, :-1]),
+     r"mismatched representatives: \(20, 2\) vs \(19, 2\)"),
+    (lambda p: log_map_stack(p.rep, p.rep), "mismatched representatives"),
+])
+def test_frames_and_tangents_reject_bad_shapes(make, message):
+    p = random_point(np.random.default_rng(4), 20)
+    with pytest.raises(DimensionError, match=message):
+        make(p)
+
+
+def test_log_map_stack_raises_when_a_log_is_not_horizontal(monkeypatch):
+    rng = np.random.default_rng(6)
+    p, q = random_point(rng, 12), random_point(rng, 12)
+    monkeypatch.setattr(grassmann, "_horizontal",
+                        lambda rep, mat, tol: np.zeros(len(mat), dtype=bool))
+    with pytest.raises(TangencyError, match="not horizontal") as err:
+        log_map_stack(p.rep, np.array([q.rep, q.rep]))
+    assert err.value.shape_index == 0
 
 
 def test_tangent_must_be_horizontal():
@@ -147,6 +182,29 @@ def test_mean_affine_is_componentwise():
                     np.array([a1.translation, a2.translation]))
     np.testing.assert_allclose(m.linear, [[3.0, 1.0], [0.0, 2.0]])
     np.testing.assert_allclose(m.translation, [2.0, 1.0])
+
+
+@pytest.mark.parametrize("linear, translation, error, message", [
+    (np.ones((3, 2, 2)), np.ones((2, 2)), DimensionError,
+     r"got shapes \(3, 2, 2\) and \(2, 2\)"),
+    (np.ones((3, 2, 2)), np.ones((4, 2)), DimensionError, "got shapes"),
+    (np.ones((3, 2)), np.ones((3, 2)), DimensionError, "got shapes"),
+    (np.ones((3, 3, 2)), np.ones((3, 2)), DimensionError, "got shapes"),
+    ([np.eye(2), np.eye(2)[0]], np.zeros((2, 2)), DimensionError,
+     "^linear must be a rectangular numeric array"),
+    (np.ones((2, 2, 2)), [[0.0, 0.0], [0.0]], DimensionError,
+     "^translation must be a rectangular numeric array"),
+    (np.zeros((0, 2, 2)), np.zeros((0, 2)), DimensionError,
+     "need at least one affine map"),
+    (np.array([np.full((2, 2), np.inf), np.full((2, 2), -np.inf)]),
+     np.zeros((2, 2)), ParameterError, "non-finite"),
+    (np.array([np.eye(2) * 1e308] * 2), np.zeros((2, 2)), ParameterError,
+     "non-finite"),
+])
+def test_mean_affine_rejects_mismatched_or_unusable_stacks(
+        linear, translation, error, message):
+    with pytest.raises(error, match=message):
+        mean_affine(linear, translation)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,25 @@ def test_mixed_landmark_counts_read_as_runs(tmp_path, counts):
     assert len(shapes_of(family)) == len(counts)
 
 
+def test_reading_a_family_holds_it_at_most_three_times(tmp_path):
+    # 1016 shapes of 401 landmarks, the benchmark's family: the decoded
+    # files are held until their run is stacked, so the family is held
+    # twice at most, plus the bytes of one chunk of files
+    family = np.random.default_rng(3).normal(size=(1016, 401, 2))
+    paths = [tmp_path / f"s{k:04d}.dat" for k in range(len(family))]
+    write_coordinate_files((path, LandmarkMatrix(points), "shape")
+                           for path, points in zip(paths, family))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runs = read_coordinate_files(paths).runs
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 1 and np.array_equal(runs[0], family)
+    assert peak < 3 * family.nbytes
+
+
 @pytest.mark.parametrize("count", [16, 19])
 def test_a_bad_last_file_raises_its_own_error(tmp_path, count):
     # the faulty last chunk is read twice, the second time file by file:
@@ -567,6 +587,18 @@ def test_blade_bare_stations_rebuilt(tmp_path, small_blade):
         np.testing.assert_allclose(ra.rep, rb.rep, atol=1e-12)
 
 
+@pytest.mark.parametrize("keep", [0, 1])
+def test_blade_needs_two_stations(tmp_path, small_blade, keep):
+    path = tmp_path / "blade.json"
+    write_blade(path, small_blade)
+    data = json.loads(path.read_text())
+    data["stations"] = data["stations"][:keep]
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError,
+                       match="'stations' must list at least 2 stations"):
+        read_blade(path)
+
+
 def test_blade_mixed_station_detail_rejected(tmp_path, small_blade):
     path = tmp_path / "blade.json"
     write_blade(path, small_blade)
@@ -793,6 +825,16 @@ def test_wireframe_written_byte_for_byte_as_per_row(tmp_path, shape):
     per_row_wireframe(tmp_path / "old.csv", grid)
     assert (tmp_path / "new.csv").read_bytes() == (
         tmp_path / "old.csv").read_bytes()
+
+
+def test_writers_refuse_malformed_tables_and_grids(tmp_path):
+    with pytest.raises(FileFormatError, match="row has 1 fields, header has 2"):
+        write_table(tmp_path / "t.csv", ["i", "value"], [[0, 0.5], [1]])
+    for grid in (np.zeros((2, 3)), np.zeros((2, 3, 2))):
+        with pytest.raises(FileFormatError,
+                           match=r"must be \(spans, n, 3\), got"):
+            write_wireframe(tmp_path / "w.csv", grid)
+    assert not list(tmp_path.iterdir())
 
 
 def test_wireframe_missing_record_detected(tmp_path, small_blade):

@@ -1,0 +1,121 @@
+"""Library fuzz: each exported stack entry point, given malformed input,
+returns a result or raises a GrassfoilError, and never warns."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import grassfoil
+from grassfoil.errors import GrassfoilError
+from grassfoil.geometry import (cst_evaluate_stack, default_baselines,
+                                sweep_points, validate_stack)
+from grassfoil.grassmann import (GrassmannPoint, log_map_stack, mean_affine,
+                                 standardize_stack)
+from grassfoil.pga import karcher_mean, logs_at, pga_fit
+
+COEFFS = np.array([p.as_vector() for p in default_baselines()[:4]])
+POINTS = cst_evaluate_stack(COEFFS, 11)
+FRAMES, LINEAR, TRANSLATION = standardize_stack(POINTS)
+MEAN = GrassmannPoint(FRAMES[0])
+LOGS = logs_at(MEAN, FRAMES)
+# a frame orthogonal to FRAMES[0], so at its cut locus
+ANTIPODAL = np.linalg.qr(FRAMES[1] - FRAMES[0] @ (FRAMES[0].T @ FRAMES[1]))[0]
+
+BAD_NUMBERS = [math.nan, math.inf, -math.inf, 1e155, -1e155]
+RESHAPES = [
+    lambda x: x[..., :-1],
+    lambda x: x[None],
+    lambda x: x.reshape(-1),
+    lambda x: x[0],
+    lambda x: x.swapaxes(0, -1),
+    lambda x: x[:0],
+]
+
+
+def poisoned(x, index, value):
+    x = x.copy()
+    x.flat[index] = value
+    return x
+
+
+def ragged(x):
+    rows = x.tolist()
+    if x.ndim == 1:
+        return [rows, rows[:-1]]
+    rows[-1] = rows[-1][:-1]
+    return rows
+
+
+def with_antipodal(x):
+    """``x`` with its last frame, or itself if it is one frame, replaced by
+    ``ANTIPODAL``; other shapes as they are."""
+    if x.shape == ANTIPODAL.shape:
+        return ANTIPODAL.copy()
+    x = x.copy()
+    if x.shape[1:] == ANTIPODAL.shape:
+        x[-1] = ANTIPODAL
+    return x
+
+
+def arrays(valid):
+    """``valid``, as it is or broken in one way: a wrong shape, a str, bool
+    or object dtype, a NaN, inf or 1e155 entry, a ragged list, a stack that
+    is not orthonormal, an antipodal frame, or repeated items."""
+    return st.one_of(
+        st.just(valid),
+        st.sampled_from(RESHAPES).map(lambda reshape: reshape(valid)),
+        st.sampled_from([str, bool, object]).map(valid.astype),
+        st.tuples(st.integers(0, valid.size - 1),
+                  st.sampled_from(BAD_NUMBERS)).map(
+                      lambda fault: poisoned(valid, *fault)),
+        st.sampled_from([valid.tolist(), ragged(valid), valid * 1e155,
+                         valid * 3.0, np.ones_like(valid),
+                         np.zeros_like(valid), with_antipodal(valid),
+                         valid[[0] * len(valid)]]))
+
+
+def counts(valid):
+    return st.sampled_from([valid, np.int64(valid), float(valid), valid + 0.5,
+                            True, False, str(valid), None, -1, 0, 1, 2])
+
+
+TOLERANCES = st.sampled_from([1e-10, np.float64(1e-10), math.nan, math.inf,
+                              -math.inf, 0.0, -1.0, 1e155, True, "x", None])
+MEANS = st.sampled_from([MEAN, GrassmannPoint(FRAMES[0][:9])])
+
+FUZZED = {
+    "standardize_stack": (standardize_stack, [arrays(POINTS)]),
+    "log_map_stack": (log_map_stack, [arrays(FRAMES[0]), arrays(FRAMES)]),
+    "validate_stack": (validate_stack, [arrays(POINTS)]),
+    "cst_evaluate_stack": (cst_evaluate_stack, [
+        arrays(COEFFS), counts(11), arrays(np.full(len(COEFFS), 1e-3))]),
+    "karcher_mean": (karcher_mean, [arrays(FRAMES), TOLERANCES, counts(50)]),
+    "logs_at": (logs_at, [MEANS, arrays(FRAMES)]),
+    "pga_fit": (pga_fit, [MEANS, arrays(LOGS), counts(2)]),
+    "sweep_points": (sweep_points, [arrays(COEFFS[0]), arrays(COEFFS[1]),
+                                    counts(5)]),
+    "mean_affine": (mean_affine, [arrays(LINEAR), arrays(TRANSLATION)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_entry_point_returns_or_raises_a_typed_error(name, data):
+    call, slots = FUZZED[name]
+    args = data.draw(st.tuples(*slots), label="args")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(*args)
+        except GrassfoilError:
+            pass
+
+
+def test_every_exported_stack_function_is_fuzzed():
+    stacks = {name for name in grassfoil.__all__ if name.endswith("_stack")}
+    assert stacks and stacks <= set(FUZZED)

@@ -1,5 +1,7 @@
 """Tests for Karcher means, principal geodesic analysis, and synthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from grassfoil.geometry import AffineMap
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
                                  exp_map, geodesic_point, inner, log_map,
                                  reconstruct_with)
-from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
-                           flatten_tangent, karcher_mean, logs_at, pga_fit,
-                           synthesize, unflatten_tangent)
+from grassfoil.pga import (CoordinateDomain, coords_of, corner_sweep,
+                           domain_contains, flatten_tangent, karcher_mean,
+                           logs_at, pga_fit, synthesize, unflatten_tangent)
 
 from conftest import random_horizontal, random_point, stack
 
@@ -139,7 +141,8 @@ def test_mean_rejects_a_max_iter_that_is_not_an_integer(airfoil_points,
         karcher_mean(stack(airfoil_points), max_iter=max_iter)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, "x",
+                                 None])
 def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
     with pytest.raises(ParameterError, match="tol must be finite"):
         karcher_mean(stack(airfoil_points), tol=tol)
@@ -235,6 +238,16 @@ def test_pga_fit_rejects_log_rows_that_are_not_finite_numbers():
         pga_fit(base, [list(logs[0]), list(logs[1, :-1])], 2)
     logs[4, 7] = np.nan
     with pytest.raises(DimensionError, match="non-finite"):
+        pga_fit(base, logs, 2)
+
+
+def test_pga_fit_rejects_log_rows_whose_moments_would_overflow():
+    base, _, _, shapes = planted_family(n=20, samples=10)
+    logs = logs_at(base, stack(shapes))
+    with pytest.raises(DimensionError, match="exceed 1e\\+150 in magnitude"):
+        pga_fit(base, logs * 1e155, 2)
+    logs[3, 5] = -1e200
+    with pytest.raises(DimensionError, match="exceed 1e\\+150 in magnitude"):
         pga_fit(base, logs, 2)
 
 
@@ -383,6 +396,37 @@ def test_degenerate_axes_require_zero_coordinate():
     model = pga_fit(p, logs_at(p, stack([p, p, p])), 2)
     assert domain_contains(model, np.zeros(2))
     assert not domain_contains(model, np.array([1e-6, 0.0]))
+
+
+def test_a_zero_radius_admits_only_a_zero_coordinate(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 2)
+    radii = np.array([0.0, 2.0])
+    flat = dataclasses.replace(model, domain=CoordinateDomain(
+        model.domain.bounds_min, model.domain.bounds_max, radii))
+    assert domain_contains(flat, np.array([0.0, 1.5]))
+    assert domain_contains(flat, np.array([1e-13, 1.5]))
+    assert not domain_contains(flat, np.array([1e-11, 0.0]))
+    assert not domain_contains(flat, np.array([0.0, 2.5]))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda m: CoordinateDomain(np.zeros((2, 1)), np.zeros(2), np.ones(2)),
+     "bounds_min must be one-dimensional"),
+    (lambda m: CoordinateDomain(np.zeros(2), np.zeros(3), np.ones(2)),
+     "domain arrays must share one length"),
+    (lambda m: dataclasses.replace(m, eigenvalues=m.eigenvalues[:-1]),
+     "one eigenvalue per basis direction"),
+    (lambda m: dataclasses.replace(m, training_coords=m.training_coords[:, 1:]),
+     r"training coordinates must be \(N, r\)"),
+    (lambda m: dataclasses.replace(m, training_coords=m.training_coords[0]),
+     r"training coordinates must be \(N, r\)"),
+])
+def test_model_parts_must_agree(airfoil_points, make, message):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 2)
+    with pytest.raises(DimensionError, match=message):
+        make(model)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from grassfoil.cli import main
 from grassfoil.errors import (CutLocusError, DegenerateShapeError,
                               DimensionError, Gl2ViolationError,
                               GrassfoilError, IterationLimitError,
-                              ParameterError, array_argument)
+                              ParameterError, array_argument, in_order)
 from grassfoil.geometry import (RANK_RATIO_TOL, LandmarkMatrix, affine_apply,
                                 affine_subgroup, cst_evaluate,
                                 cst_evaluate_stack, default_baselines,
@@ -258,6 +258,20 @@ def plane(i, j, n=4):
     rep = np.zeros((n, 2))
     rep[i, 0] = rep[j, 1] = 1.0
     return rep
+
+
+def test_a_chunk_fault_that_no_single_item_repeats_is_raised_as_it_is():
+    calls = []
+
+    def run(rows):
+        calls.append((rows.start, rows.stop))
+        if len(rows) > 1:
+            raise ParameterError("the chunk as a whole")
+
+    with pytest.raises(ParameterError, match="the chunk as a whole") as err:
+        in_order(run, 6, 4)
+    assert err.value.shape_index is None
+    assert calls == [(0, 4), (0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_ragged_stacks_raise_typed_errors_naming_the_argument(family):

@@ -128,6 +128,18 @@ def test_render_holds_no_whole_family_temporaries():
         assert peak - before < 3 * len(text) + 2e6
 
 
+@pytest.mark.parametrize("render, data", [
+    (svg.render_scatter, np.zeros((0, 2))),
+    (svg.render_scatter, np.zeros((3, 3))),
+    (svg.render_scatter, np.zeros(4)),
+    (svg.render_wireframe, np.zeros((2, 5, 2))),
+    (svg.render_wireframe, np.zeros((5, 3))),
+])
+def test_drawings_refuse_arrays_of_the_wrong_shape(render, data):
+    with pytest.raises(ParameterError, match=rf"got \({data.shape[0]},"):
+        render(data)
+
+
 def test_renderers_take_runs_of_stacks():
     shapes = np.array([cst_evaluate(default_baselines()[k % 16], 21).points
                        for k in range(2 * svg._CHUNK + 3)])
