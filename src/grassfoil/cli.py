@@ -277,9 +277,15 @@ def cmd_sweep(args) -> tuple[dict, str]:
         flip = rng.integers(0, 2, size=lo.shape).astype(bool)
         points = sweep_points(np.where(flip, hi, lo), np.where(flip, lo, hi),
                               args.steps)
-        shapes = shapes_at(points)
+        try:
+            shapes = shapes_at(points)
+            diagnostics = validate_stack(shapes)
+        except GrassfoilError as err:
+            step = "" if err.shape_index is None else f", step {err.shape_index}"
+            err.args = (f"sweep {k}{step}: {err}",)
+            raise
         rows = [[i, *p, *map(int, _validity(d).values())]
-                for i, (p, d) in enumerate(zip(points, validate_stack(shapes)))]
+                for i, (p, d) in enumerate(zip(points, diagnostics))]
         sweeps.append((rows, svg.render_strip([shapes])))
     for k, (rows, strip) in enumerate(sweeps):
         gio.write_table(args.out / f"sweep-{k}.csv",

@@ -11,6 +11,10 @@ rounding cannot settle to float() or "%" itself. SVG path data writes each
 number as "%.3f" does, less its trailing zeros: 1000 * |x| is exact in
 long double, so one rounding to an integer gives the digits. Where
 np.longdouble has another format, everything goes through float() or "%".
+JSON and CSV files hold each float as float.__repr__ writes it, the
+shortest text that reads back to it (Steele & White 1990); repr_text
+writes those in bulk from one long-double product per value, and hands
+every value that product cannot settle to float.__repr__.
 """
 from __future__ import annotations
 
@@ -257,3 +261,107 @@ def path_data(views: np.ndarray) -> list[str | None]:
     cuts = [0, *np.cumsum(np.count_nonzero(mask.reshape(k, -1), 1)).tolist()]
     return [text[a:b] + " Z" if ok else None
             for a, b, ok in zip(cuts, cuts[1:], settled.all(axis=1))]
+
+
+# Shortest round-trip text (float.__repr__) of |x| in [1e-4, 1e16), written
+# in fixed point: "0.000ddd", "dd.ddd" or "ddd.0". The doubles nearest 1e-4
+# to 1e-1 lie above those powers, so they bound the decimal exponent.
+_DECADES = np.r_[1e-4, 1e-3, 1e-2, 1e-1, 10.0 ** np.arange(16)]
+_INT_TEN = 10 ** np.arange(17, dtype=np.int64)
+_RUN = "V24"  # a row of "0000000" and 17 digits; the longest float repr
+
+
+def _shortest(x: np.ndarray):
+    """(digits, count, exponent, settled): float.__repr__'s digits of each
+    x as 17 digits, their count less trailing zeros, and their exponent.
+
+    |x| * 10**(16 - e) is one long-double product M + f, M an integer and
+    |f| <= 1/2, rounded by under half the slack M * 2**-63. A decimal
+    D * 10**(e - 16) reads back to x when |D - M - f| < h = ulp(x) *
+    10**(16 - e) / 2 (exact, above 0.55), so M does. repr writes the
+    nearest multiple M - R of 10**j with |R + f| < h for the largest j:
+    the shortest, and the nearest of those (Steele & White 1990). Powers of
+    two (a nearer lower neighbour), values outside the fixed-point range,
+    and roundings, tests or ties within the slack of their threshold are
+    not settled, nor is anything where the bulk conversion does not run.
+    """
+    mag = np.abs(x)
+    fixed = ((mag >= 1e-4) & (mag < 1e16) & (np.frexp(mag)[0] != 0.5)
+             & EXACT_LONGDOUBLE)
+    m = np.where(fixed, mag, 1.5)
+    exponent = np.searchsorted(_DECADES, m, "right") - 5
+    product = m.astype(np.longdouble) * _POW10[16 - exponent]
+    whole = np.rint(product)
+    f = (product - whole).astype(float)
+    whole = whole.astype(np.int64)
+    h = np.spacing(m) * 10.0 ** (16 - exponent) / 2
+    slack = whole * 2.0 ** -63
+    settled = fixed & (np.abs(f) < 0.5 - slack)
+    digits, count = whole.copy(), np.full(x.size, 17)
+    live = np.flatnonzero(settled)  # read back with j - 1 digits dropped
+    for j in range(1, 17):
+        ten = _INT_TEN[j]
+        rest, frac, bound, near = (whole[live] % ten, f[live], h[live],
+                                   slack[live])
+        below = rest - ((rest > ten // 2) | (rest == ten // 2) & (frac > 0)) * ten
+        gap = np.abs(below + frac)
+        back = gap < bound
+        unsure = (np.abs(gap - bound) <= near) | back & (
+            np.abs(gap - ten / 2) <= near)
+        settled[live[unsure]] = False
+        live, below = live[back & ~unsure], below[back & ~unsure]
+        digits[live], count[live] = whole[live] - below, 17 - j
+        if not live.size:
+            break
+    zero = mag == 0  # "0.0"
+    settled = settled & (digits < 10 ** 17) | zero
+    count[zero], exponent[zero] = 1, 0
+    return np.where(settled & ~zero, digits, 0), count, exponent, settled
+
+
+def repr_text(values: np.ndarray, separators) -> str:
+    """float.__repr__ of every element of a float array, in order, element
+    i followed by ``separators[i % len(separators)]`` (bytes or uint8).
+
+    A settled value's integer part (or the "0" before its point) and its
+    fraction are two runs of its digit row, written as fixed-width records
+    in text order, each over the tail of the one before, before the signs,
+    points and separators. float.__repr__ fills the row of any other value,
+    which is written as one run.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    n = x.size
+    if not n:
+        return ""
+    digits, count, exponent, settled = _shortest(x)
+    rows = np.zeros((n + 1, 6), "<u4")  # the last pads the final run
+    lead, rest = np.divmod(digits, 10 ** 16)
+    high, low = np.divmod(rest, 10 ** 8)
+    rows[:n, 0] = _QUADS[0]
+    rows[:n, 1] = _QUADS[lead]
+    rows[:n, 2], rows[:n, 3] = (_QUADS[q] for q in np.divmod(high, 10 ** 4))
+    rows[:n, 4], rows[:n, 5] = (_QUADS[q] for q in np.divmod(low, 10 ** 4))
+    first = 7 + np.minimum(exponent, 0)
+    whole = np.maximum(exponent + 1, 1)
+    fraction = np.maximum(count - exponent - 1, 1)
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        tokens = [float.__repr__(v).encode() for v in x[redo].tolist()]
+        rows.view(np.uint8)[redo] = np.frombuffer(
+            b"".join(t.ljust(24) for t in tokens), np.uint8).reshape(-1, 24)
+        first[redo], whole[redo], fraction[redo] = 0, list(map(len, tokens)), 0
+    negative = np.signbit(x) & settled
+    stop = np.cumsum(negative + whole + settled + fraction + 1)
+    left = stop - whole - settled - fraction - 1
+    right = left + whole + settled
+    starts = np.arange(n) * 24
+    out = np.empty(stop[-1] + 24, np.uint8)
+    np.ndarray((out.size - 23,), _RUN, out, strides=(1,))[
+        np.stack([left, right], 1).ravel()] = np.ndarray(
+            (rows.size * 4 - 23,), _RUN, rows, strides=(1,))[
+            np.stack([starts + first, starts + 8 + exponent], 1).ravel()]
+    out[left[negative] - 1] = ord("-")
+    out[right[settled] - 1] = ord(".")
+    out[stop - 1] = np.tile(np.frombuffer(separators, np.uint8),
+                            -(-n // len(separators)))[:n]
+    return str(out[:stop[-1]].data, "ascii")

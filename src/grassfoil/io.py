@@ -68,9 +68,10 @@ def _decode(path, data: bytes) -> str:
             f"cannot decode {path}: {err.reason} at byte {err.start}") from None
 
 
-def write_text(path, text: str) -> None:
-    """Atomic create-then-rename write into ``path``'s directory, made if
-    missing; unwritable targets name the path."""
+def write_text(path, text) -> None:
+    """Atomic create-then-rename write of ``text``, a string or an iterable
+    of strings written in turn, into ``path``'s directory, made if missing;
+    unwritable targets name the path."""
     path = Path(path)
     # Mode 0o666 less the umask, as open(path, "w") would create it.
     tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
@@ -79,7 +80,7 @@ def write_text(path, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines([text] if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -221,19 +222,46 @@ def _line_fault(path, lineno: int, line: str) -> NoReturn:
 
 def write_json(path, payload) -> None:
     """``payload`` in the stdlib ``json`` layout with a one-space indent and
-    sorted keys, byte for byte, plus a newline; dict keys must be strings."""
-    write_text(path, _json_text(payload, 0) + "\n")
+    sorted keys, byte for byte, plus a newline; dict keys must be strings.
+    A float64 array is written as its ``tolist()`` would be.
+
+    The numbers of a file's 1-D and 2-D arrays are formatted in one bulk
+    call, each followed by ",", or ";" at the end of a row, or a NUL at the
+    end of its array. Each array is laid out by replacing those marks, and
+    "nan" and "inf", which no other token holds.
+    """
+    arrays = []
+    template = _json_text(payload, 0, arrays)
+    marks = [np.full(array.shape, ord(","), np.uint8) for array, _ in arrays]
+    for mark in marks:
+        mark[..., -1] = ord(";")
+        mark.flat[-1] = 0
+    chunks = codec.repr_text(
+        np.concatenate([array.ravel() for array, _ in arrays]),
+        np.concatenate([mark.ravel() for mark in marks])).split(
+            "\0") if arrays else []
+    texts = []
+    for (array, level), chunk in zip(arrays, chunks):
+        pad = "\n" + " " * (level + array.ndim)
+        row = pad[:-1]
+        text = "[" + pad + chunk.replace("nan", "NaN").replace(
+            "inf", "Infinity").replace(",", "," + pad).replace(
+            ";", row + "]," + row + "[" + pad) + row + "]"
+        texts.append(text if array.ndim == 1 else
+                     "[" + row + text + row[:-1] + "]")
+    write_text(path, template % tuple(texts) + "\n")
 
 
-def _json_text(value, level: int) -> str:
-    """Indent-1, sorted-key JSON of ``value`` nested ``level`` deep.
+def _json_text(value, level: int, arrays: list) -> str:
+    """Indent-1, sorted-key JSON of ``value`` nested ``level`` deep, as a
+    %-template: each non-empty 1-D or 2-D float64 array is a "%s", and is
+    appended to ``arrays`` with its level; every other "%" is doubled.
 
     The stdlib runs its pure-Python encoder whenever ``indent`` is set, so
-    this emitter does the same work itself, token for token, and hands
-    lists of floats to the C encoder (see :func:`_float_list_text`).
+    this emitter does the same work itself, token for token.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return encode_basestring_ascii(value).replace("%", "%%")
     if value is None:
         return "null"
     if value is True:
@@ -244,21 +272,24 @@ def _json_text(value, level: int) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return _float_text(value)
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        if value.ndim not in (1, 2) or not value.size:
+            return _json_text(value.tolist(), level, arrays)
+        arrays.append((value, level))
+        return "%s"
     pad = "\n" + " " * (level + 1)
     end = "\n" + " " * level
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        text = _float_list_text(value, pad, end)
-        if text is not None:
-            return text
-        items = [_json_text(v, level + 1) for v in value]
+        items = [_json_text(v, level + 1, arrays) for v in value]
         return "[" + pad + ("," + pad).join(items) + end + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [encode_basestring_ascii(key) + ": "
-                 + _json_text(value[key], level + 1) for key in sorted(value)]
+        items = [encode_basestring_ascii(key).replace("%", "%%") + ": "
+                 + _json_text(value[key], level + 1, arrays)
+                 for key in sorted(value)]
         return "{" + pad + ("," + pad).join(items) + end + "}"
     raise TypeError(
         f"Object of type {type(value).__name__} is not JSON serializable")
@@ -272,29 +303,6 @@ def _float_text(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)
-
-
-def _float_list_text(value, pad: str, end: str) -> str | None:
-    """Indented text of a non-empty array of exact floats, or of an array
-    of non-empty lists of exact floats; None for anything else.
-
-    The C encoder runs with the innermost indented separator, so it writes
-    a flat array in its final form, and only the breaks between rows need
-    rewriting. No float token it writes (a ``float.__repr__``, ``NaN`` or
-    ``Infinity``) holds a comma or a bracket, so the rewrite finds no
-    false match.
-    """
-    kinds = set(map(type, value))
-    if kinds == {float}:
-        body = json.dumps(value, separators=("," + pad, ": "))
-        return "[" + pad + body[1:-1] + end + "]"
-    if kinds == {list} and all(value) and set(
-            map(type, itertools.chain.from_iterable(value))) == {float}:
-        inner = pad + " "
-        body = json.dumps(value, separators=("," + inner, ": "))[2:-2].replace(
-            "]," + inner + "[", pad + "]," + pad + "[" + inner)
-        return "[" + pad + "[" + inner + body + pad + "]" + end + "]"
-    return None
 
 
 def read_json(path):
@@ -401,15 +409,15 @@ def write_model(path, model: PgaModel) -> None:
         "n": model.n,
         "r": model.r,
         "flatten_order": FLATTEN_ORDER,
-        "mean": flatten_tangent(model.mean.rep).tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "basis": model.basis_matrix().tolist(),
+        "mean": flatten_tangent(model.mean.rep),
+        "eigenvalues": model.eigenvalues,
+        "basis": model.basis_matrix(),
         "domain": {
-            "bounds_min": model.domain.bounds_min.tolist(),
-            "bounds_max": model.domain.bounds_max.tolist(),
-            "ellipsoid_radii": model.domain.ellipsoid_radii.tolist(),
+            "bounds_min": model.domain.bounds_min,
+            "bounds_max": model.domain.bounds_max,
+            "ellipsoid_radii": model.domain.ellipsoid_radii,
         },
-        "training_coords": model.training_coords.tolist(),
+        "training_coords": model.training_coords,
     }
     write_json(path, payload)
 
@@ -445,8 +453,8 @@ def read_model(path) -> PgaModel:
 def write_affine(path, affine: AffineMap) -> None:
     write_json(path, {
         "format_version": FORMAT_VERSION,
-        "linear": affine.linear.tolist(),
-        "translation": affine.translation.tolist(),
+        "linear": affine.linear,
+        "translation": affine.translation,
     })
 
 
@@ -470,12 +478,12 @@ def write_blade(path, blade: BladeDefinition) -> None:
     for station, rep in zip(blade.stations, blade.aligned):
         stations.append({
             "eta": station.eta,
-            "section": station.section.points.tolist(),
+            "section": station.section.points,
             "affine": {
-                "linear": station.affine.linear.tolist(),
-                "translation": station.affine.translation.tolist(),
+                "linear": station.affine.linear,
+                "translation": station.affine.translation,
             },
-            "representative": rep.rep.tolist(),
+            "representative": rep.rep,
         })
     write_json(path, {
         "format_version": FORMAT_VERSION,
@@ -533,21 +541,31 @@ def read_blade(path) -> BladeDefinition:
 # tables and wireframes
 
 
+_WIREFRAME_HEADER = ["section", "landmark", "x", "y", "eta"]
+#: Floats per bulk conversion in tables and wireframes, which bounds the
+#: temporaries: strings for a table's cells, or a wireframe's lines.
+_TEXT_CHUNK = 6000
+
+
 def write_table(path, header: list[str], rows) -> None:
-    """CSV with shortest-exact float formatting."""
-    lines = [",".join(header)]
+    """CSV with shortest-exact float formatting; the float cells of each
+    chunk of rows are formatted in one bulk call."""
+    rows = list(rows)
     width = len(header)
     for row in rows:
         if len(row) != width:
             raise FileFormatError(
                 f"row has {len(row)} fields, header has {width}")
-        lines.append(",".join(
-            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row))
+    floating = (float, np.floating)
+    lines = [",".join(header)]
+    step = max(1, _TEXT_CHUNK // (width or 1))
+    for chunk in (rows[i:i + step] for i in range(0, len(rows), step)):
+        tokens = iter(codec.repr_text(
+            [v for row in chunk for v in row if isinstance(v, floating)],
+            b" ").split())
+        lines += (",".join(next(tokens) if isinstance(v, floating) else str(v)
+                           for v in row) for row in chunk)
     write_text(path, "\n".join(lines) + "\n")
-
-
-_WIREFRAME_HEADER = ["section", "landmark", "x", "y", "eta"]
 
 
 def write_wireframe(path, grid: np.ndarray) -> None:
@@ -555,12 +573,20 @@ def write_wireframe(path, grid: np.ndarray) -> None:
     if grid.ndim != 3 or grid.shape[2] != 3:
         raise FileFormatError(
             f"wireframe grid must be (spans, n, 3), got {grid.shape}")
-    # The indices go into the template, so one % call formats every float
-    # and no per-record list is built.
-    template = ",".join(_WIREFRAME_HEADER) + "\n" + "".join(
-        f"{i},{j},%r,%r,%r\n"
-        for i, j in itertools.product(*map(range, grid.shape[:2])))
-    write_text(path, template % tuple(grid.ravel().tolist()))
+    spans, per = grid.shape[:2]
+    # one section's records, its index left as "#" and its numbers as "%s"
+    section = "".join(f"#,{j},%s\n" for j in range(per))
+    step = max(1, _TEXT_CHUNK // (3 * per or 1))
+
+    def chunks():
+        yield ",".join(_WIREFRAME_HEADER) + "\n"
+        for first in range(0, spans, step):
+            block = grid[first:first + step]
+            lines = codec.repr_text(block, b",,\n").split("\n")
+            for i in range(len(block)):
+                yield section.replace("#", str(first + i)) % tuple(
+                    lines[i * per:(i + 1) * per])
+    write_text(path, chunks())
 
 
 def read_table(path, columns) -> np.ndarray:

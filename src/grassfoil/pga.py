@@ -113,11 +113,14 @@ class PgaModel:
         return np.array([flatten_tangent(b.mat) for b in self.basis])
 
     def checked_coords(self, t) -> np.ndarray:
-        """``t`` as a float vector of this model's ``r`` normal coordinates."""
-        t = np.asarray(t, dtype=float)
+        """``t`` as a finite float vector of this model's ``r`` normal
+        coordinates."""
+        t = array_argument(t, "coordinates", DimensionError)
         if t.shape != (self.r,):
             raise DimensionError(
                 f"expected {self.r} coordinates, got shape {t.shape}")
+        if not np.isfinite(t).all():
+            raise DimensionError("coordinates contain non-finite values")
         return t
 
     def direction(self, t) -> np.ndarray:
@@ -171,7 +174,8 @@ def karcher_mean(shapes, tol: float = 1e-10,
     logarithms as ``logs``. The summation order is fixed, so reruns agree.
     Past ``max_iter`` steps, the error states the last contraction ratio.
     """
-    if len(shapes) == 0:
+    shapes = array_argument(shapes, "representatives", DimensionError)
+    if shapes.ndim and not len(shapes):
         raise ParameterError("cannot average an empty set of shapes")
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
@@ -312,11 +316,12 @@ def synthesize(model: PgaModel, t: np.ndarray) -> GrassmannPoint:
 
 
 def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
-    """Whether coordinates fall inside the training-data ellipsoid."""
+    """Whether coordinates fall inside the training-data ellipsoid. A
+    coordinate beyond its radius is outside before any ratio is squared."""
     t = model.checked_coords(t)
     radii = model.domain.ellipsoid_radii
     degenerate = radii <= 0.0
-    if np.any(degenerate & (np.abs(t) > 1e-12)):
+    if np.any(np.abs(t) > np.where(degenerate, 1e-12, radii)):
         return False
     ratio = np.where(degenerate, 0.0, t / np.where(degenerate, 1.0, radii))
     return float(np.sum(ratio**2)) <= 1.0

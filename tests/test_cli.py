@@ -345,6 +345,13 @@ def test_sweep_rows_sit_at_the_shapes_fractions(workdir, tmp_path, space):
         assert np.array_equal(row, (1 - s) * rows[0] + s * rows[-1]), i
 
 
+def test_synth_far_outside_the_domain_warns_nothing(workdir, tmp_path):
+    out = tmp_path / "far"  # pytest turns any warning into an error
+    assert main(["synth", "--model", str(workdir / "fit" / "model.json"),
+                 "--coords=1e200,0,-1e300", "--out", str(out)]) == 0
+    assert read_manifest(out)["results"]["in_domain"] is False
+
+
 def test_sweep_requires_space_inputs(workdir, tmp_path):
     assert main(["sweep", "--space", "pga", "--out",
                  str(tmp_path / "x")]) == 1
@@ -558,6 +565,13 @@ BAD_INPUTS = {
     "gen-dataset-negative-seed": (["gen-dataset", "--seed", "-1",
                                    "--baselines", "1", "--total", "1",
                                    "--n", "21"], "seed must be >= 0, got -1"),
+    # u0 runs from a baseline's value up to 1e200 in this sweep, so step 1
+    # is the first too large to validate
+    "sweep-cst-step-overflows": (["sweep", "--space", "cst", "--coefficients",
+                                  "{tmp}/huge-coeffs.csv", "--n", "21",
+                                  "--seed", "1"],
+                                 "error: sweep 0, step 1: landmark "
+                                 "coordinates exceed 1e+150 in magnitude"),
     "sweep-negative-seed": (["sweep", "--space", "cst", "--coefficients",
                              "{data}/coefficients.csv", "--seed", "-1"],
                             "--seed must be >= 0, got -1"),
@@ -717,8 +731,12 @@ def test_bad_input_ends_in_one_error_line(workdir, tmp_path, capsys, case):
     (tmp_path / "coords.csv").write_text("index,t0,t1\n0,0.5,zero\n")
     header, first = (
         workdir / "data" / "coefficients.csv").read_text().splitlines()[:2]
-    first = first.replace(",0.", ",x", 1)  # one u0..l8 cell loses its number
-    (tmp_path / "coeffs.csv").write_text("\n".join([header, first]) + "\n")
+    broken = first.replace(",0.", ",x", 1)  # one u0..l8 cell loses its number
+    (tmp_path / "coeffs.csv").write_text("\n".join([header, broken]) + "\n")
+    cells = first.split(",")
+    cells[3] = "1e200"  # u0
+    (tmp_path / "huge-coeffs.csv").write_text(
+        "\n".join([header, first, ",".join(cells)]) + "\n")
     (tmp_path / "bad.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
     (tmp_path / "broken.json").write_text("{\n broken\n}\n")
     (tmp_path / "short.dat").write_text("short\n0 0\n1 0\n")

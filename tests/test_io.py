@@ -650,7 +650,9 @@ def test_blade_non_increasing_eta_rejected(tmp_path, small_blade):
 
 
 def stdlib_json(payload) -> bytes:
-    return (json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()
+    """The stdlib's bytes, with each float64 array given as its tolist()."""
+    return (json.dumps(payload, indent=1, sort_keys=True,
+                       default=np.ndarray.tolist) + "\n").encode()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -713,13 +715,48 @@ def test_write_json_matches_stdlib_on_nested_payloads(payload):
         assert path.read_bytes() == stdlib_json(payload)
 
 
-def test_write_json_rejects_arrays_as_stdlib_does(tmp_path):
-    payload = {"a": np.zeros(2)}
+@pytest.mark.parametrize("array", [np.zeros(2, int), np.zeros(2, bool),
+                                   np.zeros(2, np.float32),
+                                   np.array([0.5, "a"], object)])
+def test_write_json_rejects_non_float64_arrays(tmp_path, array):
     with pytest.raises(TypeError):
-        json.dumps(payload, indent=1, sort_keys=True)
-    with pytest.raises(TypeError):
-        write_json(tmp_path / "x.json", payload)
+        write_json(tmp_path / "x.json", {"a": array})
     assert not any(tmp_path.iterdir())
+
+
+json_array_floats = (st.sampled_from(EDGE_FLOATS + [NAN, INF, -INF, 0.5, 1e16,
+                                                    1e-4, 123456.0])
+                     | st.floats())
+json_arrays = st.integers(0, 3).flatmap(
+    lambda ndim: st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim)
+    .flatmap(lambda shape: st.lists(
+        json_array_floats, min_size=int(np.prod(shape)),
+        max_size=int(np.prod(shape))).map(
+            lambda values: np.array(values, float).reshape(shape))))
+json_array_payloads = st.recursive(
+    json_arrays | json_leaves,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(json_strings | st.just("%s%%"), kids,
+                                    max_size=3)),
+    max_leaves=8)
+
+
+@given(json_array_payloads)
+@settings(max_examples=80, deadline=None)
+def test_write_json_writes_arrays_as_their_lists(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        write_json(path, payload)
+        assert path.read_bytes() == stdlib_json(payload)
+
+
+def test_write_json_array_edges(tmp_path):
+    payload = {"%d": np.array([[NAN, -INF], [INF, -0.0]]), "s": "100%",
+               "t": [np.array(0.1), np.zeros((2, 0)), np.zeros((0, 3)),
+                     np.arange(8.0).reshape(2, 2, 2)[:, ::-1]],
+               "u": np.array(CODEC_EDGES)}
+    write_json(tmp_path / "x.json", payload)
+    assert (tmp_path / "x.json").read_bytes() == stdlib_json(payload)
 
 
 @pytest.fixture
@@ -823,6 +860,60 @@ def test_wireframe_written_byte_for_byte_as_per_row(tmp_path, shape):
         grid.ravel()[-edges.size:] = -edges
     write_wireframe(tmp_path / "new.csv", grid)
     per_row_wireframe(tmp_path / "old.csv", grid)
+    assert (tmp_path / "new.csv").read_bytes() == (
+        tmp_path / "old.csv").read_bytes()
+
+
+def reference_write_table(path, header, rows):
+    """write_table as it was before the bulk writer: one repr per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+            for v in row))
+    gio.write_text(path, "\n".join(lines) + "\n")
+
+
+def reference_write_wireframe(path, grid):
+    """write_wireframe as it was before the bulk writer: one %r template."""
+    template = ",".join(gio._WIREFRAME_HEADER) + "\n" + "".join(
+        f"{i},{j},%r,%r,%r\n"
+        for i, j in itertools.product(*map(range, grid.shape[:2])))
+    gio.write_text(path, template % tuple(grid.ravel().tolist()))
+
+
+table_cells = (st.integers() | st.booleans() | st.text("ab,\u00e9", max_size=3)
+               | json_array_floats | json_array_floats.map(np.float64)
+               | st.floats(width=32).map(np.float32))
+
+
+@given(st.integers(0, 4).flatmap(lambda width: st.lists(
+    st.lists(table_cells, min_size=width, max_size=width), max_size=6)),
+    st.sampled_from([1, 5, 6000]))
+@settings(max_examples=80, deadline=None)
+def test_write_table_matches_reference(rows, chunk):
+    header = [f"c{k}" for k in range(len(rows[0]) if rows else 2)]
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gio, "_TEXT_CHUNK", chunk)
+        write_table(Path(tmp) / "new.csv", header, rows)
+        reference_write_table(Path(tmp) / "old.csv", header, rows)
+        assert (Path(tmp) / "new.csv").read_bytes() == (
+            Path(tmp) / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 3), (1, 1, 3), (0, 4, 3), (3, 0, 3),
+                                   (30, 101, 3)])
+@pytest.mark.parametrize("chunk", [1, 14, 6000])
+def test_wireframe_matches_reference(tmp_path, monkeypatch, shape, chunk):
+    monkeypatch.setattr(gio, "_TEXT_CHUNK", chunk)
+    grid = np.random.default_rng(11).normal(size=shape) * 10.0 ** (
+        np.arange(np.prod(shape)).reshape(shape) % 9 - 4)
+    if grid.size:
+        edges = np.array(CODEC_EDGES + [NAN, INF, -INF, 0.25, 3.0])
+        grid.ravel()[:min(edges.size, grid.size)] = edges[:grid.size]
+    write_wireframe(tmp_path / "new.csv", grid)
+    reference_write_wireframe(tmp_path / "old.csv", grid)
     assert (tmp_path / "new.csv").read_bytes() == (
         tmp_path / "old.csv").read_bytes()
 

@@ -1,5 +1,6 @@
-"""Library fuzz: each exported stack entry point, given malformed input,
-returns a result or raises a GrassfoilError, and never warns."""
+"""Library fuzz: each exported stack entry point, and the design-space
+calls that take normal coordinates, given malformed input, returns a result
+or raises a GrassfoilError, and never warns."""
 
 import math
 import warnings
@@ -15,7 +16,8 @@ from grassfoil.geometry import (cst_evaluate_stack, default_baselines,
                                 sweep_points, validate_stack)
 from grassfoil.grassmann import (GrassmannPoint, log_map_stack, mean_affine,
                                  standardize_stack)
-from grassfoil.pga import karcher_mean, logs_at, pga_fit
+from grassfoil.pga import (domain_contains, karcher_mean, logs_at, pga_fit,
+                           synthesize)
 
 COEFFS = np.array([p.as_vector() for p in default_baselines()[:4]])
 POINTS = cst_evaluate_stack(COEFFS, 11)
@@ -86,6 +88,11 @@ def counts(valid):
 TOLERANCES = st.sampled_from([1e-10, np.float64(1e-10), math.nan, math.inf,
                               -math.inf, 0.0, -1.0, 1e155, True, "x", None])
 MEANS = st.sampled_from([MEAN, GrassmannPoint(FRAMES[0][:9])])
+MODEL = pga_fit(MEAN, LOGS, 2)
+COORDS = np.array([0.01, -0.02])
+# huge but finite: far outside the domain, and past any square's range
+HUGE_COORDS = st.sampled_from([COORDS * 1e200, np.full(2, 1.7e308),
+                               np.array([-1e300, 1e-300]), [1e155, 0]])
 
 FUZZED = {
     "standardize_stack": (standardize_stack, [arrays(POINTS)]),
@@ -99,6 +106,9 @@ FUZZED = {
     "sweep_points": (sweep_points, [arrays(COEFFS[0]), arrays(COEFFS[1]),
                                     counts(5)]),
     "mean_affine": (mean_affine, [arrays(LINEAR), arrays(TRANSLATION)]),
+    "synthesize": (synthesize, [st.just(MODEL), arrays(COORDS) | HUGE_COORDS]),
+    "domain_contains": (domain_contains, [st.just(MODEL),
+                                          arrays(COORDS) | HUGE_COORDS]),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for Karcher means, principal geodesic analysis, and synthesis."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ def test_logs_at_names_the_shape_at_the_cut_locus():
 def test_mean_rejects_empty():
     with pytest.raises(ParameterError):
         karcher_mean([])
+
+
+@pytest.mark.parametrize("shapes", [np.float64(1.0), 5, "abc",
+                                    [[1.0], [2.0, 3.0]]])
+def test_mean_rejects_a_scalar_or_ragged_input_with_a_typed_error(shapes):
+    with pytest.raises(DimensionError, match="^representatives must be"):
+        karcher_mean(shapes)
 
 
 @pytest.mark.parametrize("max_iter", [2.5, 3.0, True])
@@ -359,6 +367,26 @@ def test_synthesize_checks_length(airfoil_points):
         synthesize(model, np.zeros(3))
     with pytest.raises(DimensionError, match="expected 4 coordinates"):
         domain_contains(model, np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("t, message", [
+    ("abcd", "^coordinates must be a rectangular numeric array"),
+    ([math.nan] * 4, "^coordinates contain non-finite values"),
+    ([0.0, math.inf, 0.0, 0.0], "^coordinates contain non-finite values")])
+def test_coordinates_are_checked_before_use(airfoil_points, t, message):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 4)
+    for call in (synthesize, domain_contains):
+        with pytest.raises(DimensionError, match=message):
+            call(model, t)
+
+
+def test_huge_coordinates_are_outside_without_a_warning(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 4)
+    # pytest turns the overflow warning of squaring them into an error
+    assert not domain_contains(model, [1e200] * 4)
+    assert not domain_contains(model, [0.0, -1e308, 0.0, 0.0])
 
 
 def test_direction_combines_the_basis(airfoil_points):
