@@ -12,6 +12,7 @@ single coordinate vector deforms the whole blade consistently.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,21 +25,19 @@ from .errors import (
     DimensionError,
     ParameterError,
     SpanRangeError,
+    array_argument,
     in_order,
     integer_argument,
 )
 from .geometry import AffineMap, LandmarkMatrix
 from .grassmann import (
-    Geodesic,
     GrassmannPoint,
-    TangentVector,
-    exp_map,
-    inner,
-    log_map,
+    exp_map_stack,
     log_map_stack,
     procrustes_rotation,
     reconstruct_with,
     standardize_stack,
+    transport_stack,
 )
 from .pga import PgaModel
 
@@ -222,11 +221,13 @@ def build_blade(etas: Sequence[float], sections: Sequence) -> BladeDefinition:
 
     The affine factor stored per station is re-expressed against the
     clustered representative (the clustering rotation is folded into the
-    matrix part), so reconstruction from stored pieces is exact.
+    matrix part), so reconstruction from stored pieces is exact. Spans that
+    are not one number per section raise ``BladeDefinitionError``.
     """
-    if len(etas) != len(sections):
+    etas = array_argument(etas, "station spans", BladeDefinitionError)
+    if etas.ndim != 1 or len(etas) != len(sections):
         raise BladeDefinitionError(
-            f"{len(etas)} span positions for {len(sections)} sections")
+            f"{etas.size} span positions for {len(sections)} sections")
     if len(sections) < 2:
         raise BladeDefinitionError("a blade needs at least 2 stations")
     shapes = [s if isinstance(s, LandmarkMatrix) else LandmarkMatrix(s)
@@ -257,23 +258,33 @@ def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
 
     Piecewise geodesic between the bracketing aligned representatives with
     a segment-local parameter linear in eta, rendered through the affine
-    profiles. At a knot this reproduces the stored section.
+    profiles. At a knot this reproduces the stored section. A span that is
+    not a real number of float range raises ``ParameterError``.
     """
-    return _section_at(blade, float(eta), {})
+    if not isinstance(eta, numbers.Real) or (
+            isinstance(eta, numbers.Integral) and abs(eta) > sys.float_info.max):
+        raise ParameterError(f"span must be a real number, got {eta!r}")
+    (_, sections), = _segments(blade, np.array([float(eta)]))
+    return LandmarkMatrix(sections[0])
 
 
-def _section_at(blade: BladeDefinition, eta: float,
-                logs: dict[int, TangentVector]) -> LandmarkMatrix:
-    """:func:`interpolate_section`, reusing the segment logarithms kept in
-    ``logs`` and adding the one it computes."""
-    etas = blade.etas
-    idx = _locate_segment(etas, eta)
-    s = (eta - etas[idx]) / (etas[idx + 1] - etas[idx])
-    p = blade.aligned[idx]
-    if idx not in logs:
-        logs[idx] = log_map(p, blade.aligned[idx + 1])
-    point = exp_map(p, TangentVector(s * logs[idx].mat, p))
-    return reconstruct_with(point, blade.profiles.affine_at(eta, idx))
+def _segments(blade: BladeDefinition, etas: np.ndarray):
+    """Per blade segment holding some of the spans ``etas``, their positions
+    and their sections' ``(m, n, 2)`` landmarks: one logarithm, one stacked
+    exponential along ``s * log`` and the affine profiles at each span."""
+    knots = blade.etas
+    idx = np.array([_locate_segment(knots, eta) for eta in etas.tolist()],
+                   dtype=int)
+    s = (etas - knots[idx]) / (knots[idx + 1] - knots[idx])
+    for i in np.unique(idx).tolist():
+        rows = np.flatnonzero(idx == i)
+        p = blade.aligned[i].rep
+        log = log_map_stack(p, blade.aligned[i + 1].rep[None])[0]
+        affines = [blade.profiles.affine_at(eta, i)
+                   for eta in etas[rows].tolist()]
+        yield rows, (exp_map_stack(p, s[rows, None, None] * log)
+                     @ np.array([a.linear for a in affines])
+                     + np.array([a.translation for a in affines])[:, None])
 
 
 def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
@@ -298,40 +309,36 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
             f"model landmarks ({model.n}) do not match blade ({blade.n})")
     if not np.any(t):
         return blade
-    basis_mats = [b.mat for b in model.basis]
-    v = model.direction(t)
+    mats = np.array([model.direction(t)] + [b.mat for b in model.basis])
     reps = np.array([rep.rep for rep in blade.aligned])
-    new_stations = [None] * len(reps)
-    new_aligned = [None] * len(reps)
+    frames = np.empty(reps.shape)
 
     def run(rows: range):
+        at = slice(rows.start, rows.stop)
         try:
-            directions = log_map_stack(model.mean.rep,
-                                       reps[rows.start:rows.stop])
+            directions = log_map_stack(model.mean.rep, reps[at])
         except CutLocusError as err:
             k = rows[err.shape_index]
             err.args = (f"station {k} is at the cut locus of the model mean: "
                         f"{err}",)
             raise
-        for k, log in zip(rows, directions):
-            station, rep = blade.stations[k], blade.aligned[k]
-            direction = TangentVector(log, model.mean)
-            tau_v, *tau_basis = Geodesic(model.mean, direction).transport(
-                [v] + basis_mats, 1.0)
-            coords = np.array([inner(tau_v, tb) for tb in tau_basis])
-            drift = np.max(np.abs(coords - t))
-            if drift > consistency_tol:
-                raise ConsistencyError(
-                    f"transported coordinates at station {k} drifted by "
-                    f"{drift:.3e} (tolerance {consistency_tol:.1e})")
-            gauge = tau_v.base.rep.T @ rep.rep
-            delta = TangentVector(tau_v.mat @ gauge, rep)
-            new_aligned[k] = exp_map(rep, delta)
-            new_stations[k] = BladeStation(
-                station.eta, reconstruct_with(new_aligned[k], station.affine),
-                station.affine)
+        ends, moved = transport_stack(model.mean.rep, directions, mats)
+        coords = np.sum(moved[:, :1] * moved[:, 1:], axis=(2, 3))
+        drift = np.abs(coords - t).max(axis=1)
+        k = int(drift.argmax())
+        if drift[k] > consistency_tol:
+            raise ConsistencyError(
+                f"transported coordinates at station {rows[k]} drifted by "
+                f"{drift[k]:.3e} (tolerance {consistency_tol:.1e})")
+        gauge = ends.swapaxes(1, 2) @ reps[at]
+        frames[at] = exp_map_stack(reps[at], moved[:, 0] @ gauge)
     in_order(run, len(reps), len(reps))
-    return BladeDefinition(tuple(new_stations), tuple(new_aligned))
+    aligned = tuple(GrassmannPoint(f) for f in frames)
+    stations = tuple(BladeStation(station.eta,
+                                  reconstruct_with(rep, station.affine),
+                                  station.affine)
+                     for station, rep in zip(blade.stations, aligned))
+    return BladeDefinition(stations, aligned)
 
 
 def export_wireframe(blade: BladeDefinition, spans: int,
@@ -358,11 +365,9 @@ def export_wireframe(blade: BladeDefinition, spans: int,
     etas = blade.etas
     grid_etas = np.linspace(etas[0], etas[-1], spans)
     grid = np.empty((spans, len(take), 3))
-    logs = {}  # one logarithm per blade segment, shared by its sections
-    for i, eta in enumerate(grid_etas):
-        section = _section_at(blade, float(eta), logs)
-        grid[i, :, :2] = section.points[take]
-        grid[i, :, 2] = eta
+    for rows, sections in _segments(blade, grid_etas):
+        grid[rows, :, :2] = sections[:, take]
+    grid[:, :, 2] = grid_etas[:, None]
     return grid
 
 

@@ -40,7 +40,8 @@ from .geometry import (
     validate_stack,
 )
 from .grassmann import mean_affine, reconstruct_with, standardize_stack
-from .pga import domain_contains, karcher_mean, pga_fit, synthesize
+from .pga import (corner_sweep, domain_contains, karcher_mean, pga_fit,
+                  synthesize)
 
 _COEFF_COLUMNS = [f"u{i}" for i in range(9)] + [f"l{i}" for i in range(9)]
 
@@ -259,8 +260,8 @@ def cmd_sweep(args) -> tuple[dict, str]:
         lo, hi = model.domain.bounds_min, model.domain.bounds_max
         columns = [f"t{j}" for j in range(model.r)]
 
-        def shapes_at(points):
-            reps = np.array([synthesize(model, t).rep for t in points])
+        def shapes_at(a, b):
+            reps = corner_sweep(model, a, b, args.steps)
             return reps @ affine.linear + affine.translation
     else:
         if args.coefficients is None:
@@ -269,16 +270,16 @@ def cmd_sweep(args) -> tuple[dict, str]:
         lo, hi = coeffs.min(axis=0), coeffs.max(axis=0)
         columns = _COEFF_COLUMNS
 
-        def shapes_at(points):
-            return cst_evaluate_stack(points, args.n)
+        def shapes_at(a, b):
+            return cst_evaluate_stack(sweep_points(a, b, args.steps), args.n)
     sweeps = []
     for k in range(args.count):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, k]))
         flip = rng.integers(0, 2, size=lo.shape).astype(bool)
-        points = sweep_points(np.where(flip, hi, lo), np.where(flip, lo, hi),
-                              args.steps)
+        a, b = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        points = sweep_points(a, b, args.steps)
         try:
-            shapes = shapes_at(points)
+            shapes = shapes_at(a, b)
             diagnostics = validate_stack(shapes)
         except GrassfoilError as err:
             step = "" if err.shape_index is None else f", step {err.shape_index}"

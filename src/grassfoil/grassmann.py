@@ -15,8 +15,9 @@ transport all reduce to small dense decompositions of 2-column blocks.
 """
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .geometry import (MAX_COORDINATE, RANK_RATIO_TOL, AffineMap,
 
 _ORTHO_TOL = 1e-12
 _HORIZONTAL_TOL = 1e-10
-_EXP_HORIZONTAL_TOL = 1e-8
 _CUT_LOCUS_MARGIN = 1e-8
 #: Shapes per stacked decomposition, which bounds the kernels' temporaries.
 _CHUNK = 64
@@ -42,23 +42,26 @@ _CHUNK = 64
 
 def _horizontal(rep: np.ndarray, mat: np.ndarray, tol: float):
     """Whether ``rep' mat`` vanishes to ``tol`` scaled by max(1, |mat|), for
-    one matrix or for each slice of an ``(N, n, q)`` stack."""
-    err = np.abs(np.matmul(rep.T, mat)).max(axis=(-2, -1))
+    one matrix or for each slice of an ``(N, n, q)`` stack, at one ``rep`` or
+    at a ``rep`` per slice."""
+    err = np.abs(np.matmul(rep.swapaxes(-1, -2), mat)).max(axis=(-2, -1))
     return (err <= tol) | (err <= tol * np.abs(mat).max(axis=(-2, -1)))
 
 
 def orthonormalize(mat: np.ndarray) -> np.ndarray:
-    """Thin QR with the sign of each diagonal pinned positive.
+    """Thin QR with the sign of each diagonal pinned positive, of one matrix
+    or of each of a stack.
 
     The sign fix keeps the output close to the input when the input is
     already near-orthonormal, which makes repeated correction drift-free.
     """
     q, r = np.linalg.qr(mat)
-    diag = np.diagonal(r)
-    if np.any(np.abs(diag) <= _ORTHO_TOL * max(1.0, float(np.abs(mat).max()))):
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    scale = np.maximum(1.0, np.abs(mat).max(axis=(-2, -1)))[..., None]
+    if np.any(np.abs(diag) <= _ORTHO_TOL * scale):
         raise DegenerateShapeError("frame is numerically rank deficient")
     signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def _stray(reps: np.ndarray) -> np.ndarray:
@@ -352,71 +355,90 @@ def log_map(p: GrassmannPoint, q: GrassmannPoint) -> TangentVector:
     return TangentVector(log_map_stack(p.rep, q.rep[None])[0], p)
 
 
-class Geodesic:
-    """Geodesic leaving ``p`` with initial velocity ``direction``, factored once.
+def transport_stack(base, directions, mats,
+                    t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Points at ``t`` along an ``(N, n, q)`` stack of horizontal directions
+    from ``base``, one frame or a frame per direction, and the ``(k, n, q)``
+    ``mats`` transported to each, as ``(N, n, q)`` and ``(N, k, n, q)`` stacks.
 
-    With the thin SVD ``direction = U S V'``, the point at ``t`` is
-    ``P V cos(tS) V' + U sin(tS) V'`` and transport to it is
-    ``w -> (-P V sin(tS) U' + U cos(tS) U' + (I - U U')) w``, an isometry.
-    Points are re-orthonormalized so drift cannot accumulate over chained
-    calls; an exactly-zero direction stays at ``p``.
+    With ``direction = U S V'``, the point is ``P V cos(tS) V' + U sin(tS)
+    V'``, re-orthonormalized, and transport is the isometry ``w -> (-P V
+    sin(tS) U' + U cos(tS) U' + I - U U') w``, projected horizontal at the
+    point; a zero direction stays at its base. A chunk of directions shares
+    each stacked SVD, product and QR. A base that is not a finite orthonormal
+    frame, or arguments that are not finite or overflow, raise
+    ``DimensionError`` or ``ParameterError``, and a direction that is not
+    horizontal at its base ``TangencyError``; the first faulty direction
+    raises, with its index as ``shape_index``.
     """
+    base = array_argument(base, "base", DimensionError)
+    directions = array_argument(directions, "directions", DimensionError)
+    mats = array_argument(mats, "mats", DimensionError)
+    if directions.ndim != 3 or base.shape not in (directions.shape[1:],
+                                                  directions.shape):
+        raise DimensionError(f"directions {directions.shape} do not match "
+                             f"base {base.shape}")
+    if mats.shape[1:] != directions.shape[1:]:
+        raise DimensionError(f"mats {mats.shape} do not match directions "
+                             f"{directions.shape}")
+    if not np.isfinite(mats).all():
+        raise DimensionError("mats contain non-finite values")
+    if not (isinstance(t, numbers.Real) and abs(t) <= sys.float_info.max):
+        raise ParameterError(f"t must be a finite number, got {t!r}")
+    ends = np.empty(directions.shape)
+    moved = np.empty((len(directions), *mats.shape))
 
-    def __init__(self, p: GrassmannPoint, direction: TangentVector):
-        if direction.mat.shape != p.rep.shape:
-            raise DimensionError(
-                f"tangent shape {direction.mat.shape} does not match base "
-                f"{p.rep.shape}")
-        if not _horizontal(p.rep, direction.mat, _EXP_HORIZONTAL_TOL):
-            raise TangencyError("tangent vector is not horizontal at this base")
-        self.p = p
-        self._factors = (np.linalg.svd(direction.mat, full_matrices=False)
-                         if np.any(direction.mat) else None)
+    def run(rows: range):
+        at = slice(rows.start, rows.stop)
+        p, d = (base[at] if base.ndim == 3 else base), directions[at]
+        if _stray(p.reshape(-1, *d.shape[1:])).any():
+            raise DimensionError("base is not a finite orthonormal frame")
+        if not np.isfinite(d).all():
+            raise DimensionError("direction contains non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if not _horizontal(p, d, _HORIZONTAL_TOL).all():
+                raise TangencyError(
+                    "tangent vector is not horizontal at this base")
+            u, s, vt = np.linalg.svd(d, full_matrices=False)
+            v, ts = vt.swapaxes(1, 2), t * s
+            if not np.isfinite(ts).all():
+                raise DimensionError("direction is too long to follow")
+            cos, sin = np.cos(ts)[:, None], np.sin(ts)[:, None]
+            zero = ~d.any(axis=(1, 2))[:, None, None]
+            ends[at] = end = np.where(zero, p, orthonormalize(
+                p @ (v * cos) @ vt + (u * sin) @ vt))
+            um = u.swapaxes(1, 2)[:, None] @ mats
+            w = np.where(zero[:, None], mats, mats - u[:, None] @ um
+                         + (u * cos - p @ (v * sin))[:, None] @ um)
+            moved[at] = w - end[:, None] @ (end.swapaxes(1, 2)[:, None] @ w)
+        if not np.isfinite(moved[at]).all():
+            raise DimensionError("transported mats overflow")
+    in_order(run, len(directions), _CHUNK)
+    return ends, moved
 
-    def point(self, t: float) -> GrassmannPoint:
-        """The geodesic's point at parameter ``t``."""
-        if self._factors is None:
-            return self.p
-        u, s, vt = self._factors
-        y = self.p.rep @ (vt.T * np.cos(t * s)) @ vt + (u * np.sin(t * s)) @ vt
-        return GrassmannPoint(orthonormalize(y))
 
-    def transport(self, mats: Sequence[np.ndarray],
-                  t: float) -> list[TangentVector]:
-        """Transport each matrix to ``point(t)``, projected horizontal there."""
-        mats = np.array(mats, dtype=float)
-        if self._factors is not None:
-            u, s, vt = self._factors
-            rotate = u * np.cos(t * s) - self.p.rep @ (vt.T * np.sin(t * s))
-            um = u.T @ mats
-            mats = mats - u @ um + rotate @ um
-        end = self.point(t)
-        mats -= end.rep @ (end.rep.T @ mats)
-        return [TangentVector(m, end) for m in mats]
+def exp_map_stack(base, directions, t: float = 1.0) -> np.ndarray:
+    """The points of :func:`transport_stack`, with nothing to transport."""
+    directions = array_argument(directions, "directions", DimensionError)
+    return transport_stack(base, directions,
+                           np.empty((0, *directions.shape[1:])), t)[0]
 
 
 def exp_map(p: GrassmannPoint, delta: TangentVector) -> GrassmannPoint:
-    """Geodesic endpoint reached from ``p`` along ``delta``."""
-    return Geodesic(p, delta).point(1.0)
-
-
-def geodesic_point(p: GrassmannPoint, q: GrassmannPoint, t: float) -> GrassmannPoint:
-    """Point a fraction ``t`` along the geodesic from ``p`` toward ``q``."""
-    delta = log_map(p, q)
-    return exp_map(p, TangentVector(t * delta.mat, p))
+    """Geodesic endpoint reached from ``p`` along ``delta``:
+    :func:`exp_map_stack` on a stack of one."""
+    return GrassmannPoint(exp_map_stack(p.rep, delta.mat[None])[0])
 
 
 def parallel_transport(p: GrassmannPoint, direction: TangentVector,
                        w: TangentVector, t: float) -> TangentVector:
-    """Transport ``w`` along the geodesic leaving ``p`` with velocity ``direction``.
-
-    The result is horizontal at the geodesic point reached at ``t``;
-    transporting ``direction`` itself yields the geodesic's own velocity
-    there.
-    """
+    """Transport ``w`` along the geodesic leaving ``p`` with velocity
+    ``direction``: :func:`transport_stack` on a stack of one. At ``t = 0``
+    ``w`` comes back as it is."""
     if t == 0.0:
         return w
-    return Geodesic(p, direction).transport([w.mat], t)[0]
+    ends, moved = transport_stack(p.rep, direction.mat[None], w.mat[None], t)
+    return TangentVector(moved[0, 0], GrassmannPoint(ends[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .grassmann import (
     TangentVector,
     as_frames,
     exp_map,
+    exp_map_stack,
     log_map,
     log_map_stack,
 )
@@ -328,6 +329,10 @@ def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
 
 
 def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
-                 steps: int) -> list[GrassmannPoint]:
-    """Shapes along the straight segment between two coordinate corners."""
-    return [synthesize(model, t) for t in sweep_points(corner_a, corner_b, steps)]
+                 steps: int) -> np.ndarray:
+    """Frames along the straight segment between two coordinate corners, as
+    one ``(steps, n, 2)`` stack: each step's frame is the one
+    :func:`synthesize` gives at its coordinates."""
+    points = sweep_points(corner_a, corner_b, steps)
+    return exp_map_stack(model.mean.rep,
+                         np.array([model.direction(t) for t in points]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grassfoil.geometry import cst_evaluate, default_baselines, perturb_cst
-from grassfoil.grassmann import GrassmannPoint, TangentVector, la_standardize
+from grassfoil.grassmann import (GrassmannPoint, TangentVector, exp_map_stack,
+                                 la_standardize, log_map)
 
 
 def random_point(rng: np.random.Generator, n: int) -> GrassmannPoint:
@@ -26,6 +27,11 @@ def random_horizontal(rng: np.random.Generator, point: GrassmannPoint,
     if norm == 0.0:
         raise ValueError("degenerate random draw")
     return TangentVector(raw * (scale / norm), point)
+
+
+def along(p: GrassmannPoint, q: GrassmannPoint, t: float) -> GrassmannPoint:
+    """Point a fraction ``t`` along the geodesic from ``p`` toward ``q``."""
+    return GrassmannPoint(exp_map_stack(p.rep, log_map(p, q).mat[None], t)[0])
 
 
 @pytest.fixture(scope="session")

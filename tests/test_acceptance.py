@@ -15,14 +15,14 @@ from grassfoil.geometry import (LandmarkMatrix, affine_apply, affine_subgroup,
                                 default_baselines, gen_dataset_detailed,
                                 perturb_cst, validate_shape)
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
-                                 exp_map, geodesic_point, inner,
+                                 exp_map, inner,
                                  la_standardize, log_map, mean_affine,
                                  parallel_transport, procrustes_rotation,
                                  reconstruct_with)
 from grassfoil.pga import (coords_of, domain_contains, flatten_tangent,
                            karcher_mean, logs_at, pga_fit, synthesize)
 
-from conftest import random_horizontal, random_point, stack
+from conftest import along, random_horizontal, random_point, stack
 
 N_LANDMARKS = 401
 N_PERTURBATIONS = 1000
@@ -102,10 +102,10 @@ def test_criterion_02_riemannian_kernel():
         p = random_point(rng, N_LANDMARKS)
         q = random_point(rng, N_LANDMARKS)
         d = distance(p, q)
-        worst_geo = max(worst_geo, distance(geodesic_point(p, q, 0.0), p),
-                        distance(geodesic_point(p, q, 1.0), q))
+        worst_geo = max(worst_geo, distance(along(p, q, 0.0), p),
+                        distance(along(p, q, 1.0), q))
         for t in (0.25, 0.5, 0.75):
-            mid = geodesic_point(p, q, t)
+            mid = along(p, q, t)
             worst_geo = max(worst_geo, abs(distance(p, mid) - t * d))
 
     worst_iso = 0.0

@@ -113,6 +113,14 @@ def test_blade_validation():
         build_blade(ETAS, mixed)
 
 
+@pytest.mark.parametrize("etas", [["a", "b"], [0.0, 10**400]],
+                         ids=["text", "past-float-range"])
+def test_station_spans_that_are_no_numbers_are_refused(etas):
+    sections = make_sections()[:2]
+    with pytest.raises(BladeDefinitionError, match="station spans must be"):
+        build_blade(etas, sections)
+
+
 def test_blade_station_affines_reproduce_sections(blade):
     for station, rep in zip(blade.stations, blade.aligned):
         rebuilt = rep.rep @ station.affine.linear + station.affine.translation
@@ -143,6 +151,21 @@ def test_out_of_range_span_rejected(blade):
     for bad in (-0.1, 1.1, np.nan):
         with pytest.raises(SpanRangeError):
             interpolate_section(blade, bad)
+
+
+@pytest.mark.parametrize("eta", ["x", None, 10**400],
+                         ids=["text", "none", "past-float-range"])
+def test_query_spans_that_are_no_numbers_are_refused(blade, eta):
+    with pytest.raises(ParameterError, match="span must be a real number"):
+        interpolate_section(blade, eta)
+
+
+def test_sections_match_the_one_span_path_bitwise(blade):
+    # 13 spans hit every knot, so each segment's stack holds a zero step
+    grid = export_wireframe(blade, 13)
+    for row in grid:
+        eta = float(row[0, 2])
+        assert np.array_equal(row[:, :2], interpolate_section(blade, eta).points)
 
 
 def test_constant_blade_never_drifts():
@@ -481,8 +504,10 @@ def test_perturb_reports_an_earlier_station_before_a_cut_locus(monkeypatch):
         for k, rep in enumerate((good, bad)))
     blade = BladeDefinition(stations, (good, bad))
     # every transported coordinate drifts: station 0 fails its check
-    monkeypatch.setattr(blade_module, "inner",
-                        lambda u, v: grassmann.inner(u, v) + 1.0)
+    def doubled(*args):
+        ends, moved = grassmann.transport_stack(*args)
+        return ends, 2.0 * moved
+    monkeypatch.setattr(blade_module, "transport_stack", doubled)
     with pytest.raises(ConsistencyError, match="at station 0 drifted"):
         perturb_blade(blade, model, np.array([0.01]))
 

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from grassfoil import grassmann
 from grassfoil.errors import (CutLocusError, DegenerateShapeError,
-                              DimensionError, ParameterError, TangencyError)
+                              DimensionError, GrassfoilError, ParameterError,
+                              TangencyError)
 from grassfoil.geometry import AffineMap, LandmarkMatrix, cst_evaluate
 from grassfoil.geometry import default_baselines
-from grassfoil.grassmann import (Geodesic, GrassmannPoint, TangentVector,
-                                 as_frames, distance, exp_map, geodesic_point,
-                                 inner, la_standardize, log_map, log_map_stack,
+from grassfoil.grassmann import (GrassmannPoint, TangentVector, as_frames,
+                                 distance, exp_map, exp_map_stack, inner,
+                                 la_standardize, log_map, log_map_stack,
                                  mean_affine, orthonormalize,
                                  parallel_transport, principal_angles,
                                  procrustes_rotation, reconstruct_with,
-                                 standardize_stack)
+                                 standardize_stack, transport_stack)
 
-from conftest import random_horizontal, random_point
+from conftest import along, random_horizontal, random_point
 
 
 def plane(n, i, j):
@@ -256,7 +257,7 @@ def test_exp_of_zero_is_identity():
     rng = np.random.default_rng(5)
     p = random_point(rng, 30)
     out = exp_map(p, TangentVector(np.zeros((30, 2)), p))
-    assert out is p
+    assert np.array_equal(out.rep, p.rep)
 
 
 def test_log_exp_round_trip_subspace():
@@ -341,9 +342,9 @@ def test_near_cut_locus_is_still_usable():
 def test_geodesic_endpoints_and_midpoint():
     rng = np.random.default_rng(11)
     p, q = random_point(rng, 35), random_point(rng, 35)
-    assert distance(geodesic_point(p, q, 0.0), p) < 1e-12
-    assert distance(geodesic_point(p, q, 1.0), q) < 1e-9
-    mid = geodesic_point(p, q, 0.5)
+    assert distance(along(p, q, 0.0), p) < 1e-12
+    assert distance(along(p, q, 1.0), q) < 1e-9
+    mid = along(p, q, 0.5)
     d = distance(p, q)
     assert distance(p, mid) == pytest.approx(d / 2.0, abs=1e-9)
     assert distance(mid, q) == pytest.approx(d / 2.0, abs=1e-9)
@@ -354,7 +355,7 @@ def test_geodesic_is_unit_speed_linear():
     p, q = random_point(rng, 35), random_point(rng, 35)
     d = distance(p, q)
     for t in (0.2, 0.4, 0.7):
-        assert distance(p, geodesic_point(p, q, t)) == pytest.approx(
+        assert distance(p, along(p, q, t)) == pytest.approx(
             t * d, abs=1e-9)
 
 
@@ -416,13 +417,14 @@ def oracle_point(p, direction, t):
 
 
 def oracle_transport(p, direction, w, t):
-    """Closed-form transport, then projection horizontal at the endpoint."""
+    """Closed-form transport of the matrix ``w``, then projection horizontal
+    at the endpoint."""
     u, s, vt = np.linalg.svd(direction.mat, full_matrices=False)
     v = vt.T
     pv_sin = p.rep @ (v * np.sin(t * s))
     u_cos = u * np.cos(t * s)
-    um = u.T @ w.mat
-    mat = w.mat - u @ um + (u_cos - pv_sin) @ um
+    um = u.T @ w
+    mat = w - u @ um + (u_cos - pv_sin) @ um
     end = oracle_point(p, direction, t)
     mat -= end.rep @ (end.rep.T @ mat)
     return mat
@@ -441,10 +443,38 @@ def test_geodesic_kernel_matches_closed_forms_bitwise(airfoil_points):
     for p, v, w in cases:
         assert np.array_equal(exp_map(p, v).rep, oracle_point(p, v, 1.0).rep)
         for t in (1.0, 0.6):
-            assert np.array_equal(Geodesic(p, v).point(t).rep,
+            assert np.array_equal(exp_map_stack(p.rep, v.mat[None], t)[0],
                                   oracle_point(p, v, t).rep)
             assert np.array_equal(parallel_transport(p, v, w, t).mat,
-                                  oracle_transport(p, v, w, t))
+                                  oracle_transport(p, v, w.mat, t))
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-base", "bases"])
+def test_geodesic_stack_matches_closed_forms_bitwise(count, stacked):
+    # chunk boundaries at 64; the middle direction is exactly zero
+    rng = np.random.default_rng(count)
+    bases = ([random_point(rng, 30) for _ in range(count)] if stacked
+             else [random_point(rng, 30)] * count)
+    directions = [random_horizontal(rng, b, rng.uniform(0.05, 1.4))
+                  for b in bases]
+    zero = count // 2
+    directions[zero] = TangentVector(np.zeros((30, 2)), bases[zero])
+    mats = rng.normal(size=(3, 30, 2))
+    base = np.array([b.rep for b in bases]) if stacked else bases[0].rep
+    deltas = np.array([d.mat for d in directions])
+    for t in (1.0, 0.6):
+        ends, moved = transport_stack(base, deltas, mats, t)
+        assert np.array_equal(exp_map_stack(base, deltas, t), ends)
+        for k, (b, d) in enumerate(zip(bases, directions)):
+            if k == zero:  # stays at its base, mats only projected there
+                assert np.array_equal(ends[k], b.rep)
+                for m, got in zip(mats, moved[k]):
+                    assert np.array_equal(got, m - b.rep @ (b.rep.T @ m))
+                continue
+            assert np.array_equal(ends[k], oracle_point(b, d, t).rep)
+            for m, got in zip(mats, moved[k]):
+                assert np.array_equal(got, oracle_transport(b, d, m, t))
 
 
 def test_geodesic_transports_many_at_once():
@@ -452,17 +482,77 @@ def test_geodesic_transports_many_at_once():
     p = random_point(rng, 30)
     v = random_horizontal(rng, p, scale=0.7)
     ws = [random_horizontal(rng, p) for _ in range(3)]
-    moved = Geodesic(p, v).transport([w.mat for w in ws], 0.6)
-    for w, m in zip(ws, moved):
-        assert np.array_equal(m.mat, parallel_transport(p, v, w, 0.6).mat)
-        assert np.array_equal(m.base.rep, oracle_point(p, v, 0.6).rep)
+    ends, moved = transport_stack(p.rep, v.mat[None],
+                                  np.array([w.mat for w in ws]), 0.6)
+    assert np.array_equal(ends[0], oracle_point(p, v, 0.6).rep)
+    for w, m in zip(ws, moved[0]):
+        assert np.array_equal(m, parallel_transport(p, v, w, 0.6).mat)
 
 
 def test_geodesic_rejects_non_horizontal_direction():
     rng = np.random.default_rng(20)
     p, q = random_point(rng, 30), random_point(rng, 30)
     with pytest.raises(TangencyError):
-        Geodesic(p, random_horizontal(rng, q))
+        exp_map(p, random_horizontal(rng, q))
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-base", "bases"])
+def test_geodesic_stack_names_the_first_faulty_direction(stacked):
+    rng = np.random.default_rng(22)
+    bases = [random_point(rng, 12) for _ in range(70 if stacked else 1)] * (
+        1 if stacked else 70)
+    base = np.array([b.rep for b in bases]) if stacked else bases[0].rep
+    deltas = np.array([random_horizontal(rng, b, 0.5).mat for b in bases])
+    deltas[[66, 68]] = random_horizontal(rng, random_point(rng, 12)).mat
+    with pytest.raises(TangencyError, match="not horizontal") as err:
+        exp_map_stack(base, deltas)
+    assert err.value.shape_index == 66
+    deltas[[66, 68]] = np.nan
+    with pytest.raises(DimensionError, match="non-finite") as err:
+        transport_stack(base, deltas, deltas[:2] * 0.0)
+    assert err.value.shape_index == 66
+
+
+def test_geodesic_stack_names_the_first_rank_deficient_point(monkeypatch):
+    # no finite horizontal direction leaves an orthonormal base's span, so a
+    # stand-in QR flattens the points that stay on one marked plane
+    rng = np.random.default_rng(23)
+    marked = plane(12, 0, 1).rep
+    bases = np.array([random_point(rng, 12).rep for _ in range(70)])
+    bases[[65, 69]] = marked
+    deltas = np.array([random_horizontal(rng, GrassmannPoint(b), 0.5).mat
+                       for b in bases])
+    deltas[[65, 69]] = 0.0
+    real = grassmann.orthonormalize
+
+    def flattening(mat):
+        on_plane = np.abs(mat - marked).max(axis=(-2, -1)) < 1e-12
+        return real(np.where(on_plane[..., None, None], 0.0, mat))
+    monkeypatch.setattr(grassmann, "orthonormalize", flattening)
+    with pytest.raises(DegenerateShapeError, match="rank deficient") as err:
+        exp_map_stack(bases, deltas)
+    assert err.value.shape_index == 65
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p, d: exp_map_stack(p, d[None]), "do not match base"),
+    (lambda p, d: exp_map_stack(p[:-1], d), "do not match base"),
+    (lambda p, d: exp_map_stack(2.0 * p, d), "not a finite orthonormal"),
+    (lambda p, d: exp_map_stack(p, d, t=np.inf), "t must be a finite"),
+    (lambda p, d: exp_map_stack(p, d, t="1"), "t must be a finite"),
+    (lambda p, d: exp_map_stack(p, d, t=10**400), "t must be a finite"),
+    (lambda p, d: exp_map_stack(p, 1e300 * d, 1e10), "too long to follow"),
+    (lambda p, d: transport_stack(p, d, d[0]), "do not match directions"),
+    (lambda p, d: transport_stack(p, d, np.inf * d), "mats contain non-finite"),
+    (lambda p, d: transport_stack(p, d, np.full((2, 12, 2), 1.5e308)),
+     "transported mats overflow"),
+])
+def test_geodesic_stack_rejects_unusable_arguments(call, message):
+    rng = np.random.default_rng(24)
+    p = random_point(rng, 12)
+    d = np.array([random_horizontal(rng, p).mat for _ in range(3)])
+    with pytest.raises(GrassfoilError, match=message):
+        call(p.rep, d)
 
 
 # ---------------------------------------------------------------------------

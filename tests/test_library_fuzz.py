@@ -1,6 +1,6 @@
-"""Library fuzz: each exported stack entry point, and the design-space
-calls that take normal coordinates, given malformed input, returns a result
-or raises a GrassfoilError, and never warns."""
+"""Library fuzz: each exported stack entry point, the design-space calls
+that take normal coordinates, and the blade calls, given malformed input,
+return a result or raise a GrassfoilError, and never warn."""
 
 import math
 import warnings
@@ -11,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassfoil
+from grassfoil.blade import (build_blade, export_wireframe,
+                             interpolate_section, perturb_blade)
 from grassfoil.errors import GrassfoilError
 from grassfoil.geometry import (cst_evaluate_stack, default_baselines,
                                 sweep_points, validate_stack)
-from grassfoil.grassmann import (GrassmannPoint, log_map_stack, mean_affine,
-                                 standardize_stack)
-from grassfoil.pga import (domain_contains, karcher_mean, logs_at, pga_fit,
-                           synthesize)
+from grassfoil.grassmann import (GrassmannPoint, exp_map_stack, log_map_stack,
+                                 mean_affine, standardize_stack,
+                                 transport_stack)
+from grassfoil.pga import (corner_sweep, domain_contains, karcher_mean,
+                           logs_at, pga_fit, synthesize)
 
 COEFFS = np.array([p.as_vector() for p in default_baselines()[:4]])
 POINTS = cst_evaluate_stack(COEFFS, 11)
@@ -94,6 +97,18 @@ COORDS = np.array([0.01, -0.02])
 HUGE_COORDS = st.sampled_from([COORDS * 1e200, np.full(2, 1.7e308),
                                np.array([-1e300, 1e-300]), [1e155, 0]])
 
+# a direction at each frame toward the next, and at FRAMES[0] toward each
+STEPS = np.array([log_map_stack(f, FRAMES[[(i + 1) % len(FRAMES)]])[0]
+                  for i, f in enumerate(FRAMES)])
+DIRECTIONS = log_map_stack(FRAMES[0], FRAMES)
+BASES = arrays(FRAMES[0]) | arrays(FRAMES)
+PARAMETERS = st.sampled_from([1.0, 0.6, np.float64(0.5), 0, -2.0, 1e155,
+                              math.nan, math.inf, True, "x", None])
+BLADE = build_blade([0.0, 0.4, 1.0], POINTS[:3])
+SPANS = st.sampled_from([0.3, 0, 1, np.float64(0.7), -0.1, 1.5, 1e155,
+                         -1e155, math.nan, math.inf, 10**400, True, "x",
+                         None, [0.3], np.array(0.3)])
+
 FUZZED = {
     "standardize_stack": (standardize_stack, [arrays(POINTS)]),
     "log_map_stack": (log_map_stack, [arrays(FRAMES[0]), arrays(FRAMES)]),
@@ -109,6 +124,20 @@ FUZZED = {
     "synthesize": (synthesize, [st.just(MODEL), arrays(COORDS) | HUGE_COORDS]),
     "domain_contains": (domain_contains, [st.just(MODEL),
                                           arrays(COORDS) | HUGE_COORDS]),
+    "exp_map_stack": (exp_map_stack, [BASES, arrays(DIRECTIONS)
+                                      | arrays(STEPS), PARAMETERS]),
+    "transport_stack": (transport_stack, [
+        BASES, arrays(DIRECTIONS) | arrays(STEPS), arrays(DIRECTIONS[:2]),
+        PARAMETERS]),
+    "corner_sweep": (corner_sweep, [st.just(MODEL),
+                                    arrays(COORDS) | HUGE_COORDS,
+                                    arrays(-COORDS) | HUGE_COORDS, counts(5)]),
+    "interpolate_section": (interpolate_section, [st.just(BLADE), SPANS]),
+    "export_wireframe": (export_wireframe, [st.just(BLADE), counts(5),
+                                            st.none() | counts(5)]),
+    "perturb_blade": (perturb_blade, [st.just(BLADE), st.just(MODEL),
+                                      arrays(COORDS) | HUGE_COORDS,
+                                      TOLERANCES]),
 }
 
 

@@ -10,13 +10,13 @@ from grassfoil.errors import (CutLocusError, DimensionError,
                               IterationLimitError, ParameterError)
 from grassfoil.geometry import AffineMap
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
-                                 exp_map, geodesic_point, inner, log_map,
+                                 exp_map, inner, log_map,
                                  reconstruct_with)
 from grassfoil.pga import (CoordinateDomain, coords_of, corner_sweep,
                            domain_contains, flatten_tangent, karcher_mean,
                            logs_at, pga_fit, synthesize, unflatten_tangent)
 
-from conftest import random_horizontal, random_point, stack
+from conftest import along, random_horizontal, random_point, stack
 
 
 def planted_family(n=60, samples=300, stddevs=(0.05, 0.02), seed=42):
@@ -56,7 +56,7 @@ def test_two_point_mean_is_equidistant_midpoint():
     p, q = random_point(rng, 40), random_point(rng, 40)
     mean = karcher_mean(stack([p, q])).point
     assert abs(distance(mean, p) - distance(mean, q)) < 1e-9
-    assert distance(mean, geodesic_point(p, q, 0.5)) < 1e-9
+    assert distance(mean, along(p, q, 0.5)) < 1e-9
 
 
 def test_single_shape_mean_is_that_shape():
@@ -345,7 +345,7 @@ def test_synthesize_symmetry(airfoil_points):
     t = np.array([0.04, -0.02, 0.01, 0.005])
     plus = synthesize(model, t)
     minus = synthesize(model, -t)
-    mid = geodesic_point(plus, minus, 0.5)
+    mid = along(plus, minus, 0.5)
     assert distance(mid, mean) < 1e-8
 
 
@@ -467,9 +467,9 @@ def test_corner_sweep_two_steps_hits_corners(airfoil_points):
     a = model.domain.bounds_min
     b = model.domain.bounds_max
     out = corner_sweep(model, a, b, 2)
-    assert len(out) == 2
-    assert distance(out[0], synthesize(model, a)) < 1e-12
-    assert distance(out[1], synthesize(model, b)) < 1e-12
+    assert out.shape == (2, model.n, 2)
+    assert np.array_equal(out[0], synthesize(model, a).rep)
+    assert np.array_equal(out[1], synthesize(model, b).rep)
 
 
 def test_corner_sweep_validates_steps(airfoil_points):

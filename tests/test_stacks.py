@@ -6,6 +6,8 @@ the same bits, raise the error the one-shape loop raised first, and keep
 their temporaries to a bounded number of chunks.
 """
 
+import importlib.util
+import inspect
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grassfoil
 from grassfoil import blade
 from grassfoil import grassmann as gm
 from grassfoil.cli import main
@@ -542,6 +545,32 @@ def test_iteration_limit_without_a_previous_residual():
 
 # ---------------------------------------------------------------------------
 # the benchmark
+
+
+def test_benchmark_counts_one_exp_map_span_per_karcher_step(monkeypatch):
+    # the benchmark reads pga.karcher_mean.iterations as the traced
+    # grassmann.exp_map spans whose parent is a karcher_mean span
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for ns in (grassfoil, *(getattr(grassfoil, m) for m in (*spans.LAYERS,
+                                                             "cli"))):
+        for attr, value in list(vars(ns).items()):
+            if inspect.isfunction(value):  # restored after the test
+                monkeypatch.setattr(ns, attr, value)
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    frames = np.array([la_standardize(cst_evaluate(p, 101)).point.rep
+                       for p in default_baselines()[:6]])
+    result = grassfoil.pga.karcher_mean(frames)
+    tracer.active = False
+    steps = sum(1 for name, _, _, parent in tracer.spans
+                if name == "grassmann.exp_map" and parent >= 0
+                and tracer.spans[parent][0] == "pga.karcher_mean")
+    assert result.iterations >= 2
+    assert steps == result.iterations
 
 
 def test_benchmark_smoke_check_passes():
