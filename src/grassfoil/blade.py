@@ -14,7 +14,6 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +28,14 @@ from .errors import (
     in_order,
     integer_argument,
 )
-from .geometry import AffineMap, LandmarkMatrix
+from .geometry import (MAX_COORDINATE, AffineMap, LandmarkMatrix,
+                       affine_vectors, singular_linear)
 from .grassmann import (
     GrassmannPoint,
+    as_frames,
     exp_map_stack,
     log_map_stack,
     procrustes_rotation,
-    reconstruct_with,
     standardize_stack,
     transport_stack,
 )
@@ -72,19 +72,6 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
-@dataclass(frozen=True, eq=False)
-class BladeStation:
-    """One cross-section: span position, landmarks, and its affine factor.
-
-    The affine factor is expressed against the clustered representative,
-    so section = aligned_rep @ linear + translation per row holds exactly.
-    """
-
-    eta: float
-    section: LandmarkMatrix
-    affine: AffineMap
-
-
 class AffineProfiles:
     """Componentwise monotone cubic profiles of the affine factor over span.
 
@@ -111,7 +98,7 @@ class AffineProfiles:
         if not np.all(np.isfinite(values)):
             raise BladeDefinitionError("profile knot values must be finite")
         # On a segment of width h, the sum of |c_k| h**(3 - k) bounds every
-        # partial sum that affine_at forms.
+        # partial sum that at() forms.
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = _pchip_coefficients(etas, values)
             h = np.diff(etas)[:, None]
@@ -130,17 +117,17 @@ class AffineProfiles:
         self.values = values
         self._coeffs = coeffs
 
-    def affine_at(self, eta: float, segment: int | None = None) -> AffineMap:
-        """The profiles at span ``eta``; a caller that has located eta's
-        segment (as ``_locate_segment`` does) passes it on."""
-        eta = float(eta)
-        idx = _locate_segment(self.etas, eta) if segment is None else segment
-        s = eta - self.etas[idx]
+    def at(self, etas, segments: np.ndarray | None = None) -> np.ndarray:
+        """The six components at each of the spans ``etas``, as an array of
+        shape ``etas.shape + (6,)``; a caller that has located the spans'
+        segments (as ``_locate_segments`` does) passes them on."""
+        etas = array_argument(etas, "spans", ParameterError)
+        idx = _locate_segments(self.etas, etas) if segments is None else segments
+        s = (etas - self.etas[idx])[..., None]
         c = self._coeffs[:, idx]
         # Lowest power first, starting from 0.0: the order fixes the last
         # bit and the sign of zero.
-        return AffineMap.from_vector(
-            0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * ((s * s) * s))
+        return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * ((s * s) * s)
 
     @property
     def varying(self) -> np.ndarray:
@@ -159,98 +146,119 @@ class AffineProfiles:
 
 @dataclass(frozen=True, eq=False)
 class BladeDefinition:
-    """Ordered stations and their clustered representatives.
-
-    The affine profiles are derived from the stations' affine factors when
-    the blade is made, so they always agree with the stations.
+    """Ordered stations as read-only arrays: spans ``etas (S,)``, measured
+    ``sections (S, n, 2)``, clustered ``frames (S, n, 2)`` and the affine
+    factors against those frames, ``linear (S, 2, 2)`` and ``translation
+    (S, 2)``. The affine ``profiles``, whose knots ``etas`` is, are derived
+    when the blade is made. Of several faulty stations, the first raises,
+    with its position as ``shape_index``.
     """
 
-    stations: tuple[BladeStation, ...]
-    aligned: tuple[GrassmannPoint, ...]
+    etas: np.ndarray
+    sections: np.ndarray
+    frames: np.ndarray
+    linear: np.ndarray
+    translation: np.ndarray
     profiles: AffineProfiles = field(init=False, repr=False)
 
     def __post_init__(self):
-        stations = tuple(self.stations)
-        aligned = tuple(self.aligned)
-        profiles = AffineProfiles([s.eta for s in stations],
-                                  [s.affine.as_vector() for s in stations])
-        if len(aligned) != len(stations):
+        etas = array_argument(self.etas, "station spans", BladeDefinitionError)
+        names = ("sections", "frames", "linear", "translation")
+        arrays = [array_argument(getattr(self, name), name, DimensionError).copy()
+                  for name in names]
+        sections, frames, linear, translation = arrays
+        if etas.ndim != 1 or any(a.shape[:1] != etas.shape for a in arrays):
             raise BladeDefinitionError(
-                "one aligned representative per station required")
-        n = stations[0].section.n
-        for s, a in zip(stations, aligned):
-            if s.section.n != n or a.n != n:
-                raise DimensionError("all stations must share one landmark count")
-        object.__setattr__(self, "stations", stations)
-        object.__setattr__(self, "aligned", aligned)
+                "one aligned representative per station required, and one "
+                "span, section and affine factor")
+        if (frames.shape != sections.shape or sections.shape[2:] != (2,)
+                or linear.shape[1:] != (2, 2) or translation.shape[1:] != (2,)):
+            raise DimensionError(
+                "all stations must share one landmark count, in (n, 2) sections "
+                "and frames, with 2x2 linear factors and 2-vector translations")
+        vectors = affine_vectors(linear, translation)
+
+        def run(rows: range):
+            at = slice(rows.start, rows.stop)
+            if not np.isfinite(sections[at]).all():
+                raise ParameterError("landmark matrix contains non-finite values")
+            if not np.abs(vectors[at]).max() <= MAX_COORDINATE:
+                raise ParameterError("affine factor is not finite or exceeds "
+                                     f"{MAX_COORDINATE:.0e} in magnitude")
+            for k in np.flatnonzero(singular_linear(linear[at])):
+                AffineMap(linear[at][k], translation[at][k])  # its map raises
+            frames[at] = as_frames(frames[at])
+        in_order(run, len(etas), max(len(etas), 1))
+        profiles = AffineProfiles(etas, vectors)
+        object.__setattr__(self, "etas", profiles.etas)
+        for name, value in zip(names, arrays):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "profiles", profiles)
 
     @property
-    def etas(self) -> np.ndarray:
-        """Read-only station spans, the knots of the profiles."""
-        return self.profiles.etas
-
-    @property
     def n(self) -> int:
-        return self.stations[0].section.n
+        return self.sections.shape[1]
 
     @property
     def n_stations(self) -> int:
-        return len(self.stations)
+        return len(self.etas)
 
 
-def procrustes_cluster(points: Sequence[GrassmannPoint]) -> list[GrassmannPoint]:
-    """Rotate each representative onto its already-aligned neighbor.
+def procrustes_cluster(frames) -> np.ndarray:
+    """Rotate each frame of an ``(S, n, 2)`` stack onto its already-aligned
+    neighbor, as a new stack.
 
     Every station keeps its subspace; only the in-plane rotation gauge
     changes, which is what makes adjacent geodesic segments meet without
     spurious twisting. The last station is fixed and the walk goes down
     from tip to hub.
     """
-    if len(points) < 2:
+    frames = as_frames(frames)
+    if len(frames) < 2:
         raise ParameterError("clustering needs at least 2 points")
-    aligned = list(points)
-    for k in range(len(points) - 2, -1, -1):
-        rot = procrustes_rotation(aligned[k + 1], aligned[k])
-        aligned[k] = GrassmannPoint(aligned[k].rep @ rot)
-    return aligned
+    aligned = [GrassmannPoint(frames[-1])]
+    for frame in frames[-2::-1]:
+        rot = procrustes_rotation(aligned[-1], GrassmannPoint(frame))
+        aligned.append(GrassmannPoint(frame @ rot))
+    return np.array([point.rep for point in aligned[::-1]])
 
 
-def build_blade(etas: Sequence[float], sections: Sequence) -> BladeDefinition:
-    """Standardize, cluster, and spline a sequence of sections into a blade.
+def build_blade(etas, sections) -> BladeDefinition:
+    """Standardize, cluster, and spline an ``(S, n, 2)`` stack of sections
+    into a blade.
 
     The affine factor stored per station is re-expressed against the
-    clustered representative (the clustering rotation is folded into the
-    matrix part), so reconstruction from stored pieces is exact. Spans that
-    are not one number per section raise ``BladeDefinitionError``.
+    clustered frame (the clustering rotation is folded into the matrix
+    part), so reconstruction from stored pieces is exact. Spans that are not
+    one number per section raise ``BladeDefinitionError``, and sections that
+    are not a numeric stack ``DimensionError``.
     """
     etas = array_argument(etas, "station spans", BladeDefinitionError)
-    if etas.ndim != 1 or len(etas) != len(sections):
+    sections = array_argument(sections, "sections", DimensionError)
+    count = len(sections) if sections.ndim else 0
+    if etas.ndim != 1 or len(etas) != count:
         raise BladeDefinitionError(
-            f"{etas.size} span positions for {len(sections)} sections")
-    if len(sections) < 2:
+            f"{etas.size} span positions for {count} sections")
+    if count < 2:
         raise BladeDefinitionError("a blade needs at least 2 stations")
-    shapes = [s if isinstance(s, LandmarkMatrix) else LandmarkMatrix(s)
-              for s in sections]
-    if len({s.n for s in shapes}) > 1:
-        raise DimensionError("all stations must share one landmark count")
-    frames, _, offsets = standardize_stack(np.array([s.points for s in shapes]))
-    aligned = procrustes_cluster([GrassmannPoint(f) for f in frames])
-    stations = []
-    for eta, shape, offset, rep in zip(etas, shapes, offsets, aligned):
-        linear = rep.rep.T @ (shape.points - offset)
-        stations.append(BladeStation(float(eta), shape, AffineMap(linear, offset)))
-    return BladeDefinition(tuple(stations), tuple(aligned))
+    raw, _, translation = standardize_stack(sections)
+    frames = procrustes_cluster(raw)
+    linear = frames.swapaxes(1, 2) @ (sections - translation[:, None])
+    return BladeDefinition(etas, sections, frames, linear, translation)
 
 
-def _locate_segment(etas: np.ndarray, eta: float) -> int:
-    """Index i of the segment etas[i] <= eta < etas[i + 1], the last closed."""
-    if not np.isfinite(eta) or eta < etas[0] or eta > etas[-1]:
+def _locate_segments(knots: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Index i of the segment knots[i] <= eta < knots[i + 1] of each span
+    ``eta``, the last closed; the first span outside the knots raises."""
+    outside = ~((etas >= knots[0]) & (etas <= knots[-1]))
+    if outside.any():
+        eta = float(etas[outside][0])
         raise SpanRangeError(
-            f"span {eta!r} outside [{etas[0]:g}, {etas[-1]:g}]; "
+            f"span {eta!r} outside [{knots[0]:g}, {knots[-1]:g}]; "
             "extrapolation is not supported")
-    idx = int(np.searchsorted(etas, eta, side="right")) - 1
-    return min(idx, len(etas) - 2)
+    idx = np.searchsorted(knots, etas, side="right") - 1
+    return np.minimum(idx, len(knots) - 2)
 
 
 def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
@@ -271,20 +279,22 @@ def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
 def _segments(blade: BladeDefinition, etas: np.ndarray):
     """Per blade segment holding some of the spans ``etas``, their positions
     and their sections' ``(m, n, 2)`` landmarks: one logarithm, one stacked
-    exponential along ``s * log`` and the affine profiles at each span."""
+    exponential along ``s * log`` and the affine profiles at each span. A
+    rank-deficient interpolated linear factor raises for the first such
+    span before any section is made."""
     knots = blade.etas
-    idx = np.array([_locate_segment(knots, eta) for eta in etas.tolist()],
-                   dtype=int)
+    idx = _locate_segments(knots, etas)
     s = (etas - knots[idx]) / (knots[idx + 1] - knots[idx])
+    affine = blade.profiles.at(etas, idx)
+    linear, translation = affine[:, :4].reshape(-1, 2, 2), affine[:, 4:]
+    for k in np.flatnonzero(singular_linear(linear)):
+        AffineMap(linear[k], translation[k])  # its map raises
     for i in np.unique(idx).tolist():
         rows = np.flatnonzero(idx == i)
-        p = blade.aligned[i].rep
-        log = log_map_stack(p, blade.aligned[i + 1].rep[None])[0]
-        affines = [blade.profiles.affine_at(eta, i)
-                   for eta in etas[rows].tolist()]
+        p = blade.frames[i]
+        log = log_map_stack(p, blade.frames[i + 1][None])[0]
         yield rows, (exp_map_stack(p, s[rows, None, None] * log)
-                     @ np.array([a.linear for a in affines])
-                     + np.array([a.translation for a in affines])[:, None])
+                     @ linear[rows] + translation[rows, None])
 
 
 def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
@@ -296,7 +306,8 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     re-expressed in that station's rotation gauge and exponentiated. Being
     an isometry, transport preserves the coordinates against the
     transported basis; that is checked per station and per direction.
-    Affine factors and profiles are untouched: only subspaces move. Of
+    Affine factors and profiles are untouched: only subspaces move, and
+    each section is its new frame under the station's affine factor. Of
     several faulty stations, the first raises its own error.
     """
     if not (isinstance(consistency_tol, numbers.Real)
@@ -310,7 +321,7 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
     if not np.any(t):
         return blade
     mats = np.array([model.direction(t)] + [b.mat for b in model.basis])
-    reps = np.array([rep.rep for rep in blade.aligned])
+    reps = blade.frames
     frames = np.empty(reps.shape)
 
     def run(rows: range):
@@ -333,12 +344,9 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
         gauge = ends.swapaxes(1, 2) @ reps[at]
         frames[at] = exp_map_stack(reps[at], moved[:, 0] @ gauge)
     in_order(run, len(reps), len(reps))
-    aligned = tuple(GrassmannPoint(f) for f in frames)
-    stations = tuple(BladeStation(station.eta,
-                                  reconstruct_with(rep, station.affine),
-                                  station.affine)
-                     for station, rep in zip(blade.stations, aligned))
-    return BladeDefinition(stations, aligned)
+    return BladeDefinition(
+        blade.etas, frames @ blade.linear + blade.translation[:, None], frames,
+        blade.linear, blade.translation)
 
 
 def export_wireframe(blade: BladeDefinition, spans: int,

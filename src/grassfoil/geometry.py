@@ -133,15 +133,6 @@ class AffineMap:
         """The six components in :data:`AFFINE_COMPONENT_NAMES` order."""
         return affine_vectors(self.linear, self.translation)
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "AffineMap":
-        """The map whose :meth:`as_vector` is ``vec``."""
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (6,):
-            raise ParameterError(
-                f"affine vector needs 6 entries, got shape {vec.shape}")
-        return cls(vec[:4].reshape(2, 2), vec[4:])
-
     def inverse(self) -> "AffineMap":
         """The affine map undoing this one under the right action."""
         inv = np.linalg.inv(self.linear)

@@ -303,9 +303,10 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     should be the view ``reps[i]``: numpy then forms that slice's ``P' Q``
     with the one-shape call's symmetric product. A ``base`` that is not a
     finite orthonormal frame, or a frame that is not finite (checked through
-    its product with ``base``, at no pass of its own), raises
-    ``DimensionError``, and a frame at the cut locus ``CutLocusError``; the
-    first faulty frame raises, with its index as ``shape_index``.
+    its product with ``base``), raises ``DimensionError``; frames are then
+    checked as :func:`as_frames` checks them, and a frame at the cut locus
+    raises ``CutLocusError``. The first faulty frame raises, with its index
+    as ``shape_index``.
     """
     base = array_argument(base, "base", DimensionError)
     reps = array_argument(reps, "reps", DimensionError)
@@ -326,6 +327,9 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
                     "with base")
         if not np.isfinite(products).all():
             raise DimensionError(unusable)
+        frames = as_frames(q)
+        if frames is not q:
+            q, products = frames, np.matmul(base.T, frames)
         w, c, zt = np.linalg.svd(products)
         cut = c[:, -1] <= np.sin(_CUT_LOCUS_MARGIN)
         if cut.any():

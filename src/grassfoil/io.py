@@ -25,7 +25,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import codec
-from .blade import BladeDefinition, BladeStation, build_blade
+from .blade import BladeDefinition, build_blade
 from .errors import (
     FileFormatError,
     FileParseError,
@@ -474,17 +474,12 @@ def write_blade(path, blade: BladeDefinition) -> None:
     """Full-fidelity blade listing: every station keeps its clustered
     representative and corrected affine factor, so reading restores the
     exact object without re-running standardization."""
-    stations = []
-    for station, rep in zip(blade.stations, blade.aligned):
-        stations.append({
-            "eta": station.eta,
-            "section": station.section.points,
-            "affine": {
-                "linear": station.affine.linear,
-                "translation": station.affine.translation,
-            },
-            "representative": rep.rep,
-        })
+    stations = [{"eta": eta, "section": section,
+                 "affine": {"linear": linear, "translation": translation},
+                 "representative": frame}
+                for eta, section, linear, translation, frame in zip(
+                    blade.etas.tolist(), blade.sections, blade.linear,
+                    blade.translation, blade.frames)]
     write_json(path, {
         "format_version": FORMAT_VERSION,
         "n": blade.n,
@@ -507,7 +502,7 @@ def read_blade(path) -> BladeDefinition:
     stations_raw = _get(data, "stations")
     if not isinstance(stations_raw, list) or len(stations_raw) < 2:
         raise SchemaError("key 'stations' must list at least 2 stations")
-    etas, sections, affines, aligned = [], [], [], []
+    etas, sections, linear, translation, frames = [], [], [], [], []
     for i, st in enumerate(stations_raw):
         key = f"stations[{i}]"
         if not isinstance(st, dict):
@@ -523,18 +518,17 @@ def read_blade(path) -> BladeDefinition:
         if type(eta) not in (int, float) or not abs(eta) <= sys.float_info.max:
             raise SchemaError(f"key '{key}.eta' must be a finite number")
         etas.append(float(eta))
-        sections.append(LandmarkMatrix(_array(st, "section", (n, 2), key)))
+        sections.append(_array(st, "section", (n, 2), key))
         if explicit:
             affine_data = _get(st, "affine", key)
-            affines.append(AffineMap(
-                _array(affine_data, "linear", (2, 2), f"{key}.affine"),
-                _array(affine_data, "translation", (2,), f"{key}.affine")))
-            aligned.append(GrassmannPoint(
-                _array(st, "representative", (n, 2), key)))
+            linear.append(
+                _array(affine_data, "linear", (2, 2), f"{key}.affine"))
+            translation.append(
+                _array(affine_data, "translation", (2,), f"{key}.affine"))
+            frames.append(_array(st, "representative", (n, 2), key))
     if not explicit:
         return build_blade(etas, sections)
-    return BladeDefinition(tuple(map(BladeStation, etas, sections, affines)),
-                           tuple(aligned))
+    return BladeDefinition(etas, sections, frames, linear, translation)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def logs_at(mean: GrassmannPoint, shapes) -> np.ndarray:
 
     A shape at the cut locus of ``mean`` is named by its index.
     """
-    return _logs(mean.rep, as_frames(shapes))
+    return _logs(mean.rep, shapes)
 
 
 def _logs(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
@@ -306,7 +306,11 @@ def _fit_domain(coords: np.ndarray, eigenvalues: np.ndarray) -> CoordinateDomain
 
 
 def coords_of(model: PgaModel, shape: GrassmannPoint) -> np.ndarray:
-    """Normal coordinates: projections of the shape's logarithm on the basis."""
+    """Normal coordinates: projections of the shape's logarithm on the basis;
+    a shape that is not a :class:`GrassmannPoint` raises ``ParameterError``."""
+    if not isinstance(shape, GrassmannPoint):
+        raise ParameterError(
+            f"shape must be a GrassmannPoint, got {type(shape).__name__}")
     v = flatten_tangent(log_map(model.mean, shape).mat)
     return model.basis_matrix() @ v
 

@@ -18,6 +18,11 @@ def stack(points) -> np.ndarray:
     return np.array([p.rep for p in points])
 
 
+def landmarks(shapes) -> np.ndarray:
+    """The (N, n, 2) stack of the shapes' landmarks."""
+    return np.array([s.points for s in shapes])
+
+
 def random_horizontal(rng: np.random.Generator, point: GrassmannPoint,
                       scale: float = 1.0) -> TangentVector:
     """Random horizontal tangent at ``point`` with Frobenius norm ``scale``."""

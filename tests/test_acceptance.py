@@ -22,7 +22,7 @@ from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
 from grassfoil.pga import (coords_of, domain_contains, flatten_tangent,
                            karcher_mean, logs_at, pga_fit, synthesize)
 
-from conftest import along, random_horizontal, random_point, stack
+from conftest import along, landmarks, random_horizontal, random_point, stack
 
 N_LANDMARKS = 401
 N_PERTURBATIONS = 1000
@@ -68,7 +68,7 @@ def synthetic_blade():
         aff = compose_affine(affine_subgroup("chord", 0.95 - 0.45 * eta),
                              affine_subgroup("twist", 0.05 + 0.20 * eta))
         sections.append(affine_apply(shape, aff))
-    return build_blade(etas, sections)
+    return build_blade(etas, landmarks(sections))
 
 
 def test_criterion_01_gl2_decoupling(dataset):
@@ -232,11 +232,10 @@ def test_criterion_07_sweep_validity(decomposed, model):
 def test_criterion_08_blade_interpolation(synthetic_blade):
     blade = synthetic_blade
     worst_knot = 0.0
-    for eta, station in zip(blade.etas, blade.stations):
+    for eta, section in zip(blade.etas, blade.sections):
         got = interpolate_section(blade, float(eta))
-        gap = np.linalg.norm(got.points - station.section.points)
-        worst_knot = max(worst_knot,
-                         gap / np.linalg.norm(station.section.points))
+        gap = np.linalg.norm(got.points - section)
+        worst_knot = max(worst_knot, gap / np.linalg.norm(section))
 
     scan_ok = True
     for eta in np.linspace(0.0, 1.0, 200):
@@ -263,7 +262,8 @@ def test_criterion_09_consistent_perturbation(synthetic_blade, model):
 
     t = np.array([0.01, -0.005, 0.002, 0.0])
     moved = perturb_blade(blade, model, t)
-    norms = [distance(a, b) for a, b in zip(blade.aligned, moved.aligned)]
+    norms = [distance(GrassmannPoint(a), GrassmannPoint(b))
+             for a, b in zip(blade.frames, moved.frames)]
     spread = float(np.max(norms) - np.min(norms))
 
     count = design_parameter_count(blade, model)

@@ -7,27 +7,29 @@ import pytest
 
 from grassfoil import blade as blade_module
 from grassfoil import grassmann
-from grassfoil.blade import (AffineProfiles, BladeDefinition, BladeStation,
-                             build_blade, design_parameter_count,
-                             export_wireframe, interpolate_section,
-                             perturb_blade, procrustes_cluster)
+from grassfoil.blade import (AffineProfiles, BladeDefinition, build_blade,
+                             design_parameter_count, export_wireframe,
+                             interpolate_section, perturb_blade,
+                             procrustes_cluster)
 from grassfoil.errors import (BladeDefinitionError, ConsistencyError,
-                              CutLocusError, DimensionError, ParameterError,
-                              SpanRangeError)
+                              CutLocusError, DegenerateShapeError,
+                              DimensionError, Gl2ViolationError,
+                              ParameterError, SpanRangeError)
 from grassfoil.geometry import (AFFINE_COMPONENT_NAMES, AffineMap,
                                 LandmarkMatrix, affine_apply, affine_subgroup,
-                                compose_affine, cst_evaluate,
+                                affine_vectors, compose_affine, cst_evaluate,
                                 default_baselines, perturb_cst, validate_shape)
 from grassfoil.grassmann import (GrassmannPoint, distance, exp_map,
-                                 la_standardize)
+                                 reconstruct_with, standardize_stack)
 from grassfoil.pga import karcher_mean, logs_at, pga_fit, synthesize
 
-from conftest import random_horizontal, random_point, stack
+from conftest import landmarks, random_horizontal, random_point, stack
 
 ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def make_sections(n=101, twist=True):
+    """The (5, n, 2) landmark stack of the sections at ETAS."""
     sections = []
     for k, eta in enumerate(ETAS):
         params = perturb_cst(default_baselines()[4], 0.10, seed=100 + k)
@@ -37,7 +39,7 @@ def make_sections(n=101, twist=True):
             aff = compose_affine(aff, affine_subgroup("twist",
                                                       0.05 + 0.20 * eta))
         sections.append(affine_apply(shape, aff))
-    return sections
+    return landmarks(sections)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +49,7 @@ def blade():
 
 @pytest.fixture(scope="module")
 def blade_model(blade):
-    points = list(blade.aligned)
-    result = karcher_mean(stack(points), tol=1e-12)
+    result = karcher_mean(blade.frames, tol=1e-12)
     return pga_fit(result.point, result.logs, 4)
 
 
@@ -57,19 +58,18 @@ def blade_model(blade):
 
 
 def test_blade_reproduces_knots(blade):
-    for eta, station in zip(ETAS, blade.stations):
+    for eta, section in zip(ETAS, blade.sections):
         got = interpolate_section(blade, eta)
-        ref = np.linalg.norm(station.section.points)
-        gap = np.linalg.norm(got.points - station.section.points)
+        ref = np.linalg.norm(section)
+        gap = np.linalg.norm(got.points - section)
         assert gap / ref < 1e-8
 
 
 def test_cluster_preserves_subspaces():
-    sections = make_sections()
-    points = [la_standardize(s).point for s in sections]
-    aligned = procrustes_cluster(points)
-    for before, after in zip(points, aligned):
-        assert distance(before, after) < 1e-12
+    frames = standardize_stack(make_sections())[0]
+    aligned = procrustes_cluster(frames)
+    for before, after in zip(frames, aligned):
+        assert distance(GrassmannPoint(before), GrassmannPoint(after)) < 1e-12
 
 
 def test_cluster_fixes_planted_rotations():
@@ -84,19 +84,19 @@ def test_cluster_fixes_planted_rotations():
     for point, phi in zip(chain, phis):
         c, s = np.cos(phi), np.sin(phi)
         twisted.append(GrassmannPoint(point.rep @ np.array([[c, -s], [s, c]])))
-    aligned = procrustes_cluster(twisted)
+    aligned = procrustes_cluster(stack(twisted))
     # once aligned, adjacent representatives are nearly Procrustes-identical
     for a, b in zip(aligned, aligned[1:]):
-        gram = a.rep.T @ b.rep
+        gram = a.T @ b
         assert np.max(np.abs(gram - gram.T)) < 1e-12
 
 
 def test_cluster_of_identical_points_is_near_identity():
     rng = np.random.default_rng(1)
     p = random_point(rng, 30)
-    aligned = procrustes_cluster([p, p, p])
+    aligned = procrustes_cluster(stack([p, p, p]))
     for a in aligned:
-        assert np.max(np.abs(a.rep - p.rep)) < 1e-12
+        assert np.max(np.abs(a - p.rep)) < 1e-12
 
 
 def test_blade_validation():
@@ -108,8 +108,8 @@ def test_blade_validation():
     with pytest.raises(BladeDefinitionError,
                        match="4 span positions for 5 sections"):
         build_blade(ETAS[:4], sections)
-    mixed = sections[:4] + [cst_evaluate(default_baselines()[0], 51)]
-    with pytest.raises(Exception):
+    mixed = [*sections[:4], cst_evaluate(default_baselines()[0], 51).points]
+    with pytest.raises(DimensionError):
         build_blade(ETAS, mixed)
 
 
@@ -121,11 +121,19 @@ def test_station_spans_that_are_no_numbers_are_refused(etas):
         build_blade(etas, sections)
 
 
+@pytest.mark.parametrize("sections", [None, "text"], ids=["none", "text"])
+def test_sections_that_are_no_numeric_stack_are_refused(sections):
+    if sections == "text":
+        sections = make_sections()[:2].astype(str)
+    with pytest.raises(DimensionError, match="sections must be a rectangular"):
+        build_blade([0.0, 1.0], sections)
+
+
 def test_blade_station_affines_reproduce_sections(blade):
-    for station, rep in zip(blade.stations, blade.aligned):
-        rebuilt = rep.rep @ station.affine.linear + station.affine.translation
-        ref = np.linalg.norm(station.section.points)
-        assert np.linalg.norm(rebuilt - station.section.points) / ref < 1e-12
+    rebuilt = blade.frames @ blade.linear + blade.translation[:, None]
+    for got, section in zip(rebuilt, blade.sections):
+        ref = np.linalg.norm(section)
+        assert np.linalg.norm(got - section) / ref < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +161,19 @@ def test_out_of_range_span_rejected(blade):
             interpolate_section(blade, bad)
 
 
+def test_a_singular_interpolated_factor_raises_for_its_span():
+    # m00 falls linearly from 1 to -1, so the factor is singular midway
+    frames = np.array([np.eye(6)[:, :2]] * 2)
+    linear = np.array([np.eye(2), np.diag([-1.0, 1.0])])
+    b = BladeDefinition([0.0, 1.0], frames @ linear, frames, linear,
+                        np.zeros((2, 2)))
+    assert interpolate_section(b, 0.25).n == 6
+    for make in (lambda: interpolate_section(b, 0.5),
+                 lambda: export_wireframe(b, 5)):
+        with pytest.raises(Gl2ViolationError, match="rank deficient"):
+            make()
+
+
 @pytest.mark.parametrize("eta", ["x", None, 10**400],
                          ids=["text", "none", "past-float-range"])
 def test_query_spans_that_are_no_numbers_are_refused(blade, eta):
@@ -170,7 +191,7 @@ def test_sections_match_the_one_span_path_bitwise(blade):
 
 def test_constant_blade_never_drifts():
     section = cst_evaluate(default_baselines()[3], 101)
-    blade = build_blade([0.0, 0.5, 1.0], [section, section, section])
+    blade = build_blade([0.0, 0.5, 1.0], landmarks([section] * 3))
     for eta in (0.1, 0.37, 0.88):
         got = interpolate_section(blade, eta)
         assert np.max(np.abs(got.points - section.points)) < 1e-12
@@ -183,26 +204,23 @@ def test_two_station_blade_uses_linear_profiles():
     shape = cst_evaluate(default_baselines()[2], 101)
     a0 = affine_subgroup("chord", 0.9)
     a1 = affine_subgroup("chord", 0.5)
-    blade = build_blade([0.0, 1.0],
-                        [affine_apply(shape, a0), affine_apply(shape, a1)])
+    blade = build_blade([0.0, 1.0], landmarks(
+        [affine_apply(shape, a0), affine_apply(shape, a1)]))
     mid = interpolate_section(blade, 0.5)
     vals = blade.profiles.values
     mid_components = 0.5 * (vals[0] + vals[1])
-    rep = blade.aligned[0].rep
+    rep = blade.frames[0]
     expected = rep @ mid_components[:4].reshape(2, 2) + mid_components[4:]
     assert np.max(np.abs(mid.points - expected)) < 1e-12
-    assert distance(blade.aligned[0], blade.aligned[1]) < 1e-10
+    p, q = (GrassmannPoint(f) for f in blade.frames)
+    assert distance(p, q) < 1e-10
 
 
 def test_profiles_reject_unsorted_etas():
-    sections = make_sections()
-    stations = [
-        BladeStation(eta, s, la_standardize(s).affine)
-        for eta, s in zip((0.0, 0.5, 0.25, 0.75, 1.0), sections)
-    ]
+    _, linear, translation = standardize_stack(make_sections())
     with pytest.raises(BladeDefinitionError):
-        AffineProfiles([s.eta for s in stations],
-                       [s.affine.as_vector() for s in stations])
+        AffineProfiles((0.0, 0.5, 0.25, 0.75, 1.0),
+                       affine_vectors(linear, translation))
 
 
 @pytest.mark.parametrize("etas, pair", [
@@ -234,19 +252,60 @@ def test_profiles_reject_bad_knots(etas, values, error, message):
         AffineProfiles(etas, values)
 
 
+def parts(blade):
+    """The five arrays a BladeDefinition is made of, as writeable copies."""
+    return [getattr(blade, name).copy() for name in
+            ("etas", "sections", "frames", "linear", "translation")]
+
+
 def test_blade_definition_checks_its_stations(blade):
-    stations, aligned = blade.stations, blade.aligned
+    etas, sections, frames, linear, translation = parts(blade)
     with pytest.raises(BladeDefinitionError,
                        match="one aligned representative per station"):
-        BladeDefinition(stations, aligned[:-1])
-    coarse = GrassmannPoint(aligned[0].rep[:51])
+        BladeDefinition(etas, sections, frames[:-1], linear, translation)
     with pytest.raises(DimensionError, match="share one landmark count"):
-        BladeDefinition(stations, (coarse, *aligned[1:]))
+        BladeDefinition(etas, sections, frames[:, :51], linear, translation)
+
+
+# a fault of one station: the index of the array in parts(), the value
+# the station gets there, and the error it raises
+STATION_FAULTS = {
+    "singular": (3, 1e-7 * np.eye(2), Gl2ViolationError, "rank deficient"),
+    "frame-nan": (2, np.nan, DimensionError, "non-finite"),
+    "flat-frame": (2, 1.0, DegenerateShapeError, "rank deficient"),
+    "section-inf": (1, np.inf, ParameterError,
+                    "landmark matrix contains non-finite"),
+    "huge-translation": (4, 1e151, ParameterError, r"exceeds 1e\+150"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATION_FAULTS))
+@pytest.mark.parametrize("station", [0, 2, 4])
+def test_blade_definition_names_the_first_faulty_station(blade, kind,
+                                                         station):
+    part, value, error, message = STATION_FAULTS[kind]
+    arrays = parts(blade)
+    arrays[part][station] = value
+    arrays[3][station + 1:] = 0.0  # every later station is singular too
+    with pytest.raises(error, match=message) as err:
+        BladeDefinition(*arrays)
+    assert err.value.shape_index == station
+
+
+def test_blade_definition_holds_read_only_copies(blade):
+    arrays = parts(blade)
+    copy = BladeDefinition(*arrays)
+    for name, given in zip(("etas", "sections", "frames", "linear",
+                            "translation"), arrays):
+        held = getattr(copy, name)
+        assert held is not given and not held.flags.writeable
+        assert np.array_equal(held, given)
+    assert copy.n == blade.n and copy.n_stations == 5
 
 
 def test_perturb_needs_a_model_of_the_blade_landmark_count(blade):
     coarse = build_blade(ETAS, make_sections(n=51))
-    result = karcher_mean(stack(coarse.aligned), tol=1e-12)
+    result = karcher_mean(coarse.frames, tol=1e-12)
     model = pga_fit(result.point, result.logs, 2)
     with pytest.raises(DimensionError,
                        match=r"model landmarks \(51\) do not match blade "
@@ -262,12 +321,11 @@ def test_blade_etas_are_the_profile_knots(blade):
 
 def test_profiles_derive_from_the_stations(blade):
     expected = AffineProfiles(blade.etas,
-                              [s.affine.as_vector() for s in blade.stations])
+                              affine_vectors(blade.linear, blade.translation))
     assert blade.profiles.etas.tobytes() == expected.etas.tobytes()
     assert blade.profiles.values.tobytes() == expected.values.tobytes()
-    for eta in (0.0, 0.13, 0.5, 0.81, 1.0):
-        got, want = blade.profiles.affine_at(eta), expected.affine_at(eta)
-        assert got.as_vector().tobytes() == want.as_vector().tobytes()
+    spans = np.array([0.0, 0.13, 0.5, 0.81, 1.0])
+    assert blade.profiles.at(spans).tobytes() == expected.at(spans).tobytes()
 
 
 def _profile_knots(rng, etas):
@@ -303,12 +361,12 @@ def test_profiles_match_reference_pchip_bitwise(k):
         ref = interpolate.PchipInterpolator(etas, vals, axis=0)
         inner = rng.uniform(etas[0], etas[-1], 25)
         mids = 0.5 * (etas[1:] + etas[:-1])
-        for eta in np.concatenate([etas, inner, mids]):
-            affine = profiles.affine_at(eta)
-            got = np.concatenate([affine.linear.ravel(), affine.translation])
+        spans = np.concatenate([etas, inner, mids])
+        got = profiles.at(spans)
+        for eta, row in zip(spans, got):
             want = ref(eta)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.signbit(row), np.signbit(want))
 
 
 def test_profiles_refuse_to_extrapolate():
@@ -316,8 +374,8 @@ def test_profiles_refuse_to_extrapolate():
     profiles = AffineProfiles(etas, _profile_knots(np.random.default_rng(3),
                                                    etas))
     for bad in (-1e-9, 1.0 + 1e-9, np.nan, np.inf):
-        with pytest.raises(SpanRangeError):
-            profiles.affine_at(bad)
+        with pytest.raises(SpanRangeError, match=f"span {bad!r} outside"):
+            profiles.at([0.5, bad, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +392,9 @@ def test_wireframe_shape_and_span_column(blade):
 
 def test_wireframe_at_knot_count_reproduces_stations(blade):
     grid = export_wireframe(blade, 5)
-    for k, station in enumerate(blade.stations):
-        ref = np.linalg.norm(station.section.points)
-        gap = np.linalg.norm(grid[k, :, :2] - station.section.points)
+    for k, section in enumerate(blade.sections):
+        ref = np.linalg.norm(section)
+        gap = np.linalg.norm(grid[k, :, :2] - section)
         assert gap / ref < 1e-8
 
 
@@ -374,9 +432,8 @@ def test_perturb_zero_is_identity(blade, blade_model):
 def test_perturb_moves_all_stations_equally(blade, blade_model):
     t = np.array([0.02, -0.01, 0.004, 0.0])
     out = perturb_blade(blade, blade_model, t)
-    norms = [
-        distance(a, b) for a, b in zip(blade.aligned, out.aligned)
-    ]
+    norms = [distance(GrassmannPoint(a), GrassmannPoint(b))
+             for a, b in zip(blade.frames, out.frames)]
     assert np.max(norms) - np.min(norms) < 1e-10
     assert norms[0] == pytest.approx(float(np.linalg.norm(t)), abs=1e-9)
     assert out.profiles.values.tobytes() == blade.profiles.values.tobytes()
@@ -384,9 +441,18 @@ def test_perturb_moves_all_stations_equally(blade, blade_model):
 
 def test_perturbed_knots_stay_valid(blade, blade_model):
     out = perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]))
-    for station in out.stations:
-        diag = validate_shape(station.section)
+    for section in out.sections:
+        diag = validate_shape(LandmarkMatrix(section))
         assert diag.rank_ok and diag.simple
+
+
+def test_perturbed_sections_match_the_one_station_reconstruction(blade,
+                                                                 blade_model):
+    out = perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]))
+    for k in range(out.n_stations):
+        one = reconstruct_with(GrassmannPoint(out.frames[k]),
+                               AffineMap(out.linear[k], out.translation[k]))
+        assert np.array_equal(out.sections[k], one.points)
 
 
 def test_perturbed_blade_still_continuous(blade, blade_model):
@@ -401,47 +467,38 @@ def test_perturbed_blade_still_continuous(blade, blade_model):
 def test_perturbation_independent_of_cluster_gauge(blade, blade_model):
     # a second gauge by hand: turn every representative by its own rotation
     # and fold the inverse rotation into that station's affine factor
-    stations = []
-    aligned = []
-    for phi, station, rep in zip((0.3, -1.1, 2.0, 0.0, -2.7), blade.stations,
-                                 blade.aligned):
-        c, s = np.cos(phi), np.sin(phi)
-        rot = np.array([[c, -s], [s, c]])
-        affine = AffineMap(rot.T @ station.affine.linear,
-                           station.affine.translation)
-        stations.append(BladeStation(station.eta, station.section, affine))
-        aligned.append(GrassmannPoint(rep.rep @ rot))
-    regauged = BladeDefinition(tuple(stations), tuple(aligned))
+    phi = np.array([0.3, -1.1, 2.0, 0.0, -2.7])
+    c, s = np.cos(phi), np.sin(phi)
+    rot = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)],
+                   axis=1)
+    regauged = BladeDefinition(blade.etas, blade.sections, blade.frames @ rot,
+                               rot.swapaxes(1, 2) @ blade.linear,
+                               blade.translation)
     t = np.array([0.015, -0.007, 0.002, 0.0])
     out_f = perturb_blade(blade, blade_model, t)
     out_r = perturb_blade(regauged, blade_model, t)
-    for a, b in zip(out_f.aligned, out_r.aligned):
-        assert distance(a, b) < 1e-10
+    for a, b in zip(out_f.frames, out_r.frames):
+        assert distance(GrassmannPoint(a), GrassmannPoint(b)) < 1e-10
     # and the rendered sections agree because the affines re-gauge too
-    for sa, sb in zip(out_f.stations, out_r.stations):
-        assert np.max(np.abs(sa.section.points - sb.section.points)) < 1e-9
+    assert np.max(np.abs(out_f.sections - out_r.sections)) < 1e-9
 
 
 def test_perturbing_mean_blade_matches_synthesize(blade_model):
     # stations parked at the model mean under rotated gauges: perturbation
     # must land every station on synthesize(model, t)
     mean = blade_model.mean
-    reps = []
-    for phi in (0.0, 0.8, -1.3):
-        c, s = np.cos(phi), np.sin(phi)
-        reps.append(GrassmannPoint(mean.rep @ np.array([[c, -s], [s, c]])))
-    stations = []
-    for k, rep in enumerate(reps):
-        pts = rep.rep @ np.diag([2.0, 0.5]) + np.array([0.5, 0.0])
-        stations.append(BladeStation(
-            float(k) / 2.0, LandmarkMatrix(pts),
-            AffineMap(np.diag([2.0, 0.5]), np.array([0.5, 0.0]))))
-    b = BladeDefinition(tuple(stations), tuple(reps))
+    reps = stack(
+        GrassmannPoint(mean.rep @ np.array([[np.cos(phi), -np.sin(phi)],
+                                            [np.sin(phi), np.cos(phi)]]))
+        for phi in (0.0, 0.8, -1.3))
+    linear, translation = np.diag([2.0, 0.5]), np.array([0.5, 0.0])
+    b = BladeDefinition([0.0, 0.5, 1.0], reps @ linear + translation, reps,
+                        [linear] * 3, [translation] * 3)
     t = np.array([0.02, -0.01, 0.003, 0.001])
     out = perturb_blade(b, blade_model, t)
     target = synthesize(blade_model, t)
-    for rep in out.aligned:
-        assert distance(rep, target) < 1e-8
+    for rep in out.frames:
+        assert distance(GrassmannPoint(rep), target) < 1e-8
 
 
 def test_perturb_consistency_tolerance_enforced(blade, blade_model):
@@ -456,6 +513,14 @@ def test_perturb_rejects_unusable_tolerance(blade, blade_model, tol):
     with pytest.raises(ParameterError, match="consistency tolerance"):
         perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]),
                       consistency_tol=tol)
+
+
+def shifted_blade(frames):
+    """Stations at spans 0, 1, ... whose sections are their frames moved
+    by (3, 0)."""
+    count = len(frames)
+    return BladeDefinition(np.arange(count, dtype=float), frames + [3.0, 0.0],
+                           frames, [np.eye(2)] * count, [[3.0, 0.0]] * count)
 
 
 def test_perturb_reports_cut_locus_station():
@@ -475,13 +540,7 @@ def test_perturb_reports_cut_locus_station():
 
     good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
     bad = plane(2, 3)  # orthogonal to the mean plane
-    stations = []
-    for k, rep in enumerate((good, bad)):
-        pts = rep.rep @ np.eye(2) + np.array([3.0, 0.0])
-        stations.append(BladeStation(
-            float(k), LandmarkMatrix(pts),
-            AffineMap(np.eye(2), np.array([3.0, 0.0]))))
-    blade = BladeDefinition(tuple(stations), (good, bad))
+    blade = shifted_blade(stack([good, bad]))
     with pytest.raises(CutLocusError) as err:
         perturb_blade(blade, model, np.array([0.01]))
     assert str(err.value).startswith(
@@ -497,12 +556,8 @@ def test_perturb_reports_an_earlier_station_before_a_cut_locus(monkeypatch):
                for _ in range(6)]
     model = pga_fit(mean, logs_at(mean, stack(samples)), 1)
     good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
-    bad = GrassmannPoint(np.eye(6)[:, 2:4])  # orthogonal to the mean plane
-    stations = tuple(
-        BladeStation(float(k), LandmarkMatrix(rep.rep + [3.0, 0.0]),
-                     AffineMap(np.eye(2), np.array([3.0, 0.0])))
-        for k, rep in enumerate((good, bad)))
-    blade = BladeDefinition(stations, (good, bad))
+    bad = np.eye(6)[:, 2:4]  # orthogonal to the mean plane
+    blade = shifted_blade(np.array([good.rep, bad]))
     # every transported coordinate drifts: station 0 fails its check
     def doubled(*args):
         ends, moved = grassmann.transport_stack(*args)
@@ -515,9 +570,8 @@ def test_perturb_reports_an_earlier_station_before_a_cut_locus(monkeypatch):
 def test_design_parameter_count(blade, blade_model):
     assert design_parameter_count(blade, blade_model) == 4 + 6
     section = cst_evaluate(default_baselines()[3], 101)
-    frozen = build_blade([0.0, 1.0], [section, section])
-    points = list(frozen.aligned)
-    result = karcher_mean(stack(points))
+    frozen = build_blade([0.0, 1.0], landmarks([section] * 2))
+    result = karcher_mean(frozen.frames)
     model = pga_fit(result.point, result.logs, 2)
     assert design_parameter_count(frozen, model) == 2
 

@@ -23,7 +23,7 @@ from grassfoil.cli import main
 from grassfoil.geometry import (affine_apply, affine_subgroup, cst_evaluate,
                                 default_baselines)
 
-from conftest import per_coordinate_path
+from conftest import landmarks, per_coordinate_path
 
 N = 101
 
@@ -38,11 +38,10 @@ def workdir(tmp_path_factory):
     assert main(["pga-fit", "--shapes", str(root / "data" / "shapes"),
                  "--r", "3", "--out", str(root / "fit")]) == 0
     etas = [0.0, 0.5, 1.0]
-    sections = [
+    sections = landmarks(
         affine_apply(cst_evaluate(default_baselines()[k], N),
                      affine_subgroup("chord", 0.9 - 0.2 * eta))
-        for k, eta in enumerate(etas)
-    ]
+        for k, eta in enumerate(etas))
     gio.write_blade(root / "blade.json", build_blade(etas, sections))
     assert main(["blade-interp", "--blade", str(root / "blade.json"),
                  "--spans", "6", "--out", str(root / "interp")]) == 0
@@ -120,8 +119,8 @@ def reading_stage_digests(root: Path) -> dict[str, str]:
             for family in families]
     # the other drawings share the path and number formatting
     etas = [0.0, 0.5, 1.0]
-    gio.write_blade(root / "blade.json", build_blade(etas, [
-        gio.read_coordinates(one / f"shape-{k:04d}.dat")[1] for k in range(3)]))
+    gio.write_blade(root / "blade.json", build_blade(etas, landmarks(
+        gio.read_coordinates(one / f"shape-{k:04d}.dat")[1] for k in range(3))))
     runs += [
         ["blade-interp", "--blade", str(root / "blade.json"), "--spans", "7",
          "--out", str(root / "interp")],
@@ -181,6 +180,50 @@ def test_sweep_bytes_match_the_recorded_digests(tmp_path):
         (Path(__file__).parent / "sweep_digests.json").read_text())
     assert len(digests) == 12
     assert sweep_digests(tmp_path) == digests
+
+
+def blade_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every non-manifest file that ``write_blade`` of a built
+    3-section blade, ``blade-perturb`` of that blade and of its bare form,
+    and ``blade-interp`` of it write under ``root``, keyed by run and file
+    name."""
+    data, fit, out = root / "data", root / "fit", root / "out"
+    assert main(["gen-dataset", "--baselines", "4", "--total", "20",
+                 "--n", "101", "--seed", "1", "--out", str(data)]) == 0
+    assert main(["pga-fit", "--shapes", str(data / "shapes"), "--r", "3",
+                 "--out", str(fit)]) == 0
+    sections = np.array([
+        affine_apply(gio.read_coordinates(data / "shapes" / f"shape-{k:04d}.dat")[1],
+                     affine_subgroup("twist", 0.1 + 0.15 * k)).points
+        for k in range(3)])
+    gio.write_blade(out / "built" / "blade.json",
+                    build_blade([0.0, 0.5, 1.0], sections))
+    bare = json.loads((out / "built" / "blade.json").read_text())
+    for station in bare["stations"]:
+        del station["affine"], station["representative"]
+    (root / "bare.json").write_text(json.dumps(bare))
+    perturb = ["--model", str(fit / "model.json"), "--coords",
+               "0.01,-0.005,0.002"]
+    for name, blade in (("explicit", out / "built" / "blade.json"),
+                        ("bare", root / "bare.json")):
+        assert main(["blade-perturb", "--blade", str(blade), *perturb,
+                     "--out", str(out / f"perturb-{name}")]) == 0
+    assert main(["blade-interp", "--blade", str(out / "built" / "blade.json"),
+                 "--spans", "7", "--samples-per-section", "11", "--eta", "0.5",
+                 "--eta", "0.3", "--out", str(out / "interp")]) == 0
+    return {f.relative_to(out).as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.rglob("*"))
+            if f.is_file() and f.name != "manifest.json"}
+
+
+def test_blade_bytes_match_the_recorded_digests(tmp_path):
+    # recorded while the blade still held one object per station and
+    # evaluated its affine profiles one span at a time
+    digests = json.loads(
+        (Path(__file__).parent / "blade_digests.json").read_text())
+    assert len(digests) == 6
+    assert blade_digests(tmp_path) == digests
 
 
 RERUNS = {

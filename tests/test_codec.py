@@ -19,7 +19,7 @@ from grassfoil.geometry import (affine_apply, affine_subgroup, compose_affine,
 from grassfoil.grassmann import la_standardize
 from grassfoil.pga import karcher_mean, pga_fit
 
-from conftest import stack
+from conftest import landmarks, stack
 
 
 def reprs(values) -> list[str]:
@@ -111,7 +111,7 @@ def perturbed_blade():
                              affine_subgroup("twist", 0.05 + 0.20 * eta))
         params = perturb_cst(base, 0.10, int(rng.integers(2 ** 31)))
         sections.append(affine_apply(cst_evaluate(params, 101), aff))
-    blade = build_blade(np.linspace(0.0, 1.0, 9), sections)
+    blade = build_blade(np.linspace(0.0, 1.0, 9), landmarks(sections))
     points = [la_standardize(cst_evaluate(perturb_cst(
         default_baselines()[k], 0.15, seed=40 + k), 101)).point
         for k in range(8)]

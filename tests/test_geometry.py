@@ -222,15 +222,6 @@ def test_identity_and_inverse():
     np.testing.assert_allclose(back.points, shape.points, atol=1e-12)
 
 
-def test_affine_vector_round_trip():
-    aff = AffineMap(np.array([[1.4, 0.2], [-0.1, 0.8]]), np.array([0.3, -0.2]))
-    back = AffineMap.from_vector(aff.as_vector())
-    assert np.array_equal(back.linear, aff.linear)
-    assert np.array_equal(back.translation, aff.translation)
-    with pytest.raises(ParameterError, match="needs 6 entries"):
-        AffineMap.from_vector(np.ones(5))
-
-
 @pytest.mark.parametrize("make, message", [
     (lambda: LandmarkMatrix(np.ones(6)), r"expected an \(n, 2\) array"),
     (lambda: LandmarkMatrix(np.ones((4, 3))), r"expected an \(n, 2\) array"),

@@ -77,8 +77,9 @@ sys.modules["scipy"] = None  # any scipy import now fails
 import grassfoil.cli
 from grassfoil.blade import build_blade, interpolate_section
 from grassfoil.geometry import cst_evaluate, default_baselines
-sections = [cst_evaluate(default_baselines()[k], 51) for k in range(3)]
-blade = build_blade([0.0, 0.5, 1.0], sections)
+import numpy as np
+sections = [cst_evaluate(default_baselines()[k], 51).points for k in range(3)]
+blade = build_blade([0.0, 0.5, 1.0], np.array(sections))
 print(interpolate_section(blade, 0.3).points.shape)
 """
 

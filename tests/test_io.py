@@ -31,7 +31,7 @@ from grassfoil.io import (_scan_coordinates, read_affine, read_blade,
                           write_table, write_wireframe)
 from grassfoil.pga import karcher_mean, pga_fit
 
-from conftest import stack
+from conftest import landmarks, stack
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def small_blade():
         shape = cst_evaluate(default_baselines()[k], 51)
         sections.append(
             affine_apply(shape, affine_subgroup("chord", 0.9 - 0.3 * eta)))
-    return build_blade(etas, sections)
+    return build_blade(etas, landmarks(sections))
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +562,8 @@ def test_blade_round_trip_bit_exact(tmp_path, small_blade):
     write_blade(path, small_blade)
     back = read_blade(path)
     assert back.n == small_blade.n
-    for sa, sb in zip(back.stations, small_blade.stations):
-        assert sa.eta == sb.eta
-        assert np.array_equal(sa.section.points, sb.section.points)
-        assert np.array_equal(sa.affine.linear, sb.affine.linear)
-    for ra, rb in zip(back.aligned, small_blade.aligned):
-        assert np.array_equal(ra.rep, rb.rep)
+    for name in ("etas", "sections", "frames", "linear", "translation"):
+        assert np.array_equal(getattr(back, name), getattr(small_blade, name))
 
 
 def test_blade_bare_stations_rebuilt(tmp_path, small_blade):
@@ -579,12 +575,9 @@ def test_blade_bare_stations_rebuilt(tmp_path, small_blade):
         del station["representative"]
     path.write_text(json.dumps(data))
     rebuilt = read_blade(path)
-    for sa, sb in zip(rebuilt.stations, small_blade.stations):
-        assert np.array_equal(sa.section.points, sb.section.points)
-        np.testing.assert_allclose(sa.affine.linear, sb.affine.linear,
-                                   atol=1e-12)
-    for ra, rb in zip(rebuilt.aligned, small_blade.aligned):
-        np.testing.assert_allclose(ra.rep, rb.rep, atol=1e-12)
+    assert np.array_equal(rebuilt.sections, small_blade.sections)
+    np.testing.assert_allclose(rebuilt.linear, small_blade.linear, atol=1e-12)
+    np.testing.assert_allclose(rebuilt.frames, small_blade.frames, atol=1e-12)
 
 
 @pytest.mark.parametrize("keep", [0, 1])

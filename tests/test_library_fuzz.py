@@ -1,6 +1,7 @@
 """Library fuzz: each exported stack entry point, the design-space calls
-that take normal coordinates, and the blade calls, given malformed input,
-return a result or raise a GrassfoilError, and never warn."""
+that take normal coordinates or shapes, and the blade calls, given
+malformed input, return a result or raise a GrassfoilError, and never
+warn."""
 
 import math
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grassfoil
-from grassfoil.blade import (build_blade, export_wireframe,
+from grassfoil.blade import (BladeDefinition, build_blade, export_wireframe,
                              interpolate_section, perturb_blade)
 from grassfoil.errors import GrassfoilError
 from grassfoil.geometry import (cst_evaluate_stack, default_baselines,
@@ -19,8 +20,8 @@ from grassfoil.geometry import (cst_evaluate_stack, default_baselines,
 from grassfoil.grassmann import (GrassmannPoint, exp_map_stack, log_map_stack,
                                  mean_affine, standardize_stack,
                                  transport_stack)
-from grassfoil.pga import (corner_sweep, domain_contains, karcher_mean,
-                           logs_at, pga_fit, synthesize)
+from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
+                           karcher_mean, logs_at, pga_fit, synthesize)
 
 COEFFS = np.array([p.as_vector() for p in default_baselines()[:4]])
 POINTS = cst_evaluate_stack(COEFFS, 11)
@@ -85,17 +86,22 @@ def arrays(valid):
 
 def counts(valid):
     return st.sampled_from([valid, np.int64(valid), float(valid), valid + 0.5,
-                            True, False, str(valid), None, -1, 0, 1, 2])
+                            True, False, str(valid), None, -1, 0, 1, 2]
+                           ) | st.integers(-2, 200)
 
 
+# any float: NaN, +-inf, +-0, subnormal and huge
+FLOATS = st.floats(allow_subnormal=True)
 TOLERANCES = st.sampled_from([1e-10, np.float64(1e-10), math.nan, math.inf,
-                              -math.inf, 0.0, -1.0, 1e155, True, "x", None])
+                              -math.inf, 0.0, -1.0, 1e155, True, "x", None]
+                             ) | FLOATS
 MEANS = st.sampled_from([MEAN, GrassmannPoint(FRAMES[0][:9])])
 MODEL = pga_fit(MEAN, LOGS, 2)
 COORDS = np.array([0.01, -0.02])
 # huge but finite: far outside the domain, and past any square's range
 HUGE_COORDS = st.sampled_from([COORDS * 1e200, np.full(2, 1.7e308),
-                               np.array([-1e300, 1e-300]), [1e155, 0]])
+                               np.array([-1e300, 1e-300]), [1e155, 0]]
+                              ) | st.lists(FLOATS, min_size=1, max_size=3)
 
 # a direction at each frame toward the next, and at FRAMES[0] toward each
 STEPS = np.array([log_map_stack(f, FRAMES[[(i + 1) % len(FRAMES)]])[0]
@@ -107,7 +113,15 @@ PARAMETERS = st.sampled_from([1.0, 0.6, np.float64(0.5), 0, -2.0, 1e155,
 BLADE = build_blade([0.0, 0.4, 1.0], POINTS[:3])
 SPANS = st.sampled_from([0.3, 0, 1, np.float64(0.7), -0.1, 1.5, 1e155,
                          -1e155, math.nan, math.inf, 10**400, True, "x",
-                         None, [0.3], np.array(0.3)])
+                         None, [0.3], np.array(0.3)]) | FLOATS
+# points: at the mean, near it, at its cut locus, of another landmark
+# count, built from a huge frame, and anywhere along one geodesic
+SHAPES = st.sampled_from([MEAN, GrassmannPoint(FRAMES[1]),
+                          GrassmannPoint(ANTIPODAL),
+                          GrassmannPoint(FRAMES[0][:9]),
+                          GrassmannPoint(FRAMES[2] * 1e155)]) | st.floats(
+    -20.0, 20.0).map(lambda t: GrassmannPoint(
+        exp_map_stack(FRAMES[0], t * DIRECTIONS[1:2])[0]))
 
 FUZZED = {
     "standardize_stack": (standardize_stack, [arrays(POINTS)]),
@@ -138,6 +152,13 @@ FUZZED = {
     "perturb_blade": (perturb_blade, [st.just(BLADE), st.just(MODEL),
                                       arrays(COORDS) | HUGE_COORDS,
                                       TOLERANCES]),
+    "build_blade": (build_blade, [arrays(BLADE.etas), arrays(POINTS[:3])
+                                  | st.none()]),
+    "BladeDefinition": (BladeDefinition, [
+        arrays(getattr(BLADE, name)) for name in
+        ("etas", "sections", "frames", "linear", "translation")]),
+    "coords_of": (coords_of, [st.just(MODEL), SHAPES | arrays(FRAMES[0])
+                              | st.none()]),
 }
 
 

@@ -308,6 +308,16 @@ def test_coords_of_matches_training(airfoil_points):
         np.testing.assert_allclose(got, model.training_coords[i], atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [None, "frame"], ids=["none", "ndarray"])
+def test_coords_of_refuses_what_is_no_grassmann_point(airfoil_points, shape):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 4)
+    if shape == "frame":
+        shape = airfoil_points[0].rep
+    with pytest.raises(ParameterError, match="shape must be a GrassmannPoint"):
+        coords_of(model, shape)
+
+
 def test_flatten_round_trip():
     rng = np.random.default_rng(6)
     mat = rng.normal(size=(9, 2))

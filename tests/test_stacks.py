@@ -191,6 +191,15 @@ def test_as_frames_raises_for_the_first_faulty_slice(frames):
     assert err.value.shape_index == 5
 
 
+def test_log_map_stack_checks_its_reps_as_frames(frames):
+    # a scaled frame spans the same subspace, and its logarithm is that of
+    # its re-orthonormalized frame, bit for bit
+    scaled = 5.0 * frames[:70]
+    logs = gm.log_map_stack(frames[3], scaled)
+    assert same_bits(logs, gm.log_map_stack(frames[3], gm.as_frames(scaled)))
+    assert np.abs(logs - gm.log_map_stack(frames[3], frames[:70])).max() < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # memory
 
@@ -392,6 +401,7 @@ SHAPE_FAULTS = {
 FRAME_FAULTS = {
     "nan": with_nan,
     "orthogonal": lambda rep: ORTHOGONAL,
+    "flat": np.ones_like,  # rank deficient, so as_frames refuses it
 }
 
 
@@ -498,15 +508,17 @@ def test_standardize_names_a_degenerate_file_in_a_later_run(tmp_path, capsys):
 
 def test_wireframe_locates_each_section_once(monkeypatch):
     sections = [affine_apply(cst_evaluate(default_baselines()[k], 101),
-                             affine_subgroup("twist", 0.1 + 0.2 * k))
+                             affine_subgroup("twist", 0.1 + 0.2 * k)).points
                 for k in range(3)]
-    b = blade.build_blade([0.0, 0.4, 1.0], sections)
+    b = blade.build_blade([0.0, 0.4, 1.0], np.array(sections))
     calls = []
-    locate = blade._locate_segment
-    monkeypatch.setattr(blade, "_locate_segment",
-                        lambda etas, eta: calls.append(eta) or locate(etas, eta))
+    locate = blade._locate_segments
+    monkeypatch.setattr(
+        blade, "_locate_segments",
+        lambda knots, etas: calls.append(etas.copy()) or locate(knots, etas))
     grid = blade.export_wireframe(b, 40)
-    assert len(calls) == 40
+    assert len(calls) == 1  # one locate for all spans
+    assert np.array_equal(calls[0], grid[:, 0, 2])
     assert grid.shape == (40, 101, 3)
 
 
