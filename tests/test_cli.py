@@ -182,6 +182,41 @@ def test_sweep_bytes_match_the_recorded_digests(tmp_path):
     assert sweep_digests(tmp_path) == digests
 
 
+# Coordinates of a synthesized shape: the mean, a point inside the fitted
+# domain and a point far outside it
+SYNTH_POINTS = {"zero": ("0,0,0", True), "inside": ("0.01,-0.005,0.002", True),
+                "outside": ("3,-2,1", False)}
+
+
+def synth_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of the representative and the shape that ``synth --affine``
+    writes at each of ``SYNTH_POINTS``, keyed by point and file name."""
+    data, fit, out = root / "data", root / "fit", root / "out"
+    assert main(["gen-dataset", "--baselines", "4", "--total", "20",
+                 "--n", "101", "--seed", "1", "--out", str(data)]) == 0
+    assert main(["pga-fit", "--shapes", str(data / "shapes"), "--r", "3",
+                 "--out", str(fit)]) == 0
+    for name, (coords, inside) in SYNTH_POINTS.items():
+        assert main(["synth", "--model", str(fit / "model.json"),
+                     f"--coords={coords}", "--affine",
+                     str(fit / "mean_affine.json"),
+                     "--out", str(out / name)]) == 0
+        assert read_manifest(out / name)["results"]["in_domain"] is inside
+    return {f.relative_to(out).as_posix():
+            hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.glob("*/*"))
+            if f.name != "manifest.json"}
+
+
+def test_synth_bytes_match_the_recorded_digests(tmp_path):
+    # recorded while the model still held its mean and basis as point and
+    # tangent objects
+    digests = json.loads(
+        (Path(__file__).parent / "synth_digests.json").read_text())
+    assert len(digests) == 6
+    assert synth_digests(tmp_path) == digests
+
+
 def blade_digests(root: Path) -> dict[str, str]:
     """SHA-256 of every non-manifest file that ``write_blade`` of a built
     3-section blade, ``blade-perturb`` of that blade and of its bare form,
