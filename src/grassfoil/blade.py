@@ -320,24 +320,25 @@ def perturb_blade(blade: BladeDefinition, model: PgaModel, t: np.ndarray,
             f"model landmarks ({model.n}) do not match blade ({blade.n})")
     if not np.any(t):
         return blade
-    mats = np.array([model.direction(t)] + [b.mat for b in model.basis])
+    mats = np.concatenate([model.direction(t)[None], model.basis])
     reps = blade.frames
     frames = np.empty(reps.shape)
 
     def run(rows: range):
         at = slice(rows.start, rows.stop)
         try:
-            directions = log_map_stack(model.mean.rep, reps[at])
+            directions = log_map_stack(model.mean, reps[at])
         except CutLocusError as err:
             k = rows[err.shape_index]
             err.args = (f"station {k} is at the cut locus of the model mean: "
                         f"{err}",)
             raise
-        ends, moved = transport_stack(model.mean.rep, directions, mats)
-        coords = np.sum(moved[:, :1] * moved[:, 1:], axis=(2, 3))
-        drift = np.abs(coords - t).max(axis=1)
+        ends, moved = transport_stack(model.mean, directions, mats)
+        with np.errstate(over="ignore", invalid="ignore"):  # drifts past any tol
+            coords = np.sum(moved[:, :1] * moved[:, 1:], axis=(2, 3))
+            drift = np.abs(coords - t).max(axis=1)
         k = int(drift.argmax())
-        if drift[k] > consistency_tol:
+        if not drift[k] <= consistency_tol:
             raise ConsistencyError(
                 f"transported coordinates at station {rows[k]} drifted by "
                 f"{drift[k]:.3e} (tolerance {consistency_tol:.1e})")

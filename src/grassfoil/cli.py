@@ -183,7 +183,7 @@ def cmd_standardize(args) -> tuple[dict, str]:
 def cmd_mean(args) -> tuple[dict, str]:
     names, result, affine = _fit_mean(args)
     mean = result.point
-    gio.write_coordinates(args.out / "mean_rep.dat", LandmarkMatrix(mean.rep),
+    gio.write_coordinates(args.out / "mean_rep.dat", LandmarkMatrix(mean),
                           "karcher-mean-representative")
     gio.write_affine(args.out / "mean_affine.json", affine)
     gio.write_coordinates(args.out / "mean_shape.dat",
@@ -220,14 +220,14 @@ def cmd_synth(args) -> tuple[dict, str]:
     model = gio.read_model(args.model)
     t = _parse_coord_vector(args.coords, model.r)
     affine = None if args.affine is None else gio.read_affine(args.affine)
-    point = synthesize(model, t)
+    frame = synthesize(model, t)
     inside = domain_contains(model, t)
     results = {"in_domain": inside, "coords": t.tolist()}
     if affine is not None:
-        shape = reconstruct_with(point, affine)
+        shape = reconstruct_with(frame, affine)
         results.update(_validity(validate_shape(shape)))
     gio.write_coordinates(args.out / "representative.dat",
-                          LandmarkMatrix(point.rep),
+                          LandmarkMatrix(frame),
                           "synthesized-representative")
     if affine is not None:
         gio.write_coordinates(args.out / "shape.dat", shape,

@@ -65,7 +65,7 @@ class LandmarkMatrix:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = array_argument(self.points, "landmarks").copy(order="K")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ParameterError(
                 f"expected an (n, 2) array, got shape {pts.shape}")
@@ -107,8 +107,8 @@ class AffineMap:
     translation: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.linear, dtype=float)
-        b = np.array(self.translation, dtype=float)
+        m = array_argument(self.linear, "linear factor").copy(order="K")
+        b = array_argument(self.translation, "translation").copy(order="K")
         if m.shape != (2, 2):
             raise ParameterError(f"linear factor must be 2x2, got {m.shape}")
         if b.shape != (2,):
@@ -116,6 +116,9 @@ class AffineMap:
                 f"translation must have shape (2,), got {b.shape}")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
             raise ParameterError("affine map contains non-finite values")
+        if np.abs(affine_vectors(m, b)).max() > MAX_COORDINATE:
+            raise ParameterError(
+                f"affine map exceeds {MAX_COORDINATE:.0e} in magnitude")
         if singular_linear(m):
             raise Gl2ViolationError(
                 "linear factor is rank deficient (|det| <= 1e-12); the "
@@ -159,7 +162,8 @@ class CstParams:
 
     def __post_init__(self):
         for name in ("upper", "lower"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = array_argument(getattr(self, name), f"{name} coefficients"
+                                 ).copy(order="K")
             if arr.shape != (COEFFS_PER_SURFACE,):
                 raise ParameterError(
                     f"{name} surface needs exactly {COEFFS_PER_SURFACE} "
@@ -168,8 +172,13 @@ class CstParams:
                 raise ParameterError(f"{name} coefficients are not finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not np.isfinite(self.te_thickness):
+        te = array_argument(self.te_thickness, "trailing-edge thickness")
+        if te.ndim:
+            raise ParameterError("trailing-edge thickness must be one number, "
+                                 f"got shape {te.shape}")
+        if not np.isfinite(te):
             raise ParameterError("trailing-edge thickness is not finite")
+        object.__setattr__(self, "te_thickness", float(te))
 
     def as_vector(self) -> np.ndarray:
         """The 18 free coefficients, upper surface first."""
@@ -177,7 +186,7 @@ class CstParams:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, te_thickness: float = 0.0) -> "CstParams":
-        vec = np.asarray(vec, dtype=float)
+        vec = array_argument(vec, "coefficient vector")
         if vec.shape != (2 * COEFFS_PER_SURFACE,):
             raise ParameterError(
                 f"coefficient vector needs {2 * COEFFS_PER_SURFACE} entries, "

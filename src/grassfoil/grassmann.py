@@ -111,7 +111,8 @@ class GrassmannPoint:
     rep: np.ndarray
 
     def __post_init__(self):
-        rep = np.array(self.rep, dtype=float)
+        rep = array_argument(self.rep, "representative",
+                             DimensionError).copy(order="K")
         if rep.ndim != 2 or rep.shape[0] <= rep.shape[1]:
             raise DimensionError(
                 f"representative must be a tall matrix, got shape {rep.shape}")
@@ -136,7 +137,8 @@ class TangentVector:
     base: GrassmannPoint
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=float)
+        mat = array_argument(self.mat, "tangent", DimensionError).copy(
+            order="K")
         if mat.shape != self.base.rep.shape:
             raise DimensionError(
                 f"tangent shape {mat.shape} does not match base "
@@ -237,10 +239,10 @@ def la_standardize(shape: LandmarkMatrix) -> LaDecomposition:
                            AffineMap(linear[0], translation[0]))
 
 
-def reconstruct_with(point: GrassmannPoint,
-                     affine: AffineMap) -> LandmarkMatrix:
-    """The landmarks ``rep @ M + outer(1, b)`` of a frame and affine factor."""
-    return affine_apply(LandmarkMatrix(point.rep), affine)
+def reconstruct_with(frame, affine: AffineMap) -> LandmarkMatrix:
+    """The landmarks ``frame @ M + outer(1, b)`` of an ``(n, 2)`` frame,
+    checked as :class:`GrassmannPoint` checks one, and an affine factor."""
+    return affine_apply(LandmarkMatrix(GrassmannPoint(frame).rep), affine)
 
 
 def mean_affine(linear: np.ndarray, translation: np.ndarray) -> AffineMap:

@@ -36,7 +36,6 @@ from .errors import (
     in_order,
 )
 from .geometry import MAX_COORDINATE, AffineMap, LandmarkMatrix
-from .grassmann import GrassmannPoint, TangentVector
 from .pga import (FLATTEN_ORDER, CoordinateDomain, PgaModel, flatten_tangent,
                   unflatten_tangent)
 
@@ -409,9 +408,9 @@ def write_model(path, model: PgaModel) -> None:
         "n": model.n,
         "r": model.r,
         "flatten_order": FLATTEN_ORDER,
-        "mean": flatten_tangent(model.mean.rep),
+        "mean": flatten_tangent(model.mean),
         "eigenvalues": model.eigenvalues,
-        "basis": model.basis_matrix(),
+        "basis": flatten_tangent(model.basis),
         "domain": {
             "bounds_min": model.domain.bounds_min,
             "bounds_max": model.domain.bounds_max,
@@ -432,17 +431,14 @@ def read_model(path) -> PgaModel:
     if order != FLATTEN_ORDER:
         raise SchemaError(
             f"key 'flatten_order' is {order!r}; this build reads {FLATTEN_ORDER!r}")
-    mean_vec = _array(data, "mean", (2 * n,))
+    mean = unflatten_tangent(_array(data, "mean", (2 * n,)), n)
     eigenvalues = _array(data, "eigenvalues", (r,))
-    basis_rows = _array(data, "basis", (r, 2 * n))
+    basis = unflatten_tangent(_array(data, "basis", (r, 2 * n)), n)
     domain_data = _get(data, "domain")
     domain = CoordinateDomain(
         *(_array(domain_data, key, (r,), "domain")
           for key in ("bounds_min", "bounds_max", "ellipsoid_radii")))
     coords = _array(data, "training_coords", (None, r))
-    mean = GrassmannPoint(unflatten_tangent(mean_vec, n))
-    basis = tuple(TangentVector(unflatten_tangent(row, n), mean)
-                  for row in basis_rows)
     return PgaModel(mean, basis, eigenvalues, domain, coords)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     IterationLimitError,
     ParameterError,
     array_argument,
+    in_order,
     integer_argument,
 )
 from .geometry import MAX_COORDINATE, sweep_points
@@ -33,7 +34,6 @@ from .grassmann import (
     as_frames,
     exp_map,
     exp_map_stack,
-    log_map,
     log_map_stack,
 )
 
@@ -50,7 +50,8 @@ def flatten_tangent(mat: np.ndarray) -> np.ndarray:
 
 
 def unflatten_tangent(vec: np.ndarray, n: int) -> np.ndarray:
-    return vec.reshape((n, -1), order="F")
+    """Inverse of :func:`flatten_tangent`, as a view."""
+    return vec.reshape(*vec.shape[:-1], -1, n).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +59,8 @@ class CoordinateDomain:
     """Region of normal-coordinate space covered by the training set.
 
     Axis-aligned bounds plus an origin-centered ellipsoid whose semi-axes
-    put every training sample inside with a 1.1x margin.
+    put every training sample inside with a 1.1x margin; each is a finite
+    read-only array of one entry per direction.
     """
 
     bounds_min: np.ndarray
@@ -67,9 +69,12 @@ class CoordinateDomain:
 
     def __post_init__(self):
         for name in ("bounds_min", "bounds_max", "ellipsoid_radii"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = array_argument(getattr(self, name), name,
+                                 DimensionError).copy(order="K")
             if arr.ndim != 1:
                 raise DimensionError(f"{name} must be one-dimensional")
+            if not np.isfinite(arr).all():
+                raise DimensionError(f"{name} contains non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (self.bounds_min.shape == self.bounds_max.shape
@@ -79,27 +84,46 @@ class CoordinateDomain:
 
 @dataclass(frozen=True, eq=False)
 class PgaModel:
-    """Fitted design space: mean, tangent basis, spectrum, domain, coords."""
+    """Fitted design space as read-only arrays: ``mean`` ``(n, 2)``, ``basis``
+    ``(r, n, 2)``, ``eigenvalues``, ``domain`` and ``training_coords``. The
+    mean is checked as a :class:`GrassmannPoint` and each direction as a
+    :class:`TangentVector`; the first faulty one raises, with ``shape_index``.
+    """
 
-    mean: GrassmannPoint
-    basis: tuple[TangentVector, ...]
+    mean: np.ndarray
+    basis: np.ndarray
     eigenvalues: np.ndarray
     domain: CoordinateDomain
     training_coords: np.ndarray
 
     def __post_init__(self):
-        ev = np.array(self.eigenvalues, dtype=float)
-        tc = np.array(self.training_coords, dtype=float)
-        if ev.shape != (len(self.basis),):
+        point = GrassmannPoint(self.mean)
+        object.__setattr__(self, "mean", point.rep)
+        for name in ("basis", "eigenvalues", "training_coords"):
+            arr = array_argument(getattr(self, name), name,
+                                 DimensionError).copy(order="K")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        basis, ev, tc = self.basis, self.eigenvalues, self.training_coords
+        if point.q != 2 or basis.ndim != 3 or basis.shape[1:] != point.rep.shape:
+            raise DimensionError(
+                f"expected an (n, 2) mean and an (r, n, 2) basis, got shapes "
+                f"{point.rep.shape} and {basis.shape}")
+        in_order(lambda rows: TangentVector(basis[rows.start], point),
+                 self.r, 1)
+        if ev.shape != (self.r,):
             raise DimensionError("one eigenvalue per basis direction required")
-        if tc.ndim != 2 or tc.shape[1] != len(self.basis):
+        if tc.ndim != 2 or tc.shape[1] != self.r:
             raise DimensionError(
                 "training coordinates must be (N, r) with r basis directions")
-        ev.setflags(write=False)
-        tc.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "training_coords", tc)
-        object.__setattr__(self, "basis", tuple(self.basis))
+        if not (np.isfinite(ev).all() and np.isfinite(tc).all()):
+            raise DimensionError(
+                "eigenvalues and training coordinates must be finite")
+        if not isinstance(self.domain, CoordinateDomain):
+            raise ParameterError(f"domain must be a CoordinateDomain, got "
+                                 f"{type(self.domain).__name__}")
+        if self.domain.bounds_min.shape != ev.shape:
+            raise DimensionError("one domain entry per basis direction required")
 
     @property
     def r(self) -> int:
@@ -107,11 +131,7 @@ class PgaModel:
 
     @property
     def n(self) -> int:
-        return self.mean.n
-
-    def basis_matrix(self) -> np.ndarray:
-        """Basis stacked as an (r, 2n) array of flattened tangents."""
-        return np.array([flatten_tangent(b.mat) for b in self.basis])
+        return len(self.mean)
 
     def checked_coords(self, t) -> np.ndarray:
         """``t`` as a finite float vector of this model's ``r`` normal
@@ -126,26 +146,21 @@ class PgaModel:
 
     def direction(self, t) -> np.ndarray:
         """Tangent matrix at the mean with normal coordinates ``t``."""
-        return np.tensordot(self.checked_coords(t),
-                            np.array([b.mat for b in self.basis]), axes=(0, 0))
+        return np.tensordot(self.checked_coords(t), self.basis, axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------
 # intrinsic mean
 
 
-def logs_at(mean: GrassmannPoint, shapes) -> np.ndarray:
-    """Logarithms at ``mean`` of an ``(N, n, 2)`` stack of representatives,
-    as one (N, 2n) array of flattened rows.
+def logs_at(base, frames) -> np.ndarray:
+    """Logarithms at the ``(n, 2)`` frame ``base`` of an ``(N, n, 2)`` stack
+    of frames, as one (N, 2n) array of flattened rows.
 
-    A shape at the cut locus of ``mean`` is named by its index.
+    A shape at the cut locus of ``base`` is named by its index.
     """
-    return _logs(mean.rep, shapes)
-
-
-def _logs(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
     try:
-        logs = log_map_stack(base, reps)
+        logs = log_map_stack(base, frames)
     except CutLocusError as err:
         err.args = (f"shape {err.shape_index} is at the cut locus of the "
                     f"mean: {err}",)
@@ -155,9 +170,9 @@ def _logs(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KarcherResult:
-    """Intrinsic mean, its gradient norm, steps taken, and logs there."""
+    """Intrinsic mean frame, its gradient norm, steps taken, and logs there."""
 
-    point: GrassmannPoint
+    point: np.ndarray
     residual: float
     iterations: int
     logs: np.ndarray
@@ -190,12 +205,12 @@ def karcher_mean(shapes, tol: float = 1e-10,
     mean = GrassmannPoint(base)
     residual = None
     for iterations in range(max_iter + 1):
-        logs = _logs(base, reps)
+        logs = logs_at(base, reps)
         grad = unflatten_tangent(logs.mean(axis=0), mean.n)
         previous, residual = residual, float(np.linalg.norm(grad))
         if residual < tol:
             logs.setflags(write=False)
-            return KarcherResult(mean, residual, iterations, logs)
+            return KarcherResult(mean.rep, residual, iterations, logs)
         if iterations < max_iter:
             mean = exp_map(mean, TangentVector(grad, mean))
             base = mean.rep
@@ -211,8 +226,8 @@ def karcher_mean(shapes, tol: float = 1e-10,
 # principal geodesic fit
 
 
-def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
-    """Principal directions of the (N, 2n) logarithm rows at ``mean``.
+def pga_fit(mean, logs: np.ndarray, r: int) -> PgaModel:
+    """Principal directions of the (N, 2n) logarithm rows at frame ``mean``.
 
     Eigendecomposes the second-moment matrix ``sum_i v_i v_i' / N`` of the
     rows, as ``logs_at`` and ``KarcherResult.logs`` give them; the mean is
@@ -222,7 +237,8 @@ def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
     not a finite numeric (N, 2n) array, or whose moments would overflow (an
     entry beyond ``MAX_COORDINATE``), raise ``DimensionError``.
     """
-    n = mean.n
+    mean = GrassmannPoint(mean).rep
+    n = len(mean)
     r = integer_argument(r, "r")
     logs = array_argument(logs, "logs", DimensionError)
     if logs.ndim != 2 or logs.shape[1] != 2 * n:
@@ -253,16 +269,14 @@ def pga_fit(mean: GrassmannPoint, logs: np.ndarray, r: int) -> PgaModel:
         vals = vals[::-1][:r]
         basis_flat = vecs[:, ::-1][:, :r].T
     eigenvalues = np.clip(vals, 0.0, None)
-    mats = _clean_directions(basis_flat, eigenvalues, mean)
-    basis = tuple(TangentVector(m, mean) for m in mats)
-    basis_flat = np.array([flatten_tangent(m) for m in mats])
-    coords = logs @ basis_flat.T
+    basis = _clean_directions(basis_flat, eigenvalues, mean)
+    coords = logs @ flatten_tangent(basis).T
     domain = _fit_domain(coords, eigenvalues)
     return PgaModel(mean, basis, eigenvalues, domain, coords)
 
 
 def _clean_directions(basis_flat: np.ndarray, eigenvalues: np.ndarray,
-                      mean: GrassmannPoint) -> list[np.ndarray]:
+                      mean: np.ndarray) -> np.ndarray:
     """Project directions horizontal, zero out numerically dead ones, fix signs.
 
     Eigenvectors with eigenvalue at rounding level (relative 1e-12) carry no
@@ -272,21 +286,18 @@ def _clean_directions(basis_flat: np.ndarray, eigenvalues: np.ndarray,
     the Gram and dense routes produce identical bases.
     """
     cutoff = max(float(eigenvalues[0]) * 1e-12, 1e-24) if eigenvalues.size else 0.0
-    n = mean.n
-    out = []
-    for val, row in zip(eigenvalues, basis_flat):
-        mat = unflatten_tangent(np.array(row, dtype=float), n)
-        mat -= mean.rep @ (mean.rep.T @ mat)
+    mats = unflatten_tangent(np.array(basis_flat, order="C"), len(mean))
+    mats -= mean @ (mean.T @ mats)
+    for val, mat in zip(eigenvalues, mats):
         norm = float(np.linalg.norm(mat))
         if val <= cutoff or norm <= 0.5:
-            out.append(np.zeros((n, 2)))
+            mat[...] = 0.0
             continue
         mat /= norm
         flat = flatten_tangent(mat)
         if flat[np.argmax(np.abs(flat))] < 0.0:
-            mat = -mat
-        out.append(mat)
-    return out
+            mat *= -1.0
+    return mats
 
 
 def _fit_domain(coords: np.ndarray, eigenvalues: np.ndarray) -> CoordinateDomain:
@@ -305,19 +316,17 @@ def _fit_domain(coords: np.ndarray, eigenvalues: np.ndarray) -> CoordinateDomain
 # the design space
 
 
-def coords_of(model: PgaModel, shape: GrassmannPoint) -> np.ndarray:
-    """Normal coordinates: projections of the shape's logarithm on the basis;
-    a shape that is not a :class:`GrassmannPoint` raises ``ParameterError``."""
-    if not isinstance(shape, GrassmannPoint):
-        raise ParameterError(
-            f"shape must be a GrassmannPoint, got {type(shape).__name__}")
-    v = flatten_tangent(log_map(model.mean, shape).mat)
-    return model.basis_matrix() @ v
+def coords_of(model: PgaModel, frame) -> np.ndarray:
+    """Normal coordinates: projections of the frame's logarithm at the mean
+    on the basis; ``frame`` is checked as :func:`log_map_stack` checks one."""
+    frame = array_argument(frame, "frame", DimensionError)
+    v = flatten_tangent(log_map_stack(model.mean, frame[None]))[0]
+    return flatten_tangent(model.basis) @ v
 
 
-def synthesize(model: PgaModel, t: np.ndarray) -> GrassmannPoint:
-    """Shape at normal coordinates ``t``: exponentiate the basis combination."""
-    return exp_map(model.mean, TangentVector(model.direction(t), model.mean))
+def synthesize(model: PgaModel, t: np.ndarray) -> np.ndarray:
+    """The ``(n, 2)`` frame at ``t``: exponentiate the basis combination."""
+    return exp_map_stack(model.mean, model.direction(t)[None])[0]
 
 
 def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
@@ -338,5 +347,5 @@ def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
     one ``(steps, n, 2)`` stack: each step's frame is the one
     :func:`synthesize` gives at its coordinates."""
     points = sweep_points(corner_a, corner_b, steps)
-    return exp_map_stack(model.mean.rep,
+    return exp_map_stack(model.mean,
                          np.array([model.direction(t) for t in points]))

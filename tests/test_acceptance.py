@@ -127,13 +127,14 @@ def test_criterion_02_riemannian_kernel():
 def test_criterion_03_karcher_mean(decomposed, dataset_karcher):
     rng = np.random.default_rng(300)
     p, q = random_point(rng, N_LANDMARKS), random_point(rng, N_LANDMARKS)
-    mid = karcher_mean(stack([p, q])).point
+    mid = GrassmannPoint(karcher_mean(stack([p, q])).point)
     equidistance = abs(distance(mid, p) - distance(mid, q))
 
     points = [d.point for d in decomposed]
+    mean = GrassmannPoint(dataset_karcher.point)
     grad = np.zeros((N_LANDMARKS, 2))
     for point in points:
-        grad += log_map(dataset_karcher.point, point).mat
+        grad += log_map(mean, point).mat
     residual = float(np.linalg.norm(grad / len(points)))
 
     ok = equidistance < 1e-9 and residual < 1e-10
@@ -154,12 +155,11 @@ def test_criterion_04_pga_oracle():
         exp_map(base, TangentVector(c1 * b1.mat + c2 * b2.mat, base))
         for c1, c2 in coeffs
     ]
-    model = pga_fit(base, logs_at(base, stack(shapes)), 6)
+    model = pga_fit(base.rep, logs_at(base.rep, stack(shapes)), 6)
 
     planted = np.column_stack(
         [flatten_tangent(b1.mat), flatten_tangent(b2.mat)])
-    fitted = np.column_stack(
-        [flatten_tangent(v.mat) for v in model.basis[:2]])
+    fitted = flatten_tangent(model.basis[:2]).T
     sines = np.linalg.svd(fitted - planted @ (planted.T @ fitted),
                           compute_uv=False)
     angle = float(np.max(sines))

@@ -450,7 +450,7 @@ def test_perturbed_sections_match_the_one_station_reconstruction(blade,
                                                                  blade_model):
     out = perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]))
     for k in range(out.n_stations):
-        one = reconstruct_with(GrassmannPoint(out.frames[k]),
+        one = reconstruct_with(out.frames[k],
                                AffineMap(out.linear[k], out.translation[k]))
         assert np.array_equal(out.sections[k], one.points)
 
@@ -488,15 +488,15 @@ def test_perturbing_mean_blade_matches_synthesize(blade_model):
     # must land every station on synthesize(model, t)
     mean = blade_model.mean
     reps = stack(
-        GrassmannPoint(mean.rep @ np.array([[np.cos(phi), -np.sin(phi)],
-                                            [np.sin(phi), np.cos(phi)]]))
+        GrassmannPoint(mean @ np.array([[np.cos(phi), -np.sin(phi)],
+                                        [np.sin(phi), np.cos(phi)]]))
         for phi in (0.0, 0.8, -1.3))
     linear, translation = np.diag([2.0, 0.5]), np.array([0.5, 0.0])
     b = BladeDefinition([0.0, 0.5, 1.0], reps @ linear + translation, reps,
                         [linear] * 3, [translation] * 3)
     t = np.array([0.02, -0.01, 0.003, 0.001])
     out = perturb_blade(b, blade_model, t)
-    target = synthesize(blade_model, t)
+    target = GrassmannPoint(synthesize(blade_model, t))
     for rep in out.frames:
         assert distance(GrassmannPoint(rep), target) < 1e-8
 
@@ -505,6 +505,17 @@ def test_perturb_consistency_tolerance_enforced(blade, blade_model):
     with pytest.raises(ConsistencyError):
         perturb_blade(blade, blade_model, np.array([0.02, -0.01, 0.004, 0.0]),
                       consistency_tol=1e-18)
+
+
+def test_perturb_past_the_float_range_drifts_without_a_warning():
+    # the transported coordinates' sum overflows; pytest turns the warning
+    # into an error
+    points = landmarks(cst_evaluate(p, 11) for p in default_baselines()[:4])
+    frames = standardize_stack(points)[0]
+    model = pga_fit(frames[0], logs_at(frames[0], frames), 2)
+    blade = build_blade([0.0, 0.4, 1.0], points[:3])
+    with pytest.raises(ConsistencyError, match="drifted by inf"):
+        perturb_blade(blade, model, [1.7976931348623157e308, 0.0])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, "x",
@@ -536,7 +547,7 @@ def test_perturb_reports_cut_locus_station():
         exp_map(mean, random_horizontal(rng, mean, scale=0.05))
         for _ in range(6)
     ]
-    model = pga_fit(mean, logs_at(mean, stack(samples)), 1)
+    model = pga_fit(mean.rep, logs_at(mean.rep, stack(samples)), 1)
 
     good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
     bad = plane(2, 3)  # orthogonal to the mean plane
@@ -554,7 +565,7 @@ def test_perturb_reports_an_earlier_station_before_a_cut_locus(monkeypatch):
     rng = np.random.default_rng(2)
     samples = [exp_map(mean, random_horizontal(rng, mean, scale=0.05))
                for _ in range(6)]
-    model = pga_fit(mean, logs_at(mean, stack(samples)), 1)
+    model = pga_fit(mean.rep, logs_at(mean.rep, stack(samples)), 1)
     good = exp_map(mean, random_horizontal(rng, mean, scale=0.1))
     bad = np.eye(6)[:, 2:4]  # orthogonal to the mean plane
     blade = shifted_blade(np.array([good.rep, bad]))

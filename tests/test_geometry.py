@@ -243,10 +243,45 @@ def test_identity_and_inverse():
      "coefficient vector needs 18 entries"),
     (lambda: CstParams.from_vector(np.ones((2, 9))),
      "coefficient vector needs 18 entries"),
+    (lambda: LandmarkMatrix([[0.0, 0.0], [1.0], [0.0, 1.0]]),
+     "^landmarks must be a rectangular numeric array"),
+    (lambda: LandmarkMatrix(object()),
+     "^landmarks must be a rectangular numeric array"),
+    (lambda: LandmarkMatrix(np.ones((4, 2)).astype(str)),
+     "^landmarks must be a rectangular numeric array"),
+    (lambda: AffineMap(np.eye(2), ["0", "1"]),
+     "^translation must be a rectangular numeric array"),
+    (lambda: AffineMap(np.eye(2) * 1e200, np.zeros(2)),
+     r"affine map exceeds 1e\+150 in magnitude"),
+    (lambda: AffineMap(np.eye(2), [0.0, -1e151]),
+     r"affine map exceeds 1e\+150 in magnitude"),
+    (lambda: CstParams(np.ones(9).astype(str), np.ones(9)),
+     "^upper coefficients must be a rectangular numeric array"),
+    (lambda: CstParams(np.ones(9), -np.ones(9), "x"),
+     "^trailing-edge thickness must be a rectangular numeric array"),
+    (lambda: CstParams(np.ones(9), -np.ones(9), None),
+     "^trailing-edge thickness must be a rectangular numeric array"),
+    (lambda: CstParams(np.ones(9), -np.ones(9), [0.0, 0.1]),
+     "trailing-edge thickness must be one number"),
+    (lambda: CstParams.from_vector(["1"] * 18),
+     "^coefficient vector must be a rectangular numeric array"),
 ])
 def test_value_types_reject_bad_input(make, message):
     with pytest.raises(ParameterError, match=message):
         make()
+
+
+def test_value_types_keep_read_only_copies_in_their_memory_order():
+    points = np.asfortranarray(cst_evaluate(UNIFORM, 11).points)
+    linear = np.asfortranarray([[1.0, 0.2], [0.1, 1.0]])
+    for given, kept in ((points, LandmarkMatrix(points).points),
+                        (linear, AffineMap(linear, [0, 1]).linear)):
+        assert np.array_equal(kept, given) and kept.flags.f_contiguous
+        assert not np.shares_memory(kept, given)
+        assert not kept.flags.writeable
+    params = CstParams(np.arange(9), np.ones(9), np.float32(0.25))
+    assert params.upper.dtype == float and not params.upper.flags.writeable
+    assert params.te_thickness == 0.25 and type(params.te_thickness) is float
 
 
 def test_singular_affine_rejected():
@@ -417,7 +452,7 @@ def test_certificate_covers_reconstructed_airfoils():
     # so the chains' last breakpoints sit ~1e-15 apart
     for params in (UNIFORM, default_baselines()[9]):
         d = la_standardize(cst_evaluate(params, 101))
-        back = reconstruct_with(d.point, d.affine)
+        back = reconstruct_with(d.point.rep, d.affine)
         assert not np.array_equal(back.points[0], back.points[-1])
         for variant in airfoil_variants(back.points)[:4]:
             assert certified(variant)

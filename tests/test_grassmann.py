@@ -72,6 +72,14 @@ def test_point_requires_full_rank():
     (lambda p: log_map_stack(p.rep, p.rep[None, :-1]),
      r"mismatched representatives: \(20, 2\) vs \(19, 2\)"),
     (lambda p: log_map_stack(p.rep, p.rep), "mismatched representatives"),
+    (lambda p: GrassmannPoint([[1.0, 0.0], [0.0], [0.0, 1.0]]),
+     "^representative must be a rectangular numeric array"),
+    (lambda p: GrassmannPoint(p.rep.astype(str)),
+     "^representative must be a rectangular numeric array"),
+    (lambda p: TangentVector(object(), p),
+     "^tangent must be a rectangular numeric array"),
+    (lambda p: TangentVector(np.zeros((p.n, 2)).astype(str), p),
+     "^tangent must be a rectangular numeric array"),
 ])
 def test_frames_and_tangents_reject_bad_shapes(make, message):
     p = random_point(np.random.default_rng(4), 20)
@@ -131,7 +139,7 @@ def test_standardize_properties():
     np.testing.assert_allclose(rep.mean(axis=0), np.zeros(2), atol=1e-14)
     np.testing.assert_allclose(d.affine.translation,
                                shape.points.mean(axis=0), atol=1e-14)
-    back = reconstruct_with(d.point, d.affine)
+    back = reconstruct_with(d.point.rep, d.affine)
     assert np.max(np.abs(back.points - shape.points)) < 1e-10
 
 

@@ -481,13 +481,14 @@ def test_model_round_trip_bit_exact(tmp_path, fitted_model):
     back = read_model(path)
     assert back.n == fitted_model.n
     assert back.r == fitted_model.r
-    assert np.array_equal(back.mean.rep, fitted_model.mean.rep)
+    assert np.array_equal(back.mean, fitted_model.mean)
     assert np.array_equal(back.eigenvalues, fitted_model.eigenvalues)
-    for u, v in zip(back.basis, fitted_model.basis):
-        assert np.array_equal(u.mat, v.mat)
+    assert np.array_equal(back.basis, fitted_model.basis)
     assert np.array_equal(back.training_coords, fitted_model.training_coords)
     assert np.array_equal(back.domain.bounds_min,
                           fitted_model.domain.bounds_min)
+    assert np.array_equal(back.domain.bounds_max,
+                          fitted_model.domain.bounds_max)
     assert np.array_equal(back.domain.ellipsoid_radii,
                           fitted_model.domain.ellipsoid_radii)
 

@@ -1,7 +1,7 @@
 """Library fuzz: each exported stack entry point, the design-space calls
-that take normal coordinates or shapes, and the blade calls, given
-malformed input, return a result or raise a GrassfoilError, and never
-warn."""
+that take normal coordinates or frames, the blade calls and the value
+types, given malformed input, return a result or raise a GrassfoilError,
+and never warn."""
 
 import math
 import warnings
@@ -15,18 +15,20 @@ import grassfoil
 from grassfoil.blade import (BladeDefinition, build_blade, export_wireframe,
                              interpolate_section, perturb_blade)
 from grassfoil.errors import GrassfoilError
-from grassfoil.geometry import (cst_evaluate_stack, default_baselines,
+from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
+                                cst_evaluate_stack, default_baselines,
                                 sweep_points, validate_stack)
-from grassfoil.grassmann import (GrassmannPoint, exp_map_stack, log_map_stack,
-                                 mean_affine, standardize_stack,
+from grassfoil.grassmann import (GrassmannPoint, TangentVector, exp_map_stack,
+                                 log_map_stack, mean_affine, standardize_stack,
                                  transport_stack)
-from grassfoil.pga import (coords_of, corner_sweep, domain_contains,
-                           karcher_mean, logs_at, pga_fit, synthesize)
+from grassfoil.pga import (CoordinateDomain, PgaModel, coords_of, corner_sweep,
+                           domain_contains, karcher_mean, logs_at, pga_fit,
+                           synthesize)
 
 COEFFS = np.array([p.as_vector() for p in default_baselines()[:4]])
 POINTS = cst_evaluate_stack(COEFFS, 11)
 FRAMES, LINEAR, TRANSLATION = standardize_stack(POINTS)
-MEAN = GrassmannPoint(FRAMES[0])
+MEAN = FRAMES[0]
 LOGS = logs_at(MEAN, FRAMES)
 # a frame orthogonal to FRAMES[0], so at its cut locus
 ANTIPODAL = np.linalg.qr(FRAMES[1] - FRAMES[0] @ (FRAMES[0].T @ FRAMES[1]))[0]
@@ -95,8 +97,14 @@ FLOATS = st.floats(allow_subnormal=True)
 TOLERANCES = st.sampled_from([1e-10, np.float64(1e-10), math.nan, math.inf,
                               -math.inf, 0.0, -1.0, 1e155, True, "x", None]
                              ) | FLOATS
-MEANS = st.sampled_from([MEAN, GrassmannPoint(FRAMES[0][:9])])
+MEANS = arrays(MEAN) | st.just(MEAN[:9])
 MODEL = pga_fit(MEAN, LOGS, 2)
+DOMAIN = [MODEL.domain.bounds_min, MODEL.domain.bounds_max,
+          MODEL.domain.ellipsoid_radii]
+# the model's domain, one of another length, and what is no domain
+DOMAINS = st.sampled_from([
+    MODEL.domain, CoordinateDomain(*(a[:1] for a in DOMAIN)),
+    CoordinateDomain(*np.ones((3, 3))), None]) | arrays(DOMAIN[2])
 COORDS = np.array([0.01, -0.02])
 # huge but finite: far outside the domain, and past any square's range
 HUGE_COORDS = st.sampled_from([COORDS * 1e200, np.full(2, 1.7e308),
@@ -114,14 +122,16 @@ BLADE = build_blade([0.0, 0.4, 1.0], POINTS[:3])
 SPANS = st.sampled_from([0.3, 0, 1, np.float64(0.7), -0.1, 1.5, 1e155,
                          -1e155, math.nan, math.inf, 10**400, True, "x",
                          None, [0.3], np.array(0.3)]) | FLOATS
-# points: at the mean, near it, at its cut locus, of another landmark
-# count, built from a huge frame, and anywhere along one geodesic
-SHAPES = st.sampled_from([MEAN, GrassmannPoint(FRAMES[1]),
-                          GrassmannPoint(ANTIPODAL),
-                          GrassmannPoint(FRAMES[0][:9]),
-                          GrassmannPoint(FRAMES[2] * 1e155)]) | st.floats(
-    -20.0, 20.0).map(lambda t: GrassmannPoint(
-        exp_map_stack(FRAMES[0], t * DIRECTIONS[1:2])[0]))
+# frames: at the mean, near it, at its cut locus, of another landmark
+# count, huge, anywhere along one geodesic, and a point object
+SHAPES = st.sampled_from([MEAN, FRAMES[1], ANTIPODAL, FRAMES[0][:9],
+                          FRAMES[2] * 1e155, GrassmannPoint(FRAMES[1])]
+                         ) | st.floats(-20.0, 20.0).map(
+    lambda t: exp_map_stack(FRAMES[0], t * DIRECTIONS[1:2])[0])
+# base points of tangents: the mean, another frame, another landmark count
+BASES_AT = st.sampled_from([GrassmannPoint(FRAMES[0]),
+                            GrassmannPoint(FRAMES[1]),
+                            GrassmannPoint(FRAMES[0][:9])])
 
 FUZZED = {
     "standardize_stack": (standardize_stack, [arrays(POINTS)]),
@@ -159,6 +169,16 @@ FUZZED = {
         ("etas", "sections", "frames", "linear", "translation")]),
     "coords_of": (coords_of, [st.just(MODEL), SHAPES | arrays(FRAMES[0])
                               | st.none()]),
+    "PgaModel": (PgaModel, [
+        arrays(MODEL.mean), arrays(MODEL.basis), arrays(MODEL.eigenvalues),
+        DOMAINS, arrays(MODEL.training_coords)]),
+    "CoordinateDomain": (CoordinateDomain, [arrays(a) for a in DOMAIN]),
+    "LandmarkMatrix": (LandmarkMatrix, [arrays(POINTS[0])]),
+    "AffineMap": (AffineMap, [arrays(LINEAR[0]), arrays(TRANSLATION[0])]),
+    "CstParams": (CstParams, [arrays(COEFFS[0, :9]), arrays(COEFFS[0, 9:]),
+                              TOLERANCES | arrays(COEFFS[0, :2])]),
+    "GrassmannPoint": (GrassmannPoint, [arrays(FRAMES[0])]),
+    "TangentVector": (TangentVector, [arrays(DIRECTIONS[1]), BASES_AT]),
 }
 
 

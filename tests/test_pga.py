@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from grassfoil.errors import (CutLocusError, DimensionError,
-                              IterationLimitError, ParameterError)
+                              IterationLimitError, ParameterError,
+                              TangencyError)
 from grassfoil.geometry import AffineMap
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
                                  exp_map, inner, log_map,
                                  reconstruct_with)
-from grassfoil.pga import (CoordinateDomain, coords_of, corner_sweep,
+from grassfoil.pga import (CoordinateDomain, PgaModel, coords_of, corner_sweep,
                            domain_contains, flatten_tangent, karcher_mean,
                            logs_at, pga_fit, synthesize, unflatten_tangent)
 
@@ -54,7 +55,7 @@ def planted_family(n=60, samples=300, stddevs=(0.05, 0.02), seed=42):
 def test_two_point_mean_is_equidistant_midpoint():
     rng = np.random.default_rng(0)
     p, q = random_point(rng, 40), random_point(rng, 40)
-    mean = karcher_mean(stack([p, q])).point
+    mean = GrassmannPoint(karcher_mean(stack([p, q])).point)
     assert abs(distance(mean, p) - distance(mean, q)) < 1e-9
     assert distance(mean, along(p, q, 0.5)) < 1e-9
 
@@ -62,26 +63,27 @@ def test_two_point_mean_is_equidistant_midpoint():
 def test_single_shape_mean_is_that_shape():
     rng = np.random.default_rng(1)
     p = random_point(rng, 30)
-    assert distance(karcher_mean(stack([p])).point, p) < 1e-15
+    assert distance(GrassmannPoint(karcher_mean(stack([p])).point), p) < 1e-15
 
 
 def test_identical_shapes_mean_converges_immediately():
     rng = np.random.default_rng(2)
     p = random_point(rng, 30)
     result = karcher_mean(stack([p, p, p]))
-    assert distance(result.point, p) < 1e-15
+    assert distance(GrassmannPoint(result.point), p) < 1e-15
     assert result.iterations == 0
 
 
 def test_planted_mean_recovered():
     base, _, _, shapes = planted_family()
-    mean = karcher_mean(stack(shapes), tol=1e-12).point
+    mean = GrassmannPoint(karcher_mean(stack(shapes), tol=1e-12).point)
     assert distance(mean, base) < 1e-9
 
 
 def test_mean_gradient_residual(airfoil_points):
     result = karcher_mean(stack(airfoil_points), tol=1e-10)
-    logs = np.array([log_map(result.point, p).mat for p in airfoil_points])
+    mean = GrassmannPoint(result.point)
+    logs = np.array([log_map(mean, p).mat for p in airfoil_points])
     assert result.residual == float(np.linalg.norm(logs.mean(axis=0)))
     assert result.residual < 1e-10
     assert result.iterations >= 1
@@ -89,11 +91,14 @@ def test_mean_gradient_residual(airfoil_points):
 
 def test_mean_hands_over_its_last_log_pass(airfoil_points):
     result = karcher_mean(stack(airfoil_points), tol=1e-10)
-    logs = np.array([flatten_tangent(log_map(result.point, s).mat)
+    mean = GrassmannPoint(result.point)
+    logs = np.array([flatten_tangent(log_map(mean, s).mat)
                      for s in airfoil_points])
     assert result.logs.shape == logs.shape
     assert np.array_equal(result.logs, logs)
     assert not result.logs.flags.writeable
+    assert result.point.shape == (101, 2)
+    assert not result.point.flags.writeable
 
 
 def test_mean_iteration_limit_is_honest():
@@ -124,7 +129,8 @@ def test_mean_names_the_shape_at_the_cut_locus():
 
 def test_logs_at_names_the_shape_at_the_cut_locus():
     with pytest.raises(CutLocusError) as err:
-        logs_at(plane(0, 1), stack([plane(0, 1), plane(2, 3), plane(0, 1)]))
+        logs_at(plane(0, 1).rep,
+                stack([plane(0, 1), plane(2, 3), plane(0, 1)]))
     assert err.value.shape_index == 1
     assert str(err.value).startswith("shape 1 is at the cut locus")
 
@@ -162,11 +168,10 @@ def test_mean_rejects_unusable_tolerance(airfoil_points, tol):
 
 def test_planted_directions_recovered_exactly():
     base, (b1, b2), coeffs, shapes = planted_family()
-    model = pga_fit(base, logs_at(base, stack(shapes)), 2)
+    model = pga_fit(base.rep, logs_at(base.rep, stack(shapes)), 2)
     planted = np.column_stack(
         [flatten_tangent(b1.mat), flatten_tangent(b2.mat)])
-    fitted = np.column_stack(
-        [flatten_tangent(v.mat) for v in model.basis])
+    fitted = flatten_tangent(model.basis).T
     # principal-angle sines; arccos of the cosines cannot see below ~2e-8
     residual = fitted - planted @ (planted.T @ fitted)
     sines = np.linalg.svd(residual, compute_uv=False)
@@ -179,7 +184,7 @@ def test_planted_directions_recovered_exactly():
 def test_eigenvalue_trace_identity():
     # the scatter has rank 2, so a handful of components carries the trace
     base, _, _, shapes = planted_family()
-    full = pga_fit(base, logs_at(base, stack(shapes)), 6)
+    full = pga_fit(base.rep, logs_at(base.rep, stack(shapes)), 6)
     logs = [log_map(base, s) for s in shapes]
     mean_sq = float(np.mean([v.norm**2 for v in logs]))
     total = float(np.sum(full.eigenvalues))
@@ -207,8 +212,8 @@ def other_route(mean, logs, r):
     cutoff = max(float(vals[0]) * 1e-12, 1e-24)
     basis = np.zeros((r, logs.shape[1]))
     for k, (val, row) in enumerate(zip(vals, rows)):
-        mat = unflatten_tangent(row, mean.n).copy()
-        mat -= mean.rep @ (mean.rep.T @ mat)
+        mat = unflatten_tangent(row, len(mean)).copy()
+        mat -= mean @ (mean.T @ mat)
         norm = np.linalg.norm(mat)
         if val <= cutoff or norm <= 0.5:
             continue
@@ -221,16 +226,17 @@ def test_gram_and_direct_routes_agree():
     # 40 samples of G(60, 2) take the Gram route, 60 of G(20, 2) the direct
     for n, samples in ((60, 40), (20, 60)):
         base, _, _, shapes = planted_family(n=n, samples=samples)
-        logs = logs_at(base, stack(shapes))
-        model = pga_fit(base, logs, 6)
-        vals, basis, coords = other_route(base, logs, 6)
+        logs = logs_at(base.rep, stack(shapes))
+        model = pga_fit(base.rep, logs, 6)
+        vals, basis, coords = other_route(base.rep, logs, 6)
         np.testing.assert_allclose(model.eigenvalues, vals, atol=1e-15)
-        assert np.max(np.abs(model.basis_matrix() - basis)) < 1e-9
+        assert np.max(np.abs(flatten_tangent(model.basis) - basis)) < 1e-9
         np.testing.assert_allclose(model.training_coords, coords, atol=1e-9)
 
 
 def test_pga_fit_checks_the_log_rows():
     base, _, _, shapes = planted_family(n=20, samples=10)
+    base = base.rep
     logs = logs_at(base, stack(shapes))
     for bad in (logs[:, :-1], logs.reshape(10, 20, 2), logs[0]):
         with pytest.raises(DimensionError, match="logarithms must be"):
@@ -239,6 +245,7 @@ def test_pga_fit_checks_the_log_rows():
 
 def test_pga_fit_rejects_log_rows_that_are_not_finite_numbers():
     base, _, _, shapes = planted_family(n=20, samples=10)
+    base = base.rep
     logs = logs_at(base, stack(shapes))
     assert pga_fit(base, logs.tolist(), 2).eigenvalues.tolist() == (
         pga_fit(base, logs, 2).eigenvalues.tolist())
@@ -251,6 +258,7 @@ def test_pga_fit_rejects_log_rows_that_are_not_finite_numbers():
 
 def test_pga_fit_rejects_log_rows_whose_moments_would_overflow():
     base, _, _, shapes = planted_family(n=20, samples=10)
+    base = base.rep
     logs = logs_at(base, stack(shapes))
     with pytest.raises(DimensionError, match="exceed 1e\\+150 in magnitude"):
         pga_fit(base, logs * 1e155, 2)
@@ -263,7 +271,7 @@ def test_pga_fit_rejects_log_rows_whose_moments_would_overflow():
 def test_pga_fit_rejects_an_r_that_is_not_an_integer(r):
     base, _, _, shapes = planted_family(n=20, samples=10)
     with pytest.raises(ParameterError, match=f"r must be an integer, got {r}"):
-        pga_fit(base, logs_at(base, stack(shapes)), r)
+        pga_fit(base.rep, logs_at(base.rep, stack(shapes)), r)
 
 
 def test_model_invariants(airfoil_points):
@@ -271,10 +279,12 @@ def test_model_invariants(airfoil_points):
     model = pga_fit(result.point, result.logs, 4)
     assert model.r == 4
     assert np.all(np.diff(model.eigenvalues) <= 1e-18)
+    mean = GrassmannPoint(model.mean)
     for i, u in enumerate(model.basis):
         for j, v in enumerate(model.basis):
             expected = 1.0 if i == j else 0.0
-            assert abs(inner(u, v) - expected) < 1e-10
+            assert abs(inner(TangentVector(u, mean), TangentVector(v, mean))
+                       - expected) < 1e-10
     assert model.training_coords.shape == (len(airfoil_points), 4)
 
 
@@ -294,34 +304,35 @@ def test_rank_limit_enforced():
 def test_identical_shapes_fit_collapses():
     rng = np.random.default_rng(5)
     p = random_point(rng, 20)
-    model = pga_fit(p, logs_at(p, stack([p, p, p, p])), 3)
+    model = pga_fit(p.rep, logs_at(p.rep, stack([p, p, p, p])), 3)
     assert np.all(model.eigenvalues <= 1e-20)
-    for v in model.basis:
-        assert np.all(v.mat == 0.0)
+    assert np.all(model.basis == 0.0)
 
 
 def test_coords_of_matches_training(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     for i, p in enumerate(airfoil_points):
-        got = coords_of(model, p)
+        got = coords_of(model, p.rep)
         np.testing.assert_allclose(got, model.training_coords[i], atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", [None, "frame"], ids=["none", "ndarray"])
-def test_coords_of_refuses_what_is_no_grassmann_point(airfoil_points, shape):
+@pytest.mark.parametrize("frame", [None, "point", "strings"])
+def test_coords_of_refuses_what_is_no_frame(airfoil_points, frame):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
-    if shape == "frame":
-        shape = airfoil_points[0].rep
-    with pytest.raises(ParameterError, match="shape must be a GrassmannPoint"):
-        coords_of(model, shape)
+    frame = {"point": airfoil_points[0],
+             "strings": airfoil_points[0].rep.astype(str)}.get(frame, frame)
+    with pytest.raises(DimensionError, match="^frame must be a rectangular"):
+        coords_of(model, frame)
 
 
 def test_flatten_round_trip():
     rng = np.random.default_rng(6)
     mat = rng.normal(size=(9, 2))
     assert np.array_equal(unflatten_tangent(flatten_tangent(mat), 9), mat)
+    mats = rng.normal(size=(3, 9, 2))
+    assert np.array_equal(unflatten_tangent(flatten_tangent(mats), 9), mats)
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +344,28 @@ def test_synthesize_zero_is_the_mean(airfoil_points):
     mean = result.point
     model = pga_fit(mean, result.logs, 4)
     out = synthesize(model, np.zeros(4))
-    assert np.array_equal(out.rep, mean.rep)
+    assert np.array_equal(out, mean)
 
 
 def test_synthesize_distance_is_coordinate_norm(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
-    mean = result.point
-    model = pga_fit(mean, result.logs, 4)
+    mean = GrassmannPoint(result.point)
+    model = pga_fit(result.point, result.logs, 4)
     rng = np.random.default_rng(7)
     for _ in range(10):
         t = rng.normal(scale=0.05, size=4)
-        out = synthesize(model, t)
+        out = GrassmannPoint(synthesize(model, t))
         assert distance(mean, out) == pytest.approx(
             float(np.linalg.norm(t)), abs=1e-10)
 
 
 def test_synthesize_symmetry(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
-    mean = result.point
-    model = pga_fit(mean, result.logs, 4)
+    mean = GrassmannPoint(result.point)
+    model = pga_fit(result.point, result.logs, 4)
     t = np.array([0.04, -0.02, 0.01, 0.005])
-    plus = synthesize(model, t)
-    minus = synthesize(model, -t)
+    plus = GrassmannPoint(synthesize(model, t))
+    minus = GrassmannPoint(synthesize(model, -t))
     mid = along(plus, minus, 0.5)
     assert distance(mid, mean) < 1e-8
 
@@ -403,7 +414,7 @@ def test_direction_combines_the_basis(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     t = np.array([0.3, -0.1, 0.02, 0.0])
-    expected = sum(tj * b.mat for tj, b in zip(t, model.basis))
+    expected = sum(tj * b for tj, b in zip(t, model.basis))
     np.testing.assert_allclose(model.direction(t), expected, atol=1e-15)
     assert np.array_equal(model.checked_coords([1, 2, 3, 4]),
                           [1.0, 2.0, 3.0, 4.0])
@@ -431,7 +442,7 @@ def test_domain_excludes_far_points(airfoil_points):
 def test_degenerate_axes_require_zero_coordinate():
     rng = np.random.default_rng(9)
     p = random_point(rng, 20)
-    model = pga_fit(p, logs_at(p, stack([p, p, p])), 2)
+    model = pga_fit(p.rep, logs_at(p.rep, stack([p, p, p])), 2)
     assert domain_contains(model, np.zeros(2))
     assert not domain_contains(model, np.array([1e-6, 0.0]))
 
@@ -459,12 +470,93 @@ def test_a_zero_radius_admits_only_a_zero_coordinate(airfoil_points):
      r"training coordinates must be \(N, r\)"),
     (lambda m: dataclasses.replace(m, training_coords=m.training_coords[0]),
      r"training coordinates must be \(N, r\)"),
+    (lambda m: CoordinateDomain(["a", "b"], np.zeros(2), np.ones(2)),
+     "^bounds_min must be a rectangular numeric array"),
+    (lambda m: CoordinateDomain(np.zeros(2), [[0.0], [0.0, 1.0]], np.ones(2)),
+     "^bounds_max must be a rectangular numeric array"),
+    (lambda m: CoordinateDomain(np.zeros(2), np.zeros(2), [math.nan, 1.0]),
+     "ellipsoid_radii contains non-finite values"),
+    (lambda m: dataclasses.replace(m, domain=CoordinateDomain(*np.ones((3, 3)))),
+     "one domain entry per basis direction"),
+    (lambda m: dataclasses.replace(m, eigenvalues=[math.nan, 0.0]),
+     "eigenvalues and training coordinates must be finite"),
+    (lambda m: dataclasses.replace(m, training_coords=np.full((3, 2), math.inf)),
+     "eigenvalues and training coordinates must be finite"),
+    (lambda m: dataclasses.replace(m, mean="abc"),
+     "^representative must be a rectangular numeric array"),
+    (lambda m: dataclasses.replace(m, mean=m.mean.T),
+     "^representative must be a tall matrix"),
+    (lambda m: dataclasses.replace(m, basis=m.basis[:, :-1]),
+     r"^expected an \(n, 2\) mean and an \(r, n, 2\) basis"),
+    (lambda m: dataclasses.replace(m, mean=np.eye(len(m.mean), 3)),
+     r"^expected an \(n, 2\) mean and an \(r, n, 2\) basis"),
 ])
 def test_model_parts_must_agree(airfoil_points, make, message):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 2)
     with pytest.raises(DimensionError, match=message):
         make(model)
+
+
+def test_model_is_read_only_arrays(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 4)
+    assert model.mean.shape == (101, 2) and model.basis.shape == (4, 101, 2)
+    again = PgaModel(model.mean.tolist(), model.basis.tolist(),
+                     model.eigenvalues.tolist(), model.domain,
+                     model.training_coords.tolist())
+    assert (again.n, again.r) == (101, 4)
+    for name in ("mean", "basis", "eigenvalues", "training_coords"):
+        value = getattr(again, name)
+        assert np.array_equal(value, getattr(model, name))
+        assert not value.flags.writeable
+    # a mean keeps its memory order, which fixes the bits of its products
+    fortran = PgaModel(np.asfortranarray(model.mean), model.basis,
+                       model.eigenvalues, model.domain, model.training_coords)
+    assert fortran.mean.flags.f_contiguous
+
+
+def test_model_refuses_what_is_no_domain(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 2)
+    for domain in (None, model.domain.ellipsoid_radii):
+        with pytest.raises(ParameterError, match="^domain must be a "
+                           "CoordinateDomain"):
+            dataclasses.replace(model, domain=domain)
+
+
+def test_model_names_the_first_faulty_direction(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 4)
+    other = airfoil_points[5].rep
+    basis = model.basis.copy()
+    # horizontal at another frame, then one that is not finite as well
+    basis[1] -= other @ (other.T @ basis[1])
+    basis[3, 7, 0] = math.nan
+    with pytest.raises(TangencyError) as err:
+        dataclasses.replace(model, basis=basis)
+    assert err.value.shape_index == 1
+    basis[1] = model.basis[1]
+    with pytest.raises(DimensionError, match="non-finite") as err:
+        dataclasses.replace(model, basis=basis)
+    assert err.value.shape_index == 3
+
+
+def test_pga_calls_check_their_frames(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    frames = stack(airfoil_points)
+    for base in (None, "frame"):
+        with pytest.raises(DimensionError, match="must be a rectangular"):
+            pga_fit(base, result.logs, 2)
+        with pytest.raises(DimensionError, match="^base must be a rectangular"):
+            logs_at(base, frames)
+    # a frame that strays from orthonormal is refused as a base
+    with pytest.raises(DimensionError, match="not an orthonormal frame"):
+        logs_at(2.0 * result.point, frames)
+    # and checked as a GrassmannPoint would check it by the fit
+    scaled = pga_fit(2.0 * result.point, result.logs, 2)
+    assert np.array_equal(scaled.mean,
+                          GrassmannPoint(2.0 * result.point).rep)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +570,8 @@ def test_corner_sweep_two_steps_hits_corners(airfoil_points):
     b = model.domain.bounds_max
     out = corner_sweep(model, a, b, 2)
     assert out.shape == (2, model.n, 2)
-    assert np.array_equal(out[0], synthesize(model, a).rep)
-    assert np.array_equal(out[1], synthesize(model, b).rep)
+    assert np.array_equal(out[0], synthesize(model, a))
+    assert np.array_equal(out[1], synthesize(model, b))
 
 
 def test_corner_sweep_validates_steps(airfoil_points):
@@ -494,6 +586,6 @@ def test_reconstruct_with_applies_affine(airfoil_points):
     point = airfoil_points[0]
     affine = AffineMap(np.array([[2.0, 0.1], [0.0, 0.5]]),
                        np.array([1.0, -0.5]))
-    shape = reconstruct_with(point, affine)
+    shape = reconstruct_with(point.rep, affine)
     expected = point.rep @ affine.linear + affine.translation
     np.testing.assert_allclose(shape.points, expected, atol=1e-15)

@@ -37,4 +37,4 @@ def test_library_example_runs():
     model, result = scope["model"], scope["result"]
     assert result.logs.shape == (len(scope["points"]), 2 * model.n)
     assert model.r == 4
-    assert scope["new_point"].n == model.n
+    assert result.point.shape == scope["new_frame"].shape == (model.n, 2)
