@@ -28,7 +28,6 @@ from .errors import (DimensionError, FileFormatError, GrassfoilError,
                      ParameterError)
 from .geometry import (
     AFFINE_COMPONENT_NAMES,
-    LandmarkMatrix,
     ShapeDiagnostics,
     affine_vectors,
     baseline_names,
@@ -156,11 +155,19 @@ def cmd_gen_dataset(args) -> tuple[dict, str]:
     shape_dir = args.out / "shapes"
     kinds = ["baseline" if item.index < args.baselines else "perturb"
              for item in detail]
+    paths = [shape_dir / f"shape-{item.index:04d}.dat" for item in detail]
     gio.write_coordinate_files(
-        (shape_dir / f"shape-{item.index:04d}.dat", item.landmarks,
-         f"shape-{item.index:04d} {kind} {names[item.baseline_index]}")
-        for item, kind in zip(detail, kinds))
-    rows = [[item.index, item.baseline_index, kind, *item.params.as_vector()]
+        paths, [item.landmarks for item in detail],
+        [f"{path.stem} {kind} {names[item.baseline_index]}"
+         for path, item, kind in zip(paths, detail, kinds)])
+    # a smaller earlier run's shapes would join this run's in later stages
+    for stale in sorted(set(shape_dir.glob("shape-*.dat")).difference(paths)):
+        try:
+            stale.unlink()
+        except OSError as err:
+            raise FileFormatError(
+                f"cannot remove {stale}: {err.strerror}") from None
+    rows = [[item.index, item.baseline_index, kind, *item.coefficients]
             for item, kind in zip(detail, kinds)]
     gio.write_table(args.out / "coefficients.csv",
                     ["index", "baseline", "kind", *_COEFF_COLUMNS], rows)
@@ -183,11 +190,11 @@ def cmd_standardize(args) -> tuple[dict, str]:
 def cmd_mean(args) -> tuple[dict, str]:
     names, result, affine = _fit_mean(args)
     mean = result.point
-    gio.write_coordinates(args.out / "mean_rep.dat", LandmarkMatrix(mean),
+    gio.write_coordinates(args.out / "mean_rep.dat", mean,
                           "karcher-mean-representative")
     gio.write_affine(args.out / "mean_affine.json", affine)
     gio.write_coordinates(args.out / "mean_shape.dat",
-                          reconstruct_with(mean, affine),
+                          reconstruct_with(mean, affine).points,
                           "karcher-mean-shape")
     return ({"residual": result.residual, "shapes": len(names),
              "tolerance": args.tol},
@@ -226,11 +233,10 @@ def cmd_synth(args) -> tuple[dict, str]:
     if affine is not None:
         shape = reconstruct_with(frame, affine)
         results.update(_validity(validate_shape(shape)))
-    gio.write_coordinates(args.out / "representative.dat",
-                          LandmarkMatrix(frame),
+    gio.write_coordinates(args.out / "representative.dat", frame,
                           "synthesized-representative")
     if affine is not None:
-        gio.write_coordinates(args.out / "shape.dat", shape,
+        gio.write_coordinates(args.out / "shape.dat", shape.points,
                               "synthesized-shape")
     return results, f"synthesized at t={t.tolist()}, in_domain={inside}"
 
@@ -312,7 +318,7 @@ def cmd_blade_interp(args) -> tuple[dict, str]:
     results = {}
     for i, (eta, section) in enumerate(zip(etas, sections)):
         gio.write_coordinates(args.out / "sections" / f"section-{i:03d}.dat",
-                              section, f"section eta={eta!r}")
+                              section.points, f"section eta={eta!r}")
     if args.eta is not None:
         results["sections"] = len(etas)
     if grid is not None:

@@ -299,17 +299,33 @@ def _check_draw(fraction: float, seed: int) -> int:
     return seed
 
 
+def _coefficient_rows(params) -> np.ndarray:
+    """The ``(N, 18)`` coefficient rows of a non-empty list of
+    :class:`CstParams`."""
+    if not all(isinstance(p, CstParams) for p in params):
+        raise ParameterError("expected a list of CstParams coefficient sets")
+    return np.reshape([p.as_vector() for p in params], (len(params), -1))
+
+
+def _scaled_draws(rows: np.ndarray, fraction: float, seeds) -> np.ndarray:
+    """Each coefficient row times ``1 + fraction * u``, ``u`` the 18
+    ``U[-1, 1]`` draws of the row's own seed; a product past the float range
+    is left infinite, for the caller's finiteness check."""
+    u = np.reshape([np.random.default_rng(s).uniform(-1.0, 1.0, rows.shape[-1])
+                    for s in seeds], (-1, rows.shape[-1]))
+    with np.errstate(over="ignore"):
+        return rows * (1.0 + fraction * u)
+
+
 def perturb_cst(params: CstParams, fraction: float, seed: int) -> CstParams:
     """Scale every free coefficient by ``1 + fraction * u`` with ``u ~ U[-1, 1]``.
 
     Each coefficient moves by at most ``fraction`` of its own magnitude, so
     sign patterns survive. Identical seeds reproduce identical draws.
     """
-    rng = np.random.default_rng(_check_draw(fraction, seed))
-    u = rng.uniform(-1.0, 1.0, size=2 * COEFFS_PER_SURFACE)
-    return CstParams(params.upper * (1.0 + fraction * u[:COEFFS_PER_SURFACE]),
-                     params.lower * (1.0 + fraction * u[COEFFS_PER_SURFACE:]),
-                     params.te_thickness)
+    seed = _check_draw(fraction, seed)
+    row = _scaled_draws(_coefficient_rows([params]), fraction, [seed])[0]
+    return CstParams.from_vector(row, params.te_thickness)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +638,15 @@ _MAX_ATTEMPTS = 50
 
 @dataclass(frozen=True, eq=False)
 class DatasetShape:
-    """One generated shape with its provenance."""
+    """One generated shape with its provenance. ``coefficients``, the 18
+    upper surface first, and the ``(n, 2)`` ``landmarks`` are read-only
+    rows of the dataset's stacks; the trailing-edge thickness is the
+    baseline's."""
 
     index: int
     baseline_index: int
-    params: CstParams
-    landmarks: LandmarkMatrix
+    coefficients: np.ndarray
+    landmarks: np.ndarray
     attempts: int
 
 
@@ -636,14 +655,60 @@ def _derived_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _trials(params: list[CstParams], n: int) -> tuple[list, list]:
-    """Landmarks and diagnostics of coefficient sets, evaluated and
+def _trials(coeffs: np.ndarray, te, n: int) -> tuple[np.ndarray, list]:
+    """Landmarks and diagnostics of coefficient rows, evaluated and
     validated as one stack."""
-    rows = cst_evaluate_stack(
-        np.reshape([p.as_vector() for p in params],
-                   (len(params), 2 * COEFFS_PER_SURFACE)),
-        n, [p.te_thickness for p in params])
-    return [LandmarkMatrix(r) for r in rows], validate_stack(rows)
+    points = cst_evaluate_stack(coeffs, n, te)
+    return points, validate_stack(points)
+
+
+def _generate(baselines: list[CstParams], n_perturbations: int,
+              fraction: float, seed: int, n: int):
+    """The coefficient rows, landmarks, baseline indices and attempt counts
+    of the shapes :func:`gen_dataset_detailed` describes."""
+    if not (isinstance(baselines, (list, tuple)) and baselines):
+        raise ParameterError("need a non-empty list of baselines")
+    base = _coefficient_rows(baselines)
+    te = np.array([p.te_thickness for p in baselines])
+    n_perturbations = integer_argument(n_perturbations, "perturbation count")
+    if n_perturbations < 0:
+        raise ParameterError("perturbation count cannot be negative")
+    seed = _check_draw(fraction, seed)
+    points, diags = _trials(base, te, n)
+    for b_idx, diag in enumerate(diags):
+        if not diag.passed:
+            raise GenerationError(
+                f"baseline {b_idx} fails validation (rank_ok={diag.rank_ok}, "
+                f"simple={diag.simple}, ordering_ok={diag.ordering_ok})")
+    each, extra = divmod(n_perturbations, len(base))
+    slots = [(b_idx, k) for b_idx in range(len(base))
+             for k in range(each + (b_idx < extra))]
+    owner = np.array([b_idx for b_idx, _ in slots], dtype=int)
+    # no first draw raises: its arguments and its baseline passed the checks
+    firsts = _scaled_draws(base[owner], fraction,
+                           [_derived_seed(seed, *slot, 0) for slot in slots])
+    drawn, diags = _trials(firsts, te[owner], n)
+    coeffs = np.concatenate([base, firsts])
+    points = np.concatenate([points, drawn])
+    attempts = np.ones(len(coeffs), dtype=int)
+    for row, ((b_idx, k), diag) in enumerate(zip(slots, diags), len(base)):
+        attempt = 0
+        while not diag.passed:
+            logger.warning("rejected perturbation (baseline %d, index %d, "
+                           "attempt %d); resampling", b_idx, k, attempt)
+            attempt += 1
+            if attempt == _MAX_ATTEMPTS:
+                raise GenerationError(
+                    f"no valid perturbation of baseline {b_idx} after "
+                    f"{_MAX_ATTEMPTS} attempts")
+            coeffs[row] = _scaled_draws(
+                base[b_idx], fraction,
+                [_derived_seed(seed, b_idx, k, attempt)])[0]
+            points[row:row + 1], (diag,) = _trials(coeffs[row:row + 1],
+                                                   te[b_idx], n)
+        attempts[row] = attempt + 1
+    return (coeffs, points, np.concatenate([np.arange(len(base)), owner]),
+            attempts)
 
 
 def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
@@ -660,55 +725,20 @@ def gen_dataset_detailed(baselines: list[CstParams], n_perturbations: int,
     slot, each rejected draw is logged and the slot drawn again on its own,
     so the shapes, warnings and errors are those of drawing each in turn.
     """
-    if not baselines:
-        raise ParameterError("need at least one baseline")
-    n_perturbations = integer_argument(n_perturbations, "perturbation count")
-    if n_perturbations < 0:
-        raise ParameterError("perturbation count cannot be negative")
-    seed = _check_draw(fraction, seed)
-    shapes: list = []
-    for b_idx, (landmarks, diag) in enumerate(zip(*_trials(baselines, n))):
-        if not diag.passed:
-            raise GenerationError(
-                f"baseline {b_idx} fails validation (rank_ok={diag.rank_ok}, "
-                f"simple={diag.simple}, ordering_ok={diag.ordering_ok})")
-        shapes.append(DatasetShape(b_idx, b_idx, baselines[b_idx], landmarks, 1))
-    each, extra = divmod(n_perturbations, len(baselines))
-    slots = [(b_idx, k) for b_idx in range(len(baselines))
-             for k in range(each + (b_idx < extra))]
-
-    def draw(b_idx: int, k: int, attempt: int) -> CstParams:
-        return perturb_cst(baselines[b_idx], fraction,
-                           _derived_seed(seed, b_idx, k, attempt))
-    # no first draw raises: its arguments and its baseline passed the checks
-    firsts = [draw(b_idx, k, 0) for b_idx, k in slots]
-    rows, diags = _trials(firsts, n)
-    for i, (b_idx, k) in enumerate(slots):
-        for attempt in range(_MAX_ATTEMPTS):
-            if attempt == 0:
-                params, landmarks, diag = firsts[i], rows[i], diags[i]
-            else:
-                params = draw(b_idx, k, attempt)
-                (landmarks,), (diag,) = _trials([params], n)
-            if diag.passed:
-                shapes.append(DatasetShape(len(shapes), b_idx, params,
-                                           landmarks, attempt + 1))
-                break
-            logger.warning("rejected perturbation (baseline %d, index %d, "
-                           "attempt %d); resampling", b_idx, k, attempt)
-        else:
-            raise GenerationError(
-                f"no valid perturbation of baseline {b_idx} after "
-                f"{_MAX_ATTEMPTS} attempts")
-    return shapes
+    coeffs, points, baseline, attempts = _generate(
+        baselines, n_perturbations, fraction, seed, n)
+    coeffs.setflags(write=False)
+    points.setflags(write=False)
+    return [DatasetShape(i, *fields) for i, fields in enumerate(zip(
+        baseline.tolist(), coeffs, points, attempts.tolist()))]
 
 
 def gen_dataset(baselines: list[CstParams], n_perturbations: int,
                 fraction: float, seed: int,
-                n: int = DEFAULT_LANDMARK_COUNT) -> list[LandmarkMatrix]:
-    """Landmark matrices of the baselines followed by their perturbations."""
-    return [s.landmarks for s in gen_dataset_detailed(
-        baselines, n_perturbations, fraction, seed, n)]
+                n: int = DEFAULT_LANDMARK_COUNT) -> np.ndarray:
+    """The ``(N, n, 2)`` landmarks of the shapes of
+    :func:`gen_dataset_detailed`: the baselines, then their perturbations."""
+    return _generate(baselines, n_perturbations, fraction, seed, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +763,14 @@ def sweep_points(a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
 
 
 def cst_sweep(corner_a: CstParams, corner_b: CstParams, steps: int,
-              n: int = DEFAULT_LANDMARK_COUNT) -> list[LandmarkMatrix]:
-    """Shapes along the straight segment between two coefficient vectors.
+              n: int = DEFAULT_LANDMARK_COUNT) -> np.ndarray:
+    """Shapes along the straight segment between two coefficient vectors,
+    as one ``(steps, n, 2)`` stack.
 
     Linear interpolation in raw coefficient space; unlike sweeps in the
     learned design space, intermediate shapes carry no validity guarantee.
     The trailing-edge thickness is ``corner_a``'s throughout.
     """
-    return [LandmarkMatrix(pts) for pts in cst_evaluate_stack(
-        sweep_points(corner_a.as_vector(), corner_b.as_vector(), steps), n,
-        corner_a.te_thickness)]
+    a, b = _coefficient_rows([corner_a, corner_b])
+    return cst_evaluate_stack(sweep_points(a, b, steps), n,
+                              corner_a.te_thickness)

@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     TooFewPointsError,
     VersionError,
+    array_argument,
     in_order,
 )
 from .geometry import MAX_COORDINATE, AffineMap, LandmarkMatrix
@@ -97,21 +98,34 @@ def write_text(path, text) -> None:
 _CHUNK = 8  # files per bulk conversion, which bounds its temporaries
 
 
-def write_coordinates(path, shape: LandmarkMatrix, name: str = "section") -> None:
-    """Name line followed by one "x y" pair per landmark."""
-    write_coordinate_files([(path, shape, name)])
+def write_coordinates(path, points, name: str = "section") -> None:
+    """Name line followed by one "x y" pair per row of ``points``."""
+    write_coordinate_files([path], [points], [name])
 
 
-def write_coordinate_files(items) -> None:
-    """Write each ``(path, shape, name)`` as :func:`write_coordinates` does,
-    formatting a chunk of files at a time."""
-    items = iter(items)
-    while chunk := list(itertools.islice(items, _CHUNK)):
-        for _, _, name in chunk:
+def write_coordinate_files(paths, shapes, names) -> None:
+    """Write each ``(n, 2)`` array of ``shapes``, an ``(N, n, 2)`` stack or
+    a sequence of arrays, to its path under its name line, as
+    :func:`write_coordinates` does, formatting a chunk of files at a time.
+    A shape that is not a finite ``(n, 2)`` array of at least 3 landmarks,
+    or a name that is not one line, raises before its chunk is written."""
+    paths, names = list(paths), list(names)
+    if not len(paths) == len(shapes) == len(names):
+        raise FileFormatError(
+            f"{len(paths)} paths, {len(shapes)} shapes and {len(names)} names")
+    for start in range(0, len(paths), _CHUNK):
+        at = slice(start, start + _CHUNK)
+        chunk = [array_argument(s, "landmarks", FileFormatError)
+                 for s in shapes[at]]
+        for points, name in zip(chunk, names[at]):
+            if (points.ndim != 2 or points.shape[1] != 2 or len(points) < 3
+                    or not np.isfinite(points).all()):
+                raise FileFormatError("expected finite (n, 2) landmarks with "
+                                      f"n >= 3, got shape {points.shape}")
             if "\n" in name or "\r" in name:
                 raise FileFormatError("coordinate name must be a single line")
-        bodies = codec.encode_bodies([shape.points for _, shape, _ in chunk])
-        for (path, _, name), body in zip(chunk, bodies):
+        for path, name, body in zip(paths[at], names[at],
+                                    codec.encode_bodies(chunk)):
             write_text(path, f"{name}\n{body}")
 
 

@@ -145,8 +145,18 @@ class PgaModel:
         return t
 
     def direction(self, t) -> np.ndarray:
-        """Tangent matrix at the mean with normal coordinates ``t``."""
-        return np.tensordot(self.checked_coords(t), self.basis, axes=(0, 0))
+        """Tangent matrix at the mean with normal coordinates ``t``, or the
+        ``(m, n, 2)`` stack of them for an ``(m, r)`` stack of coordinates,
+        each row checked as :meth:`checked_coords` checks one."""
+        t = array_argument(t, "coordinates", DimensionError)
+        if t.ndim != 2:
+            t = self.checked_coords(t)
+        elif t.shape[1] != self.r or not np.isfinite(t).all():
+            raise DimensionError(f"expected an (m, {self.r}) stack of finite "
+                                 f"coordinates, got shape {t.shape}")
+        # one vector-matrix product per row keeps the bits of a single one
+        flat = np.matmul(t[..., None, :], self.basis.reshape(self.r, -1))
+        return flat.reshape(*t.shape[:-1], self.n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -347,5 +357,4 @@ def corner_sweep(model: PgaModel, corner_a: np.ndarray, corner_b: np.ndarray,
     one ``(steps, n, 2)`` stack: each step's frame is the one
     :func:`synthesize` gives at its coordinates."""
     points = sweep_points(corner_a, corner_b, steps)
-    return exp_map_stack(model.mean,
-                         np.array([model.direction(t) for t in points]))
+    return exp_map_stack(model.mean, model.direction(points))

@@ -44,7 +44,7 @@ def dataset():
 
 @pytest.fixture(scope="session")
 def decomposed(dataset):
-    return [la_standardize(d.landmarks) for d in dataset]
+    return [la_standardize(LandmarkMatrix(d.landmarks)) for d in dataset]
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +75,7 @@ def test_criterion_01_gl2_decoupling(dataset):
     rng = np.random.default_rng(100)
     worst = 0.0
     for k in range(200):
-        shape = dataset[k % len(dataset)].landmarks
+        shape = LandmarkMatrix(dataset[k % len(dataset)].landmarks)
         m = rng.normal(size=(2, 2))
         while abs(np.linalg.det(m)) < 0.05:  # well-conditioned GL2 draw
             m = rng.normal(size=(2, 2))
@@ -175,12 +175,13 @@ def test_criterion_04_pga_oracle():
 
 def test_criterion_05_dataset_regeneration(dataset):
     counts_ok = len(dataset) == 16 + N_PERTURBATIONS
-    all_valid = all(validate_shape(d.landmarks).passed for d in dataset)
+    all_valid = all(validate_shape(LandmarkMatrix(d.landmarks)).passed
+                    for d in dataset)
     rerun = gen_dataset_detailed(default_baselines(), N_PERTURBATIONS, 0.2,
                                  seed=SEED, n=N_LANDMARKS)
     identical = all(
-        np.array_equal(a.landmarks.points, b.landmarks.points)
-        and np.array_equal(a.params.as_vector(), b.params.as_vector())
+        np.array_equal(a.landmarks, b.landmarks)
+        and np.array_equal(a.coefficients, b.coefficients)
         for a, b in zip(dataset, rerun))
     ok = counts_ok and all_valid and identical
     report(5, "dataset regenerates valid and bit-identical", ok,

@@ -83,6 +83,25 @@ def test_gen_dataset_bytes_match_the_recorded_digests(tmp_path):
     assert got == digests
 
 
+def test_a_smaller_rerun_leaves_only_its_own_shapes(tmp_path, capsys):
+    out, shapes = tmp_path / "data", tmp_path / "data" / "shapes"
+    args = ["gen-dataset", "--baselines", "2", "--n", "51", "--out", str(out)]
+    assert main([*args, "--total", "20"]) == 0
+    others = [shapes / "notes.txt", shapes / "mine.dat",
+              out / "shape-0099.dat"]
+    for path in others:
+        path.write_text("kept\n")
+    assert main([*args, "--total", "8"]) == 0
+    assert sorted(p.name for p in shapes.glob("shape-*.dat")) == [
+        f"shape-{k:04d}.dat" for k in range(10)]
+    assert all(path.read_text() == "kept\n" for path in others)
+    (shapes / "mine.dat").unlink()
+    capsys.readouterr()
+    assert main(["standardize", "--shapes", str(shapes),
+                 "--out", str(tmp_path / "std")]) == 0
+    assert capsys.readouterr().out == "standardized 10 shapes\n"
+
+
 # The reading stages, each run on a family of one landmark count and on a
 # family that mixes counts and holds hand-edited files
 READING_STAGES = {
@@ -111,7 +130,7 @@ def reading_stage_digests(root: Path) -> dict[str, str]:
             text = text.replace(" ", "\t")
         (mixed / path.name).write_text(text, newline="")
     gio.write_coordinates(mixed / "shape-0011a.dat",
-                          cst_evaluate(default_baselines()[5], 51),
+                          cst_evaluate(default_baselines()[5], 51).points,
                           "shape-0011a coarse")
     runs = [[*argv, "--shapes", str(one if family == "one" else mixed),
              "--out", str(root / "out" / f"{stage}-{family}")]

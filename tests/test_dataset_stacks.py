@@ -153,7 +153,7 @@ def detail():
 
 @pytest.fixture(scope="module")
 def family(detail):
-    return np.array([d.landmarks.points for d in detail])
+    return np.array([d.landmarks for d in detail])
 
 
 @pytest.fixture(scope="module")
@@ -167,14 +167,13 @@ def family_diagnostics(family):
 
 @pytest.mark.parametrize("size", SIZES)
 def test_cst_evaluate_stack_matches_the_one_shape_oracle(detail, size):
-    params = [d.params for d in detail[:size]]
+    coeffs = np.array([d.coefficients for d in detail[:size]])
     te = np.where(np.arange(size) % 3 == 1, 0.004, 0.0)
-    coeffs = np.array([p.as_vector() for p in params])
     for thickness in (0.0, te):
         points = cst_evaluate_stack(coeffs, 401, thickness)
-        for i, p in enumerate(params):
-            one = CstParams(p.upper, p.lower,
-                            np.broadcast_to(thickness, size)[i])
+        for i, row in enumerate(coeffs):
+            one = CstParams.from_vector(row,
+                                        np.broadcast_to(thickness, size)[i])
             assert same_bits(points[i], oracle_cst_evaluate(one, 401))
 
 
@@ -344,9 +343,10 @@ def assert_same_dataset(got, want):
     for shape, (index, b_idx, params, landmarks, attempts) in zip(got, want):
         assert (shape.index, shape.baseline_index, shape.attempts) == (
             index, b_idx, attempts)
-        assert same_bits(shape.params.as_vector(), params.as_vector())
-        assert shape.params.te_thickness == params.te_thickness
-        assert same_bits(shape.landmarks.points, landmarks.points)
+        assert same_bits(shape.coefficients, params.as_vector())
+        assert same_bits(shape.landmarks, landmarks.points)
+        assert not (shape.coefficients.flags.writeable
+                    or shape.landmarks.flags.writeable)
 
 
 def warnings_of(caplog):
@@ -380,7 +380,7 @@ def test_failing_baseline_raises_before_any_draw(monkeypatch, caplog):
     def no_draw(*args):
         raise AssertionError("drew a perturbation")
 
-    monkeypatch.setattr(geometry, "perturb_cst", no_draw)
+    monkeypatch.setattr(geometry, "_scaled_draws", no_draw)
     with pytest.raises(GenerationError) as got:
         gen_dataset_detailed(baselines, 10, 0.2, 1, n=101)
     assert str(got.value) == str(want.value)
@@ -408,14 +408,15 @@ def test_a_failed_draw_raises_where_drawing_in_turn_stops(monkeypatch, caplog):
     # the third draw of slot (1, 6) fails; slots (1, 9) and (1, 19), drawn
     # again in the same rounds, must log nothing
     target = geometry._derived_seed(5, 1, 6, 2)
-    draw = geometry.perturb_cst
+    draw = geometry._scaled_draws
 
-    def failing(params, fraction, seed):
-        if seed == target:
+    def failing(rows, fraction, seeds):
+        if target in seeds:
             raise ParameterError("upper coefficients are not finite")
-        return draw(params, fraction, seed)
+        return draw(rows, fraction, seeds)
 
-    monkeypatch.setattr(geometry, "perturb_cst", failing)
+    # the oracle's perturb_cst draws through the same helper
+    monkeypatch.setattr(geometry, "_scaled_draws", failing)
     caplog.set_level(logging.WARNING, logger="grassfoil.geometry")
     log = []
     with pytest.raises(ParameterError, match="not finite"):
@@ -425,3 +426,17 @@ def test_a_failed_draw_raises_where_drawing_in_turn_stops(monkeypatch, caplog):
     assert warnings_of(caplog) == log
     assert log[-1].startswith("rejected perturbation (baseline 1, index 6, "
                               "attempt 1)")
+
+
+def test_generation_builds_no_per_shape_value_objects(monkeypatch):
+    baselines = default_baselines()
+    built = {LandmarkMatrix: 0, CstParams: 0}
+    for cls in built:
+        def counting(self, cls=cls, check=cls.__post_init__):
+            built[cls] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    detail = gen_dataset_detailed(baselines, 1000, 0.2, seed=7)
+    assert len(detail) == 1016
+    assert built == {LandmarkMatrix: 0, CstParams: 0}
+

@@ -488,8 +488,8 @@ def test_certificate_declines_crossings_and_far_offsets():
 
 def test_certificate_alone_accepts_the_full_dataset():
     shapes = gen_dataset(default_baselines(), 1000, 0.2, seed=1)
-    assert len(shapes) == 1016
-    assert all(certified(s.points) for s in shapes)
+    assert shapes.shape == (1016, 401, 2)
+    assert all(certified(s) for s in shapes)
 
 
 def test_validate_shape_allocates_no_quadratic_temporaries():
@@ -519,9 +519,9 @@ def test_baseline_catalog():
 def test_gen_dataset_counts_and_order():
     baselines = default_baselines()[:3]
     shapes = gen_dataset(baselines, 7, 0.2, seed=3, n=101)
-    assert len(shapes) == 10
+    assert isinstance(shapes, np.ndarray) and shapes.shape == (10, 101, 2)
     for params, shape in zip(baselines, shapes[:3]):
-        assert np.array_equal(shape.points, cst_evaluate(params, 101).points)
+        assert np.array_equal(shape, cst_evaluate(params, 101).points)
 
 
 def test_gen_dataset_splits_an_uneven_total():
@@ -536,14 +536,14 @@ def test_gen_dataset_bit_identical_rerun():
     a = gen_dataset_detailed(baselines, 12, 0.2, seed=9, n=101)
     b = gen_dataset_detailed(baselines, 12, 0.2, seed=9, n=101)
     for da, db in zip(a, b):
-        assert np.array_equal(da.landmarks.points, db.landmarks.points)
-        assert np.array_equal(da.params.as_vector(), db.params.as_vector())
+        assert np.array_equal(da.landmarks, db.landmarks)
+        assert np.array_equal(da.coefficients, db.coefficients)
 
 
 def test_gen_dataset_all_valid():
     for d in gen_dataset_detailed(default_baselines()[:4], 12, 0.2, seed=9,
                                   n=101):
-        assert validate_shape(d.landmarks).passed
+        assert validate_shape(LandmarkMatrix(d.landmarks)).passed
 
 
 @pytest.mark.parametrize("args, error, message", [
@@ -627,9 +627,9 @@ def test_cst_sweep_endpoints_exact():
     a = default_baselines()[0]
     b = default_baselines()[5]
     shapes = cst_sweep(a, b, 2, n=101)
-    assert len(shapes) == 2
-    assert np.array_equal(shapes[0].points, cst_evaluate(a, 101).points)
-    assert np.array_equal(shapes[1].points, cst_evaluate(b, 101).points)
+    assert isinstance(shapes, np.ndarray) and shapes.shape == (2, 101, 2)
+    assert np.array_equal(shapes[0], cst_evaluate(a, 101).points)
+    assert np.array_equal(shapes[1], cst_evaluate(b, 101).points)
 
 
 def test_cst_sweep_needs_two_steps():

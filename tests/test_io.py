@@ -64,7 +64,7 @@ def small_blade():
 def test_coordinates_round_trip_bit_exact(tmp_path):
     shape = cst_evaluate(default_baselines()[0], 401)
     path = tmp_path / "shape.dat"
-    write_coordinates(path, shape, "test-shape zeta")
+    write_coordinates(path, shape.points, "test-shape zeta")
     name, back = read_coordinates(path)
     assert name == "test-shape zeta"
     assert np.array_equal(back.points, shape.points)
@@ -73,15 +73,26 @@ def test_coordinates_round_trip_bit_exact(tmp_path):
 def test_coordinates_rewrite_byte_identical(tmp_path):
     shape = cst_evaluate(default_baselines()[1], 101)
     a, b = tmp_path / "a.dat", tmp_path / "b.dat"
-    write_coordinates(a, shape)
-    write_coordinates(b, shape)
+    write_coordinates(a, shape.points)
+    write_coordinates(b, shape.points)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_coordinates_name_must_be_single_line(tmp_path):
     shape = cst_evaluate(default_baselines()[0], 101)
     with pytest.raises(FileFormatError):
-        write_coordinates(tmp_path / "x.dat", shape, "two\nlines")
+        write_coordinates(tmp_path / "x.dat", shape.points, "two\nlines")
+
+
+def test_coordinates_refuse_what_reads_back_as_no_shape(tmp_path):
+    for points in (np.zeros((2, 2)), np.zeros((5, 3)), np.zeros(8),
+                   [[0, 0], [1, 0], "x"], [[0, 0], [1, np.nan], [0, 1]]):
+        with pytest.raises(FileFormatError, match="landmarks"):
+            write_coordinates(tmp_path / "x.dat", points)
+    with pytest.raises(FileFormatError, match="2 paths, 1 shapes"):
+        write_coordinate_files([tmp_path / "a.dat", tmp_path / "b.dat"],
+                               np.zeros((1, 3, 2)), ["a", "b"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_parse_error_cites_line_and_column(tmp_path):
@@ -145,7 +156,7 @@ def test_coordinates_written_byte_for_byte_as_per_row(pairs):
     shape = LandmarkMatrix(np.array(pairs))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.dat"
-        write_coordinates(path, shape, "edge cases")
+        write_coordinates(path, shape.points, "edge cases")
         assert path.read_text() == per_row_coordinates(shape, "edge cases")
         name, back = read_coordinates(path)
     assert name == "edge cases"
@@ -178,7 +189,7 @@ def test_bulk_writer_matches_template_and_reads_back_bit_exact(files):
     names = [f"file {i}" for i in range(len(shapes))]
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / f"s{i:02d}.dat" for i in range(len(shapes))]
-        write_coordinate_files(zip(paths, shapes, names))
+        write_coordinate_files(paths, [s.points for s in shapes], names)
         for path, shape, name in zip(paths, shapes, names):
             assert path.read_text() == per_row_coordinates(shape, name)
         back = read_coordinate_files(paths)
@@ -219,7 +230,8 @@ def test_codec_off_gives_the_same_bytes_and_bits(tmp_path, monkeypatch):
 
     def write_and_read(folder):
         paths = [folder / f"s{i:02d}.dat" for i in range(len(shapes))]
-        write_coordinate_files((p, s, "edge") for p, s in zip(paths, shapes))
+        write_coordinate_files(paths, [s.points for s in shapes],
+                               ["edge"] * len(paths))
         return ([p.read_bytes() for p in paths],
                 [shape.tobytes()
                  for shape in shapes_of(read_coordinate_files(paths))])
@@ -272,7 +284,7 @@ def test_multi_file_read_equals_per_file_reads(tmp_path):
         shape = cst_evaluate(perturb_cst(default_baselines()[k % 16], 0.2,
                                          seed=k), 21)
         path = tmp_path / f"s{k:02d}.dat"
-        write_coordinates(path, shape, f"shape {k}")
+        write_coordinates(path, shape.points, f"shape {k}")
         if k % 3:
             path.write_bytes(hand_edited(path.read_text(), k).encode())
     paths = sorted(tmp_path.glob("*.dat"))
@@ -295,7 +307,7 @@ def test_mixed_landmark_counts_read_as_runs(tmp_path, counts):
         shape = cst_evaluate(perturb_cst(default_baselines()[k % 16], 0.2,
                                          seed=k), n)
         path = tmp_path / f"s{k:02d}.dat"
-        write_coordinates(path, shape, f"shape {k}")
+        write_coordinates(path, shape.points, f"shape {k}")
         if k % 4 == 1:
             path.write_bytes(hand_edited(path.read_text(), k).encode())
     paths = sorted(tmp_path.glob("*.dat"))
@@ -313,8 +325,7 @@ def test_reading_a_family_holds_it_at_most_three_times(tmp_path):
     # twice at most, plus the bytes of one chunk of files
     family = np.random.default_rng(3).normal(size=(1016, 401, 2))
     paths = [tmp_path / f"s{k:04d}.dat" for k in range(len(family))]
-    write_coordinate_files((path, LandmarkMatrix(points), "shape")
-                           for path, points in zip(paths, family))
+    write_coordinate_files(paths, family, ["shape"] * len(paths))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -332,7 +343,7 @@ def test_a_bad_last_file_raises_its_own_error(tmp_path, count):
     # its good files must not be kept from the first reading
     shape = cst_evaluate(default_baselines()[0], 21)
     for k in range(count):
-        write_coordinates(tmp_path / f"s{k:02d}.dat", shape)
+        write_coordinates(tmp_path / f"s{k:02d}.dat", shape.points)
     (tmp_path / f"s{count - 1:02d}.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
     with pytest.raises(FileParseError,
                        match=rf"s{count - 1:02d}\.dat:3:3: not a number"):
@@ -342,7 +353,7 @@ def test_a_bad_last_file_raises_its_own_error(tmp_path, count):
 def test_multi_file_read_raises_for_the_first_bad_file(tmp_path):
     shape = cst_evaluate(default_baselines()[0], 21)
     for k in range(20):
-        write_coordinates(tmp_path / f"s{k:02d}.dat", shape)
+        write_coordinates(tmp_path / f"s{k:02d}.dat", shape.points)
     (tmp_path / "s05.dat").write_text("bad\n0 0\n1 zz\n0 1\n")
     (tmp_path / "s03.dat").write_bytes(b"caf\xe9\n0 0\n1 0\n0 1\n")
     (tmp_path / "s09.dat").unlink()

@@ -16,7 +16,9 @@ from grassfoil.blade import (BladeDefinition, build_blade, export_wireframe,
                              interpolate_section, perturb_blade)
 from grassfoil.errors import GrassfoilError
 from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
-                                cst_evaluate_stack, default_baselines,
+                                cst_evaluate_stack, cst_sweep,
+                                default_baselines, gen_dataset,
+                                gen_dataset_detailed, perturb_cst,
                                 sweep_points, validate_stack)
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, exp_map_stack,
                                  log_map_stack, mean_affine, standardize_stack,
@@ -132,6 +134,23 @@ SHAPES = st.sampled_from([MEAN, FRAMES[1], ANTIPODAL, FRAMES[0][:9],
 BASES_AT = st.sampled_from([GrassmannPoint(FRAMES[0]),
                             GrassmannPoint(FRAMES[1]),
                             GrassmannPoint(FRAMES[0][:9])])
+# coefficient sets: valid, open at the trailing edge, collinear, crossing,
+# too large to validate, past the float range once perturbed, and what is
+# no CstParams
+PARAMS = st.sampled_from([
+    CstParams(COEFFS[0, :9], COEFFS[0, 9:]),
+    CstParams(COEFFS[1, :9], COEFFS[1, 9:], 0.01),
+    CstParams(np.zeros(9), np.zeros(9)),
+    CstParams(-COEFFS[2, :9], -COEFFS[2, 9:]),
+    CstParams(COEFFS[3, :9] * 1e200, COEFFS[3, 9:]),
+    CstParams(np.full(9, 1.7e308), np.full(9, -1.7e308)),
+    None, COEFFS[0], "x"])
+BASELINES = st.lists(PARAMS, max_size=3) | st.sampled_from(
+    [default_baselines()[:2], tuple(default_baselines()[2:4]), None,
+     default_baselines()[0], COEFFS, "x"])
+FRACTIONS = st.sampled_from([0.2, 0, 1, np.float64(0.5), -0.1, 1.5, math.nan,
+                             math.inf, True, "x", None]) | st.floats(0.0, 1.0)
+SEEDS = counts(3) | st.sampled_from([2**64, 2**200, np.uint64(2**63)])
 
 FUZZED = {
     "standardize_stack": (standardize_stack, [arrays(POINTS)]),
@@ -178,6 +197,12 @@ FUZZED = {
     "CstParams": (CstParams, [arrays(COEFFS[0, :9]), arrays(COEFFS[0, 9:]),
                               TOLERANCES | arrays(COEFFS[0, :2])]),
     "GrassmannPoint": (GrassmannPoint, [arrays(FRAMES[0])]),
+    "perturb_cst": (perturb_cst, [PARAMS, FRACTIONS, SEEDS]),
+    "cst_sweep": (cst_sweep, [PARAMS, PARAMS, counts(5), counts(11)]),
+    "gen_dataset": (gen_dataset, [BASELINES, counts(6), FRACTIONS, SEEDS,
+                                  counts(11)]),
+    "gen_dataset_detailed": (gen_dataset_detailed, [
+        BASELINES, counts(6), FRACTIONS, SEEDS, counts(11)]),
     "TangentVector": (TangentVector, [arrays(DIRECTIONS[1]), BASES_AT]),
 }
 

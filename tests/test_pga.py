@@ -420,6 +420,22 @@ def test_direction_combines_the_basis(airfoil_points):
                           [1.0, 2.0, 3.0, 4.0])
 
 
+def test_direction_of_a_stack_is_each_row_s_direction(airfoil_points):
+    result = karcher_mean(stack(airfoil_points))
+    model = pga_fit(result.point, result.logs, 4)
+    points = np.random.default_rng(5).normal(size=(40, 4)) * 0.05
+    directions = model.direction(points)
+    assert directions.shape == (40, model.n, 2)
+    for t, direction in zip(points, directions):
+        one = model.direction(t)
+        assert one.tobytes() == direction.tobytes()
+        assert one.tobytes() == np.tensordot(t, model.basis, (0, 0)).tobytes()
+    assert model.direction(points[:0]).shape == (0, model.n, 2)
+    for bad in (points[:, :3], points[None], np.full((2, 4), np.nan)):
+        with pytest.raises(DimensionError, match="coordinates"):
+            model.direction(bad)
+
+
 # ---------------------------------------------------------------------------
 # domain
 

@@ -4,6 +4,8 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from grassfoil.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -32,9 +34,12 @@ def test_walkthrough_commands_parse():
 
 
 def test_library_example_runs():
+    code = fenced("Library use", "python")
+    assert " for " not in code  # the family stays one array throughout
     scope = {}
-    exec(fenced("Library use", "python"), scope)
+    exec(code, scope)
     model, result = scope["model"], scope["result"]
+    assert type(scope["points"]) is np.ndarray
     assert result.logs.shape == (len(scope["points"]), 2 * model.n)
     assert model.r == 4
     assert result.point.shape == scope["new_frame"].shape == (model.n, 2)

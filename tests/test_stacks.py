@@ -95,8 +95,7 @@ def same_bits(a, b) -> bool:
 @pytest.fixture(scope="module")
 def family():
     """The benchmark's shape family: 1016 shapes of 401 landmarks."""
-    shapes = gen_dataset(default_baselines(), 1000, 0.2, seed=7)
-    return np.array([s.points for s in shapes])
+    return gen_dataset(default_baselines(), 1000, 0.2, seed=7)
 
 
 @pytest.fixture(scope="module")
