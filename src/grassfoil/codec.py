@@ -210,8 +210,9 @@ def _eight_digits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PREFIXES = np.frombuffer(b" M -   - L -", "<u4")  # first x, y, other x
 _PREFIX_KEEP = np.array([0x10100, 0x10000, 0x10101], "<u4")
 _TENS = 10 ** np.arange(1, 8)
-# row d - 1 keeps the last d of the eight integer digits
-_INTEGER_KEEP = (np.arange(8) >= 7 - np.arange(8)[:, None]).view("<u4")
+# entry d - 1 keeps the last d of the eight integer digits: the bytes of
+# both integer keep words, written as one 8-byte field
+_INTEGER_KEEP = (np.arange(8) >= 7 - np.arange(8)[:, None]).view("<u8")[:, 0]
 _FRACTIONS = (_QUADS[:1000] & 0xFFFFFF00 | ord(".")).astype("<u4")
 _FRACTION_KEEP = np.select([np.arange(1000) % k == 0 for k in (1000, 100, 10)],
                            [0, 0x101, 0x10101], 0x1010101).astype("<u4")
@@ -254,7 +255,8 @@ def path_data(views: np.ndarray) -> list[str | None]:
     keep = np.empty((k, 2 * n, 4), "<u4")
     keep[..., 0] = _PREFIX_KEEP[kinds] | np.signbit(views).reshape(
         k, 2 * n).astype("<u4") << 24
-    keep[..., 1:3] = _INTEGER_KEEP[np.searchsorted(_TENS, whole, "right")]
+    keep.view(np.uint8)[..., 4:12].view("<u8")[..., 0] = _INTEGER_KEEP[
+        np.searchsorted(_TENS, whole, "right")]
     keep[..., 3] = _FRACTION_KEEP[fraction]
     mask = keep.view(bool)
     text = str(words.view(np.uint8)[mask].data, "ascii")

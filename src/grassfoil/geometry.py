@@ -30,6 +30,7 @@ from .errors import (
     in_order,
     integer_argument,
 )
+from .stacks import landmark_sum, per_shape
 
 logger = logging.getLogger(__name__)
 
@@ -546,14 +547,16 @@ def validate_stack(points) -> list[ShapeDiagnostics]:
             raise ParameterError(
                 f"landmark coordinates exceed {MAX_COORDINATE:.0e} in "
                 "magnitude; validation products would overflow")
-        centered = pts - pts.mean(axis=1, keepdims=True)
+        centered = per_shape(np.subtract, pts,
+                             landmark_sum(pts) / pts.shape[1])
         sv = np.linalg.svd(centered, compute_uv=False)
         ratio = np.divide(sv[:, 1], sv[:, 0], out=np.zeros(len(pts)),
                           where=sv[:, 0] > 0.0)
         span = np.abs(centered).max(axis=(1, 2))
         x, y = pts[:, :, 0], pts[:, :, 1]
-        area = 0.5 * (x * np.roll(y, -1, 1) - np.roll(x, -1, 1) * y).sum(axis=1)
-        moving = np.any(np.roll(pts, -1, axis=1) != pts, axis=2)
+        nx, ny = np.roll(x, -1, 1), np.roll(y, -1, 1)
+        area = 0.5 * (x * ny - nx * y).sum(axis=1)
+        moving = (nx != x) | (ny != y)
         shared = np.all(x[1:] == x[:-1], 1) & np.all(moving[1:] == moving[:-1], 1)
         cuts = [0, *(np.flatnonzero(~shared) + 1).tolist(), len(pts)]
         simple, leading = np.empty((2, len(pts)), dtype=bool)
@@ -569,9 +572,22 @@ def validate_stack(points) -> list[ShapeDiagnostics]:
     return out
 
 
-def validate_shape(shape: LandmarkMatrix) -> ShapeDiagnostics:
-    """Diagnose one landmark matrix: :func:`validate_stack` of a stack of one."""
-    return validate_stack(shape.points[None])[0]
+def one_shape_stack(shape, error: type = ParameterError) -> np.ndarray:
+    """One shape, a :class:`LandmarkMatrix` or an ``(n, 2)`` array, as a
+    float stack of one; an array of another rank raises ``error``."""
+    points = array_argument(
+        shape.points if isinstance(shape, LandmarkMatrix) else shape,
+        "landmarks", error)
+    if points.ndim != 2:
+        raise error(f"expected an (n, 2) landmark matrix, got shape "
+                    f"{points.shape}")
+    return points[None]
+
+
+def validate_shape(shape) -> ShapeDiagnostics:
+    """Diagnose one shape, a :class:`LandmarkMatrix` or an ``(n, 2)`` array:
+    :func:`validate_stack` of a stack of one."""
+    return validate_stack(one_shape_stack(shape))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -72,24 +72,35 @@ def write_text(path, text) -> None:
     """Atomic create-then-rename write of ``text``, a string or an iterable
     of strings written in turn, into ``path``'s directory, made if missing;
     unwritable targets name the path."""
-    path = Path(path)
-    # Mode 0o666 less the umask, as open(path, "w") would create it.
-    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    _write_files([path], [text])
+
+
+def _write_files(paths, texts) -> None:
+    """:func:`write_text` of each of ``texts`` to its path in turn, making
+    each distinct directory once."""
+    made = set()
+    for path, text in zip(paths, texts):
+        path = Path(path)
+        # Mode 0o666 less the umask, as open(path, "w") would create it.
+        tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.writelines([text] if isinstance(text, str) else text)
-            os.replace(tmp, path)
-        except BaseException:
+            if path.parent not in made:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                made.add(path.parent)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError as err:
-        raise FileFormatError(f"cannot write {path}: {err.strerror}") from None
+                with os.fdopen(fd, "w") as fh:
+                    fh.writelines([text] if isinstance(text, str) else text)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+        except OSError as err:
+            raise FileFormatError(
+                f"cannot write {path}: {err.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +124,24 @@ def write_coordinate_files(paths, shapes, names) -> None:
     if not len(paths) == len(shapes) == len(names):
         raise FileFormatError(
             f"{len(paths)} paths, {len(shapes)} shapes and {len(names)} names")
-    for start in range(0, len(paths), _CHUNK):
-        at = slice(start, start + _CHUNK)
-        chunk = [array_argument(s, "landmarks", FileFormatError)
-                 for s in shapes[at]]
-        for points, name in zip(chunk, names[at]):
-            if (points.ndim != 2 or points.shape[1] != 2 or len(points) < 3
-                    or not np.isfinite(points).all()):
-                raise FileFormatError("expected finite (n, 2) landmarks with "
-                                      f"n >= 3, got shape {points.shape}")
-            if "\n" in name or "\r" in name:
-                raise FileFormatError("coordinate name must be a single line")
-        for path, name, body in zip(paths[at], names[at],
-                                    codec.encode_bodies(chunk)):
-            write_text(path, f"{name}\n{body}")
+
+    def texts():
+        for start in range(0, len(paths), _CHUNK):
+            at = slice(start, start + _CHUNK)
+            chunk = [array_argument(s, "landmarks", FileFormatError)
+                     for s in shapes[at]]
+            for points, name in zip(chunk, names[at]):
+                if (points.ndim != 2 or points.shape[1] != 2
+                        or len(points) < 3 or not np.isfinite(points).all()):
+                    raise FileFormatError(
+                        "expected finite (n, 2) landmarks with n >= 3, got "
+                        f"shape {points.shape}")
+                if "\n" in name or "\r" in name:
+                    raise FileFormatError(
+                        "coordinate name must be a single line")
+            for name, body in zip(names[at], codec.encode_bodies(chunk)):
+                yield f"{name}\n{body}"
+    _write_files(paths, texts())
 
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:

@@ -59,15 +59,20 @@ class _Canvas:
         room = np.array([width, height]) - 2 * margin
         fit = room / span
         scale = np.where(fit[..., 1] < fit[..., 0], fit[..., 1], fit[..., 0])
-        self.scale = scale[..., None, None]
+        self.scale = scale[..., None]
         self.lo = lo[..., None, :]
-        self.offset = (margin + 0.5 * (room - scale[..., None] * span))[
-            ..., None, :]
+        self.offset = (margin + 0.5 * (room - self.scale * span))[..., None, :]
         self.height = height
 
     def to_view(self, pts: np.ndarray) -> np.ndarray:
-        """View coordinates of an (n, 2) shape or a (k, n, 2) stack."""
-        out = self.offset + self.scale * (pts - self.lo)
+        """View coordinates of an (n, 2) shape or a (k, n, 2) stack, one
+        column at a time, so that each loop runs over landmarks."""
+        out = np.empty(pts.shape)
+        for c in range(2):
+            view = out[..., c]
+            np.subtract(pts[..., c], self.lo[..., c], out=view)
+            view *= self.scale
+            view += self.offset[..., c]
         out[..., 1] = self.height - out[..., 1]
         return out
 
@@ -110,6 +115,15 @@ def _chunks(runs: Sequence[np.ndarray]):
         start += len(run)
 
 
+def _corners(stack: np.ndarray, axis: int | None):
+    """Lowest and highest coordinates of a (k, n, 2) stack, over ``axis``
+    of each column (k, n), one column at a time, so that each loop runs
+    over landmarks."""
+    columns = stack[..., 0], stack[..., 1]
+    return (np.stack([c.min(axis=axis) for c in columns], axis=-1),
+            np.stack([c.max(axis=axis) for c in columns], axis=-1))
+
+
 def _to_string(root: ET.Element) -> str:
     return ET.tostring(root, encoding="unicode") + "\n"
 
@@ -122,8 +136,7 @@ def render_shapes(runs: Sequence[np.ndarray]) -> str:
     if sum(map(len, runs)) == 0:
         raise ParameterError("nothing to render")
     width, height = 720.0, 360.0
-    lows, highs = zip(*[(s.min(axis=(0, 1)), s.max(axis=(0, 1)))
-                        for _, s in _chunks(runs)])
+    lows, highs = zip(*[_corners(s, None) for _, s in _chunks(runs)])
     lo, hi = np.min(lows, axis=0), np.max(highs, axis=0)
     canvas = _Canvas(lo, hi, width, height, 20.0)
     root = _document(width, height)
@@ -145,8 +158,7 @@ def render_strip(runs: Sequence[np.ndarray]) -> str:
     width, height = columns * cell, rows * cell
     root = _document(width, height)
     for start, stack in _chunks(runs):
-        canvas = _Canvas(stack.min(axis=1), stack.max(axis=1), cell, cell,
-                         10.0)
+        canvas = _Canvas(*_corners(stack, 1), cell, cell, 10.0)
         view = canvas.to_view(stack)
         index = np.arange(start, start + len(stack))[:, None]
         view[..., 0] += (index % columns) * cell

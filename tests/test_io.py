@@ -993,6 +993,19 @@ def test_writers_make_missing_directories(tmp_path):
     assert target.read_text() == "i\n0\n"
 
 
+def test_coordinate_files_make_each_directory_once(tmp_path, monkeypatch):
+    made = []
+    real_mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda self, *args, **kwargs: (
+        made.append(self), real_mkdir(self, *args, **kwargs)))
+    paths = [tmp_path / d / f"s{i:02d}.dat" for d in "ab" for i in range(20)]
+    shape = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, -0.5]])
+    write_coordinate_files(paths, [shape] * len(paths), ["s"] * len(paths))
+    assert sorted(made) == [tmp_path / "a", tmp_path / "b"]
+    assert sorted(tmp_path.rglob("*.dat")) == sorted(paths)
+    assert read_coordinates(paths[-1])[1].points.tolist() == shape.tolist()
+
+
 def test_writer_under_a_file_names_the_path(tmp_path):
     (tmp_path / "plain").write_text("not a directory\n")
     target = tmp_path / "plain" / "x.json"

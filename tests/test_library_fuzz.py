@@ -19,10 +19,10 @@ from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
                                 cst_evaluate_stack, cst_sweep,
                                 default_baselines, gen_dataset,
                                 gen_dataset_detailed, perturb_cst,
-                                sweep_points, validate_stack)
+                                sweep_points, validate_shape, validate_stack)
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, exp_map_stack,
-                                 log_map_stack, mean_affine, standardize_stack,
-                                 transport_stack)
+                                 la_standardize, log_map_stack, mean_affine,
+                                 standardize_stack, transport_stack)
 from grassfoil.pga import (CoordinateDomain, PgaModel, coords_of, corner_sweep,
                            domain_contains, karcher_mean, logs_at, pga_fit,
                            synthesize)
@@ -151,11 +151,15 @@ BASELINES = st.lists(PARAMS, max_size=3) | st.sampled_from(
 FRACTIONS = st.sampled_from([0.2, 0, 1, np.float64(0.5), -0.1, 1.5, math.nan,
                              math.inf, True, "x", None]) | st.floats(0.0, 1.0)
 SEEDS = counts(3) | st.sampled_from([2**64, 2**200, np.uint64(2**63)])
+ONE_SHAPE = arrays(POINTS[0]) | st.just(LandmarkMatrix(POINTS[1]))
 
 FUZZED = {
     "standardize_stack": (standardize_stack, [arrays(POINTS)]),
     "log_map_stack": (log_map_stack, [arrays(FRAMES[0]), arrays(FRAMES)]),
     "validate_stack": (validate_stack, [arrays(POINTS)]),
+    # one shape, as a plain array or as the value type
+    "validate_shape": (validate_shape, [ONE_SHAPE]),
+    "la_standardize": (la_standardize, [ONE_SHAPE]),
     "cst_evaluate_stack": (cst_evaluate_stack, [
         arrays(COEFFS), counts(11), arrays(np.full(len(COEFFS), 1e-3))]),
     "karcher_mean": (karcher_mean, [arrays(FRAMES), TOLERANCES, counts(50)]),
