@@ -28,8 +28,7 @@ from .errors import (
     in_order,
     integer_argument,
 )
-from .geometry import (MAX_COORDINATE, AffineMap, LandmarkMatrix,
-                       affine_vectors, singular_linear)
+from .geometry import LandmarkMatrix, affine_vectors, check_affines
 from .grassmann import (
     GrassmannPoint,
     as_frames,
@@ -176,20 +175,15 @@ class BladeDefinition:
             raise DimensionError(
                 "all stations must share one landmark count, in (n, 2) sections "
                 "and frames, with 2x2 linear factors and 2-vector translations")
-        vectors = affine_vectors(linear, translation)
 
         def run(rows: range):
             at = slice(rows.start, rows.stop)
             if not np.isfinite(sections[at]).all():
                 raise ParameterError("landmark matrix contains non-finite values")
-            if not np.abs(vectors[at]).max() <= MAX_COORDINATE:
-                raise ParameterError("affine factor is not finite or exceeds "
-                                     f"{MAX_COORDINATE:.0e} in magnitude")
-            for k in np.flatnonzero(singular_linear(linear[at])):
-                AffineMap(linear[at][k], translation[at][k])  # its map raises
+            check_affines(linear[at], translation[at])
             frames[at] = as_frames(frames[at])
         in_order(run, len(etas), max(len(etas), 1))
-        profiles = AffineProfiles(etas, vectors)
+        profiles = AffineProfiles(etas, affine_vectors(linear, translation))
         object.__setattr__(self, "etas", profiles.etas)
         for name, value in zip(names, arrays):
             value.setflags(write=False)
@@ -279,16 +273,15 @@ def interpolate_section(blade: BladeDefinition, eta: float) -> LandmarkMatrix:
 def _segments(blade: BladeDefinition, etas: np.ndarray):
     """Per blade segment holding some of the spans ``etas``, their positions
     and their sections' ``(m, n, 2)`` landmarks: one logarithm, one stacked
-    exponential along ``s * log`` and the affine profiles at each span. A
-    rank-deficient interpolated linear factor raises for the first such
-    span before any section is made."""
+    exponential along ``s * log`` and the affine profiles at each span. The
+    interpolated factors are checked by
+    :func:`~grassfoil.geometry.check_affines` before any section is made."""
     knots = blade.etas
     idx = _locate_segments(knots, etas)
     s = (etas - knots[idx]) / (knots[idx + 1] - knots[idx])
     affine = blade.profiles.at(etas, idx)
     linear, translation = affine[:, :4].reshape(-1, 2, 2), affine[:, 4:]
-    for k in np.flatnonzero(singular_linear(linear)):
-        AffineMap(linear[k], translation[k])  # its map raises
+    check_affines(linear, translation)
     for i in np.unique(idx).tolist():
         rows = np.flatnonzero(idx == i)
         p = blade.frames[i]

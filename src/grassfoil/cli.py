@@ -161,12 +161,7 @@ def cmd_gen_dataset(args) -> tuple[dict, str]:
         [f"{path.stem} {kind} {names[item.baseline_index]}"
          for path, item, kind in zip(paths, detail, kinds)])
     # a smaller earlier run's shapes would join this run's in later stages
-    for stale in sorted(set(shape_dir.glob("shape-*.dat")).difference(paths)):
-        try:
-            stale.unlink()
-        except OSError as err:
-            raise FileFormatError(
-                f"cannot remove {stale}: {err.strerror}") from None
+    gio.remove_unwritten(shape_dir, ["shape-*.dat"], paths)
     rows = [[item.index, item.baseline_index, kind, *item.coefficients]
             for item, kind in zip(detail, kinds)]
     gio.write_table(args.out / "coefficients.csv",
@@ -238,6 +233,8 @@ def cmd_synth(args) -> tuple[dict, str]:
     if affine is not None:
         gio.write_coordinates(args.out / "shape.dat", shape.points,
                               "synthesized-shape")
+    else:  # an earlier run's shape is not of this frame
+        gio.remove_unwritten(args.out, ["shape.dat"], [])
     return results, f"synthesized at t={t.tolist()}, in_domain={inside}"
 
 
@@ -298,6 +295,9 @@ def cmd_sweep(args) -> tuple[dict, str]:
         gio.write_table(args.out / f"sweep-{k}.csv",
                         ["step", *columns, *_VALIDITY_COLUMNS], rows)
         gio.write_text(args.out / f"sweep-{k}.svg", strip)
+    gio.remove_unwritten(args.out, ["sweep-*.csv", "sweep-*.svg"], [
+        args.out / f"sweep-{k}.{kind}" for k in range(args.count)
+        for kind in ("csv", "svg")])
     valid = [sum(r[-4] for r in rows) for rows, _ in sweeps]
     return ({"sweeps": [{"sweep": k, "valid": v, "steps": args.steps}
                         for k, v in enumerate(valid)]},
@@ -315,15 +315,19 @@ def cmd_blade_interp(args) -> tuple[dict, str]:
     sections = [interpolate_section(blade, eta) for eta in etas]
     grid = (None if args.spans is None
             else export_wireframe(blade, args.spans, args.samples_per_section))
-    results = {}
+    results, written = {}, []
     for i, (eta, section) in enumerate(zip(etas, sections)):
-        gio.write_coordinates(args.out / "sections" / f"section-{i:03d}.dat",
-                              section.points, f"section eta={eta!r}")
+        written.append(args.out / "sections" / f"section-{i:03d}.dat")
+        gio.write_coordinates(written[-1], section.points,
+                              f"section eta={eta!r}")
     if args.eta is not None:
         results["sections"] = len(etas)
     if grid is not None:
-        gio.write_wireframe(args.out / "wireframe.csv", grid)
+        written.append(args.out / "wireframe.csv")
+        gio.write_wireframe(written[-1], grid)
         results["wireframe_shape"] = list(grid.shape)
+    gio.remove_unwritten(args.out, ["sections/section-*.dat", "wireframe.csv"],
+                         written)
     return results, f"interpolated blade: {results}"
 
 

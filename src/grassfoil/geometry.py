@@ -94,10 +94,27 @@ def affine_vectors(linear: np.ndarray, translation: np.ndarray) -> np.ndarray:
                           axis=-1)
 
 
-def singular_linear(linear: np.ndarray):
-    """Whether a 2x2 linear factor, or each of a stack, is rank deficient:
-    ``|det| <= 1e-12``."""
-    return np.abs(np.linalg.det(linear)) <= _DET_TOL
+def check_affines(linear: np.ndarray, translation: np.ndarray) -> None:
+    """Check ``(N, 2, 2)`` linear factors and their ``(N, 2)`` translations
+    as affine factors: an entry that is not finite, or beyond 1e150 in
+    magnitude, raises ``ParameterError``, and a linear factor with ``|det|
+    <= 1e-12`` then raises ``Gl2ViolationError``. The first faulty factor
+    raises, with its position as ``shape_index``."""
+    vectors = affine_vectors(linear, translation)
+
+    def run(rows: range):
+        at = slice(rows.start, rows.stop)
+        size = np.abs(vectors[at]).max(axis=1)
+        if not np.isfinite(size).all():
+            raise ParameterError("affine map contains non-finite values")
+        if (size > MAX_COORDINATE).any():
+            raise ParameterError(
+                f"affine map exceeds {MAX_COORDINATE:.0e} in magnitude")
+        if (np.abs(np.linalg.det(linear[at])) <= _DET_TOL).any():
+            raise Gl2ViolationError(
+                "linear factor is rank deficient (|det| <= 1e-12); the "
+                "deformation would collapse landmarks onto a line")
+    in_order(run, len(linear), _CHUNK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +132,7 @@ class AffineMap:
         if b.shape != (2,):
             raise ParameterError(
                 f"translation must have shape (2,), got {b.shape}")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
-            raise ParameterError("affine map contains non-finite values")
-        if np.abs(affine_vectors(m, b)).max() > MAX_COORDINATE:
-            raise ParameterError(
-                f"affine map exceeds {MAX_COORDINATE:.0e} in magnitude")
-        if singular_linear(m):
-            raise Gl2ViolationError(
-                "linear factor is rank deficient (|det| <= 1e-12); the "
-                "deformation would collapse landmarks onto a line")
+        check_affines(m[None], b[None])
         m.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "linear", m)

@@ -36,8 +36,8 @@ from .errors import (
     in_order,
 )
 from .geometry import (MAX_COORDINATE, RANK_RATIO_TOL, AffineMap,
-                       LandmarkMatrix, affine_apply, one_shape_stack,
-                       singular_linear)
+                       LandmarkMatrix, affine_apply, check_affines,
+                       one_shape_stack)
 from .stacks import landmark_sum, per_shape
 
 _ORTHO_TOL = 1e-12
@@ -53,6 +53,24 @@ def _horizontal(rep: np.ndarray, mat: np.ndarray, tol: float):
     at a ``rep`` per slice."""
     err = np.abs(np.matmul(rep.swapaxes(-1, -2), mat)).max(axis=(-2, -1))
     return (err <= tol) | (err <= tol * np.abs(mat).max(axis=(-2, -1)))
+
+
+def check_tangents(base: np.ndarray, mats: np.ndarray) -> None:
+    """Check an ``(N, n, q)`` stack of tangents at the frame ``base``, one
+    frame or a frame per tangent: a tangent that is not finite raises
+    ``DimensionError``, and one that is not horizontal at its base, or whose
+    product with it overflows, then raises ``TangencyError``. The first
+    faulty tangent raises, with its position as ``shape_index``."""
+    def run(rows: range):
+        at = slice(rows.start, rows.stop)
+        mat, rep = mats[at], (base[at] if base.ndim == 3 else base)
+        if not np.isfinite(mat).all():
+            raise DimensionError("tangent vector contains non-finite values")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _horizontal(rep, mat, _HORIZONTAL_TOL).all():
+                raise TangencyError(
+                    "vector is not horizontal at its base point")
+    in_order(run, len(mats), _CHUNK)
 
 
 def orthonormalize(mat: np.ndarray) -> np.ndarray:
@@ -150,11 +168,7 @@ class TangentVector:
             raise DimensionError(
                 f"tangent shape {mat.shape} does not match base "
                 f"{self.base.rep.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise DimensionError("tangent vector contains non-finite values")
-        if not _horizontal(self.base.rep, mat, _HORIZONTAL_TOL):
-            raise TangencyError(
-                "vector is not horizontal at its base point")
+        check_tangents(self.base.rep, mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -231,8 +245,7 @@ def standardize_stack(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         signs = np.where(lead < 0.0, -1.0, 1.0)
         frames[at] = as_frames(per_shape(np.multiply, u, signs, out=u))
         m = s[:, :, None] * (vt * signs[:, :, None])
-        for k in np.flatnonzero(singular_linear(m)):  # its map raises
-            AffineMap(m[k], b[k])
+        check_affines(m, b)
         linear[at] = m
         translation[at] = b
     in_order(run, count, _CHUNK)
@@ -410,12 +423,8 @@ def transport_stack(base, directions, mats,
         p, d = (base[at] if base.ndim == 3 else base), directions[at]
         if _stray(p.reshape(-1, *d.shape[1:])).any():
             raise DimensionError("base is not a finite orthonormal frame")
-        if not np.isfinite(d).all():
-            raise DimensionError("direction contains non-finite values")
+        check_tangents(p, d)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            if not _horizontal(p, d, _HORIZONTAL_TOL).all():
-                raise TangencyError(
-                    "tangent vector is not horizontal at this base")
             u, s, vt = np.linalg.svd(d, full_matrices=False)
             v, ts = vt.swapaxes(1, 2), t * s
             if not np.isfinite(ts).all():

@@ -103,6 +103,21 @@ def _write_files(paths, texts) -> None:
                 f"cannot write {path}: {err.strerror}") from None
 
 
+def remove_unwritten(directory, patterns, written) -> None:
+    """Remove the files under ``directory`` that match one of the glob
+    ``patterns`` but are not among the paths ``written``, so that a rerun
+    leaves only its own outputs of those names; a file that cannot be
+    removed names its path."""
+    directory, written = Path(directory), set(map(Path, written))
+    found = {path for pattern in patterns for path in directory.glob(pattern)}
+    for stale in sorted(found - written):
+        try:
+            stale.unlink()
+        except OSError as err:
+            raise FileFormatError(
+                f"cannot remove {stale}: {err.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # coordinate listings
 

@@ -24,7 +24,6 @@ from .errors import (
     IterationLimitError,
     ParameterError,
     array_argument,
-    in_order,
     integer_argument,
 )
 from .geometry import MAX_COORDINATE, sweep_points
@@ -32,6 +31,7 @@ from .grassmann import (
     GrassmannPoint,
     TangentVector,
     as_frames,
+    check_tangents,
     exp_map,
     exp_map_stack,
     log_map_stack,
@@ -86,8 +86,9 @@ class CoordinateDomain:
 class PgaModel:
     """Fitted design space as read-only arrays: ``mean`` ``(n, 2)``, ``basis``
     ``(r, n, 2)``, ``eigenvalues``, ``domain`` and ``training_coords``. The
-    mean is checked as a :class:`GrassmannPoint` and each direction as a
-    :class:`TangentVector`; the first faulty one raises, with ``shape_index``.
+    mean is checked as a :class:`GrassmannPoint` and the directions by
+    :func:`~grassfoil.grassmann.check_tangents`; the first faulty one raises,
+    with ``shape_index``.
     """
 
     mean: np.ndarray
@@ -109,8 +110,7 @@ class PgaModel:
             raise DimensionError(
                 f"expected an (n, 2) mean and an (r, n, 2) basis, got shapes "
                 f"{point.rep.shape} and {basis.shape}")
-        in_order(lambda rows: TangentVector(basis[rows.start], point),
-                 self.r, 1)
+        check_tangents(point.rep, basis)
         if ev.shape != (self.r,):
             raise DimensionError("one eigenvalue per basis direction required")
         if tc.ndim != 2 or tc.shape[1] != self.r:

@@ -102,6 +102,45 @@ def test_a_smaller_rerun_leaves_only_its_own_shapes(tmp_path, capsys):
     assert capsys.readouterr().out == "standardized 10 shapes\n"
 
 
+def rerun_files(out, first, second) -> list[str]:
+    """The files under ``out`` after two runs into it, and a file of a
+    name no command writes, which each rerun must leave alone."""
+    assert main([*first, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert main([*second, "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "kept\n"
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                  if p.is_file())
+
+
+def test_a_smaller_sweep_rerun_leaves_only_its_own_sweeps(workdir, tmp_path):
+    argv = ["sweep", "--space", "cst", "--coefficients",
+            str(workdir / "data" / "coefficients.csv"), "--steps", "3",
+            "--n", str(N)]
+    files = rerun_files(tmp_path / "swp", [*argv, "--count", "3"],
+                        [*argv, "--count", "1"])
+    assert files == ["manifest.json", "notes.txt", "sweep-0.csv",
+                     "sweep-0.svg"]
+
+
+def test_a_synth_rerun_without_affine_leaves_no_shape(workdir, tmp_path):
+    fit = workdir / "fit"
+    argv = ["synth", "--model", str(fit / "model.json"), "--coords",
+            "0.001,0,0"]
+    files = rerun_files(tmp_path / "syn",
+                        [*argv, "--affine", str(fit / "mean_affine.json")],
+                        argv)
+    assert files == ["manifest.json", "notes.txt", "representative.dat"]
+
+
+def test_a_blade_interp_rerun_leaves_only_its_own_outputs(workdir, tmp_path):
+    argv = ["blade-interp", "--blade", str(workdir / "blade.json")]
+    files = rerun_files(tmp_path / "bi",
+                        [*argv, "--eta", "0.2", "--eta", "0.4", "--eta",
+                         "0.6", "--spans", "4"], [*argv, "--eta", "0.3"])
+    assert files == ["manifest.json", "notes.txt", "sections/section-000.dat"]
+
+
 # The reading stages, each run on a family of one landmark count and on a
 # family that mixes counts and holds hand-edited files
 READING_STAGES = {

@@ -71,6 +71,47 @@ def test_guard_sees_a_text_read(tmp_path):
     assert text_reads(probe) == [1, 3, 5]
 
 
+def package_classes() -> set[str]:
+    """Names of the classes that the package source defines."""
+    return {node.name for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ClassDef)}
+
+
+def discarded_objects(path: Path, classes: set[str]) -> list[int]:
+    """Lines of ``path`` whose statement or ``lambda`` body is a call of one
+    of ``classes``: an object made only to raise, or thrown away."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        body = node.value if isinstance(node, ast.Expr) else (
+            node.body if isinstance(node, ast.Lambda) else None)
+        if isinstance(body, ast.Call):
+            func = body.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in classes:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_value_object_is_built_only_to_be_discarded():
+    classes = package_classes()
+    assert {"AffineMap", "TangentVector", "GrassmannPoint"} <= classes
+    offenders = {p.name: discarded_objects(p, classes) for p in SOURCES}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def test_guard_sees_a_discarded_object(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("AffineMap(m, b)  # raises if singular\n"
+                     "in_order(lambda rows: TangentVector(d, p), 3, 1)\n"
+                     "affine = AffineMap(m, b)\n"
+                     "geometry.AffineMap(m, b)\n"
+                     "raise ParameterError('kept')\n"
+                     "np.asarray(m)\n")
+    assert discarded_objects(probe, package_classes()) == [1, 2, 4]
+
+
 NUMPY_ONLY = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now fails

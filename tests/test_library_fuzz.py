@@ -71,21 +71,34 @@ def with_antipodal(x):
     return x
 
 
+def perturbed(valid, seed, scale):
+    """``valid`` plus ``scale`` times the standard normal draws of ``seed``."""
+    return valid + scale * np.random.default_rng(seed).standard_normal(
+        valid.shape)
+
+
 def arrays(valid):
     """``valid``, as it is or broken in one way: a wrong shape, a str, bool
-    or object dtype, a NaN, inf or 1e155 entry, a ragged list, a stack that
-    is not orthonormal, an antipodal frame, or repeated items."""
+    or object dtype, one entry set to any float (NaN, inf and 1e155 often),
+    a small random perturbation, a ragged list, a stack that is not
+    orthonormal, an antipodal frame, or repeated items."""
     return st.one_of(
         st.just(valid),
         st.sampled_from(RESHAPES).map(lambda reshape: reshape(valid)),
         st.sampled_from([str, bool, object]).map(valid.astype),
         st.tuples(st.integers(0, valid.size - 1),
-                  st.sampled_from(BAD_NUMBERS)).map(
+                  st.sampled_from(BAD_NUMBERS) | FLOATS).map(
                       lambda fault: poisoned(valid, *fault)),
+        st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 1e-3)).map(
+            lambda draw: perturbed(valid, *draw)),
         st.sampled_from([valid.tolist(), ragged(valid), valid * 1e155,
                          valid * 3.0, np.ones_like(valid),
                          np.zeros_like(valid), with_antipodal(valid),
                          valid[[0] * len(valid)]]))
+
+
+# any float: NaN, +-inf, +-0, subnormal and huge
+FLOATS = st.floats(allow_subnormal=True)
 
 
 def counts(valid):
@@ -94,8 +107,6 @@ def counts(valid):
                            ) | st.integers(-2, 200)
 
 
-# any float: NaN, +-inf, +-0, subnormal and huge
-FLOATS = st.floats(allow_subnormal=True)
 TOLERANCES = st.sampled_from([1e-10, np.float64(1e-10), math.nan, math.inf,
                               -math.inf, 0.0, -1.0, 1e155, True, "x", None]
                              ) | FLOATS
