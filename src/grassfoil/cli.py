@@ -24,8 +24,8 @@ from .blade import (
     interpolate_section,
     perturb_blade,
 )
-from .errors import (DimensionError, FileFormatError, GrassfoilError,
-                     ParameterError)
+from .errors import (DimensionError, FileFormatError, FileParseError,
+                     GrassfoilError, ParameterError)
 from .geometry import (
     AFFINE_COMPONENT_NAMES,
     ShapeDiagnostics,
@@ -135,7 +135,20 @@ def _fit_mean(args):
         args.shapes, one_count=True)
     result = _naming_files(files, 0, karcher_mean, frames, tol=args.tol,
                            max_iter=args.max_iter)
-    return names, result, mean_affine(linear, translation)
+    return files, names, result, mean_affine(linear, translation)
+
+
+def _file_cells(files, names) -> list[str]:
+    """The ``file`` cells of the shapes' table rows: the first token of each
+    name line, or empty for a blank one. A token that holds a comma would
+    split its row, so it raises, naming its file's name line."""
+    cells = [(name.split() or [""])[0] for name in names]
+    for path, cell in zip(files, cells):
+        if "," in cell:
+            raise FileParseError(
+                f"name token {cell!r} holds a comma, which would split "
+                "its table row", path=path, line=1)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +184,9 @@ def cmd_gen_dataset(args) -> tuple[dict, str]:
 
 
 def cmd_standardize(args) -> tuple[dict, str]:
-    _, names, _, linear, translation = _standardized(args.shapes)
-    rows = [[name.split()[0], *vec] for name, vec
-            in zip(names, affine_vectors(linear, translation))]
+    files, names, _, linear, translation = _standardized(args.shapes)
+    rows = [[cell, *vec] for cell, vec in zip(
+        _file_cells(files, names), affine_vectors(linear, translation))]
     gio.write_table(args.out / "affines.csv",
                     ["file", *AFFINE_COMPONENT_NAMES], rows)
     gio.write_affine(args.out / "mean_affine.json",
@@ -183,7 +196,7 @@ def cmd_standardize(args) -> tuple[dict, str]:
 
 
 def cmd_mean(args) -> tuple[dict, str]:
-    names, result, affine = _fit_mean(args)
+    _, names, result, affine = _fit_mean(args)
     mean = result.point
     gio.write_coordinates(args.out / "mean_rep.dat", mean,
                           "karcher-mean-representative")
@@ -198,12 +211,12 @@ def cmd_mean(args) -> tuple[dict, str]:
 
 
 def cmd_pga_fit(args) -> tuple[dict, str]:
-    names, result, affine = _fit_mean(args)
+    files, names, result, affine = _fit_mean(args)
     model = pga_fit(result.point, result.logs, args.r)
+    coord_rows = [[i, cell, *coords] for i, (cell, coords) in enumerate(
+        zip(_file_cells(files, names), model.training_coords))]
     gio.write_model(args.out / "model.json", model)
     gio.write_affine(args.out / "mean_affine.json", affine)
-    coord_rows = [[i, name.split()[0], *model.training_coords[i]]
-                  for i, name in enumerate(names)]
     gio.write_table(args.out / "normal_coords.csv",
                     ["index", "file", *[f"t{j}" for j in range(model.r)]],
                     coord_rows)

@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import dataclass
 from io import BytesIO, TextIOWrapper
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
 
@@ -151,12 +150,18 @@ def write_coordinate_files(paths, shapes, names) -> None:
                     raise FileFormatError(
                         "expected finite (n, 2) landmarks with n >= 3, got "
                         f"shape {points.shape}")
-                if "\n" in name or "\r" in name:
+                if not _one_line(name):
                     raise FileFormatError(
                         "coordinate name must be a single line")
             for name, body in zip(names[at], codec.encode_bodies(chunk)):
                 yield f"{name}\n{body}"
     _write_files(paths, texts())
+
+
+def _one_line(text: str) -> bool:
+    """Whether ``str.splitlines`` reads ``text`` and a line end after it as
+    the one line ``text``, as the coordinate reader does."""
+    return (text + "\n").splitlines() == [text]
 
 
 def read_coordinates(path) -> tuple[str, LandmarkMatrix]:
@@ -200,7 +205,7 @@ def read_coordinate_files(paths) -> CoordinateFamily:
         for path, data, (head, _, _), values in zip(chunk, datas, heads,
                                                      decoded):
             name = head.decode("ascii")
-            if values is not None and (name + "\n").splitlines() == [name]:
+            if values is not None and _one_line(name):
                 files.append((name, values.reshape(-1, 2)))
             else:
                 files.append(_scan_coordinates(path, _decode(path, data)))
@@ -264,88 +269,54 @@ def _line_fault(path, lineno: int, line: str) -> NoReturn:
 
 
 def write_json(path, payload) -> None:
-    """``payload`` in the stdlib ``json`` layout with a one-space indent and
-    sorted keys, byte for byte, plus a newline; dict keys must be strings.
-    A float64 array is written as its ``tolist()`` would be.
+    """``payload`` as ``json.dumps(payload, indent=1, sort_keys=True)``
+    writes it, byte for byte, plus a newline: the stdlib's encoder lays out
+    the file, so dict keys follow its rule (strings, or numbers, booleans
+    and ``None``, which it writes as strings). A float64 array is written
+    as its ``tolist()`` would be.
 
-    The numbers of a file's 1-D and 2-D arrays are formatted in one bulk
-    call, each followed by ",", or ";" at the end of a row, or a NUL at the
-    end of its array. Each array is laid out by replacing those marks, and
-    "nan" and "inf", which no other token holds.
+    Only the numbers of the non-empty 1-D and 2-D float64 arrays are
+    formatted here, in one bulk call per file, each followed by ",", or ";"
+    at the end of a row, or a NUL at the end of its array. The encoder
+    writes ``null`` where each such array goes. Each array is laid out by
+    replacing those marks, and "nan" and "inf", which no other token holds,
+    and its text, indented like its line, replaces its ``null``.
     """
-    arrays = []
-    template = _json_text(payload, 0, arrays)
-    marks = [np.full(array.shape, ord(","), np.uint8) for array, _ in arrays]
+    parts, held = [], []
+
+    def hold(value):
+        if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+            return json.JSONEncoder.default(encoder, value)  # raises
+        if value.ndim not in (1, 2) or not value.size:
+            return value.tolist()
+        held.append((value, len(parts)))  # where the encoder puts its null
+        return None
+
+    encoder = json.JSONEncoder(indent=1, sort_keys=True, default=hold)
+    for part in encoder.iterencode(payload):
+        parts.append(part)
+    marks = [np.full(array.shape, ord(","), np.uint8) for array, _ in held]
     for mark in marks:
         mark[..., -1] = ord(";")
         mark.flat[-1] = 0
     chunks = codec.repr_text(
-        np.concatenate([array.ravel() for array, _ in arrays]),
+        np.concatenate([array.ravel() for array, _ in held]),
         np.concatenate([mark.ravel() for mark in marks])).split(
-            "\0") if arrays else []
-    texts = []
-    for (array, level), chunk in zip(arrays, chunks):
-        pad = "\n" + " " * (level + array.ndim)
+            "\0") if held else []
+    for (array, at), chunk in zip(held, chunks):
+        start = at  # the null's line begins in the last part holding "\n"
+        while start and "\n" not in parts[start - 1]:
+            start -= 1
+        line = "\n" + parts[start - 1].rpartition("\n")[2] if start else "\n"
+        pad = line + " " * array.ndim
         row = pad[:-1]
         text = "[" + pad + chunk.replace("nan", "NaN").replace(
             "inf", "Infinity").replace(",", "," + pad).replace(
             ";", row + "]," + row + "[" + pad) + row + "]"
-        texts.append(text if array.ndim == 1 else
+        parts[at] = (text if array.ndim == 1 else
                      "[" + row + text + row[:-1] + "]")
-    write_text(path, template % tuple(texts) + "\n")
-
-
-def _json_text(value, level: int, arrays: list) -> str:
-    """Indent-1, sorted-key JSON of ``value`` nested ``level`` deep, as a
-    %-template: each non-empty 1-D or 2-D float64 array is a "%s", and is
-    appended to ``arrays`` with its level; every other "%" is doubled.
-
-    The stdlib runs its pure-Python encoder whenever ``indent`` is set, so
-    this emitter does the same work itself, token for token.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value).replace("%", "%%")
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, np.ndarray) and value.dtype == np.float64:
-        if value.ndim not in (1, 2) or not value.size:
-            return _json_text(value.tolist(), level, arrays)
-        arrays.append((value, level))
-        return "%s"
-    pad = "\n" + " " * (level + 1)
-    end = "\n" + " " * level
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(v, level + 1, arrays) for v in value]
-        return "[" + pad + ("," + pad).join(items) + end + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(key).replace("%", "%%") + ": "
-                 + _json_text(value[key], level + 1, arrays)
-                 for key in sorted(value)]
-        return "{" + pad + ("," + pad).join(items) + end + "}"
-    raise TypeError(
-        f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+    parts.append("\n")
+    write_text(path, parts)
 
 
 def read_json(path):

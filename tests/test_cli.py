@@ -404,6 +404,46 @@ def test_pga_fit_outputs(workdir):
     assert ev[0] == "component,eigenvalue,ratio_to_previous"
 
 
+def named_shapes(root: Path, names: list[str]) -> Path:
+    """A directory of baseline coordinate files under the name lines
+    ``names``, in file order."""
+    shapes = root / "shapes"
+    gio.write_coordinate_files(
+        [shapes / f"s{k}.dat" for k in range(len(names))],
+        [cst_evaluate(default_baselines()[k], N).points
+         for k in range(len(names))], names)
+    return shapes
+
+
+@pytest.mark.parametrize("blank", ["", " \t "])
+def test_a_blank_name_line_gives_an_empty_file_cell(tmp_path, blank):
+    shapes = named_shapes(tmp_path, ["a first", blank, "c"])
+    assert main(["standardize", "--shapes", str(shapes),
+                 "--out", str(tmp_path / "std")]) == 0
+    assert main(["pga-fit", "--shapes", str(shapes), "--r", "2",
+                 "--out", str(tmp_path / "fit")]) == 0
+    affines = (tmp_path / "std" / "affines.csv").read_text().splitlines()
+    coords = (tmp_path / "fit" / "normal_coords.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in affines[1:]] == ["a", "", "c"]
+    assert [line.split(",")[1] for line in coords[1:]] == ["a", "", "c"]
+    assert main(["render", "--kind", "scatter", "--table",
+                 str(tmp_path / "fit" / "normal_coords.csv"),
+                 "--out", str(tmp_path / "plot")]) == 0
+
+
+@pytest.mark.parametrize("command", [["standardize"],
+                                     ["pga-fit", "--r", "2"]])
+def test_a_comma_in_a_name_token_fails_before_any_write(tmp_path, capsys,
+                                                        command):
+    shapes = named_shapes(tmp_path, ["a", "x,0 perturb", "c"])
+    out = tmp_path / "out"
+    assert main([*command, "--shapes", str(shapes), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {shapes / 's1.dat'}:1: name token 'x,0' holds a comma, "
+        "which would split its table row\n")
+    assert not out.exists()
+
+
 def test_synth_and_domain_flag(workdir, tmp_path):
     out = tmp_path / "syn"
     assert main(["synth", "--model", str(workdir / "fit" / "model.json"),

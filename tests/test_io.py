@@ -95,6 +95,25 @@ def test_coordinates_refuse_what_reads_back_as_no_shape(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_coordinates_refuse_names_that_read_back_as_two_lines(tmp_path, brk):
+    shape = cst_evaluate(default_baselines()[0], 11)
+    with pytest.raises(FileFormatError,
+                       match="coordinate name must be a single line"):
+        write_coordinates(tmp_path / "x.dat", shape.points, f"a{brk}b")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["", "  ", "a\tb", "a\x1fb", "é", "a "])
+def test_coordinates_keep_names_that_read_back_whole(tmp_path, name):
+    shape = cst_evaluate(default_baselines()[0], 11)
+    write_coordinates(tmp_path / "x.dat", shape.points, name)
+    got, points = read_coordinates(tmp_path / "x.dat")
+    assert got == name
+    assert np.array_equal(points.points, shape.points)
+
+
 def test_parse_error_cites_line_and_column(tmp_path):
     lines = ["bad-file"]
     for i in range(8):
@@ -661,6 +680,7 @@ def stdlib_json(payload) -> bytes:
 
 
 NAN, INF = float("nan"), float("inf")
+ROW = np.array([0.1, -0.0, NAN, 1e16])
 
 JSON_CASES = {
     "signed-zero": [-0.0, 0.0, {"z": -0.0}],
@@ -687,6 +707,20 @@ JSON_CASES = {
     "deep-rows": [[[1.0, 2.0]], [[3.0]]],
     "top-level-list": [{"a": 1, "b": [0.5, 0.25]}, "s", None, True],
     "top-level-float": 0.1,
+    # where the encoder leaves the null that an array's text replaces
+    "array-after-null-in-list": [None, np.array([0.5, 1e-5])],
+    "array-after-null-valued-key": {"a": None,
+                                    "b": np.array([[1.0, 2.0], [3.0, INF]])},
+    "top-level-row": np.array([0.25, -1.5]),
+    "top-level-matrix": np.array([[0.25, 1e16], [-1.5, 2.0]]),
+    "one-array-twice": {"a": ROW, "b": [ROW, {"c": ROW}]},
+    "arrays-in-list-of-dicts": [{"x": np.eye(2), "y": None},
+                                {"x": np.ones(3), "z": [np.zeros(1), ROW]}],
+    # keys that the stdlib writes as strings
+    "int-keys": {2: 1.0, 1: "a"},
+    "float-keys": {0.5: 1, 2.0: 2},
+    "int-keys-over-arrays": {1: np.array([1.0]), 0: np.array([[2.0]])},
+    "bool-keys": {True: ROW, False: None},
 }
 
 
@@ -762,6 +796,35 @@ def test_write_json_array_edges(tmp_path):
                "u": np.array(CODEC_EDGES)}
     write_json(tmp_path / "x.json", payload)
     assert (tmp_path / "x.json").read_bytes() == stdlib_json(payload)
+
+
+json_numeric_key_payloads = st.recursive(
+    json_arrays | json_leaves,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.integers() | st.floats(), kids,
+                                    max_size=3)),
+    max_leaves=8)
+
+
+@given(json_numeric_key_payloads)
+@settings(max_examples=50, deadline=None)
+def test_write_json_writes_numeric_keys_as_the_stdlib_does(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        write_json(path, payload)
+        assert path.read_bytes() == stdlib_json(payload)
+
+
+@pytest.mark.parametrize("payload, want", [
+    ({"a": {1, 2}}, "Object of type set is not JSON serializable"),
+    ([np.zeros(2, int)], "Object of type ndarray is not JSON serializable"),
+    ({(1, 2): 0.5}, "keys must be str, int, float, bool or None, not tuple"),
+])
+def test_write_json_raises_the_stdlib_type_error(tmp_path, payload, want):
+    with pytest.raises(TypeError) as err:
+        write_json(tmp_path / "x.json", payload)
+    assert str(err.value) == want
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.fixture
