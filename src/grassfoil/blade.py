@@ -28,7 +28,8 @@ from .errors import (
     in_order,
     integer_argument,
 )
-from .geometry import LandmarkMatrix, affine_vectors, check_affines
+from .geometry import (MAX_COORDINATE, LandmarkMatrix, affine_vectors,
+                       check_affines)
 from .grassmann import (
     GrassmannPoint,
     as_frames,
@@ -178,8 +179,13 @@ class BladeDefinition:
 
         def run(rows: range):
             at = slice(rows.start, rows.stop)
-            if not np.isfinite(sections[at]).all():
+            size = np.abs(sections[at]).max(initial=0.0)
+            if not np.isfinite(size):
                 raise ParameterError("landmark matrix contains non-finite values")
+            if size > MAX_COORDINATE:
+                raise ParameterError(
+                    f"landmark coordinates exceed {MAX_COORDINATE:.0e} in "
+                    "magnitude")
             check_affines(linear[at], translation[at])
             frames[at] = as_frames(frames[at])
         in_order(run, len(etas), max(len(etas), 1))

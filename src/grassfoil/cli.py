@@ -187,10 +187,10 @@ def cmd_standardize(args) -> tuple[dict, str]:
     files, names, _, linear, translation = _standardized(args.shapes)
     rows = [[cell, *vec] for cell, vec in zip(
         _file_cells(files, names), affine_vectors(linear, translation))]
+    affine = mean_affine(linear, translation)
     gio.write_table(args.out / "affines.csv",
                     ["file", *AFFINE_COMPONENT_NAMES], rows)
-    gio.write_affine(args.out / "mean_affine.json",
-                     mean_affine(linear, translation))
+    gio.write_affine(args.out / "mean_affine.json", affine)
     return ({"shapes_standardized": len(names)},
             f"standardized {len(names)} shapes")
 
@@ -273,7 +273,7 @@ def cmd_sweep(args) -> tuple[dict, str]:
             raise ParameterError("--space pga needs --model and --affine")
         model = gio.read_model(args.model)
         affine = gio.read_affine(args.affine)
-        lo, hi = model.domain.bounds_min, model.domain.bounds_max
+        lo, hi = model.bounds_min, model.bounds_max
         columns = [f"t{j}" for j in range(model.r)]
 
         def shapes_at(a, b):

@@ -110,7 +110,9 @@ def check_affines(linear: np.ndarray, translation: np.ndarray) -> None:
         if (size > MAX_COORDINATE).any():
             raise ParameterError(
                 f"affine map exceeds {MAX_COORDINATE:.0e} in magnitude")
-        if (np.abs(np.linalg.det(linear[at])) <= _DET_TOL).any():
+        with np.errstate(divide="ignore"):  # a subnormal pivot gives 0
+            det = np.linalg.det(linear[at])
+        if (np.abs(det) <= _DET_TOL).any():
             raise Gl2ViolationError(
                 "linear factor is rank deficient (|det| <= 1e-12); the "
                 "deformation would collapse landmarks onto a line")

@@ -36,8 +36,7 @@ from .errors import (
     in_order,
 )
 from .geometry import MAX_COORDINATE, AffineMap, LandmarkMatrix
-from .pga import (FLATTEN_ORDER, CoordinateDomain, PgaModel, flatten_tangent,
-                  unflatten_tangent)
+from .pga import FLATTEN_ORDER, PgaModel, flatten_tangent, unflatten_tangent
 
 FORMAT_VERSION = 1
 
@@ -427,9 +426,9 @@ def write_model(path, model: PgaModel) -> None:
         "eigenvalues": model.eigenvalues,
         "basis": flatten_tangent(model.basis),
         "domain": {
-            "bounds_min": model.domain.bounds_min,
-            "bounds_max": model.domain.bounds_max,
-            "ellipsoid_radii": model.domain.ellipsoid_radii,
+            "bounds_min": model.bounds_min,
+            "bounds_max": model.bounds_max,
+            "ellipsoid_radii": model.ellipsoid_radii,
         },
         "training_coords": model.training_coords,
     }
@@ -449,12 +448,11 @@ def read_model(path) -> PgaModel:
     mean = unflatten_tangent(_array(data, "mean", (2 * n,)), n)
     eigenvalues = _array(data, "eigenvalues", (r,))
     basis = unflatten_tangent(_array(data, "basis", (r, 2 * n)), n)
-    domain_data = _get(data, "domain")
-    domain = CoordinateDomain(
-        *(_array(domain_data, key, (r,), "domain")
-          for key in ("bounds_min", "bounds_max", "ellipsoid_radii")))
-    coords = _array(data, "training_coords", (None, r))
-    return PgaModel(mean, basis, eigenvalues, domain, coords)
+    domain = _get(data, "domain")
+    return PgaModel(mean, basis, eigenvalues,
+                    *(_array(domain, key, (r,), "domain") for key in
+                      ("bounds_min", "bounds_max", "ellipsoid_radii")),
+                    _array(data, "training_coords", (None, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +552,24 @@ _TEXT_CHUNK = 6000
 
 def write_table(path, header: list[str], rows) -> None:
     """CSV with shortest-exact float formatting; the float cells of each
-    chunk of rows are formatted in one bulk call."""
+    chunk of rows are formatted in one bulk call. A row of another length
+    than the header, or a text cell that holds a comma or a line break (by
+    the reader's rule, :func:`_one_line`), would not read back as its
+    fields, and raises before anything is written."""
     rows = list(rows)
     width = len(header)
-    for row in rows:
+    floating = (float, np.floating)
+    for lineno, row in enumerate([header, *rows], start=1):
         if len(row) != width:
             raise FileFormatError(
                 f"row has {len(row)} fields, header has {width}")
-    floating = (float, np.floating)
+        for column, value in enumerate(row, start=1):
+            if not isinstance(value, floating):
+                cell = str(value)
+                if "," in cell or not _one_line(cell):
+                    raise FileFormatError(
+                        f"table cell {cell!r} at line {lineno}, column "
+                        f"{column} holds a comma or a line break")
     lines = [",".join(header)]
     step = max(1, _TEXT_CHUNK // (width or 1))
     for chunk in (rows[i:i + step] for i in range(0, len(rows), step)):

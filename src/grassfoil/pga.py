@@ -55,75 +55,59 @@ def unflatten_tangent(vec: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CoordinateDomain:
-    """Region of normal-coordinate space covered by the training set.
-
-    Axis-aligned bounds plus an origin-centered ellipsoid whose semi-axes
-    put every training sample inside with a 1.1x margin; each is a finite
-    read-only array of one entry per direction.
-    """
-
-    bounds_min: np.ndarray
-    bounds_max: np.ndarray
-    ellipsoid_radii: np.ndarray
-
-    def __post_init__(self):
-        for name in ("bounds_min", "bounds_max", "ellipsoid_radii"):
-            arr = array_argument(getattr(self, name), name,
-                                 DimensionError).copy(order="K")
-            if arr.ndim != 1:
-                raise DimensionError(f"{name} must be one-dimensional")
-            if not np.isfinite(arr).all():
-                raise DimensionError(f"{name} contains non-finite values")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (self.bounds_min.shape == self.bounds_max.shape
-                == self.ellipsoid_radii.shape):
-            raise DimensionError("domain arrays must share one length")
-
-
-@dataclass(frozen=True, eq=False)
 class PgaModel:
-    """Fitted design space as read-only arrays: ``mean`` ``(n, 2)``, ``basis``
-    ``(r, n, 2)``, ``eigenvalues``, ``domain`` and ``training_coords``. The
+    """Fitted design space as read-only arrays: ``mean`` ``(n, 2)``,
+    ``basis`` ``(r, n, 2)``, ``eigenvalues``, the domain's ``bounds_min``,
+    ``bounds_max`` and ``ellipsoid_radii`` (the box of the training
+    coordinates, and an origin-centered ellipsoid that holds them with a
+    1.1x margin), each ``(r,)``, and ``training_coords`` ``(N, r)``. The
     mean is checked as a :class:`GrassmannPoint` and the directions by
-    :func:`~grassfoil.grassmann.check_tangents`; the first faulty one raises,
-    with ``shape_index``.
+    :func:`~grassfoil.grassmann.check_tangents`; the first faulty one
+    raises, with ``shape_index``. Then, as :func:`~grassfoil.io.read_model`
+    requires, ``r`` and ``N`` are at least 1 and every entry is finite and
+    at most ``MAX_COORDINATE`` in magnitude.
     """
 
     mean: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
-    domain: CoordinateDomain
+    bounds_min: np.ndarray
+    bounds_max: np.ndarray
+    ellipsoid_radii: np.ndarray
     training_coords: np.ndarray
 
     def __post_init__(self):
         point = GrassmannPoint(self.mean)
         object.__setattr__(self, "mean", point.rep)
-        for name in ("basis", "eigenvalues", "training_coords"):
+        for name in ("basis", "eigenvalues", "bounds_min", "bounds_max",
+                     "ellipsoid_radii", "training_coords"):
             arr = array_argument(getattr(self, name), name,
                                  DimensionError).copy(order="K")
+            if name == "basis":
+                if (point.q != 2 or arr.ndim != 3 or not len(arr)
+                        or arr.shape[1:] != point.rep.shape):
+                    raise DimensionError(
+                        f"expected an (n, 2) mean and an (r, n, 2) basis with "
+                        f"r >= 1, got shapes {point.rep.shape} and {arr.shape}")
+                check_tangents(point.rep, arr)
+                r = len(arr)
+            elif name == "training_coords":
+                if arr.ndim != 2 or not len(arr) or arr.shape[1] != r:
+                    raise DimensionError(
+                        f"training coordinates must be (N, r) with N >= 1 and "
+                        f"r = {r}, got shape {arr.shape}")
+            elif arr.shape != (r,):
+                raise DimensionError(
+                    f"{name} must be one-dimensional with one entry per basis "
+                    f"direction, got shape {arr.shape}")
+            peak = np.abs(arr).max()
+            if not np.isfinite(peak):
+                raise DimensionError(f"{name} contains non-finite values")
+            if peak > MAX_COORDINATE:
+                raise DimensionError(
+                    f"{name} exceeds {MAX_COORDINATE:.0e} in magnitude")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        basis, ev, tc = self.basis, self.eigenvalues, self.training_coords
-        if point.q != 2 or basis.ndim != 3 or basis.shape[1:] != point.rep.shape:
-            raise DimensionError(
-                f"expected an (n, 2) mean and an (r, n, 2) basis, got shapes "
-                f"{point.rep.shape} and {basis.shape}")
-        check_tangents(point.rep, basis)
-        if ev.shape != (self.r,):
-            raise DimensionError("one eigenvalue per basis direction required")
-        if tc.ndim != 2 or tc.shape[1] != self.r:
-            raise DimensionError(
-                "training coordinates must be (N, r) with r basis directions")
-        if not (np.isfinite(ev).all() and np.isfinite(tc).all()):
-            raise DimensionError(
-                "eigenvalues and training coordinates must be finite")
-        if not isinstance(self.domain, CoordinateDomain):
-            raise ParameterError(f"domain must be a CoordinateDomain, got "
-                                 f"{type(self.domain).__name__}")
-        if self.domain.bounds_min.shape != ev.shape:
-            raise DimensionError("one domain entry per basis direction required")
 
     @property
     def r(self) -> int:
@@ -281,8 +265,8 @@ def pga_fit(mean, logs: np.ndarray, r: int) -> PgaModel:
     eigenvalues = np.clip(vals, 0.0, None)
     basis = _clean_directions(basis_flat, eigenvalues, mean)
     coords = logs @ flatten_tangent(basis).T
-    domain = _fit_domain(coords, eigenvalues)
-    return PgaModel(mean, basis, eigenvalues, domain, coords)
+    return PgaModel(mean, basis, eigenvalues,
+                    *_fit_domain(coords, eigenvalues), coords)
 
 
 def _clean_directions(basis_flat: np.ndarray, eigenvalues: np.ndarray,
@@ -310,16 +294,14 @@ def _clean_directions(basis_flat: np.ndarray, eigenvalues: np.ndarray,
     return mats
 
 
-def _fit_domain(coords: np.ndarray, eigenvalues: np.ndarray) -> CoordinateDomain:
+def _fit_domain(coords: np.ndarray, eigenvalues: np.ndarray):
+    """``bounds_min``, ``bounds_max`` and ``ellipsoid_radii`` of a model."""
     scale = np.sqrt(eigenvalues)
     with np.errstate(divide="ignore", invalid="ignore"):
         normalized = np.where(scale > 0.0, coords / scale, 0.0)
-    max_radius = float(np.max(np.linalg.norm(normalized, axis=1))) if len(coords) else 0.0
-    return CoordinateDomain(
-        bounds_min=coords.min(axis=0),
-        bounds_max=coords.max(axis=0),
-        ellipsoid_radii=_DOMAIN_MARGIN * max(max_radius, 1.0e-12) * scale,
-    )
+    max_radius = float(np.max(np.linalg.norm(normalized, axis=1)))
+    return (coords.min(axis=0), coords.max(axis=0),
+            _DOMAIN_MARGIN * max(max_radius, 1.0e-12) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +325,7 @@ def domain_contains(model: PgaModel, t: np.ndarray) -> bool:
     """Whether coordinates fall inside the training-data ellipsoid. A
     coordinate beyond its radius is outside before any ratio is squared."""
     t = model.checked_coords(t)
-    radii = model.domain.ellipsoid_radii
+    radii = model.ellipsoid_radii
     degenerate = radii <= 0.0
     if np.any(np.abs(t) > np.where(degenerate, 1e-12, radii)):
         return False

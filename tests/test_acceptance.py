@@ -197,7 +197,7 @@ def test_criterion_06_r4_pipeline(model):
     for _ in range(100):
         u = rng.normal(size=4)
         u *= rng.uniform() ** 0.25 / np.linalg.norm(u)
-        t = 0.9 * model.domain.ellipsoid_radii * u
+        t = 0.9 * model.ellipsoid_radii * u
         if domain_contains(model, t):
             inside += 1
         back = coords_of(model, synthesize(model, t))
@@ -211,8 +211,8 @@ def test_criterion_06_r4_pipeline(model):
 def test_criterion_07_sweep_validity(decomposed, model):
     affine = mean_affine(np.array([d.affine.linear for d in decomposed]),
                          np.array([d.affine.translation for d in decomposed]))
-    lo = model.domain.bounds_min
-    hi = model.domain.bounds_max
+    lo = model.bounds_min
+    hi = model.bounds_max
     rng = np.random.default_rng(700)
     valid = 0
     total = 0

@@ -16,7 +16,7 @@ from grassfoil.geometry import AffineMap, cst_evaluate_stack, default_baselines
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, exp_map_stack,
                                  log_map_stack, standardize_stack,
                                  transport_stack)
-from grassfoil.pga import CoordinateDomain, PgaModel
+from grassfoil.pga import PgaModel
 
 POINTS = cst_evaluate_stack(
     np.array([p.as_vector() for p in default_baselines()[:4]]), 11)
@@ -45,6 +45,11 @@ def singular(m, b):
     return 1e-7 * np.eye(2), b
 
 
+def subnormal(m, b):
+    """A singular factor of subnormal entries, whose LU pivot is 0."""
+    return np.array([[0.0, 5e-324], [5e-324, 5e-324]]), b
+
+
 # each fault of one affine factor, and the error its owner raises for it
 AFFINE_FAULTS = {
     "nan": (nan_entry, ParameterError, "affine map contains non-finite values"),
@@ -53,6 +58,9 @@ AFFINE_FAULTS = {
     "singular": (singular, Gl2ViolationError,
                  "linear factor is rank deficient (|det| <= 1e-12); the "
                  "deformation would collapse landmarks onto a line"),
+    "subnormal": (subnormal, Gl2ViolationError,
+                  "linear factor is rank deficient (|det| <= 1e-12); the "
+                  "deformation would collapse landmarks onto a line"),
 }
 
 
@@ -140,7 +148,7 @@ def faulty_directions(kind, position):
 def pga_model(directions):
     r = len(directions)
     return PgaModel(MEAN, directions, np.ones(r),
-                    CoordinateDomain(-np.ones(r), np.ones(r), np.ones(r)),
+                    -np.ones(r), np.ones(r), np.ones(r),
                     np.zeros((1, r)))
 
 

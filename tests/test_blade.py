@@ -275,6 +275,8 @@ STATION_FAULTS = {
     "flat-frame": (2, 1.0, DegenerateShapeError, "rank deficient"),
     "section-inf": (1, np.inf, ParameterError,
                     "landmark matrix contains non-finite"),
+    "huge-section": (1, -1e151, ParameterError,
+                     r"landmark coordinates exceed 1e\+150 in magnitude"),
     "huge-translation": (4, 1e151, ParameterError, r"exceeds 1e\+150"),
 }
 

@@ -444,6 +444,22 @@ def test_a_comma_in_a_name_token_fails_before_any_write(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_singular_mean_affine_fails_standardize_before_any_write(
+        tmp_path, capsys):
+    # a shape and its mirror image (y -> -y): the mean linear factor has
+    # det 0
+    points = cst_evaluate(default_baselines()[5], 51).points
+    shapes = tmp_path / "shapes"
+    gio.write_coordinate_files([shapes / "a.dat", shapes / "b.dat"],
+                               [points, points * [1.0, -1.0]], ["a", "b"])
+    out = tmp_path / "out"
+    assert main(["standardize", "--shapes", str(shapes),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: linear factor is rank deficient")
+    assert not out.exists()
+
+
 def test_synth_and_domain_flag(workdir, tmp_path):
     out = tmp_path / "syn"
     assert main(["synth", "--model", str(workdir / "fit" / "model.json"),

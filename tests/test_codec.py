@@ -117,7 +117,7 @@ def perturbed_blade():
         for k in range(8)]
     result = karcher_mean(stack(points))
     model = pga_fit(result.point, result.logs, 4)
-    return perturb_blade(blade, model, 0.25 * model.domain.ellipsoid_radii / 2)
+    return perturb_blade(blade, model, 0.25 * model.ellipsoid_radii / 2)
 
 
 def test_blade_payload_is_settled_in_bulk(tmp_path, monkeypatch,

@@ -3,18 +3,20 @@
 import itertools
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grassfoil import codec
 from grassfoil import io as gio
-from grassfoil.blade import build_blade, export_wireframe
+from grassfoil.blade import BladeDefinition, build_blade, export_wireframe
 from grassfoil.cli import main
 from grassfoil.errors import (BladeDefinitionError, FileFormatError,
                               FileParseError, GrassfoilError, SchemaError,
@@ -29,7 +31,7 @@ from grassfoil.io import (_scan_coordinates, read_affine, read_blade,
                           write_affine, write_blade, write_coordinate_files,
                           write_coordinates, write_json, write_model,
                           write_table, write_wireframe)
-from grassfoil.pga import karcher_mean, pga_fit
+from grassfoil.pga import PgaModel, karcher_mean, pga_fit
 
 from conftest import landmarks, stack
 
@@ -515,12 +517,12 @@ def test_model_round_trip_bit_exact(tmp_path, fitted_model):
     assert np.array_equal(back.eigenvalues, fitted_model.eigenvalues)
     assert np.array_equal(back.basis, fitted_model.basis)
     assert np.array_equal(back.training_coords, fitted_model.training_coords)
-    assert np.array_equal(back.domain.bounds_min,
-                          fitted_model.domain.bounds_min)
-    assert np.array_equal(back.domain.bounds_max,
-                          fitted_model.domain.bounds_max)
-    assert np.array_equal(back.domain.ellipsoid_radii,
-                          fitted_model.domain.ellipsoid_radii)
+    assert np.array_equal(back.bounds_min,
+                          fitted_model.bounds_min)
+    assert np.array_equal(back.bounds_max,
+                          fitted_model.bounds_max)
+    assert np.array_equal(back.ellipsoid_radii,
+                          fitted_model.ellipsoid_radii)
 
 
 def test_model_rewrite_byte_identical(tmp_path, fitted_model):
@@ -667,6 +669,92 @@ def test_blade_non_increasing_eta_rejected(tmp_path, small_blade):
     assert err.value.path == path
     assert str(err.value) == (
         f"{path}: station spans must be strictly increasing")
+
+
+# ---------------------------------------------------------------------------
+# writer/reader symmetry: whatever a constructor accepts reads back
+
+
+# entries up to the readers' bound of 1e150, subnormals and signed zeros
+# among them, and now and then one just past the bound
+BOUNDED = st.floats(-1e150, 1e150) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0,
+     1e150, -1e150, float(np.nextafter(1e150, np.inf)), -1e151])
+
+
+def bounded(*shape):
+    return hnp.arrays(np.float64, shape, elements=BOUNDED)
+
+
+def frames(n):
+    """Orthonormal (n, 2) frames: the first two axes, or a random pair."""
+    return st.just(np.eye(n, 2)) | st.integers(0, 2**32 - 1).map(
+        lambda seed: np.linalg.qr(
+            np.random.default_rng(seed).standard_normal((n, 2)))[0])
+
+
+def linear_factors(count):
+    """``(count, 2, 2)`` bounded entries, with a diagonal of magnitude 1 to
+    1e75 that keeps most factors far from singular."""
+    def factors(parts):
+        entries, diagonal = parts
+        entries[:, [0, 1], [0, 1]] = diagonal
+        return entries
+    return st.tuples(bounded(count, 2, 2), hnp.arrays(
+        np.float64, (count, 2), elements=st.floats(1.0, 1e75)
+        | st.floats(-1e75, -1.0))).map(factors)
+
+
+@st.composite
+def model_parts(draw):
+    n, r, count = (draw(st.integers(3, 6)), draw(st.integers(1, 3)),
+                   draw(st.integers(1, 3)))
+    mean = draw(frames(n))
+    raw = draw(bounded(r, n, 2))
+    return (mean, raw - mean @ (mean.T @ raw),
+            *(draw(bounded(r)) for _ in range(4)), draw(bounded(count, r)))
+
+
+@st.composite
+def blade_parts(draw):
+    count, n = draw(st.integers(2, 3)), draw(st.integers(3, 5))
+    steps = draw(hnp.arrays(np.float64, count - 1,
+                            elements=st.floats(1e-3, 1e3)))
+    etas = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0],
+                                                       np.cumsum(steps)])
+    return (etas, draw(bounded(count, n, 2)),
+            [draw(frames(n)) for _ in range(count)],
+            draw(linear_factors(count)), draw(bounded(count, 2)))
+
+
+SYMMETRIC = {
+    "model": (PgaModel, model_parts(), write_model, read_model,
+              ("mean", "basis", "eigenvalues", "bounds_min", "bounds_max",
+               "ellipsoid_radii", "training_coords")),
+    "blade": (BladeDefinition, blade_parts(), write_blade, read_blade,
+              ("etas", "sections", "frames", "linear", "translation")),
+    "affine": (AffineMap, st.tuples(linear_factors(1).map(lambda m: m[0]),
+                                    bounded(2)),
+               write_affine, read_affine, ("linear", "translation")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SYMMETRIC))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_accepted_object_reads_back_bit_for_bit(kind, data):
+    make, parts, write, read, fields = SYMMETRIC[kind]
+    try:
+        value = make(*data.draw(parts, label="parts"))
+    except GrassfoilError:
+        reject()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        write(path, value)
+        back = read(path)
+    for name in fields:
+        want, got = getattr(value, name), getattr(back, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +1038,7 @@ def reference_write_wireframe(path, grid):
     gio.write_text(path, template % tuple(grid.ravel().tolist()))
 
 
-table_cells = (st.integers() | st.booleans() | st.text("ab,\u00e9", max_size=3)
+table_cells = (st.integers() | st.booleans() | st.text("ab\u00e9", max_size=3)
                | json_array_floats | json_array_floats.map(np.float64)
                | st.floats(width=32).map(np.float32))
 
@@ -993,6 +1081,22 @@ def test_writers_refuse_malformed_tables_and_grids(tmp_path):
         with pytest.raises(FileFormatError,
                            match=r"must be \(spans, n, 3\), got"):
             write_wireframe(tmp_path / "w.csv", grid)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("header, rows, where", [
+    (["i", "name"], [[0, "a"], [1, "x,0"]], "'x,0' at line 3, column 2"),
+    (["i", "name"], [[0, "a\nb"]], "'a\\nb' at line 2, column 2"),
+    (["i", "name"], [[0, "a\r"]], "'a\\r' at line 2, column 2"),
+    (["i", "name"], [[0, "a\u2028b"]], "'a\\u2028b' at line 2, column 2"),
+    (["i", "name"], [[(1, 2), 0.5]], "'(1, 2)' at line 2, column 1"),
+    (["i", "x,y"], [[0, 0.5]], "'x,y' at line 1, column 2"),
+])
+def test_write_table_refuses_a_cell_that_splits_its_row(tmp_path, header,
+                                                       rows, where):
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"table cell {where} holds a comma or a line break")):
+        write_table(tmp_path / "t.csv", header, rows)
     assert not list(tmp_path.iterdir())
 
 

@@ -23,9 +23,8 @@ from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, exp_map_stack,
                                  la_standardize, log_map_stack, mean_affine,
                                  standardize_stack, transport_stack)
-from grassfoil.pga import (CoordinateDomain, PgaModel, coords_of, corner_sweep,
-                           domain_contains, karcher_mean, logs_at, pga_fit,
-                           synthesize)
+from grassfoil.pga import (PgaModel, coords_of, corner_sweep, domain_contains,
+                           karcher_mean, logs_at, pga_fit, synthesize)
 
 COEFFS = np.array([p.as_vector() for p in default_baselines()[:4]])
 POINTS = cst_evaluate_stack(COEFFS, 11)
@@ -112,12 +111,6 @@ TOLERANCES = st.sampled_from([1e-10, np.float64(1e-10), math.nan, math.inf,
                              ) | FLOATS
 MEANS = arrays(MEAN) | st.just(MEAN[:9])
 MODEL = pga_fit(MEAN, LOGS, 2)
-DOMAIN = [MODEL.domain.bounds_min, MODEL.domain.bounds_max,
-          MODEL.domain.ellipsoid_radii]
-# the model's domain, one of another length, and what is no domain
-DOMAINS = st.sampled_from([
-    MODEL.domain, CoordinateDomain(*(a[:1] for a in DOMAIN)),
-    CoordinateDomain(*np.ones((3, 3))), None]) | arrays(DOMAIN[2])
 COORDS = np.array([0.01, -0.02])
 # huge but finite: far outside the domain, and past any square's range
 HUGE_COORDS = st.sampled_from([COORDS * 1e200, np.full(2, 1.7e308),
@@ -203,10 +196,9 @@ FUZZED = {
         ("etas", "sections", "frames", "linear", "translation")]),
     "coords_of": (coords_of, [st.just(MODEL), SHAPES | arrays(FRAMES[0])
                               | st.none()]),
-    "PgaModel": (PgaModel, [
-        arrays(MODEL.mean), arrays(MODEL.basis), arrays(MODEL.eigenvalues),
-        DOMAINS, arrays(MODEL.training_coords)]),
-    "CoordinateDomain": (CoordinateDomain, [arrays(a) for a in DOMAIN]),
+    "PgaModel": (PgaModel, [arrays(getattr(MODEL, name)) for name in (
+        "mean", "basis", "eigenvalues", "bounds_min", "bounds_max",
+        "ellipsoid_radii", "training_coords")]),
     "LandmarkMatrix": (LandmarkMatrix, [arrays(POINTS[0])]),
     "AffineMap": (AffineMap, [arrays(LINEAR[0]), arrays(TRANSLATION[0])]),
     "CstParams": (CstParams, [arrays(COEFFS[0, :9]), arrays(COEFFS[0, 9:]),

@@ -13,7 +13,7 @@ from grassfoil.geometry import AffineMap
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
                                  exp_map, inner, log_map,
                                  reconstruct_with)
-from grassfoil.pga import (CoordinateDomain, PgaModel, coords_of, corner_sweep,
+from grassfoil.pga import (PgaModel, coords_of, corner_sweep,
                            domain_contains, flatten_tangent, karcher_mean,
                            logs_at, pga_fit, synthesize, unflatten_tangent)
 
@@ -467,8 +467,7 @@ def test_a_zero_radius_admits_only_a_zero_coordinate(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 2)
     radii = np.array([0.0, 2.0])
-    flat = dataclasses.replace(model, domain=CoordinateDomain(
-        model.domain.bounds_min, model.domain.bounds_max, radii))
+    flat = dataclasses.replace(model, ellipsoid_radii=radii)
     assert domain_contains(flat, np.array([0.0, 1.5]))
     assert domain_contains(flat, np.array([1e-13, 1.5]))
     assert not domain_contains(flat, np.array([1e-11, 0.0]))
@@ -476,28 +475,59 @@ def test_a_zero_radius_admits_only_a_zero_coordinate(airfoil_points):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda m: CoordinateDomain(np.zeros((2, 1)), np.zeros(2), np.ones(2)),
+    (lambda m: dataclasses.replace(m, bounds_min=np.zeros((2, 1)),
+                                   bounds_max=np.zeros(2),
+                                   ellipsoid_radii=np.ones(2)),
      "bounds_min must be one-dimensional"),
-    (lambda m: CoordinateDomain(np.zeros(2), np.zeros(3), np.ones(2)),
-     "domain arrays must share one length"),
+    (lambda m: dataclasses.replace(m, bounds_min=np.zeros(2),
+                                   bounds_max=np.zeros(3),
+                                   ellipsoid_radii=np.ones(2)),
+     r"^bounds_max must be one-dimensional with one entry per basis "
+     r"direction, got shape \(3,\)"),
     (lambda m: dataclasses.replace(m, eigenvalues=m.eigenvalues[:-1]),
-     "one eigenvalue per basis direction"),
+     "^eigenvalues must be one-dimensional with one entry per basis "
+     "direction"),
     (lambda m: dataclasses.replace(m, training_coords=m.training_coords[:, 1:]),
      r"training coordinates must be \(N, r\)"),
     (lambda m: dataclasses.replace(m, training_coords=m.training_coords[0]),
      r"training coordinates must be \(N, r\)"),
-    (lambda m: CoordinateDomain(["a", "b"], np.zeros(2), np.ones(2)),
+    (lambda m: dataclasses.replace(m, training_coords=m.training_coords[:0]),
+     r"^training coordinates must be \(N, r\) with N >= 1 and r = 2, got "
+     r"shape \(0, 2\)"),
+    (lambda m: dataclasses.replace(m, bounds_min=["a", "b"],
+                                   bounds_max=np.zeros(2),
+                                   ellipsoid_radii=np.ones(2)),
      "^bounds_min must be a rectangular numeric array"),
-    (lambda m: CoordinateDomain(np.zeros(2), [[0.0], [0.0, 1.0]], np.ones(2)),
+    (lambda m: dataclasses.replace(m, bounds_min=np.zeros(2),
+                                   bounds_max=[[0.0], [0.0, 1.0]],
+                                   ellipsoid_radii=np.ones(2)),
      "^bounds_max must be a rectangular numeric array"),
-    (lambda m: CoordinateDomain(np.zeros(2), np.zeros(2), [math.nan, 1.0]),
+    (lambda m: dataclasses.replace(m, bounds_min=np.zeros(2),
+                                   bounds_max=np.zeros(2),
+                                   ellipsoid_radii=[math.nan, 1.0]),
      "ellipsoid_radii contains non-finite values"),
-    (lambda m: dataclasses.replace(m, domain=CoordinateDomain(*np.ones((3, 3)))),
-     "one domain entry per basis direction"),
+    (lambda m: dataclasses.replace(m, bounds_min=np.ones(3),
+                                   bounds_max=np.ones(3),
+                                   ellipsoid_radii=np.ones(3)),
+     r"^bounds_min must be one-dimensional with one entry per basis "
+     r"direction, got shape \(3,\)"),
     (lambda m: dataclasses.replace(m, eigenvalues=[math.nan, 0.0]),
-     "eigenvalues and training coordinates must be finite"),
+     "^eigenvalues contains non-finite values"),
     (lambda m: dataclasses.replace(m, training_coords=np.full((3, 2), math.inf)),
-     "eigenvalues and training coordinates must be finite"),
+     "^training_coords contains non-finite values"),
+    (lambda m: dataclasses.replace(m, eigenvalues=[1e151, 0.0]),
+     r"^eigenvalues exceeds 1e\+150 in magnitude"),
+    (lambda m: dataclasses.replace(m, bounds_min=[-1e151, 0.0]),
+     r"^bounds_min exceeds 1e\+150 in magnitude"),
+    (lambda m: dataclasses.replace(m, bounds_max=[0.0, 1e151]),
+     r"^bounds_max exceeds 1e\+150 in magnitude"),
+    (lambda m: dataclasses.replace(m, ellipsoid_radii=[1e151, 1.0]),
+     r"^ellipsoid_radii exceeds 1e\+150 in magnitude"),
+    (lambda m: dataclasses.replace(
+        m, training_coords=np.vstack([m.training_coords, [-1e151, 0.0]])),
+     r"^training_coords exceeds 1e\+150 in magnitude"),
+    (lambda m: dataclasses.replace(m, basis=m.basis * 1e151),
+     r"^basis exceeds 1e\+150 in magnitude"),
     (lambda m: dataclasses.replace(m, mean="abc"),
      "^representative must be a rectangular numeric array"),
     (lambda m: dataclasses.replace(m, mean=m.mean.T),
@@ -506,6 +536,8 @@ def test_a_zero_radius_admits_only_a_zero_coordinate(airfoil_points):
      r"^expected an \(n, 2\) mean and an \(r, n, 2\) basis"),
     (lambda m: dataclasses.replace(m, mean=np.eye(len(m.mean), 3)),
      r"^expected an \(n, 2\) mean and an \(r, n, 2\) basis"),
+    (lambda m: dataclasses.replace(m, basis=m.basis[:0]),
+     r"^expected an \(n, 2\) mean and an \(r, n, 2\) basis with r >= 1"),
 ])
 def test_model_parts_must_agree(airfoil_points, make, message):
     result = karcher_mean(stack(airfoil_points))
@@ -519,7 +551,8 @@ def test_model_is_read_only_arrays(airfoil_points):
     model = pga_fit(result.point, result.logs, 4)
     assert model.mean.shape == (101, 2) and model.basis.shape == (4, 101, 2)
     again = PgaModel(model.mean.tolist(), model.basis.tolist(),
-                     model.eigenvalues.tolist(), model.domain,
+                     model.eigenvalues.tolist(), model.bounds_min,
+                     model.bounds_max, model.ellipsoid_radii,
                      model.training_coords.tolist())
     assert (again.n, again.r) == (101, 4)
     for name in ("mean", "basis", "eigenvalues", "training_coords"):
@@ -528,17 +561,9 @@ def test_model_is_read_only_arrays(airfoil_points):
         assert not value.flags.writeable
     # a mean keeps its memory order, which fixes the bits of its products
     fortran = PgaModel(np.asfortranarray(model.mean), model.basis,
-                       model.eigenvalues, model.domain, model.training_coords)
+                       model.eigenvalues, model.bounds_min, model.bounds_max,
+                       model.ellipsoid_radii, model.training_coords)
     assert fortran.mean.flags.f_contiguous
-
-
-def test_model_refuses_what_is_no_domain(airfoil_points):
-    result = karcher_mean(stack(airfoil_points))
-    model = pga_fit(result.point, result.logs, 2)
-    for domain in (None, model.domain.ellipsoid_radii):
-        with pytest.raises(ParameterError, match="^domain must be a "
-                           "CoordinateDomain"):
-            dataclasses.replace(model, domain=domain)
 
 
 def test_model_names_the_first_faulty_direction(airfoil_points):
@@ -582,8 +607,8 @@ def test_pga_calls_check_their_frames(airfoil_points):
 def test_corner_sweep_two_steps_hits_corners(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
-    a = model.domain.bounds_min
-    b = model.domain.bounds_max
+    a = model.bounds_min
+    b = model.bounds_max
     out = corner_sweep(model, a, b, 2)
     assert out.shape == (2, model.n, 2)
     assert np.array_equal(out[0], synthesize(model, a))
@@ -594,8 +619,8 @@ def test_corner_sweep_validates_steps(airfoil_points):
     result = karcher_mean(stack(airfoil_points))
     model = pga_fit(result.point, result.logs, 4)
     with pytest.raises(ParameterError):
-        corner_sweep(model, model.domain.bounds_min,
-                     model.domain.bounds_max, 1)
+        corner_sweep(model, model.bounds_min,
+                     model.bounds_max, 1)
 
 
 def test_reconstruct_with_applies_affine(airfoil_points):
