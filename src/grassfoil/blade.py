@@ -31,7 +31,6 @@ from .errors import (
 from .geometry import (MAX_COORDINATE, LandmarkMatrix, affine_vectors,
                        check_affines)
 from .grassmann import (
-    GrassmannPoint,
     as_frames,
     exp_map_stack,
     log_map_stack,
@@ -217,11 +216,11 @@ def procrustes_cluster(frames) -> np.ndarray:
     frames = as_frames(frames)
     if len(frames) < 2:
         raise ParameterError("clustering needs at least 2 points")
-    aligned = [GrassmannPoint(frames[-1])]
+    aligned = [frames[-1]]
     for frame in frames[-2::-1]:
-        rot = procrustes_rotation(aligned[-1], GrassmannPoint(frame))
-        aligned.append(GrassmannPoint(frame @ rot))
-    return np.array([point.rep for point in aligned[::-1]])
+        rot = procrustes_rotation(aligned[-1], frame)
+        aligned.append(as_frames((frame @ rot)[None])[0])
+    return np.array(aligned[::-1])
 
 
 def build_blade(etas, sections) -> BladeDefinition:

@@ -98,11 +98,11 @@ def _stray(reps: np.ndarray) -> np.ndarray:
 
 
 def as_frames(reps) -> np.ndarray:
-    """``reps`` as an ``(N, n, q)`` stack of orthonormal frames, each slice
-    checked as :class:`GrassmannPoint` checks one: slices whose Gram matrix
-    strays beyond 1e-12 from the identity are re-orthonormalized in a copy,
-    and clean slices keep their exact bits. The first faulty slice raises,
-    with its position as ``shape_index``."""
+    """``reps`` as an ``(N, n, q)`` stack of orthonormal frames, the one
+    check of frames: slices whose Gram matrix strays beyond 1e-12 from the
+    identity are re-orthonormalized in a copy, and clean slices keep their
+    exact bits. The first faulty slice raises, with its position as
+    ``shape_index``."""
     reps = array_argument(reps, "representatives", DimensionError)
     if reps.ndim != 3 or reps.shape[1] <= reps.shape[2]:
         raise DimensionError(
@@ -123,35 +123,31 @@ def as_frames(reps) -> np.ndarray:
     return reps
 
 
+def as_frame(rep) -> np.ndarray:
+    """One tall ``(n, q)`` frame as a read-only copy in the memory order it
+    was given, checked by :func:`as_frames` as a stack of one."""
+    rep = array_argument(rep, "representative", DimensionError)
+    if rep.ndim != 2 or rep.shape[0] <= rep.shape[1]:
+        raise DimensionError(
+            f"representative must be a tall matrix, got shape {rep.shape}")
+    rep = as_frames(rep.copy(order="K")[None])[0]
+    rep.setflags(write=False)
+    return rep
+
+
 @dataclass(frozen=True, eq=False)
 class GrassmannPoint:
-    """Orthonormal ``(n, 2)`` representative of a 2-subspace of R^n.
-
-    Construction checks the frame as :func:`as_frames` checks each of a
-    stack: it re-orthonormalizes only when the Gram matrix strays beyond
-    1e-12 from the identity, so frames that are already clean keep their
-    exact bits (serialization round-trips untouched).
-    """
+    """Orthonormal ``(n, 2)`` representative of a 2-subspace of R^n, checked
+    by :func:`as_frame`, so a clean frame keeps its exact bits."""
 
     rep: np.ndarray
 
     def __post_init__(self):
-        rep = array_argument(self.rep, "representative",
-                             DimensionError).copy(order="K")
-        if rep.ndim != 2 or rep.shape[0] <= rep.shape[1]:
-            raise DimensionError(
-                f"representative must be a tall matrix, got shape {rep.shape}")
-        rep = as_frames(rep[None])[0]
-        rep.setflags(write=False)
-        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "rep", as_frame(self.rep))
 
     @property
     def n(self) -> int:
         return self.rep.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.rep.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +186,10 @@ class LaDecomposition:
     affine: AffineMap
 
 
-def _require_same_shape(p: GrassmannPoint, q: GrassmannPoint):
-    if p.rep.shape != q.rep.shape:
+def _require_same_shape(p: np.ndarray, q: np.ndarray):
+    if p.shape != q.shape:
         raise DimensionError(
-            f"mismatched representatives: {p.rep.shape} vs {q.rep.shape}")
+            f"mismatched representatives: {p.shape} vs {q.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,8 @@ def la_standardize(shape) -> LaDecomposition:
 
 def reconstruct_with(frame, affine: AffineMap) -> LandmarkMatrix:
     """The landmarks ``frame @ M + outer(1, b)`` of an ``(n, 2)`` frame,
-    checked as :class:`GrassmannPoint` checks one, and an affine factor."""
-    return affine_apply(LandmarkMatrix(GrassmannPoint(frame).rep), affine)
+    checked by :func:`as_frame`, and an affine factor."""
+    return affine_apply(LandmarkMatrix(as_frame(frame)), affine)
 
 
 def mean_affine(linear: np.ndarray, translation: np.ndarray) -> AffineMap:
@@ -298,7 +294,7 @@ def principal_angles(p: GrassmannPoint, q: GrassmannPoint) -> np.ndarray:
     from the sines (singular values of ``(I - P P') Q``) instead, keeping
     near-zero separations measurable down to machine precision.
     """
-    _require_same_shape(p, q)
+    _require_same_shape(p.rep, q.rep)
     a = p.rep.T @ q.rep
     cosines = np.clip(np.linalg.svd(a, compute_uv=False), 0.0, 1.0)
     sines = np.clip(np.linalg.svd(q.rep - p.rep @ a, compute_uv=False),
@@ -473,14 +469,17 @@ def parallel_transport(p: GrassmannPoint, direction: TangentVector,
 # alignment
 
 
-def procrustes_rotation(p: GrassmannPoint, q: GrassmannPoint) -> np.ndarray:
-    """Rotation ``R`` (det +1) minimizing ``||P - Q R||_F``.
+def procrustes_rotation(p, q) -> np.ndarray:
+    """Rotation ``R`` (det +1) minimizing ``||P - Q R||_F``, each of ``p``
+    and ``q`` a point or an ``(n, 2)`` frame checked by :func:`as_frame`.
 
     SVD of ``Q' P`` with the determinant of the product corrected into the
     rotation group, the classic closed form for orthogonal alignment.
     """
+    p, q = (x.rep if isinstance(x, GrassmannPoint) else as_frame(x)
+            for x in (p, q))
     _require_same_shape(p, q)
-    a = q.rep.T @ p.rep
+    a = q.T @ p
     u, _, vt = np.linalg.svd(a)
     d = float(np.sign(np.linalg.det(u @ vt)))
     return (u * np.array([1.0, d])) @ vt

@@ -30,6 +30,7 @@ from .geometry import MAX_COORDINATE, sweep_points
 from .grassmann import (
     GrassmannPoint,
     TangentVector,
+    as_frame,
     as_frames,
     check_tangents,
     exp_map,
@@ -61,11 +62,11 @@ class PgaModel:
     ``bounds_max`` and ``ellipsoid_radii`` (the box of the training
     coordinates, and an origin-centered ellipsoid that holds them with a
     1.1x margin), each ``(r,)``, and ``training_coords`` ``(N, r)``. The
-    mean is checked as a :class:`GrassmannPoint` and the directions by
-    :func:`~grassfoil.grassmann.check_tangents`; the first faulty one
-    raises, with ``shape_index``. Then, as :func:`~grassfoil.io.read_model`
-    requires, ``r`` and ``N`` are at least 1 and every entry is finite and
-    at most ``MAX_COORDINATE`` in magnitude.
+    mean is checked by :func:`~grassfoil.grassmann.as_frame` and the
+    directions by :func:`~grassfoil.grassmann.check_tangents`; the first
+    faulty one raises, with ``shape_index``. Then, as
+    :func:`~grassfoil.io.read_model` requires, ``r`` and ``N`` are at least
+    1 and every entry is finite and at most ``MAX_COORDINATE`` in magnitude.
     """
 
     mean: np.ndarray
@@ -77,19 +78,19 @@ class PgaModel:
     training_coords: np.ndarray
 
     def __post_init__(self):
-        point = GrassmannPoint(self.mean)
-        object.__setattr__(self, "mean", point.rep)
+        mean = as_frame(self.mean)
+        object.__setattr__(self, "mean", mean)
         for name in ("basis", "eigenvalues", "bounds_min", "bounds_max",
                      "ellipsoid_radii", "training_coords"):
             arr = array_argument(getattr(self, name), name,
                                  DimensionError).copy(order="K")
             if name == "basis":
-                if (point.q != 2 or arr.ndim != 3 or not len(arr)
-                        or arr.shape[1:] != point.rep.shape):
+                if (mean.shape[1] != 2 or arr.ndim != 3 or not len(arr)
+                        or arr.shape[1:] != mean.shape):
                     raise DimensionError(
                         f"expected an (n, 2) mean and an (r, n, 2) basis with "
-                        f"r >= 1, got shapes {point.rep.shape} and {arr.shape}")
-                check_tangents(point.rep, arr)
+                        f"r >= 1, got shapes {mean.shape} and {arr.shape}")
+                check_tangents(mean, arr)
                 r = len(arr)
             elif name == "training_coords":
                 if arr.ndim != 2 or not len(arr) or arr.shape[1] != r:
@@ -231,7 +232,7 @@ def pga_fit(mean, logs: np.ndarray, r: int) -> PgaModel:
     not a finite numeric (N, 2n) array, or whose moments would overflow (an
     entry beyond ``MAX_COORDINATE``), raise ``DimensionError``.
     """
-    mean = GrassmannPoint(mean).rep
+    mean = as_frame(mean)
     n = len(mean)
     r = integer_argument(r, "r")
     logs = array_argument(logs, "logs", DimensionError)

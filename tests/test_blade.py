@@ -20,7 +20,8 @@ from grassfoil.geometry import (AFFINE_COMPONENT_NAMES, AffineMap,
                                 affine_vectors, compose_affine, cst_evaluate,
                                 default_baselines, perturb_cst, validate_shape)
 from grassfoil.grassmann import (GrassmannPoint, distance, exp_map,
-                                 reconstruct_with, standardize_stack)
+                                 procrustes_rotation, reconstruct_with,
+                                 standardize_stack)
 from grassfoil.pga import karcher_mean, logs_at, pga_fit, synthesize
 
 from conftest import landmarks, random_horizontal, random_point, stack
@@ -28,11 +29,12 @@ from conftest import landmarks, random_horizontal, random_point, stack
 ETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def make_sections(n=101, twist=True):
-    """The (5, n, 2) landmark stack of the sections at ETAS."""
+def make_sections(n=101, twist=True, seed=100):
+    """The (5, n, 2) landmark stack of the sections at ETAS; ``n=401,
+    seed=300`` gives the acceptance blade's."""
     sections = []
     for k, eta in enumerate(ETAS):
-        params = perturb_cst(default_baselines()[4], 0.10, seed=100 + k)
+        params = perturb_cst(default_baselines()[4], 0.10, seed=seed + k)
         shape = cst_evaluate(params, n)
         aff = affine_subgroup("chord", 0.95 - 0.45 * eta)
         if twist:
@@ -70,6 +72,36 @@ def test_cluster_preserves_subspaces():
     aligned = procrustes_cluster(frames)
     for before, after in zip(frames, aligned):
         assert distance(GrassmannPoint(before), GrassmannPoint(after)) < 1e-12
+
+
+def point_wrapped_cluster(frames):
+    """The clustering walk on points: each frame and each rotated frame is
+    checked as a GrassmannPoint."""
+    aligned = [GrassmannPoint(frames[-1])]
+    for frame in frames[-2::-1]:
+        rot = procrustes_rotation(aligned[-1], GrassmannPoint(frame))
+        aligned.append(GrassmannPoint(frame @ rot))
+    return np.array([point.rep for point in aligned[::-1]])
+
+
+def test_cluster_on_arrays_keeps_the_bits_of_points():
+    frames = standardize_stack(make_sections(401, seed=300))[0]
+    aligned = procrustes_cluster(frames)
+    assert aligned.tobytes() == point_wrapped_cluster(frames).tobytes()
+    # A frame whose Gram matrix is off by 0.9e-12 in every entry is clean,
+    # but turned by 45 degrees onto its neighbor it strays by 1.8e-12.
+    q = random_point(np.random.default_rng(5), 401).rep
+    c = np.sqrt(0.5)
+    frame = q @ (np.eye(2) + 0.45e-12 * np.ones((2, 2)))
+    pair = np.array([frame, q @ np.array([[c, -c], [c, c]])])
+    moved = frame @ procrustes_rotation(pair[1], frame)
+    assert np.abs(frame.T @ frame - np.eye(2)).max() <= 1e-12
+    assert np.abs(moved.T @ moved - np.eye(2)).max() > 1e-12
+    aligned = procrustes_cluster(pair)
+    assert aligned.tobytes() == point_wrapped_cluster(pair).tobytes()
+    assert not np.array_equal(aligned[0], moved)
+    assert np.abs(aligned[0].T @ aligned[0] - np.eye(2)).max() < 1e-15
+    assert np.abs(aligned[0] - moved).max() < 1e-11
 
 
 def test_cluster_fixes_planted_rotations():

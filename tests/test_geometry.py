@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grassfoil.errors import (DomainError, GenerationError, ParameterError,
-                              SamplingError)
+from grassfoil.errors import (DomainError, GenerationError, Gl2ViolationError,
+                              ParameterError, SamplingError)
 from grassfoil.geometry import (AffineMap, CstParams, LandmarkMatrix,
                                 _has_proper_crossing, _separated_chains,
                                 affine_apply, affine_subgroup, baseline_names,
-                                chord_stations, compose_affine, cst_evaluate,
+                                check_affines, chord_stations, compose_affine,
+                                cst_evaluate,
                                 cst_sweep, default_baselines, gen_dataset,
                                 gen_dataset_detailed, perturb_cst,
                                 sweep_points, validate_shape)
@@ -287,6 +288,13 @@ def test_value_types_keep_read_only_copies_in_their_memory_order():
 def test_singular_affine_rejected():
     with pytest.raises(Exception):
         AffineMap(np.array([[1.0, 2.0], [0.5, 1.0]]), np.zeros(2))
+
+
+def test_affine_determinant_threshold_is_1e_12():
+    # diag(1, d) has determinant d exactly
+    check_affines(np.diag([1.0, 1.01e-12])[None], np.zeros((1, 2)))
+    with pytest.raises(Gl2ViolationError, match=r"\|det\| <= 1e-12"):
+        check_affines(np.diag([1.0, 0.99e-12])[None], np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------

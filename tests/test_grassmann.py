@@ -12,7 +12,7 @@ from grassfoil.errors import (CutLocusError, DegenerateShapeError,
                               DimensionError, GrassfoilError, ParameterError,
                               TangencyError)
 from grassfoil.geometry import AffineMap, LandmarkMatrix, cst_evaluate
-from grassfoil.geometry import default_baselines
+from grassfoil.geometry import default_baselines, validate_shape
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, as_frames,
                                  distance, exp_map, exp_map_stack, inner,
                                  la_standardize, log_map, log_map_stack,
@@ -155,6 +155,18 @@ def test_standardize_rejects_rank_deficient():
     pts = np.column_stack([np.linspace(0, 1, 20), np.linspace(0, 3, 20)])
     with pytest.raises(DegenerateShapeError):
         la_standardize(LandmarkMatrix(pts))
+
+
+def test_rank_ratio_threshold_is_1e_10():
+    def rhombus(ratio):
+        # centered already, with singular values sqrt(2) and ratio * sqrt(2)
+        return np.array([[1.0, 0.0], [0.0, ratio], [-1.0, 0.0], [0.0, -ratio]])
+
+    assert la_standardize(rhombus(1.01e-10)).affine.det > 0.0
+    assert validate_shape(rhombus(1.01e-10)).rank_ok
+    with pytest.raises(DegenerateShapeError, match="numerically collinear"):
+        la_standardize(rhombus(0.99e-10))
+    assert not validate_shape(rhombus(0.99e-10)).rank_ok
 
 
 @pytest.mark.parametrize("scale", [1e151, 1e300])
@@ -587,6 +599,22 @@ def test_procrustes_never_beaten_by_grid_search():
         grid_best = min(
             np.linalg.norm(p.rep - q.rep @ rotation(phi)) for phi in grid)
         assert best <= grid_best + 1e-12
+
+
+def test_procrustes_takes_frames_as_it_takes_points():
+    rng = np.random.default_rng(20)
+    p, q = random_point(rng, 25), random_point(rng, 25)
+    r = procrustes_rotation(p, q)
+    assert procrustes_rotation(p.rep, q.rep).tobytes() == r.tobytes()
+    # a frame is checked as a point is: a scaled one is re-orthonormalized
+    scaled = procrustes_rotation(p.rep, 3.0 * q.rep)
+    assert scaled.tobytes() == procrustes_rotation(
+        p, GrassmannPoint(3.0 * q.rep)).tobytes()
+    with pytest.raises(DimensionError, match=r"mismatched representatives: "
+                       r"\(25, 2\) vs \(24, 2\)"):
+        procrustes_rotation(p.rep, q.rep[:-1])
+    with pytest.raises(DimensionError, match="^representative must be a tall"):
+        procrustes_rotation(p, q.rep.T)
 
 
 def test_procrustes_stays_special_orthogonal():

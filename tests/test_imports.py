@@ -112,6 +112,61 @@ def test_guard_sees_a_discarded_object(tmp_path):
     assert discarded_objects(probe, package_classes()) == [1, 2, 4]
 
 
+#: Value types whose construction checks an array: a frame, a frame and an
+#: affine factor, or landmarks.
+VALUE_TYPES = {"GrassmannPoint", "LaDecomposition", "LandmarkMatrix"}
+#: The value-type calls that ``pga.py`` and ``blade.py`` keep, as
+#: ``(file, enclosing function, type)``, each with its reason.
+VALUE_CALLS_KEPT = {
+    # The Karcher loop steps with exp_map on points: the benchmark counts
+    # its iterations as exp_map spans under karcher_mean (ROADMAP item 2).
+    ("pga.py", "karcher_mean", "GrassmannPoint"),
+    # interpolate_section returns a LandmarkMatrix, its public result type.
+    ("blade.py", "interpolate_section", "LandmarkMatrix"),
+}
+
+
+def value_calls(path: Path) -> list[tuple[str, str]]:
+    """``(enclosing function, type)`` for every call of one of VALUE_TYPES
+    in ``path``, in source order; module-level calls name ``<module>``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in VALUE_TYPES:
+                found.append((scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_pga_and_blade_check_frames_on_arrays():
+    calls = [(p.name, *call) for p in SOURCES
+             if p.name in ("pga.py", "blade.py") for call in value_calls(p)]
+    assert sorted(calls) == sorted(VALUE_CALLS_KEPT)  # each kept call once
+
+
+def test_guard_sees_a_value_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("top = grassmann.LaDecomposition(p, a)\n"
+                     "def fit(mean):\n"
+                     "    def inner():\n"
+                     "        return LandmarkMatrix(mean)\n"
+                     "    if isinstance(mean, GrassmannPoint):\n"
+                     "        return GrassmannPoint(mean.rep).rep\n"
+                     "    return TangentVector(mean, base)\n")
+    assert value_calls(probe) == [("<module>", "LaDecomposition"),
+                                  ("inner", "LandmarkMatrix"),
+                                  ("fit", "GrassmannPoint")]
+
+
 NUMPY_ONLY = """
 import sys
 sys.modules["scipy"] = None  # any scipy import now fails

@@ -13,9 +13,10 @@ from grassfoil.geometry import AffineMap
 from grassfoil.grassmann import (GrassmannPoint, TangentVector, distance,
                                  exp_map, inner, log_map,
                                  reconstruct_with)
-from grassfoil.pga import (PgaModel, coords_of, corner_sweep,
-                           domain_contains, flatten_tangent, karcher_mean,
-                           logs_at, pga_fit, synthesize, unflatten_tangent)
+from grassfoil.pga import (PgaModel, _clean_directions, coords_of,
+                           corner_sweep, domain_contains, flatten_tangent,
+                           karcher_mean, logs_at, pga_fit, synthesize,
+                           unflatten_tangent)
 
 from conftest import along, random_horizontal, random_point, stack
 
@@ -286,6 +287,18 @@ def test_model_invariants(airfoil_points):
             assert abs(inner(TangentVector(u, mean), TangentVector(v, mean))
                        - expected) < 1e-10
     assert model.training_coords.shape == (len(airfoil_points), 4)
+
+
+def test_dead_direction_cutoff_is_relative_1e_12():
+    # eigenvalues just above and just below 1e-12 of the largest one
+    rng = np.random.default_rng(8)
+    mean = random_point(rng, 12)
+    dirs = np.array([random_horizontal(rng, mean).mat for _ in range(3)])
+    values = 4.0 * np.array([1.0, 1.01e-12, 0.99e-12])
+    basis = _clean_directions(flatten_tangent(dirs), values, mean.rep)
+    norms = np.linalg.norm(basis, axis=(1, 2))
+    assert norms[:2] == pytest.approx(1.0, abs=1e-12)
+    assert not basis[2].any()
 
 
 def test_rank_limit_enforced():
