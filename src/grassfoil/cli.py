@@ -5,10 +5,20 @@ dataset, standardize it, fit a mean or a full model, synthesize or sweep
 shapes, interpolate or perturb blades, and render SVG views. Every run
 writes a manifest.json next to its outputs echoing the parsed
 configuration, so any artifact can be regenerated byte-identically.
+
+:data:`COMMANDS` lists each subcommand's handler, help line and options.
+:func:`main` builds the parser of the one subcommand its first argument
+names, or of all of them for ``-h``, ``--version``, no arguments or an
+unknown name; help, usage and error text read the same either way. A run
+holds numpy's bundled OpenBLAS at one thread, so its bytes do not depend on
+the caller's BLAS thread count.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import re
 import sys
 from pathlib import Path
@@ -388,98 +398,122 @@ def cmd_render(args) -> tuple[dict, str]:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(flag: str, type=_path, **kwargs) -> tuple[str, dict]:
+    """One row of an option list: ``flag`` and its ``add_argument``
+    keywords."""
+    return flag, {"type": type, **kwargs}
+
+
+_OUT, _SHAPES, _MODEL, _BLADE = (_option(flag, required=True) for flag in (
+    "--out", "--shapes", "--model", "--blade"))
+_COORDS = _option("--coords", None, required=True)
+_TOL = _option("--tol", _float, default=1e-10)
+_MAX_ITER = _option("--max-iter", _int, default=200)
+_N = _option("--n", _int, default=401)
+
+# name -> (handler, help, options); the namespace a handler receives, and so
+# its manifest's config, holds the options in the order listed here
+COMMANDS = {
+    "gen-dataset": (cmd_gen_dataset, "generate baseline + perturbed shapes", [
+        _OUT, _option("--baselines", _int, default=16),
+        _option("--total", _int, default=1000,
+                help="total perturbations split across baselines"),
+        _option("--fraction", _float, default=0.2),
+        _option("--seed", _int, default=7), _N]),
+    "standardize": (cmd_standardize, "affine factors of a shape family",
+                    [_SHAPES, _OUT]),
+    "mean": (cmd_mean, "Karcher mean of standardized shapes",
+             [_SHAPES, _OUT, _TOL, _MAX_ITER]),
+    "pga-fit": (cmd_pga_fit, "principal-geodesic model of a family", [
+        _SHAPES, _OUT, _option("--r", _int, default=4), _TOL, _MAX_ITER]),
+    "synth": (cmd_synth, "shape at given normal coordinates", [
+        _MODEL, _COORDS, _OUT,
+        _option("--affine", help="affine file for physical reconstruction")]),
+    "sweep": (cmd_sweep, "corner-to-corner design-space sweeps", [
+        _option("--space", None, choices=("pga", "cst"), default="pga"),
+        _option("--model"), _option("--affine"),
+        _option("--coefficients", help="coefficients.csv for --space cst"),
+        _option("--count", _int, default=4),
+        _option("--steps", _int, default=20),
+        _option("--seed", _int, default=0), _N, _OUT]),
+    "blade-interp": (cmd_blade_interp, "sections or wireframe of a blade", [
+        _BLADE, _OUT, _option("--eta", _float, action="append"),
+        _option("--spans", _int), _option("--samples-per-section", _int)]),
+    "blade-perturb": (cmd_blade_perturb, "consistent blade deformation", [
+        _BLADE, _MODEL, _COORDS, _OUT,
+        _option("--consistency-tol", _float, default=1e-9)]),
+    "render": (cmd_render, "SVG views of shapes, scatters, blades", [
+        _option("--kind", None, required=True,
+                choices=("shapes", "strip", "scatter", "wireframe")),
+        _OUT, _option("--shapes"), _option("--table"),
+        _option("--axes", None, default="0,1"), _option("--wireframe")]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``grassfoil`` parser with every subcommand of :data:`COMMANDS`,
+    or only ``command``'s. Its usage lists every subcommand either way, so
+    an error it reports reads the same."""
     parser = argparse.ArgumentParser(
         prog="grassfoil",
         description="Airfoil shape spaces on the Grassmannian: dataset "
                     "generation, standardization, intrinsic statistics, "
                     "blade assembly, and rendering.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-dataset", help="generate baseline + perturbed shapes")
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--baselines", type=_int, default=16)
-    p.add_argument("--total", type=_int, default=1000,
-                   help="total perturbations split across baselines")
-    p.add_argument("--fraction", type=_float, default=0.2)
-    p.add_argument("--seed", type=_int, default=7)
-    p.add_argument("--n", type=_int, default=401)
-    p.set_defaults(func=cmd_gen_dataset)
-
-    p = sub.add_parser("standardize", help="affine factors of a shape family")
-    p.add_argument("--shapes", required=True, type=_path)
-    p.add_argument("--out", required=True, type=_path)
-    p.set_defaults(func=cmd_standardize)
-
-    p = sub.add_parser("mean", help="Karcher mean of standardized shapes")
-    p.add_argument("--shapes", required=True, type=_path)
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--tol", type=_float, default=1e-10)
-    p.add_argument("--max-iter", type=_int, default=200)
-    p.set_defaults(func=cmd_mean)
-
-    p = sub.add_parser("pga-fit", help="principal-geodesic model of a family")
-    p.add_argument("--shapes", required=True, type=_path)
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--r", type=_int, default=4)
-    p.add_argument("--tol", type=_float, default=1e-10)
-    p.add_argument("--max-iter", type=_int, default=200)
-    p.set_defaults(func=cmd_pga_fit)
-
-    p = sub.add_parser("synth", help="shape at given normal coordinates")
-    p.add_argument("--model", required=True, type=_path)
-    p.add_argument("--coords", required=True)
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--affine", type=_path, default=None,
-                   help="affine file for physical reconstruction")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("sweep", help="corner-to-corner design-space sweeps")
-    p.add_argument("--space", choices=("pga", "cst"), default="pga")
-    p.add_argument("--model", type=_path, default=None)
-    p.add_argument("--affine", type=_path, default=None)
-    p.add_argument("--coefficients", type=_path, default=None,
-                   help="coefficients.csv for --space cst")
-    p.add_argument("--count", type=_int, default=4)
-    p.add_argument("--steps", type=_int, default=20)
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--n", type=_int, default=401)
-    p.add_argument("--out", required=True, type=_path)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("blade-interp", help="sections or wireframe of a blade")
-    p.add_argument("--blade", required=True, type=_path)
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--eta", type=_float, action="append", default=None)
-    p.add_argument("--spans", type=_int, default=None)
-    p.add_argument("--samples-per-section", type=_int, default=None)
-    p.set_defaults(func=cmd_blade_interp)
-
-    p = sub.add_parser("blade-perturb", help="consistent blade deformation")
-    p.add_argument("--blade", required=True, type=_path)
-    p.add_argument("--model", required=True, type=_path)
-    p.add_argument("--coords", required=True)
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--consistency-tol", type=_float, default=1e-9)
-    p.set_defaults(func=cmd_blade_perturb)
-
-    p = sub.add_parser("render", help="SVG views of shapes, scatters, blades")
-    p.add_argument("--kind", choices=("shapes", "strip", "scatter", "wireframe"),
-                   required=True)
-    p.add_argument("--out", required=True, type=_path)
-    p.add_argument("--shapes", type=_path, default=None)
-    p.add_argument("--table", type=_path, default=None)
-    p.add_argument("--axes", default="0,1")
-    p.add_argument("--wireframe", type=_path, default=None)
-    p.set_defaults(func=cmd_render)
-
+    # a parser that leaves subcommands out lists them all in its usage line
+    # through the metavar argparse derives from them; the full parser sets
+    # none, because argparse would also name the argument by it in "argument
+    # command: invalid choice" and "arguments are required: command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(COMMANDS) + "}"))
+    for name in COMMANDS if command is None else [command]:
+        func, text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None where numpy ships no such library (another BLAS, another layout)."""
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs its body with numpy's BLAS on one thread, so that a product or
+    an eigensolve adds in one order whatever the caller's thread count, and
+    restores that count afterwards."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     # argparse takes "--coords -0.1,0.2" for two options; glue the vector on.
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--coords" and re.match(r"-\.?\d", argv[i]):
@@ -490,8 +524,9 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        results, summary = args.func(args)
-        _manifest(args, results)
+        with _one_blas_thread():
+            results, summary = args.func(args)
+            _manifest(args, results)
     except GrassfoilError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

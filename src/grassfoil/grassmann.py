@@ -358,15 +358,18 @@ def log_map_stack(base: np.ndarray, reps: np.ndarray) -> np.ndarray:
             raise CutLocusError(
                 f"largest principal angle {angle:.6f} is within 1e-8 of "
                 "pi/2; the connecting geodesic is not unique", max_angle=angle)
+        # numpy multiplies by a contiguous 2x2 factor about 3x as fast as by
+        # a swapped view, to the same bits
+        z, wt = (np.ascontiguousarray(f.swapaxes(1, 2)) for f in (zt, w))
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = q @ zt.swapaxes(1, 2) - base @ (w * c[:, None])
+            residual = q @ z - base @ (w * c[:, None])
             sines = np.sqrt(landmark_sum(residual * residual))
         if not np.isfinite(sines).all():
             raise DimensionError(unusable)
         thetas = np.arctan2(sines, c)
         g = per_shape(np.divide, residual, np.where(sines > 0.0, sines, 1.0),
                       out=residual)
-        delta = per_shape(np.multiply, g, thetas, out=g) @ w.swapaxes(1, 2)
+        delta = per_shape(np.multiply, g, thetas, out=g) @ wt
         delta -= base @ (base.T @ delta)
         if not _horizontal(base, delta, _HORIZONTAL_TOL).all():
             raise TangencyError("vector is not horizontal at its base point")

@@ -278,8 +278,9 @@ def write_json(path, payload) -> None:
     formatted here, in one bulk call per file, each followed by ",", or ";"
     at the end of a row, or a NUL at the end of its array. The encoder
     writes ``null`` where each such array goes. Each array is laid out by
-    replacing those marks, and "nan" and "inf", which no other token holds,
-    and its text, indented like its line, replaces its ``null``.
+    replacing those marks, and, in an array that holds any, "nan" and
+    "inf", which no other token holds; its text, indented like its line,
+    replaces its ``null``.
     """
     parts, held = [], []
 
@@ -309,8 +310,9 @@ def write_json(path, payload) -> None:
         line = "\n" + parts[start - 1].rpartition("\n")[2] if start else "\n"
         pad = line + " " * array.ndim
         row = pad[:-1]
-        text = "[" + pad + chunk.replace("nan", "NaN").replace(
-            "inf", "Infinity").replace(",", "," + pad).replace(
+        if not np.isfinite(array).all():
+            chunk = chunk.replace("nan", "NaN").replace("inf", "Infinity")
+        text = "[" + pad + chunk.replace(",", "," + pad).replace(
             ";", row + "]," + row + "[" + pad) + row + "]"
         parts[at] = (text if array.ndim == 1 else
                      "[" + row + text + row[:-1] + "]")

@@ -1,11 +1,15 @@
 """End-to-end tests of the command line front end."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -16,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import grassfoil
 from grassfoil import io as gio
 from grassfoil import svg
 from grassfoil.blade import build_blade
-from grassfoil.cli import main
+from grassfoil.cli import COMMANDS, main
 from grassfoil.geometry import (affine_apply, affine_subgroup, cst_evaluate,
                                 default_baselines)
 
@@ -675,6 +680,65 @@ def test_gen_dataset_has_no_per_baseline_option(tmp_path, capsys):
 def test_version_exits_0(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
+
+
+# stdout, stderr and exit code of help, version and usage-error cases, as the
+# hand-written parser that the command table replaced wrote them on an
+# 80-column terminal under Python 3.11's argparse
+PARSER_CASES = json.loads(
+    (Path(__file__).parent / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSER_CASES,
+                         ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_parser_output_is_as_recorded(monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(list(case["argv"])) == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+def test_main_builds_only_the_subcommand_it_runs(workdir, tmp_path,
+                                                 monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["blade-perturb", "--blade", str(workdir / "blade.json"),
+                 "--model", str(workdir / "fit" / "model.json"),
+                 "--coords", "0.002,0.0,0.0", "--out", str(tmp_path)]) == 0
+    assert built == ["grassfoil", "grassfoil blade-perturb"]
+    built.clear()
+    assert main(["-h"]) == 0
+    assert built == ["grassfoil", *(f"grassfoil {name}" for name in COMMANDS)]
+    capsys.readouterr()
+
+
+def test_pga_fit_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 138 shapes of 69 landmarks is the smallest family found whose pga-fit
+    # bytes differ between one and two OpenBLAS threads when the count is
+    # left to the environment: its dense moment route's 138 x 138 eigensolve
+    # is the first to split across threads. A host with one core runs both
+    # on one thread, so it cannot see the difference this test guards.
+    assert main(["gen-dataset", "--baselines", "4", "--total", "134",
+                 "--n", "69", "--seed", "7", "--out", str(tmp_path)]) == 0
+    env = dict(os.environ)
+    src = str(Path(grassfoil.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    written = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-m", "grassfoil.cli", "pga-fit",
+                        "--shapes", str(tmp_path / "shapes"),
+                        "--out", str(tmp_path / "fit")],
+                       env=env, check=True, capture_output=True, timeout=300)
+        written.append({f.name: f.read_bytes()
+                        for f in (tmp_path / "fit").iterdir()})
+    assert len(written[0]) == 5
+    assert written[0] == written[1]
 
 
 # each option value is malformed, or an empty path, so argparse rejects it

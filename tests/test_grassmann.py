@@ -331,6 +331,23 @@ def test_log_invariant_to_target_rotation():
     assert np.max(np.abs(delta.mat - delta2.mat)) < 1e-12
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(3, 401),
+       st.integers(-30, 30), st.sampled_from(["C", "F", "strided"]))
+@settings(max_examples=60, deadline=None)
+def test_contiguous_2x2_factors_keep_the_bits_of_swapped_views(
+        seed, count, n, exponent, layout):
+    # log_map_stack multiplies its (count, n, 2) stacks by contiguous copies
+    # of its transposed SVD factors, which numpy runs on a faster route than
+    # the swapped views; both routes must give the same bits
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, 2 * n, 2)) * 2.0**exponent
+    stack = {"C": stack[:, :n].copy(), "F": np.asfortranarray(stack[:, :n]),
+             "strided": stack[:, ::2]}[layout]
+    swapped = np.linalg.svd(rng.standard_normal((count, 2, 2)))[0].swapaxes(1, 2)
+    assert np.array_equal(stack @ np.ascontiguousarray(swapped),
+                          stack @ swapped)
+
+
 def test_cut_locus_raises():
     p = plane(4, 0, 1)
     q = plane(4, 2, 3)
